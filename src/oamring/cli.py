@@ -93,8 +93,8 @@ def _controls(options: dict) -> OdeControls:
     )
 
 
-def _g_table(fp: FourierPotential, gamma: float, limit: int = 12) -> dict:
-    g = rate_coefficients(fp, gamma)
+def _g_table(fp: FourierPotential, limit: int = 12) -> dict:
+    g = rate_coefficients(fp)
     top = min(limit, fp.k_max)
     dominant = int(np.argmax(g[1:])) + 1 if fp.k_max >= 1 else 0
     return {
@@ -104,9 +104,9 @@ def _g_table(fp: FourierPotential, gamma: float, limit: int = 12) -> dict:
     }
 
 
-def _lambda_summary(params: SystemParams, fp: FourierPotential, limit: int = 12) -> dict:
+def _lambda_summary(fp: FourierPotential, limit: int = 12) -> dict:
     ms = np.arange(1, min(limit, fp.k_max) + 1)
-    spec = spectrum(params, fp, ms)
+    spec = spectrum(fp, ms)
     imax = int(np.argmax(spec.growth_rates))
     m_star = int(spec.modes[imax])
     return {
@@ -115,18 +115,20 @@ def _lambda_summary(params: SystemParams, fp: FourierPotential, limit: int = 12)
         },
         "argmax_m": m_star,
         "max_rate": float(spec.growth_rates[imax]),
-        "regime": classify_regime(m_star, params.gamma, fp.coefficient(m_star)),
+        "regime": classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star)),
         "regime_thresholds": "classical if gamma|V_m| > 10 m^2, quantum if < 0.1 m^2",
     }
 
 
 def _run_potential(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     params = config.params
-    fp = fourier_coefficients(params)
-    g = rate_coefficients(fp, params.gamma)
-    alpha = dispersion_coefficients(fp, params.gamma)
-
     count = config.options["samples"]
+    if count < 1:
+        raise ConfigurationError(f"potential.samples={count} must be >= 1")
+    fp = fourier_coefficients(params)
+    g = rate_coefficients(fp)
+    alpha = dispersion_coefficients(fp)
+
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     values = pair_potential(phis, params)
     _write_csv(
@@ -140,7 +142,7 @@ def _run_potential(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict
     _write_csv(
         out / "coefficients.csv", mhash, ["k", "re_Vk", "im_Vk", "g_k", "alpha_k"], rows
     )
-    return _g_table(fp, params.gamma), {}
+    return _g_table(fp), {}
 
 
 def _run_spectrum(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
@@ -196,7 +198,6 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     )
     traj = evolve(
         state0,
-        params,
         fp,
         tau_end=opts["tau_end"],
         controls=_controls(opts),
@@ -261,8 +262,8 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         },
     )
     derived = {
-        **_g_table(fp, params.gamma),
-        "lambda": _lambda_summary(params, fp),
+        **_g_table(fp),
+        "lambda": _lambda_summary(fp),
         "snapshot_tau": snap_tau,
     }
     diagnostics = {"max_norm_drift": drift_max, "max_band_edge": edge_max}
@@ -273,8 +274,8 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     params = config.params
     opts = config.options
     fp = fourier_coefficients(params)
-    g = rate_coefficients(fp, params.gamma)
-    alpha = dispersion_coefficients(fp, params.gamma)
+    g = rate_coefficients(fp)
+    alpha = dispersion_coefficients(fp)
     gamma_v0 = params.gamma * fp.coefficient(0).real
 
     channel = opts["channel"]
@@ -320,7 +321,7 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     _write_csv(out / "rates.csv", mhash, header, rows)
 
     totals = traj.populations.sum(axis=1)
-    derived = {**_g_table(fp, params.gamma), "gamma_v0": float(gamma_v0)}
+    derived = {**_g_table(fp), "gamma_v0": float(gamma_v0)}
     if overlay is not None:
         derived["single_channel_k"] = int(overlay)
     diagnostics = {
@@ -374,6 +375,10 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     if bool(opts["state"]) == bool(opts["phi_json"]):
         raise ConfigurationError(
             "radiate needs exactly one input: radiate.state or radiate.phi_json"
+        )
+    if opts["component_band"] < 0:
+        raise ConfigurationError(
+            f"radiate.component_band={opts['component_band']} must be >= 0"
         )
     if opts["state"]:
         state = _load_snapshot(Path(opts["state"]), params)

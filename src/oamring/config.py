@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,9 +225,12 @@ def _convert(dotted: str, raw: str):
         raise ConfigurationError(f"unknown config key '{dotted}'")
     converter = _SCHEMA[section][key][0]
     try:
-        return converter(raw)
-    except (TypeError, ValueError) as exc:
+        value = converter(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("not a finite number")
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad value for {dotted}: {raw!r} ({exc})") from exc
+    return value
 
 
 def parse_config(

@@ -132,13 +132,11 @@ def _nonlinear_term(c: np.ndarray, gamma: float, fp: FourierPotential) -> np.nda
     return -0.5j * gamma * s
 
 
-def derivative(
-    state: StateVector, params: SystemParams, fp: FourierPotential
-) -> np.ndarray:
+def derivative(state: StateVector, fp: FourierPotential) -> np.ndarray:
     """dc/dtau of the coupled-mode equations at the given state."""
     m = modes(state.m_max)
     return -1j * (m * m) * state.amplitudes + _nonlinear_term(
-        state.amplitudes, params.gamma, fp
+        state.amplitudes, fp.params.gamma, fp
     )
 
 
@@ -174,7 +172,6 @@ def _check_sample(tau: float, c: np.ndarray) -> None:
 
 def evolve(
     initial: StateVector,
-    params: SystemParams,
     fp: FourierPotential,
     tau_end: float,
     controls: OdeControls | None = None,
@@ -187,18 +184,16 @@ def evolve(
     violations raise ToleranceError / TruncationError rather than being
     silently repaired.
     """
-    if initial.m_max != params.m_max:
+    if initial.m_max != fp.params.m_max:
         raise ConfigurationError(
             f"state band m_max={initial.m_max} does not match params "
-            f"m_max={params.m_max}"
+            f"m_max={fp.params.m_max}"
         )
-    if fp.k_max > 2 * params.m_max:
-        raise ConfigurationError("potential band exceeds twice the mode band")
     _check_sample(initial.tau, initial.amplitudes)
 
-    m = modes(params.m_max)
+    m = modes(initial.m_max)
     msq = (m * m).astype(float)
-    gamma = params.gamma
+    gamma = fp.params.gamma
 
     def rotated_rhs(t: float, a: np.ndarray) -> np.ndarray:
         phase = np.exp(1j * msq * t)

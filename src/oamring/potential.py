@@ -13,7 +13,6 @@ the real parts the dispersive phase shifts.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -90,23 +89,23 @@ class SystemParams:
         if self.k_max < 1:
             raise ConfigurationError("k_max must be >= 1")
 
-    def fingerprint(self) -> str:
-        key = repr((self.gamma, self.epsilon, self.k0_rho, self.ell,
-                    self.m_max, self.k_max))
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class FourierPotential:
-    """Complex coefficients V_k for |k| <= k_max, index k + k_max.
+    """The system: its parameters plus the complex coefficients V_k of their
+    pair potential for |k| <= params.k_max, index k + k_max.
 
-    Immutable after construction; V_{-k} = conj(V_k) holds because V(phi)
-    is real-valued.
+    Built by fourier_coefficients, so the spectrum always belongs to the
+    parameters it travels with.  V_{-k} = conj(V_k) holds because V(phi) is
+    real-valued.
     """
 
     coefficients: np.ndarray
-    k_max: int
-    params_fingerprint: str = field(default="")
+    params: SystemParams
+    k_max: int = field(init=False)  # params.k_max, a plain attribute for hot loops
+
+    def __post_init__(self):
+        object.__setattr__(self, "k_max", self.params.k_max)
 
     def coefficient(self, k: int) -> complex:
         if abs(k) > self.k_max:
@@ -153,25 +152,21 @@ def fourier_coefficients(params: SystemParams) -> FourierPotential:
     if np.any(delta > GRID_DOUBLING_TOL):
         k_bad = int(np.argmax(delta)) - params.k_max
         raise ResolutionError(k_bad, float(delta.max()), GRID_DOUBLING_TOL)
-    return FourierPotential(
-        coefficients=fine,
-        k_max=params.k_max,
-        params_fingerprint=params.fingerprint(),
-    )
+    return FourierPotential(coefficients=fine, params=params)
 
 
-def rate_coefficients(fp: FourierPotential, gamma: float) -> np.ndarray:
+def rate_coefficients(fp: FourierPotential) -> np.ndarray:
     """Superradiant rate coefficients g_k = gamma * |Im V_k| for k = 1..k_max.
 
     Returned array is indexed so that result[k] = g_k, with result[0] = 0
     (there is no k = 0 transition)."""
-    g = gamma * np.abs(fp.coefficients[fp.k_max :].imag)
+    g = fp.params.gamma * np.abs(fp.coefficients[fp.k_max :].imag)
     g[0] = 0.0
     return g
 
 
-def dispersion_coefficients(fp: FourierPotential, gamma: float) -> np.ndarray:
+def dispersion_coefficients(fp: FourierPotential) -> np.ndarray:
     """Dispersion coefficients alpha_k = (gamma/2) Re V_k for k = 0..k_max.
 
     alpha_0 is half the mean-field phase offset gamma * V_0."""
-    return 0.5 * gamma * fp.coefficients[fp.k_max :].real.copy()
+    return 0.5 * fp.params.gamma * fp.coefficients[fp.k_max :].real.copy()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import BunchingSpectrum, StateVector, bunching
 from .errors import ConfigurationError
-from .numerics import bessel_j
+from .numerics import bessel_j_orders
 from .potential import SystemParams
 
 __all__ = [
@@ -37,11 +37,30 @@ __all__ = [
 ]
 
 # (-i)^n cycles with period four; table lookup keeps the factor exact.
-_MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+_MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 
 
-def _minus_i_power(n: int) -> complex:
-    return _MINUS_I_POW[n % 4]
+def _channel_weights(
+    bunch: BunchingSpectrum, ell: int, x: np.ndarray, m_band: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Modes m over |m| <= m_band and the weights (-i)^n J_n(x) Phi_m of the
+    far-field channels n = ell + m, one row per argument x.
+
+    Every Bessel order comes from a single bessel_j_orders pass; negative
+    orders use J_{-n} = (-1)^n J_n.
+    """
+    if m_band is None:
+        m_band = bunch.band
+    if not 0 <= m_band <= bunch.band:
+        raise ConfigurationError(
+            f"m_band={m_band} outside 0..{bunch.band}, the bunching band"
+        )
+    ms = np.arange(-m_band, m_band + 1)
+    ns = ell + ms
+    phim = bunch.coefficients[bunch.band - m_band : bunch.band + m_band + 1]
+    sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
+    jn = bessel_j_orders(int(np.abs(ns).max()), x)[np.abs(ns)].T * sign
+    return ms, _MINUS_I_POW[ns % 4] * jn * phim
 
 
 def field_expansion(
@@ -53,41 +72,35 @@ def field_expansion(
     m_band: int | None = None,
 ) -> complex:
     """Field M(theta, phi) from the truncated OAM sum over |m| <= m_band."""
-    if m_band is None:
-        m_band = bunch.band
-    if m_band > bunch.band:
-        raise ConfigurationError(
-            f"m_band={m_band} exceeds the bunching band {bunch.band}"
-        )
-    x = k0_rho * math.sin(theta)
-    total = 0.0 + 0.0j
-    for m in range(-m_band, m_band + 1):
-        n = ell + m
-        total += (
-            _minus_i_power(n)
-            * bessel_j(n, x)
-            * bunch.coefficient(m)
-            * complex(math.cos(n * phi), math.sin(n * phi))
-        )
-    return total
+    ms, weights = _channel_weights(bunch, ell, [k0_rho * math.sin(theta)], m_band)
+    return complex(weights[0] @ np.exp(1j * (ell + ms) * phi))
+
+
+def _majorant_sum(n0: int, x: float) -> float:
+    """Bound on sum_{j >= n0} (x/2)^j / j!, which majorizes sum |J_j(x)|,
+    by its geometric remainder; inf where the terms still grow."""
+    if x >= 2.0 * (n0 + 1):
+        return math.inf
+    lead = math.exp(n0 * math.log(0.5 * x) - math.lgamma(n0 + 1))
+    return lead / (1.0 - 0.5 * x / (n0 + 1))
 
 
 def expansion_tail_bound(ell: int, k0_rho: float, theta: float, m_band: int) -> float:
     """Upper bound on the magnitude of the neglected |m| > m_band terms.
 
-    Uses |Phi_m| <= 1 and |J_n(x)| <= (x/2)^|n| / |n|!, summed over both
-    tails with the geometric remainder."""
+    Uses |Phi_m| <= 1 and |J_n(x)| <= (x/2)^|n| / |n|!.  Each tail starts at
+    order s0 counted outward (ell + m_band + 1 upward, ell - m_band - 1
+    downward); a tail with s0 <= 0 runs through n = 0 and covers every
+    |n| >= 0 once and every |n| >= 1 once more."""
     x = abs(k0_rho * math.sin(theta))
     if x == 0.0:
-        return 0.0
+        return 1.0 if abs(ell) > m_band else 0.0  # only J_0(0) = 1 survives
     bound = 0.0
-    for n_start in (ell + m_band + 1, -(ell - m_band - 1)):
-        n0 = max(abs(n_start), 1)
-        if x >= 2.0 * (n0 + 1):
-            return math.inf  # bound only informative beyond the turning point
-        lead = math.exp(n0 * math.log(0.5 * x) - math.lgamma(n0 + 1))
-        ratio = 0.5 * x / (n0 + 1)
-        bound += lead / (1.0 - ratio)
+    for s0 in (m_band + 1 + ell, m_band + 1 - ell):
+        if s0 >= 1:
+            bound += _majorant_sum(s0, x)
+        else:
+            bound += _majorant_sum(0, x) + _majorant_sum(1, x)
     return bound
 
 
@@ -137,16 +150,9 @@ def averaged_intensity(
     components a list of (ell', weight) pairs, ell' = ell + m.  Cross terms
     vanish in the phi average because distinct channels are orthogonal.
     """
-    if m_band is None:
-        m_band = bunch.band
-    x = k0_rho * math.sin(theta)
-    components = []
-    total = 0.0
-    for m in range(-m_band, m_band + 1):
-        w = bessel_j(ell + m, x) ** 2 * abs(bunch.coefficient(m)) ** 2
-        components.append((ell + m, w))
-        total += w
-    return total, components
+    ms, weights = _channel_weights(bunch, ell, [k0_rho * math.sin(theta)], m_band)
+    power = np.abs(weights[0]) ** 2
+    return float(power.sum()), list(zip((ell + ms).tolist(), power.tolist()))
 
 
 @dataclass(frozen=True)
@@ -181,34 +187,19 @@ def pattern_from_bunching(
 ) -> RadiationPattern:
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
-    theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open.  Rows are
-    independent and assembled in theta order.
+    theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open.  One
+    channel-weight pass covers every theta row.
     """
     if theta_count < 2 or phi_count < 2:
         raise ConfigurationError("grid needs at least 2 points per axis")
-    if m_band is None:
-        m_band = bunch.band
-    if m_band > bunch.band:
-        raise ConfigurationError(
-            f"m_band={m_band} exceeds the bunching band {bunch.band}"
-        )
     theta_grid = np.linspace(0.0, np.pi, theta_count)
     phi_grid = np.linspace(0.0, 2.0 * np.pi, phi_count, endpoint=False)
-    ms = np.arange(-m_band, m_band + 1)
-
-    phases = np.array([_minus_i_power(params.ell + m) for m in ms])
-    phim = np.array([bunch.coefficient(int(m)) for m in ms])
-    azimuth = np.exp(1j * np.outer(params.ell + ms, phi_grid))  # (n_m, n_phi)
-
-    field = np.empty((theta_count, phi_count), dtype=complex)
-    components = np.empty((theta_count, ms.size))
-    for i, theta in enumerate(theta_grid):
-        x = params.k0_rho * math.sin(float(theta))
-        jn = np.array([bessel_j(params.ell + int(m), x) for m in ms])
-        field[i] = (phases * jn * phim) @ azimuth
-        components[i] = jn**2 * np.abs(phim) ** 2
+    x = params.k0_rho * np.sin(theta_grid)
+    ms, weights = _channel_weights(bunch, params.ell, x, m_band)
+    field = weights @ np.exp(1j * np.outer(params.ell + ms, phi_grid))
+    components = np.abs(weights) ** 2
     tail = max(
-        expansion_tail_bound(params.ell, params.k0_rho, float(t), m_band)
+        expansion_tail_bound(params.ell, params.k0_rho, float(t), int(ms[-1]))
         for t in theta_grid
     )
     return RadiationPattern(

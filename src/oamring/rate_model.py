@@ -64,6 +64,8 @@ def seeded_rate_state(
 
     Delay times depend logarithmically on the seeds, so they are an explicit
     argument here rather than something baked in."""
+    if m_max < 0:
+        raise ConfigurationError(f"rate ladder needs m_max >= 0, got {m_max}")
     if not 0.0 < seed_population < 1.0 / max(m_max, 1):
         raise ConfigurationError(f"seed population {seed_population} out of range")
     pops = np.full(m_max + 1, seed_population)
@@ -91,21 +93,32 @@ def _ladder_sums(values: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.
     return up, down
 
 
+def _rotor(size: int, gamma_v0: float) -> np.ndarray:
+    m = np.arange(size, dtype=float)
+    return -(m * m + gamma_v0)
+
+
+def _population_rate(pops: np.ndarray, gk: np.ndarray) -> np.ndarray:
+    up, down = _ladder_sums(pops, gk)
+    return (up - down) * pops
+
+
+def _phase_rate(pops: np.ndarray, ak: np.ndarray, rotor: np.ndarray) -> np.ndarray:
+    up, down = _ladder_sums(pops, ak)
+    return rotor - (up + down)
+
+
 def rate_derivative(state: RateState, g: np.ndarray) -> np.ndarray:
     """dN/dtau of the cascade, band-truncated; components sum to zero."""
-    gk = _k_indexed(g)
-    up, down = _ladder_sums(state.populations, gk)
-    return (up - down) * state.populations
+    return _population_rate(state.populations, _k_indexed(g))
 
 
 def phase_derivative(
     state: RateState, alpha: np.ndarray, gamma_v0: float
 ) -> np.ndarray:
     """dphi/dtau: rotor term, mean-field offset, and dispersive ladder sums."""
-    ak = _k_indexed(alpha)
-    up, down = _ladder_sums(state.populations, ak)
-    m = np.arange(state.populations.size, dtype=float)
-    return -(m * m + gamma_v0) - (up + down)
+    pops = state.populations
+    return _phase_rate(pops, _k_indexed(alpha), _rotor(pops.size, gamma_v0))
 
 
 @dataclass(frozen=True)
@@ -143,14 +156,13 @@ def evolve_rates(
     n = initial.populations.size
     gk = _k_indexed(g)
     ak = _k_indexed(alpha)
-    m = np.arange(n, dtype=float)
-    rotor = -(m * m + gamma_v0)
+    rotor = _rotor(n, gamma_v0)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         pops = y[:n].real
-        up_g, down_g = _ladder_sums(pops, gk)
-        up_a, down_a = _ladder_sums(pops, ak)
-        return np.concatenate([(up_g - down_g) * pops, rotor - (up_a + down_a)])
+        return np.concatenate(
+            [_population_rate(pops, gk), _phase_rate(pops, ak, rotor)]
+        )
 
     y0 = np.concatenate([initial.populations, initial.phases]).astype(complex)
     raw = integrate_ode(

@@ -35,22 +35,16 @@ CLASSICAL_FACTOR = 10.0
 QUANTUM_FACTOR = 0.1
 
 
-def eigenvalues(
-    params: SystemParams, fp: FourierPotential, m: int
-) -> tuple[complex, complex]:
+def eigenvalues(fp: FourierPotential, m: int) -> tuple[complex, complex]:
     """Both eigenvalues +/- i m sqrt(m^2 + gamma V_m) for harmonic m."""
-    if abs(m) > fp.k_max:
-        raise ConfigurationError(
-            f"mode m={m} outside the potential band |k| <= {fp.k_max}"
-        )
-    root = principal_sqrt(complex(m * m) + params.gamma * fp.coefficient(m))
+    root = principal_sqrt(complex(m * m) + fp.params.gamma * fp.coefficient(m))
     lam = 1j * m * root
     return lam, -lam
 
 
-def growth_rate(params: SystemParams, fp: FourierPotential, m: int) -> float:
+def growth_rate(fp: FourierPotential, m: int) -> float:
     """|Re lambda_m|, the exponential growth rate of the bunching Phi_m."""
-    lam, _ = eigenvalues(params, fp, m)
+    lam, _ = eigenvalues(fp, m)
     return abs(lam.real)
 
 
@@ -63,11 +57,9 @@ class StabilitySpectrum:
     growth_rates: np.ndarray  # (n_m,) float
 
 
-def spectrum(
-    params: SystemParams, fp: FourierPotential, modes: np.ndarray
-) -> StabilitySpectrum:
+def spectrum(fp: FourierPotential, modes: np.ndarray) -> StabilitySpectrum:
     modes = np.asarray(modes, dtype=int)
-    pairs = np.array([eigenvalues(params, fp, int(m)) for m in modes])
+    pairs = np.array([eigenvalues(fp, int(m)) for m in modes])
     rates = np.abs(pairs[:, 0].real)
     return StabilitySpectrum(modes=modes, eigenvalue_pairs=pairs, growth_rates=rates)
 
@@ -111,7 +103,7 @@ def spectrum_sweep(
         except OamringError as exc:
             exc.args = (f"sweep point k0_rho={kr}: {exc}",)
             raise
-        rates[i] = spectrum(point, fp, modes).growth_rates
+        rates[i] = spectrum(fp, modes).growth_rates
     imax = np.argmax(rates, axis=1)
     return SweepResult(
         k0_rho_grid=k0_rho_grid,

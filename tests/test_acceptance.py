@@ -56,7 +56,7 @@ def fig2_run():
     initial = default_initial_state(params, cfg.options["seed_amplitude"])
     start = time.perf_counter()
     traj = evolve(
-        initial, params, fp,
+        initial, fp,
         tau_end=cfg.options["tau_end"], stride=cfg.options["stride"],
     )
     elapsed = time.perf_counter() - start
@@ -87,8 +87,8 @@ def fig3_run():
     cfg = parse_config("rate", preset="fig3")
     params = cfg.params
     fp = fourier_coefficients(params)
-    g = rate_coefficients(fp, params.gamma)
-    alpha = dispersion_coefficients(fp, params.gamma)
+    g = rate_coefficients(fp)
+    alpha = dispersion_coefficients(fp)
     start = time.perf_counter()
     traj = evolve_rates(
         seeded_rate_state(params.m_max, cfg.options["seed_population"]),
@@ -110,7 +110,7 @@ def fig4_run():
     initial = default_initial_state(params, cfg.options["seed_amplitude"])
     start = time.perf_counter()
     traj = evolve(
-        initial, params, fp,
+        initial, fp,
         tau_end=cfg.options["tau_end"], stride=cfg.options["stride"],
     )
     phi5 = np.array(
@@ -272,7 +272,7 @@ def test_criterion_5_oracle_equivalences(fig2_run):
     for _ in range(100):
         state = random_state(8, rng)
         delta = np.abs(
-            derivative(state, params, fp) - naive_derivative(state, params, fp)
+            derivative(state, fp) - naive_derivative(state, params, fp)
         )
         worst_deriv = max(worst_deriv, float(delta.max()))
     assert worst_deriv < 1e-12
@@ -319,7 +319,7 @@ def test_criterion_5_oracle_equivalences(fig2_run):
     while lo > 0 and phi1[lo - 1] > 1e-4:
         lo -= 1
     slope = float(np.polyfit(times[lo : hi + 1], np.log(phi1[lo : hi + 1]), 1)[0])
-    lam = growth_rate(fig2_run["params"], fig2_run["fp"], 1)
+    lam = growth_rate(fig2_run["fp"], 1)
     assert abs(slope - lam) <= 0.05 * lam
 
     elapsed = time.perf_counter() - start
@@ -353,9 +353,9 @@ def test_criterion_6_conservation(fig2_run, fig3_run):
     # no winding, no instability
     params = SystemParams(gamma=0.3, epsilon=0.1, k0_rho=2.0, ell=0)
     fp = fourier_coefficients(params)
-    rates = rate_coefficients(fp, params.gamma)
+    rates = rate_coefficients(fp)
     assert np.max(rates) < 1e-12
-    worst_growth = max(growth_rate(params, fp, m) for m in range(1, 13))
+    worst_growth = max(growth_rate(fp, m) for m in range(1, 13))
     assert worst_growth < 1e-14
 
     report(
@@ -421,8 +421,8 @@ def test_rate_model_tracks_full_dynamics_timing(fig2_run):
     )
 
     fp = fig2_run["fp"]
-    g = rate_coefficients(fp, params.gamma)
-    alpha = dispersion_coefficients(fp, params.gamma)
+    g = rate_coefficients(fp)
+    alpha = dispersion_coefficients(fp)
     seed = 1e-4**2
     traj = evolve_rates(
         seeded_rate_state(10, seed), g, alpha,

@@ -209,6 +209,29 @@ class TestReproducibility:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("evolve", "evolve.rng_seed=inf"),
+            ("evolve", "params.k0_rho=inf"),
+            ("evolve", "evolve.tau_end=inf"),
+            ("radiate", "radiate.m_band=-1"),
+            ("radiate", "radiate.component_band=-1"),
+            ("rate", "rate.m_max=-1"),
+            ("potential", "potential.samples=-3"),
+        ],
+    )
+    def test_bad_value_exits_two_with_record(self, tmp_path, capsys, scenario, override):
+        phi_file = tmp_path / "phi.json"
+        phi_file.write_text(json.dumps({"band": 1, "coefficients": [[0, 0], [1, 0], [0, 0]]}))
+        args = [scenario, "--out", str(tmp_path / "out"), "--set", override]
+        if scenario == "radiate":
+            args += ["--set", f"radiate.phi_json={phi_file}"]
+        assert main(args) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert record["exit_code"] == 2
+
     def test_configuration_error_is_two(self, tmp_path, capsys):
         rc = main(["evolve", "--out", str(tmp_path),
                    "--set", "params.gamma=-1"])

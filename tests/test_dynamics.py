@@ -93,18 +93,18 @@ class TestDerivative:
         params, fp = fig2_setup()
         amps = np.zeros(2 * params.m_max + 1, dtype=complex)
         amps[params.m_max] = 1.0
-        dc = derivative(StateVector(0.0, amps), params, fp)
+        dc = derivative(StateVector(0.0, amps), fp)
         expected = -0.5j * params.gamma * fp.coefficient(0)
         assert abs(dc[params.m_max] - expected) < 1e-15
         others = np.delete(dc, params.m_max)
         assert np.max(np.abs(others)) < 1e-15
 
     def test_free_evolution_term(self):
-        params, fp = fig2_setup(m_max=5, k_max=10)
         zero_gamma = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1,
                                   m_max=5, k_max=10)
+        fp = fourier_coefficients(zero_gamma)
         state = random_state(5)
-        dc = derivative(state, zero_gamma, fp)
+        dc = derivative(state, fp)
         m = modes(5)
         assert np.max(np.abs(dc + 1j * m * m * state.amplitudes)) < 1e-15
 
@@ -113,7 +113,7 @@ class TestDerivative:
         rng = np.random.default_rng(5)
         for _ in range(100):
             state = random_state(8, rng)
-            fast = derivative(state, params, fp)
+            fast = derivative(state, fp)
             slow = naive_derivative(state, params, fp)
             assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -172,7 +172,7 @@ class TestEvolve:
         fp = fourier_coefficients(params)
         amps = np.zeros(7, dtype=complex)
         amps[3 + 1] = 1.0
-        traj = evolve(StateVector(0.0, amps), params, fp, tau_end=5.0, stride=1.0)
+        traj = evolve(StateVector(0.0, amps), fp, tau_end=5.0, stride=1.0)
         for tau, state in zip(traj.times, traj.states):
             assert abs(state[3 + 1] - np.exp(-1j * tau)) < 1e-12
             assert abs(np.abs(state[3 + 1]) - 1.0) < 1e-13
@@ -184,14 +184,14 @@ class TestEvolve:
         inner = RNG.normal(size=7) + 1j * RNG.normal(size=7)
         amps[3:10] = inner / np.linalg.norm(inner)
         state = StateVector(0.0, amps)
-        traj = evolve(state, params, fp, tau_end=100.0, stride=10.0)
+        traj = evolve(state, fp, tau_end=100.0, stride=10.0)
         drift = np.abs(np.abs(traj.states) - np.abs(state.amplitudes)[None, :])
         assert drift.max() < 1e-10
 
     def test_seeded_growth_matches_eigenvalue(self):
         params, fp = fig2_setup()
         state = default_initial_state(params)
-        traj = evolve(state, params, fp, tau_end=260.0, stride=0.5)
+        traj = evolve(state, fp, tau_end=260.0, stride=0.5)
         phi1 = np.array(
             [abs(bunching(StateVector(0.0, s)).coefficient(1)) for s in traj.states]
         )
@@ -200,12 +200,12 @@ class TestEvolve:
         while lo > 0 and phi1[lo - 1] > 1e-4:
             lo -= 1
         slope = np.polyfit(traj.times[lo : hi + 1], np.log(phi1[lo : hi + 1]), 1)[0]
-        expected = growth_rate(params, fp, 1)
+        expected = growth_rate(fp, 1)
         assert slope == pytest.approx(expected, rel=0.05)
 
     def test_norm_and_central_bunching_along_trajectory(self):
         params, fp = fig2_setup()
-        traj = evolve(default_initial_state(params), params, fp, 50.0, stride=5.0)
+        traj = evolve(default_initial_state(params), fp, 50.0, stride=5.0)
         for s in traj.states:
             assert abs(np.sum(np.abs(s) ** 2) - 1.0) < 1e-8
             assert abs(bunching(StateVector(0.0, s)).coefficient(0) - 1.0) < 1e-10
@@ -214,14 +214,14 @@ class TestEvolve:
         params, fp = fig2_setup()
         small = random_state(3)
         with pytest.raises(ConfigurationError):
-            evolve(small, params, fp, 1.0)
+            evolve(small, fp, 1.0)
 
     def test_unnormalized_initial_state_rejected(self):
         params, fp = fig2_setup()
         amps = np.zeros(2 * params.m_max + 1, dtype=complex)
         amps[params.m_max] = 1.1
         with pytest.raises(ToleranceError):
-            evolve(StateVector(0.0, amps), params, fp, 1.0)
+            evolve(StateVector(0.0, amps), fp, 1.0)
 
     def test_populated_band_edge_rejected(self):
         params = SystemParams(gamma=0.05, epsilon=0.1, k0_rho=1.0, ell=1, m_max=3)
@@ -230,7 +230,7 @@ class TestEvolve:
         amps[3] = np.sqrt(1.0 - 0.01)
         amps[-1] = 0.1
         with pytest.raises(TruncationError):
-            evolve(StateVector(0.0, amps), params, fp, 1.0)
+            evolve(StateVector(0.0, amps), fp, 1.0)
 
     def test_band_edge_occupancy_definition(self):
         amps = np.zeros(21, dtype=complex)

@@ -12,6 +12,7 @@ from oamring.numerics import (
     OdeControls,
     Trajectory,
     bessel_j,
+    bessel_j_orders,
     integrate_ode,
     periodic_fourier_coefficients,
     principal_sqrt,
@@ -60,8 +61,21 @@ class TestBessel:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 60])
     def test_against_series_oracle(self, n):
-        for x in (0.3, 1.7, 4.9, 6.1, 9.3, 17.2, 33.8, 49.5):
-            assert abs(bessel_j(n, x) - series_oracle(n, x)) < 1e-12
+        # 5 sin(pi) ~ 6e-16 is the theta = pi row of every radiation pattern
+        xs = (1e-8, 5.0 * math.sin(math.pi), 0.3, 1.7, 4.9, 6.1, 9.3, 17.2, 33.8, 49.5)
+        rows = bessel_j_orders(60, np.array(xs))
+        for x, from_rows in zip(xs, rows[n]):
+            want = series_oracle(n, x)
+            assert abs(bessel_j(n, x) - want) < 1e-12
+            assert abs(from_rows - want) < 1e-12
+
+    def test_orders_shape_origin_and_tiny_argument(self):
+        rows = bessel_j_orders(4, np.zeros((2, 3)))
+        assert rows.shape == (5, 2, 3)
+        assert np.all(rows[0] == 1.0) and np.all(rows[1:] == 0.0)
+        # one recurrence step multiplies by ~1e302 here; rescaling must keep up
+        tiny = bessel_j_orders(2, np.array([1e-300]))[:, 0]
+        assert tiny[0] == 1.0 and tiny[1] == pytest.approx(5e-301, rel=1e-15)
 
     def test_reflection_in_order_is_exact(self):
         for n in range(0, 12):

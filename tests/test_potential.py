@@ -128,11 +128,11 @@ class TestDerivedCoefficients:
     def test_zero_winding_rates_vanish(self):
         fp = fourier_coefficients(SystemParams(gamma=3.0, epsilon=0.1,
                                                k0_rho=2.0, ell=0))
-        assert np.max(rate_coefficients(fp, 3.0)) < 1e-12
+        assert np.max(rate_coefficients(fp)) < 1e-12
 
     def test_small_ring_dominant_transition_is_one(self):
         fp = fourier_coefficients(fig2_params())
-        g = rate_coefficients(fp, 0.05)
+        g = rate_coefficients(fp)
         assert int(np.argmax(g[1:])) + 1 == 1
         assert np.all(g >= 0.0)
 
@@ -142,18 +142,18 @@ class TestDerivedCoefficients:
         fp = fourier_coefficients(
             SystemParams(gamma=1.0, epsilon=0.1, k0_rho=5.605, ell=2)
         )
-        g = rate_coefficients(fp, 1.0)
+        g = rate_coefficients(fp)
         order = np.argsort(g[1:])[::-1] + 1
         assert g[1] < 0.02 * g[order[0]]
         assert list(order[:2]) == [6, 5]
 
     def test_dispersion_zero_coupling(self):
-        fp = fourier_coefficients(fig2_params())
-        assert np.max(np.abs(dispersion_coefficients(fp, 0.0))) == 0.0
+        fp = fourier_coefficients(fig2_params(gamma=0.0))
+        assert np.max(np.abs(dispersion_coefficients(fp))) == 0.0
 
     def test_dispersion_golden_values(self):
         fp = fourier_coefficients(fig2_params())
-        alpha = dispersion_coefficients(fp, 0.05)
+        alpha = dispersion_coefficients(fp)
         for k, value in golden_table().items():
             assert abs(alpha[k] - 0.025 * value.real) < 1e-10
         assert np.all(np.isreal(alpha))
@@ -177,13 +177,8 @@ class TestSystemParams:
         assert p.m_max == 2 + 5 + 12
         assert p.k_max == 2 * p.m_max
 
-    def test_fingerprint_distinguishes_params(self):
-        a = SystemParams(gamma=0.1).fingerprint()
-        b = SystemParams(gamma=0.2).fingerprint()
-        assert a != b and len(a) == 16
-
-    def test_potential_carries_fingerprint(self):
+    def test_potential_carries_params(self):
         params = fig2_params()
         fp = fourier_coefficients(params)
-        assert fp.params_fingerprint == params.fingerprint()
+        assert fp.params == params
         assert isinstance(fp, FourierPotential)

@@ -189,6 +189,14 @@ class TestTailBound:
     def test_zero_at_forward_axis(self):
         assert expansion_tail_bound(2, 5.0, 0.0, 4) == 0.0
 
+    def test_tail_through_order_zero_is_bounded(self):
+        # m_band < |ell|: the neglected lower tail passes through n = 0
+        ell, k0_rho, theta, m_band = 2, 1.0, math.pi / 2, 0
+        neglected = sum(abs(bessel_j(n, 1.0)) for n in range(-60, 61) if n != ell)
+        assert expansion_tail_bound(ell, k0_rho, theta, m_band) >= neglected
+        # on the forward axis only the neglected J_0(0) = 1 channel remains
+        assert expansion_tail_bound(ell, k0_rho, 0.0, m_band) == 1.0
+
 
 class TestPatternGrid:
     def test_uniform_state_is_azimuthally_flat(self):

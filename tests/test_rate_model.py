@@ -126,7 +126,7 @@ class TestEvolveRates:
 
     def test_mean_mode_never_decreases(self):
         params = SystemParams(gamma=1.0, epsilon=0.1, k0_rho=5.605, ell=2)
-        g = rate_coefficients(fourier_coefficients(params), params.gamma)
+        g = rate_coefficients(fourier_coefficients(params))
         traj = evolve_rates(
             seeded_rate_state(20, 1e-6), g, np.zeros_like(g), 0.0, tau_end=120.0
         )

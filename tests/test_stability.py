@@ -23,25 +23,25 @@ class TestEigenvalues:
     def test_free_rotor_is_marginal(self):
         params, fp = build(gamma=0.0)
         for m in (1, 2, 5):
-            lam_plus, lam_minus = eigenvalues(params, fp, m)
+            lam_plus, lam_minus = eigenvalues(fp, m)
             assert lam_plus == 1j * m * m
             assert lam_minus == -1j * m * m
-            assert growth_rate(params, fp, m) == 0.0
+            assert growth_rate(fp, m) == 0.0
 
     def test_roots_come_in_opposite_pairs(self):
         params, fp = build(gamma=0.7, k0_rho=3.0, ell=2)
         for m in range(1, 8):
-            lam_plus, lam_minus = eigenvalues(params, fp, m)
+            lam_plus, lam_minus = eigenvalues(fp, m)
             assert lam_plus == -lam_minus
 
     def test_zero_winding_is_stable(self):
         params, fp = build(gamma=0.3, k0_rho=2.0, ell=0)
         for m in range(1, 10):
-            assert growth_rate(params, fp, m) < 1e-14
+            assert growth_rate(fp, m) < 1e-14
 
     def test_mode_zero_growth_exactly_zero(self):
         params, fp = build(gamma=0.5)
-        assert growth_rate(params, fp, 0) == 0.0
+        assert growth_rate(fp, 0) == 0.0
 
     def test_quantum_asymptote(self):
         # gamma |V_m| <= 1e-3 m^2: growth approaches gamma |Im V_m| / 2.
@@ -50,7 +50,7 @@ class TestEigenvalues:
             coupling = params.gamma * abs(fp.coefficient(m))
             assert coupling <= 1e-3 * m * m
             expected = 0.5 * params.gamma * abs(fp.coefficient(m).imag)
-            rate = growth_rate(params, fp, m)
+            rate = growth_rate(fp, m)
             assert rate == pytest.approx(expected, rel=0.01)
 
     def test_classical_asymptote(self):
@@ -59,20 +59,20 @@ class TestEigenvalues:
         m = 1
         coupling = params.gamma * abs(fp.coefficient(m))
         assert coupling >= 1e3 * m * m
-        lam, _ = eigenvalues(params, fp, m)
+        lam, _ = eigenvalues(fp, m)
         assert abs(lam) == pytest.approx(m * np.sqrt(coupling), rel=0.01)
 
     def test_growth_symmetric_under_mode_sign(self):
         params, fp = build(gamma=0.4, k0_rho=4.0, ell=1)
         for m in range(1, 10):
-            assert growth_rate(params, fp, m) == pytest.approx(
-                growth_rate(params, fp, -m), abs=1e-14
+            assert growth_rate(fp, m) == pytest.approx(
+                growth_rate(fp, -m), abs=1e-14
             )
 
     def test_mode_outside_band_rejected(self):
         params, fp = build(gamma=0.4)
         with pytest.raises(ConfigurationError):
-            eigenvalues(params, fp, fp.k_max + 1)
+            eigenvalues(fp, fp.k_max + 1)
 
 
 class TestSweep:
@@ -91,7 +91,7 @@ class TestSweep:
         template = SystemParams(gamma=0.2, epsilon=0.1, ell=1)
         sweep = spectrum_sweep(template, [3.0], (1, 8))
         params, fp = build(gamma=0.2, k0_rho=3.0)
-        direct = spectrum(params, fp, np.arange(1, 9))
+        direct = spectrum(fp, np.arange(1, 9))
         assert np.allclose(sweep.rates[0], direct.growth_rates, atol=1e-15)
 
     def test_empty_grid_rejected(self):
