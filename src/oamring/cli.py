@@ -24,14 +24,13 @@ from .dynamics import (
     StateVector,
     band_edge_occupancy,
     bunching,
+    bunching_series,
     default_initial_state,
     evolve,
-    mean_angular_velocity,
     modes,
-    populations,
 )
 from .errors import ConfigurationError, OamringError, ToleranceError
-from .numerics import OdeControls
+from .numerics import OdeControls, Trajectory
 from .potential import (
     FourierPotential,
     SystemParams,
@@ -179,6 +178,36 @@ def _run_spectrum(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]
     return derived, {}
 
 
+def _timeseries(
+    traj: Trajectory, phi_band: int, snapshot_k: int | None
+) -> tuple[np.ndarray, float, float, int]:
+    """The timeseries.csv rows of a lab-frame trajectory (tau, norm error,
+    N_m, Re and Im of Phi_0..Phi_phi_band, <omega>), its largest norm drift
+    and band-edge occupancy, and the index of the sample with the largest
+    |Phi_snapshot_k| (the last sample when snapshot_k is None)."""
+    states = traj.states
+    band = modes((states.shape[1] - 1) // 2)
+    pops = np.abs(states) ** 2
+    drift = np.abs(pops.sum(axis=1) - 1.0)
+    phis = bunching_series(states, max(phi_band, snapshot_k or 0))
+    table = np.column_stack(
+        [
+            traj.times,
+            drift,
+            pops,
+            phis[:, : phi_band + 1].real,
+            phis[:, : phi_band + 1].imag,
+            (band * pops).sum(axis=1),
+        ]
+    )
+    if snapshot_k is None:
+        snap_index = len(traj.times) - 1
+    else:
+        snap_index = int(np.argmax(np.abs(phis[:, snapshot_k])))
+    edge_max = float(band_edge_occupancy(states).max())
+    return table, float(drift.max()), edge_max, snap_index
+
+
 def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     params = config.params
     opts = config.options
@@ -213,33 +242,9 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         + [f"im_phi_{k}" for k in range(phi_band + 1)]
         + ["mean_omega"]
     )
-
-    rows = []
-    drift_max = 0.0
-    edge_max = 0.0
-    snap_index = len(traj.times) - 1
-    snap_metric = -1.0
-    for i, (tau, amps) in enumerate(zip(traj.times, traj.states)):
-        state = StateVector(tau=float(tau), amplitudes=amps)
-        pops = populations(state)
-        bunch = bunching(state)
-        drift = state.norm_error()
-        drift_max = max(drift_max, drift)
-        edge_max = max(edge_max, band_edge_occupancy(amps))
-        phis = [bunch.coefficient(k) for k in range(phi_band + 1)]
-        rows.append(
-            [float(tau), drift]
-            + pops.tolist()
-            + [p.real for p in phis]
-            + [p.imag for p in phis]
-            + [mean_angular_velocity(state)]
-        )
-        if opts["snapshot"] == "max_bunching":
-            metric = abs(bunch.coefficient(opts["snapshot_k"]))
-            if metric > snap_metric:
-                snap_metric = metric
-                snap_index = i
-    _write_csv(out / "timeseries.csv", mhash, header, rows)
+    snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
+    table, drift_max, edge_max, snap_index = _timeseries(traj, phi_band, snapshot_k)
+    _write_csv(out / "timeseries.csv", mhash, header, table)
 
     snap_tau = float(traj.times[snap_index])
     snap_amps = traj.states[snap_index]

@@ -7,8 +7,9 @@ The complex amplitudes c_m (m = -m_max .. m_max) obey
 
 with couplings referencing modes outside the band treated as zero.  The
 integrator works in the interaction picture a_m = c_m exp(i m^2 tau): the
-rotor phases are then exact, which removes the fast m^2 frequencies from the
-stepped system and keeps the norm drift far below tolerance over long runs.
+rotor phases are then exact and the norm drift stays far below tolerance
+over long runs.  The rotated nonlinear term still oscillates at the
+differences m^2 - n^2 of coupled modes, and those set the step size.
 No renormalization is ever applied; drift is a diagnostic, not a knob.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "StateVector",
     "band_edge_occupancy",
     "bunching",
+    "bunching_series",
     "default_initial_state",
     "derivative",
     "evolve",
@@ -80,12 +82,15 @@ class BunchingSpectrum:
         return complex(self.coefficients[m + self.band])
 
 
-def band_edge_occupancy(amplitudes: np.ndarray) -> float:
-    """Population in the outer ~10% of the band (split across both edges)."""
-    size = amplitudes.size
+def band_edge_occupancy(amplitudes: np.ndarray) -> float | np.ndarray:
+    """Population in the outer ~10% of the band (split across both edges).
+
+    The band is the last axis, so a (T, size) trajectory gives T values.
+    """
+    size = amplitudes.shape[-1]
     n_side = max(1, int(0.05 * size + 0.5))
     pops = np.abs(amplitudes) ** 2
-    return float(pops[:n_side].sum() + pops[-n_side:].sum())
+    return pops[..., :n_side].sum(axis=-1) + pops[..., -n_side:].sum(axis=-1)
 
 
 def default_initial_state(
@@ -146,6 +151,15 @@ def bunching(state: StateVector) -> BunchingSpectrum:
     return BunchingSpectrum(coefficients=corr, band=state.amplitudes.size - 1)
 
 
+def bunching_series(states: np.ndarray, k_top: int) -> np.ndarray:
+    """Phi_0 .. Phi_k_top of every row of a (T, size) array of amplitudes."""
+    size = states.shape[-1]
+    out = np.empty(states.shape[:-1] + (k_top + 1,), dtype=complex)
+    for k in range(k_top + 1):
+        out[..., k] = (np.conj(states[..., : size - k]) * states[..., k:]).sum(axis=-1)
+    return out
+
+
 def populations(state: StateVector) -> np.ndarray:
     """Mode populations N_m = |c_m|^2 in band order."""
     return np.abs(state.amplitudes) ** 2
@@ -193,12 +207,12 @@ def evolve(
 
     m = modes(initial.m_max)
     msq = (m * m).astype(float)
+    i_msq = 1j * msq
     gamma = fp.params.gamma
 
     def rotated_rhs(t: float, a: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * msq * t)
-        c = a * np.conj(phase)
-        return phase * _nonlinear_term(c, gamma, fp)
+        phase = np.exp(i_msq * t)
+        return phase * _nonlinear_term(a * phase.conj(), gamma, fp)
 
     a0 = initial.amplitudes * np.exp(1j * msq * initial.tau)
     raw = integrate_ode(

@@ -148,15 +148,19 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
+# Row i of _DP_A weights the stages that form stage i's input; row 6 is the
+# 5th-order solution itself.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
 )
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -199,10 +203,13 @@ def integrate_ode(
     times = [t0]
     states = [y.copy()]
     t = t0
-    k1 = np.asarray(rhs(t, y), dtype=complex)
+    # One row per stage; row 0 holds rhs(t, y), row 6 rhs(t + h, y_new).
+    k = np.empty((7, y.size), dtype=complex)
+    k_re = k.view(float)  # real coefficients act on re/im pairs alike
+    k[0] = rhs(t, y)
+    abs_y = np.abs(y)
     h = min(controls.initial_step, controls.max_step, t1 - t0)
     fac_old = 1e-4
-    stages = [k1] + [np.empty_like(y) for _ in range(6)]
     underflow = 1e-14 * max(1.0, abs(t1))
     next_sample = 0
 
@@ -212,24 +219,23 @@ def integrate_ode(
         if h < underflow:
             raise IntegrationError("step size underflow", tau_last=t)
 
+        ha = h * _DP_A
         for i in range(1, 7):
-            acc = stages[0] * _DP_A[i][0]
-            for j in range(1, i):
-                if _DP_A[i][j] != 0.0:
-                    acc = acc + stages[j] * _DP_A[i][j]
-            stages[i] = np.asarray(rhs(t + _DP_C[i] * h, y + h * acc), dtype=complex)
-        y_new = y + h * acc  # stage 7 uses the 5th-order weights themselves
-        err_vec = h * sum(stages[i] * _DP_ERR[i] for i in range(7) if _DP_ERR[i] != 0.0)
-        scale = controls.abs_tol + controls.rel_tol * np.maximum(
-            np.abs(y), np.abs(y_new)
-        )
-        err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
+            y_stage = y + ha[i, :i].dot(k_re[:i]).view(complex)
+            k[i] = rhs(t + _DP_C[i] * h, y_stage)
+        y_new = y_stage  # stage 7's input is the 5th-order solution
+        abs_new = np.abs(y_new)
+        err_vec = (h * _DP_ERR).dot(k_re).view(complex)
+        scale = controls.abs_tol + controls.rel_tol * np.maximum(abs_y, abs_new)
+        ratio = err_vec / scale
+        err = math.sqrt(np.vdot(ratio, ratio).real / y.size)
 
         fac11 = err**_EXPO if err > 0.0 else 1e-10
         if err <= 1.0:
             t = t + h
             y = y_new
-            stages[0] = stages[6]  # FSAL: rhs(t+h, y_new) seeds the next step
+            abs_y = abs_new
+            k[0] = k[6]  # FSAL: rhs(t+h, y_new) seeds the next step
             fac = fac11 / fac_old**_BETA
             fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
             h = h / fac

@@ -7,9 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamring.cli import _fmt, main
+from oamring.cli import _fmt, _timeseries, main
 from oamring.config import PRESETS, parse_config
+from oamring.dynamics import (
+    StateVector,
+    band_edge_occupancy,
+    bunching,
+    default_initial_state,
+    evolve,
+    mean_angular_velocity,
+    populations,
+)
 from oamring.errors import ConfigurationError, ToleranceError
+from oamring.potential import fourier_coefficients
 
 QUICK_EVOLVE = [
     "--set", "evolve.tau_end=20",
@@ -161,6 +171,54 @@ class TestArtifacts:
             _fmt(float("inf"))
         assert _fmt(np.float64(0.25)) == "0.25"
         assert _fmt(3) == "3"
+
+
+class TestTimeseries:
+    """The array-form timeseries against the per-sample observables."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        cfg = parse_config("evolve", preset="fig2")
+        initial = default_initial_state(cfg.params, mode="random", rng_seed=5)
+        return evolve(initial, fourier_coefficients(cfg.params), tau_end=20.0, stride=0.5)
+
+    def test_columns_match_per_sample_observables(self, traj):
+        phi_band = 8
+        table, drift_max, edge_max, _ = _timeseries(traj, phi_band, None)
+        assert table.shape[0] == len(traj.times)
+        drifts, edges = [], []
+        for row, tau, amps in zip(table, traj.times, traj.states):
+            state = StateVector(tau=float(tau), amplitudes=amps)
+            bunch = bunching(state)
+            phis = np.array([bunch.coefficient(k) for k in range(phi_band + 1)])
+            want = np.concatenate(
+                [[tau, state.norm_error()], populations(state), phis.real, phis.imag,
+                 [mean_angular_velocity(state)]]
+            )
+            assert np.max(np.abs(row - want)) < 1e-15
+            drifts.append(state.norm_error())
+            edges.append(band_edge_occupancy(amps))
+        assert abs(drift_max - max(drifts)) < 1e-15
+        assert edge_max == max(edges)
+
+    def test_snapshot_index_is_first_largest_bunching(self, traj):
+        size = traj.states.shape[1]
+        assert _timeseries(traj, 8, None)[3] == len(traj.times) - 1
+        for k in range(size):
+            metrics = [
+                abs(bunching(StateVector(0.0, amps)).coefficient(k))
+                for amps in traj.states
+            ]
+            best, index = -1.0, None
+            for i, metric in enumerate(metrics):
+                if metric > best:
+                    best, index = metric, i
+            got = _timeseries(traj, 8, k)[3]
+            if k == 0:
+                # |Phi_0| is the norm, equal at every sample up to rounding
+                assert metrics[got] >= best - 1e-15
+            else:
+                assert got == index
 
 
 class TestReproducibility:

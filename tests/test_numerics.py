@@ -7,6 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oamring.dynamics as dynamics
+from oamring.config import parse_config
 from oamring.errors import ConfigurationError, IntegrationError
 from oamring.numerics import (
     OdeControls,
@@ -17,6 +19,7 @@ from oamring.numerics import (
     periodic_fourier_coefficients,
     principal_sqrt,
 )
+from oamring.potential import fourier_coefficients
 
 RNG = np.random.default_rng(42)
 
@@ -218,6 +221,202 @@ class TestIntegrator:
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1), complex))
+
+
+# Dormand-Prince 5(4) in loop form: the retained slow path that the stacked
+# stage loop of integrate_ode must reproduce step for step.
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_REF_SAFETY = 0.9
+_REF_BETA = 0.04
+_REF_EXPO = 0.2 - 0.75 * _REF_BETA
+_REF_FAC_MIN = 0.2
+_REF_FAC_MAX = 10.0
+
+
+def reference_dp5(rhs, y0, tau_span, controls=None, sample_stride=1.0):
+    """integrate_ode with one array per stage and one product per tableau entry."""
+    controls = controls or OdeControls()
+    t0, t1 = float(tau_span[0]), float(tau_span[1])
+    y = np.asarray(y0, dtype=complex).copy()
+    n_inner = int(math.ceil((t1 - t0) / sample_stride - 1e-12))
+    sample_times = [t0 + i * sample_stride for i in range(1, n_inner)]
+    sample_times.append(t1)
+
+    times = [t0]
+    states = [y.copy()]
+    t = t0
+    k1 = np.asarray(rhs(t, y), dtype=complex)
+    h = min(controls.initial_step, controls.max_step, t1 - t0)
+    fac_old = 1e-4
+    stages = [k1] + [np.empty_like(y) for _ in range(6)]
+    underflow = 1e-14 * max(1.0, abs(t1))
+    next_sample = 0
+
+    while t < t1:
+        target = sample_times[next_sample]
+        h = min(h, controls.max_step, target - t)
+        if h < underflow:
+            raise IntegrationError("step size underflow", tau_last=t)
+
+        for i in range(1, 7):
+            acc = stages[0] * _REF_A[i][0]
+            for j in range(1, i):
+                if _REF_A[i][j] != 0.0:
+                    acc = acc + stages[j] * _REF_A[i][j]
+            stages[i] = np.asarray(rhs(t + _REF_C[i] * h, y + h * acc), dtype=complex)
+        y_new = y + h * acc  # stage 7 uses the 5th-order weights themselves
+        err_vec = h * sum(stages[i] * _REF_ERR[i] for i in range(7) if _REF_ERR[i] != 0.0)
+        scale = controls.abs_tol + controls.rel_tol * np.maximum(
+            np.abs(y), np.abs(y_new)
+        )
+        err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
+
+        fac11 = err**_REF_EXPO if err > 0.0 else 1e-10
+        if err <= 1.0:
+            t = t + h
+            y = y_new
+            stages[0] = stages[6]  # FSAL: rhs(t+h, y_new) seeds the next step
+            fac = fac11 / fac_old**_REF_BETA
+            fac = max(1.0 / _REF_FAC_MAX, min(1.0 / _REF_FAC_MIN, fac / _REF_SAFETY))
+            h = h / fac
+            fac_old = max(err, 1e-4)
+            if t >= target - underflow:
+                t = target
+                times.append(target)
+                states.append(y.copy())
+                next_sample += 1
+                if next_sample >= len(sample_times):
+                    break
+        else:
+            h = h / min(1.0 / _REF_FAC_MIN, fac11 / _REF_SAFETY)
+
+    return Trajectory(times=np.array(times), states=np.array(states))
+
+
+def recorded(rhs):
+    """rhs plus the list of times it was called at."""
+    calls = []
+
+    def wrapper(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    return wrapper, calls
+
+
+def attempts(calls, t0):
+    """(start, h) of every attempted step, checking the FSAL call pattern:
+    one call at t0, then six per attempt at t + c_i h, each attempt starting
+    where the last one started (rejected) or ended (accepted)."""
+    assert calls[0] == t0
+    assert (len(calls) - 1) % 6 == 0
+    nodes = np.array(calls[1:]).reshape(-1, 6)
+    h = (nodes[:, 5] - nodes[:, 0]) / (_REF_C[6] - _REF_C[1])
+    start = nodes[:, 5] - h
+    scale = max(1.0, float(np.abs(nodes).max()))
+    want = start[:, None] + np.array(_REF_C[1:])[None, :] * h[:, None]
+    assert np.max(np.abs(nodes - want)) < 1e-13 * scale
+    assert abs(start[0] - t0) < 1e-13 * scale
+    return start, h
+
+
+def step_counts(calls, t0) -> tuple[int, int]:
+    """(accepted, rejected) attempts, from the times the rhs saw."""
+    start, h = attempts(calls, t0)
+    end = start + h
+    rejected = np.abs(start[1:] - start[:-1]) < np.abs(start[1:] - end[:-1])
+    # every attempt whose successor starts at its end was accepted, and the
+    # last attempt ends the integration
+    accepted = np.abs(start[1:] - end[:-1]) < 1e-13 * max(1.0, float(np.abs(end).max()))
+    assert np.all(accepted ^ rejected)
+    return int(accepted.sum()) + 1, int(rejected.sum())
+
+
+def stiff_problem():
+    """A first step 200 times the decay time: the controller must reject."""
+    controls = OdeControls(rel_tol=1e-8, abs_tol=1e-10, max_step=1.0, initial_step=1.0)
+    return (lambda t, y: -200.0 * y), np.ones(1), (0.0, 1.0), controls, 1.0
+
+
+def oscillator_problem():
+    def rhs(t, y):
+        return np.array([y[1], -y[0]])
+
+    return rhs, np.array([1.0, 0.0]), (0.0, 2.0 * math.pi), OdeControls(), 1.0
+
+
+def fig2_rotated_problem(monkeypatch, tau_end=20.0):
+    """The interaction-picture rhs evolve hands to integrate_ode on fig2."""
+    cfg = parse_config("evolve", preset="fig2")
+    fp = fourier_coefficients(cfg.params)
+    initial = dynamics.default_initial_state(cfg.params, cfg.options["seed_amplitude"])
+    captured = []
+
+    def capture(rhs, y0, tau_span, controls, sample_stride):
+        captured.append((rhs, y0, tau_span, controls, sample_stride))
+        return integrate_ode(rhs, y0, tau_span, controls, sample_stride)
+
+    monkeypatch.setattr(dynamics, "integrate_ode", capture)
+    dynamics.evolve(initial, fp, tau_end=tau_end, stride=cfg.options["stride"])
+    (problem,) = captured
+    return problem
+
+
+class TestStackedStagesMatchLoopForm:
+    def both(self, problem):
+        rhs, y0, span, controls, stride = problem
+        runs = []
+        for integrator in (reference_dp5, integrate_ode):
+            wrapped, calls = recorded(rhs)
+            runs.append((integrator(wrapped, y0, span, controls, stride), calls))
+        return runs
+
+    def test_fig2_rotated_rhs(self, monkeypatch):
+        (ref, ref_calls), (new, new_calls) = self.both(fig2_rotated_problem(monkeypatch))
+        assert len(new_calls) == len(ref_calls) == 12499
+        assert np.max(np.abs(np.array(new_calls) - np.array(ref_calls))) < 1e-9
+        assert np.array_equal(new.times, ref.times)
+        assert np.max(np.abs(new.states - ref.states)) < 1e-12
+
+    @pytest.mark.parametrize("problem", [oscillator_problem, stiff_problem])
+    def test_same_accepted_and_rejected_steps(self, problem):
+        args = problem()
+        (ref, ref_calls), (new, new_calls) = self.both(args)
+        t0 = args[2][0]
+        assert step_counts(new_calls, t0) == step_counts(ref_calls, t0)
+        assert np.array_equal(new.times, ref.times)
+        assert np.max(np.abs(new.states - ref.states)) < 1e-12
+
+
+class TestCallPattern:
+    """The FSAL pattern step accounting reads from rhs call times alone."""
+
+    def test_fixed_steps(self):
+        wrapped, calls = recorded(lambda t, y: -y)
+        fixed = OdeControls(rel_tol=1.0, abs_tol=1.0, max_step=0.125, initial_step=0.125)
+        integrate_ode(wrapped, np.ones(1), (0.0, 1.0), fixed, 1.0)
+        start, h = attempts(calls, 0.0)
+        assert np.allclose(h, 0.125, rtol=0, atol=1e-15)
+        assert step_counts(calls, 0.0) == (8, 0)
+
+    def test_with_rejections(self):
+        rhs, y0, span, controls, stride = stiff_problem()
+        wrapped, calls = recorded(rhs)
+        integrate_ode(wrapped, y0, span, controls, stride)
+        accepted, rejected = step_counts(calls, span[0])
+        assert rejected >= 1 and accepted > rejected
+        start, h = attempts(calls, span[0])
+        assert start[-1] + h[-1] == pytest.approx(span[1], abs=1e-13)
 
 
 class TestPrincipalSqrt:
