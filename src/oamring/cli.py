@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .config import PRESETS, RunConfig, SCENARIOS, parse_config
 from .dynamics import (
+    BunchingSpectrum,
     StateVector,
     band_edge_occupancy,
     bunching,
@@ -50,21 +52,30 @@ SEED_POLICY = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if not np.isfinite(value):
-        raise ToleranceError("non-finite value reached an output column")
-    return repr(value)
+# Rows turned into Python values at a time: bounds the writer's memory, which
+# would otherwise hold every value of a 46k-row pattern as a Python float.
+_ROWS_PER_WRITE = 64
 
 
-def _write_csv(path: Path, manifest_hash: str, header: list[str], rows) -> None:
+def _write_csv(path: Path, manifest_hash: str, header: list[str], columns) -> None:
+    """Write equal-length 1-D arrays as CSV columns under ``header``.
+
+    Values are written with ``repr``: floats round-trip exactly and integer
+    columns stay integers.  A non-finite value raises ToleranceError before
+    the file is opened, so no partial CSV is left behind.
+    """
+    for name, column in zip(header, columns, strict=True):
+        if not np.isfinite(column).all():
+            raise ToleranceError(
+                f"non-finite value reached output column {name} of {path.name}"
+            )
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# manifest: {manifest_hash}\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            stop = start + _ROWS_PER_WRITE
+            rows = zip(*(column[start:stop].tolist() for column in columns), strict=True)
+            handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -130,16 +141,14 @@ def _run_potential(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict
 
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     values = pair_potential(phis, params)
-    _write_csv(
-        out / "samples.csv", mhash, ["phi", "V"], zip(phis.tolist(), values.tolist())
-    )
+    _write_csv(out / "samples.csv", mhash, ["phi", "V"], [phis, values])
 
-    rows = [
-        [k, fp.coefficient(k).real, fp.coefficient(k).imag, float(g[k]), float(alpha[k])]
-        for k in range(0, fp.k_max + 1)
-    ]
+    v = fp.coefficients[fp.k_max :]
     _write_csv(
-        out / "coefficients.csv", mhash, ["k", "re_Vk", "im_Vk", "g_k", "alpha_k"], rows
+        out / "coefficients.csv",
+        mhash,
+        ["k", "re_Vk", "im_Vk", "g_k", "alpha_k"],
+        [np.arange(fp.k_max + 1), v.real, v.imag, g, alpha],
     )
     return _g_table(fp), {}
 
@@ -153,10 +162,9 @@ def _run_spectrum(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]
     sweep = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
 
     header = ["k0_rho"] + [f"m_{int(m)}" for m in sweep.modes]
-    rows = [
-        [kr] + sweep.rates[i].tolist() for i, kr in enumerate(sweep.k0_rho_grid)
-    ]
-    _write_csv(out / "growth_rates.csv", mhash, header, rows)
+    _write_csv(
+        out / "growth_rates.csv", mhash, header, [sweep.k0_rho_grid, *sweep.rates.T]
+    )
     summary = {
         "manifest_hash": mhash,
         "rows": [
@@ -211,12 +219,14 @@ def _timeseries(
 def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     params = config.params
     opts = config.options
+    # |Phi_0| is the norm, equal at every sample up to rounding, so a lag of
+    # 0 would pick the snapshot by noise.
     if opts["snapshot"] == "max_bunching" and not (
-        0 <= opts["snapshot_k"] <= 2 * params.m_max
+        1 <= opts["snapshot_k"] <= 2 * params.m_max
     ):
         raise ConfigurationError(
-            f"evolve.snapshot_k={opts['snapshot_k']} outside the bunching band "
-            f"0..{2 * params.m_max}"
+            f"evolve.snapshot_k={opts['snapshot_k']} outside the bunching lags "
+            f"1..{2 * params.m_max}"
         )
     fp = fourier_coefficients(params)
     state0 = default_initial_state(
@@ -244,7 +254,7 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     )
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
     table, drift_max, edge_max, snap_index = _timeseries(traj, phi_band, snapshot_k)
-    _write_csv(out / "timeseries.csv", mhash, header, table)
+    _write_csv(out / "timeseries.csv", mhash, header, table.T)
 
     snap_tau = float(traj.times[snap_index])
     snap_amps = traj.states[snap_index]
@@ -254,14 +264,7 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
             "manifest_hash": mhash,
             "tau": snap_tau,
             "m_max": params.m_max,
-            "params": {
-                "gamma": params.gamma,
-                "epsilon": params.epsilon,
-                "k0_rho": params.k0_rho,
-                "ell": params.ell,
-                "m_max": params.m_max,
-                "k_max": params.k_max,
-            },
+            "params": asdict(params),
             "re": snap_amps.real.tolist(),
             "im": snap_amps.imag.tolist(),
         },
@@ -312,18 +315,15 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         + [f"N_{m}" for m in range(m_top + 1)]
         + [f"phi_{m}" for m in range(m_top + 1)]
     )
+    columns = [traj.times, *traj.populations.T, *traj.phases.T]
     if overlay is not None:
         header += ["N0_analytic", "Nk_analytic"]
-    rows = []
-    for i, tau in enumerate(traj.times):
-        row = [float(tau)] + traj.populations[i].tolist() + traj.phases[i].tolist()
-        if overlay is not None:
-            n0, nk = two_state_analytic(
-                float(g[overlay]), opts["seed_population"], float(tau)
-            )
-            row += [n0, nk]
-        rows.append(row)
-    _write_csv(out / "rates.csv", mhash, header, rows)
+        analytic = [
+            two_state_analytic(float(g[overlay]), opts["seed_population"], tau)
+            for tau in traj.times.tolist()
+        ]
+        columns += list(np.array(analytic).T)
+    _write_csv(out / "rates.csv", mhash, header, columns)
 
     totals = traj.populations.sum(axis=1)
     derived = {**_g_table(fp), "gamma_v0": float(gamma_v0)}
@@ -357,9 +357,7 @@ def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
     return StateVector(tau=float(payload.get("tau", 0.0)), amplitudes=amps)
 
 
-def _load_phi_list(path: Path):
-    from .dynamics import BunchingSpectrum
-
+def _load_phi_list(path: Path) -> BunchingSpectrum:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         band = int(payload["band"])
@@ -400,14 +398,14 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         m_band=m_band,
     )
 
-    rows = (
-        [float(theta), float(phi), pattern.field[i, j].real,
-         pattern.field[i, j].imag, float(np.abs(pattern.field[i, j]) ** 2)]
-        for i, theta in enumerate(pattern.theta_grid)
-        for j, phi in enumerate(pattern.phi_grid)
-    )
+    thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
+    field = pattern.field.ravel()
+    intensity = pattern.intensity
     _write_csv(
-        out / "pattern.csv", mhash, ["theta", "phi", "re_M", "im_M", "intensity"], rows
+        out / "pattern.csv",
+        mhash,
+        ["theta", "phi", "re_M", "im_M", "intensity"],
+        [thetas.ravel(), phis.ravel(), field.real, field.imag, intensity.ravel()],
     )
 
     comp_band = min(opts["component_band"], m_band)
@@ -416,12 +414,12 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     header = ["theta", "total"] + [
         f"I_ellp_{params.ell + int(m)}" for m in comp_modes[keep]
     ]
-    rows = [
-        [float(theta), float(pattern.avg_intensity[i])]
-        + pattern.components[i, keep].tolist()
-        for i, theta in enumerate(pattern.theta_grid)
-    ]
-    _write_csv(out / "avg_intensity.csv", mhash, header, rows)
+    _write_csv(
+        out / "avg_intensity.csv",
+        mhash,
+        header,
+        [pattern.theta_grid, pattern.avg_intensity, *pattern.components[:, keep].T],
+    )
 
     tail = float(pattern.tail_bound)
     tail_out = tail if np.isfinite(tail) else None
@@ -431,8 +429,7 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         for m, w in zip(comp_modes, pattern.components[i_eq])
         if abs(int(m)) <= comp_band
     }
-    equator_cut = np.abs(pattern.field[i_eq]) ** 2
-    lobes = count_lobes(equator_cut)
+    lobes = count_lobes(intensity[i_eq])
     dominant = max(eq_weights, key=eq_weights.get)
     summary = {
         "manifest_hash": mhash,

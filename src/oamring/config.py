@@ -221,8 +221,6 @@ def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
 
 def _convert(dotted: str, raw: str):
     section, _, key = dotted.partition(".")
-    if section not in _SCHEMA or key not in _SCHEMA[section]:
-        raise ConfigurationError(f"unknown config key '{dotted}'")
     converter = _SCHEMA[section][key][0]
     try:
         value = converter(raw)

@@ -129,13 +129,6 @@ class RateTrajectory:
     populations: np.ndarray  # (T, m_max + 1)
     phases: np.ndarray  # (T, m_max + 1)
 
-    def state(self, i: int) -> RateState:
-        return RateState(
-            tau=float(self.times[i]),
-            populations=self.populations[i],
-            phases=self.phases[i],
-        )
-
 
 def evolve_rates(
     initial: RateState,

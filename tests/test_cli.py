@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamring.cli import _fmt, _timeseries, main
+from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_csv, main
 from oamring.config import PRESETS, parse_config
 from oamring.dynamics import (
     StateVector,
@@ -29,6 +29,25 @@ QUICK_EVOLVE = [
 
 def read_manifest(out: Path) -> dict:
     return json.loads((out / "manifest.json").read_text())
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if not np.isfinite(value):
+        raise ToleranceError("non-finite value reached an output column")
+    return repr(value)
+
+
+def reference_write_csv(path: Path, manifest_hash: str, header: list[str], rows):
+    """The row-wise CSV writer, with _fmt on every value: the byte reference
+    for the column writer."""
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"# manifest: {manifest_hash}\n")
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 class TestParseConfig:
@@ -164,13 +183,44 @@ class TestArtifacts:
             "--set", "radiate.state=a", "--set", "radiate.phi_json=b",
         ]) == 2
 
-    def test_all_columns_finite_guard(self):
-        with pytest.raises(ToleranceError):
-            _fmt(float("nan"))
-        with pytest.raises(ToleranceError):
-            _fmt(float("inf"))
-        assert _fmt(np.float64(0.25)) == "0.25"
-        assert _fmt(3) == "3"
+    def test_all_columns_finite_guard(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            for col in range(3):
+                columns = [np.arange(4), np.linspace(0.0, 1.0, 4), np.full(4, 0.25)]
+                columns[col] = columns[col].astype(float)
+                columns[col][2] = bad
+                path = tmp_path / f"bad_{col}.csv"
+                with pytest.raises(ToleranceError) as info:
+                    _write_csv(path, "h", ["k", "x", "y"], columns)
+                assert ["k", "x", "y"][col] in str(info.value)
+                assert not path.exists()
+
+    def test_columns_match_row_wise_reference(self, tmp_path):
+        n = 2 * _ROWS_PER_WRITE + 5
+        rng = np.random.default_rng(7)
+        ints = rng.integers(-(10**12), 10**12, n)
+        ints[:5] = [0, 3, -7, 2**53 + 1, -(2**62)]
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:7] = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, -1e308, 0.25]
+        header = ["k", "a", "b"]
+        columns = [ints, floats, floats[::-1]]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        _write_csv(new, "h", header, columns)
+        reference_write_csv(ref, "h", header, zip(*columns))
+        assert new.read_bytes() == ref.read_bytes()
+        lines = new.read_text().splitlines()
+        assert lines[2].startswith("0,-0.0,") and lines[3].startswith("3,5e-324,")
+
+    def test_non_finite_output_exits_three_without_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "oamring.cli.pair_potential", lambda phis, params: np.full(phis.shape, np.nan)
+        )
+        assert main(["potential", "--preset", "fig2", "--out", str(tmp_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ToleranceError" and record["exit_code"] == 3
+        assert not (tmp_path / "samples.csv").exists()
 
 
 class TestTimeseries:
@@ -289,6 +339,16 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize("lag", [0, 29])  # the default band has 2*m_max = 28
+    def test_snapshot_lag_outside_band_exits_two(self, tmp_path, capsys, lag):
+        rc = main(["evolve", "--out", str(tmp_path),
+                   "--set", "evolve.snapshot=max_bunching",
+                   "--set", f"evolve.snapshot_k={lag}"])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert "snapshot_k" in record["message"]
 
     def test_configuration_error_is_two(self, tmp_path, capsys):
         rc = main(["evolve", "--out", str(tmp_path),
