@@ -3,7 +3,11 @@ seeded instability growth against the stability eigenvalue."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oamring.dynamics as dynamics
 from oamring.dynamics import (
     StateVector,
     band_edge_occupancy,
@@ -117,6 +121,21 @@ class TestDerivative:
             slow = naive_derivative(state, params, fp)
             assert np.max(np.abs(fast - slow)) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_naive_double_loop_on_any_band(self, data):
+        m_max = data.draw(st.integers(3, 8), label="m_max")
+        k_max = data.draw(st.integers(1, 2 * m_max), label="k_max")
+        parts = arrays(float, (2, 2 * m_max + 1), elements=st.floats(-1.0, 1.0))
+        re, im = data.draw(parts, label="re, im")
+        amps = re + 1j * im
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        state = StateVector(0.0, amps / norm)
+        params, fp = fig2_setup(m_max=m_max, k_max=k_max)
+        slow = naive_derivative(state, params, fp)
+        assert np.max(np.abs(derivative(state, fp) - slow)) < 1e-12
+
 
 class TestObservables:
     def test_uniform_condensate_bunching_is_delta(self):
@@ -215,6 +234,8 @@ class TestEvolve:
         small = random_state(3)
         with pytest.raises(ConfigurationError):
             evolve(small, fp, 1.0)
+        with pytest.raises(ConfigurationError):
+            derivative(small, fp)
 
     def test_unnormalized_initial_state_rejected(self):
         params, fp = fig2_setup()
@@ -231,6 +252,25 @@ class TestEvolve:
         amps[-1] = 0.1
         with pytest.raises(TruncationError):
             evolve(StateVector(0.0, amps), fp, 1.0)
+
+    def test_mid_run_truncation_names_first_bad_tau(self):
+        params, fp = fig2_setup(m_max=3)
+        with pytest.raises(TruncationError, match=r"at tau=845; increase m_max"):
+            evolve(default_initial_state(params), fp, 900.0)
+
+    def test_first_offending_sample_is_reported(self):
+        states = np.zeros((4, 21), dtype=complex)
+        states[:, 10] = 1.0
+        states[1, 10] = np.sqrt(1.0 - 1e-5)
+        states[1, 0] = np.sqrt(1e-5)  # band edge at tau 2.5
+        states[2, 10] = 1.1  # norm drift, later
+        times = np.array([2.0, 2.5, 3.0, 3.5])
+        edge_message = r"1\.000e-05 exceeds 1e-06 at tau=2\.5;"
+        with pytest.raises(TruncationError, match=edge_message):
+            dynamics._check_samples(times, states)
+        states[1, 10] = 1.1  # drift and edge at one sample: drift is named
+        with pytest.raises(ToleranceError, match=r"exceeds 1e-08 at tau=2\.5$"):
+            dynamics._check_samples(times, states)
 
     def test_band_edge_occupancy_definition(self):
         amps = np.zeros(21, dtype=complex)

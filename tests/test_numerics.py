@@ -208,6 +208,24 @@ class TestIntegrator:
             )
         assert 0.0 < info.value.tau_last <= 1.0
 
+    def test_frequencies_solve_the_linear_part(self):
+        omega = np.array([0.0, 1.0, -2.5, 40.0])
+        y0 = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+        traj = integrate_ode(
+            lambda t, y: -0.5 * y, y0, (0.5, 6.0), sample_stride=0.5, frequencies=omega
+        )
+        elapsed = traj.times[:, None] - 0.5
+        exact = y0[None, :] * np.exp(-(1j * omega[None, :] + 0.5) * elapsed)
+        assert np.max(np.abs(traj.states - exact)) < 1e-10
+
+    def test_zero_frequencies_match_plain_integration_bitwise(self):
+        plain = integrate_ode(_rotation, np.array([1.0 + 0j, 0.5]), (0.0, 3.0))
+        zero = integrate_ode(
+            _rotation, np.array([1.0 + 0j, 0.5]), (0.0, 3.0), frequencies=np.zeros(2)
+        )
+        assert np.array_equal(zero.times, plain.times)
+        assert np.array_equal(zero.states, plain.states)
+
     def test_empty_span_rejected(self):
         with pytest.raises(ConfigurationError):
             integrate_ode(_rotation, np.array([1.0 + 0j]), (1.0, 1.0))
@@ -356,20 +374,33 @@ def oscillator_problem():
 
 
 def fig2_rotated_problem(monkeypatch, tau_end=20.0):
-    """The interaction-picture rhs evolve hands to integrate_ode on fig2."""
+    """The lab-frame nonlinear rhs and the rotor frequencies m^2 that evolve
+    hands to integrate_ode on fig2."""
     cfg = parse_config("evolve", preset="fig2")
     fp = fourier_coefficients(cfg.params)
     initial = dynamics.default_initial_state(cfg.params, cfg.options["seed_amplitude"])
     captured = []
 
-    def capture(rhs, y0, tau_span, controls, sample_stride):
-        captured.append((rhs, y0, tau_span, controls, sample_stride))
-        return integrate_ode(rhs, y0, tau_span, controls, sample_stride)
+    def capture(rhs, y0, tau_span, controls, sample_stride, frequencies):
+        captured.append((rhs, y0, tau_span, controls, sample_stride, frequencies))
+        return integrate_ode(rhs, y0, tau_span, controls, sample_stride, frequencies)
 
     monkeypatch.setattr(dynamics, "integrate_ode", capture)
     dynamics.evolve(initial, fp, tau_end=tau_end, stride=cfg.options["stride"])
     (problem,) = captured
     return problem
+
+
+def interaction_picture(rhs, omega):
+    """da/dt = exp(i omega t) rhs(t, a exp(-i omega t)), written out: the
+    equation integrate_ode steps when it is given the frequencies omega."""
+    i_omega = 1j * omega
+
+    def rotated(t, a):
+        phase = np.exp(i_omega * t)
+        return phase * rhs(t, a * phase.conj())
+
+    return rotated
 
 
 class TestStackedStagesMatchLoopForm:
@@ -382,11 +413,17 @@ class TestStackedStagesMatchLoopForm:
         return runs
 
     def test_fig2_rotated_rhs(self, monkeypatch):
-        (ref, ref_calls), (new, new_calls) = self.both(fig2_rotated_problem(monkeypatch))
+        rhs, y0, span, controls, stride, omega = fig2_rotated_problem(monkeypatch)
+        ref_rhs, ref_calls = recorded(interaction_picture(rhs, omega))
+        a0 = y0 * np.exp(1j * omega * span[0])
+        ref = reference_dp5(ref_rhs, a0, span, controls, stride)
+        new_rhs, new_calls = recorded(rhs)
+        new = integrate_ode(new_rhs, y0, span, controls, stride, omega)
         assert len(new_calls) == len(ref_calls) == 12499
         assert np.max(np.abs(np.array(new_calls) - np.array(ref_calls))) < 1e-9
         assert np.array_equal(new.times, ref.times)
-        assert np.max(np.abs(new.states - ref.states)) < 1e-12
+        ref_lab = ref.states * np.exp(-1j * omega[None, :] * ref.times[:, None])
+        assert np.max(np.abs(new.states - ref_lab)) < 1e-12
 
     @pytest.mark.parametrize("problem", [oscillator_problem, stiff_problem])
     def test_same_accepted_and_rejected_steps(self, problem):
@@ -413,6 +450,15 @@ class TestCallPattern:
         rhs, y0, span, controls, stride = stiff_problem()
         wrapped, calls = recorded(rhs)
         integrate_ode(wrapped, y0, span, controls, stride)
+        accepted, rejected = step_counts(calls, span[0])
+        assert rejected >= 1 and accepted > rejected
+        start, h = attempts(calls, span[0])
+        assert start[-1] + h[-1] == pytest.approx(span[1], abs=1e-13)
+
+    def test_with_frequencies(self):
+        rhs, y0, span, controls, stride = stiff_problem()
+        wrapped, calls = recorded(rhs)
+        integrate_ode(wrapped, y0, span, controls, stride, frequencies=np.array([50.0]))
         accepted, rejected = step_counts(calls, span[0])
         assert rejected >= 1 and accepted > rejected
         start, h = attempts(calls, span[0])
