@@ -21,7 +21,7 @@ from .dynamics import (
     mean_angular_velocity,
     populations,
 )
-from .numerics import OdeControls, Trajectory, bessel_j, integrate_ode, principal_sqrt
+from .numerics import OdeControls, Trajectory, bessel_j, integrate_ode
 from .potential import (
     FourierPotential,
     SystemParams,
@@ -44,7 +44,7 @@ from .rate_model import (
     rate_derivative,
     two_state_analytic,
 )
-from .stability import StabilitySpectrum, classify_regime, eigenvalues, spectrum_sweep
+from .stability import StabilitySpectrum, classify_regime, spectrum, spectrum_sweep
 
 __all__ = [
     "BunchingSpectrum",
@@ -64,7 +64,6 @@ __all__ = [
     "default_initial_state",
     "derivative",
     "dispersion_coefficients",
-    "eigenvalues",
     "evolve",
     "evolve_rates",
     "field_expansion",
@@ -76,9 +75,9 @@ __all__ = [
     "pattern_grid",
     "phase_derivative",
     "populations",
-    "principal_sqrt",
     "rate_coefficients",
     "rate_derivative",
+    "spectrum",
     "spectrum_sweep",
     "two_state_analytic",
 ]

@@ -341,20 +341,22 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
 def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        amps = np.array(payload["re"], dtype=float) + 1j * np.array(
-            payload["im"], dtype=float
-        )
+        real = np.array(payload["re"], dtype=float)
+        imag = np.array(payload["im"], dtype=float)
         m_max = int(payload["m_max"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        tau = float(payload.get("tau", 0.0))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"cannot read state snapshot {path}: {exc}") from exc
-    if amps.size != 2 * m_max + 1:
+    if not real.shape == imag.shape == (2 * m_max + 1,):
         raise ConfigurationError(f"snapshot {path} has inconsistent band")
+    if not np.isfinite([real, imag]).all():
+        raise ConfigurationError(f"snapshot {path} has non-finite amplitudes")
     if m_max != params.m_max:
         raise ConfigurationError(
             f"snapshot band m_max={m_max} does not match params.m_max="
             f"{params.m_max}"
         )
-    return StateVector(tau=float(payload.get("tau", 0.0)), amplitudes=amps)
+    return StateVector(tau=tau, amplitudes=real + 1j * imag)
 
 
 def _load_phi_list(path: Path) -> BunchingSpectrum:
@@ -369,6 +371,8 @@ def _load_phi_list(path: Path) -> BunchingSpectrum:
         raise ConfigurationError(
             f"phi list {path}: need 2*band+1 coefficients for band={band}"
         )
+    if not np.isfinite(coeff).all():
+        raise ConfigurationError(f"phi list {path} has non-finite coefficients")
     return BunchingSpectrum(coefficients=coeff, band=band)
 
 

@@ -65,6 +65,8 @@ class StateVector:
     def __post_init__(self):
         if self.amplitudes.ndim != 1 or self.amplitudes.size % 2 == 0:
             raise ConfigurationError("amplitudes must cover -m_max..m_max")
+        if not np.isfinite(self.amplitudes).all():
+            raise ConfigurationError("amplitudes must be finite")
 
     @property
     def m_max(self) -> int:

@@ -1,5 +1,5 @@
-"""Foundation kernels: Bessel J_n, periodic Fourier coefficients, an adaptive
-embedded Runge-Kutta 5(4) integrator, and the principal complex square root.
+"""Foundation kernels: Bessel J_n, periodic Fourier coefficients and an
+adaptive embedded Runge-Kutta 5(4) integrator.
 
 Everything here is a pure function of its inputs; there is no shared mutable
 state, so concurrent calls are safe.
@@ -7,7 +7,6 @@ state, so concurrent calls are safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +22,6 @@ __all__ = [
     "bessel_j_orders",
     "integrate_ode",
     "periodic_fourier_coefficients",
-    "principal_sqrt",
 ]
 
 _OVERFLOW_GUARD = 1e250
@@ -110,14 +108,6 @@ def periodic_fourier_coefficients(samples: np.ndarray, k_max: int) -> np.ndarray
     return spec[np.mod(ks, grid)].astype(complex)
 
 
-def principal_sqrt(z: complex) -> complex:
-    """Square root w of z with Re(w) >= 0, and Im(w) >= 0 when Re(w) = 0."""
-    w = cmath.sqrt(z)
-    if w.real == 0.0 and w.imag < 0.0:
-        w = -w
-    return w
-
-
 @dataclass(frozen=True)
 class OdeControls:
     """Step-size control settings for the embedded Runge-Kutta pair."""
@@ -197,8 +187,10 @@ def integrate_ode(
     samples are y.
 
     The step sequence is a pure function of the inputs, so repeated calls are
-    bitwise reproducible.  Raises IntegrationError on step-size underflow,
-    reporting the last time reached.
+    bitwise reproducible.  A step whose error norm is not finite is rejected
+    at the largest shrink, so a derivative that stays NaN or inf ends, like
+    any other step-size underflow, in IntegrationError reporting the last
+    time reached.
     """
     controls = controls or OdeControls()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
@@ -257,6 +249,8 @@ def integrate_ode(
         scale = controls.abs_tol + controls.rel_tol * np.maximum(abs_y, abs_new)
         ratio = err_vec / scale
         err = math.sqrt(np.vdot(ratio, ratio).real / y.size)
+        if math.isnan(err):  # a non-finite stage: reject at the largest shrink
+            err = math.inf
 
         fac11 = err**_EXPO if err > 0.0 else 1e-10
         if err <= 1.0:

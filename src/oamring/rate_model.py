@@ -47,6 +47,8 @@ class RateState:
     def __post_init__(self):
         if self.populations.shape != self.phases.shape:
             raise ConfigurationError("populations and phases must align")
+        if not np.isfinite([self.populations, self.phases]).all():
+            raise ConfigurationError("populations and phases must be finite")
         if np.any(self.populations < -NEGATIVE_TOL):
             raise ConfigurationError("populations must be nonnegative")
         if abs(float(self.populations.sum()) - 1.0) > CONSERVATION_TOL:
@@ -73,24 +75,21 @@ def seeded_rate_state(
     return RateState(tau=0.0, populations=pops, phases=np.zeros(m_max + 1))
 
 
-def _k_indexed(values: np.ndarray) -> np.ndarray:
-    # Coefficient vectors arrive indexed by harmonic k = 0..k_max (g_0 has no
-    # meaning and alpha_0 enters only through gamma_v0), so entry 0 is zeroed
-    # before use in the ladder sums, which all start at k = 1.
-    arr = np.asarray(values, dtype=float).copy()
-    arr[0] = 0.0
-    return arr
+def _ladder(n: int, coeff: np.ndarray, antisymmetric: bool) -> np.ndarray:
+    """(n, n) Toeplitz matrix T[m, j] = coeff_|m-j| for 1 <= |m-j| < len(coeff).
 
-
-def _ladder_sums(values: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """up[m] = sum_{k>=1} coeff_k values_{m-k}; down[m] = sum coeff_k values_{m+k}.
-
-    Out-of-band terms drop out automatically through the finite convolution.
+    Coefficients arrive indexed by harmonic k = 0..k_max; entry 0 is never
+    read (g_0 has no meaning and alpha_0 enters only through gamma_v0), and
+    lags past the band or past the ladder are zero.  ``antisymmetric`` negates
+    the entries above the diagonal, so T @ N is up - down rather than up +
+    down, with up[m] = sum_k coeff_k N_{m-k} and down[m] = sum_k coeff_k N_{m+k}.
     """
-    n = values.size
-    up = np.convolve(values, coeff)[:n]
-    down = np.convolve(values[::-1], coeff)[:n][::-1]
-    return up, down
+    padded = np.zeros(n)
+    top = min(n, len(coeff))
+    padded[1:top] = np.asarray(coeff, dtype=float)[1:top]
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    ladder = padded[np.abs(lag)]
+    return np.sign(lag) * ladder if antisymmetric else ladder
 
 
 def _rotor(size: int, gamma_v0: float) -> np.ndarray:
@@ -98,19 +97,10 @@ def _rotor(size: int, gamma_v0: float) -> np.ndarray:
     return -(m * m + gamma_v0)
 
 
-def _population_rate(pops: np.ndarray, gk: np.ndarray) -> np.ndarray:
-    up, down = _ladder_sums(pops, gk)
-    return (up - down) * pops
-
-
-def _phase_rate(pops: np.ndarray, ak: np.ndarray, rotor: np.ndarray) -> np.ndarray:
-    up, down = _ladder_sums(pops, ak)
-    return rotor - (up + down)
-
-
 def rate_derivative(state: RateState, g: np.ndarray) -> np.ndarray:
     """dN/dtau of the cascade, band-truncated; components sum to zero."""
-    return _population_rate(state.populations, _k_indexed(g))
+    pops = state.populations
+    return (_ladder(pops.size, g, True) @ pops) * pops
 
 
 def phase_derivative(
@@ -118,7 +108,7 @@ def phase_derivative(
 ) -> np.ndarray:
     """dphi/dtau: rotor term, mean-field offset, and dispersive ladder sums."""
     pops = state.populations
-    return _phase_rate(pops, _k_indexed(alpha), _rotor(pops.size, gamma_v0))
+    return _rotor(pops.size, gamma_v0) - _ladder(pops.size, alpha, False) @ pops
 
 
 @dataclass(frozen=True)
@@ -147,15 +137,16 @@ def evolve_rates(
     tiny integration negatives are clamped to zero in the reported result.
     """
     n = initial.populations.size
-    gk = _k_indexed(g)
-    ak = _k_indexed(alpha)
+    # Rows 0..n-1 give the population ladder sums, rows n.. the phase ones.
+    ops = np.vstack([_ladder(n, g, True), -_ladder(n, alpha, False)])
     rotor = _rotor(n, gamma_v0)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         pops = y[:n].real
-        return np.concatenate(
-            [_population_rate(pops, gk), _phase_rate(pops, ak, rotor)]
-        )
+        out = ops @ pops
+        out[:n] *= pops
+        out[n:] += rotor
+        return out
 
     y0 = np.concatenate([initial.populations, initial.phases]).astype(complex)
     raw = integrate_ode(

@@ -17,14 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, OamringError
-from .numerics import principal_sqrt
 from .potential import FourierPotential, SystemParams, fourier_coefficients
 
 __all__ = [
     "StabilitySpectrum",
     "SweepResult",
     "classify_regime",
-    "eigenvalues",
     "spectrum",
     "spectrum_sweep",
 ]
@@ -33,19 +31,6 @@ __all__ = [
 # each side is the conventional reading and is echoed in output metadata.
 CLASSICAL_FACTOR = 10.0
 QUANTUM_FACTOR = 0.1
-
-
-def eigenvalues(fp: FourierPotential, m: int) -> tuple[complex, complex]:
-    """Both eigenvalues +/- i m sqrt(m^2 + gamma V_m) for harmonic m."""
-    root = principal_sqrt(complex(m * m) + fp.params.gamma * fp.coefficient(m))
-    lam = 1j * m * root
-    return lam, -lam
-
-
-def growth_rate(fp: FourierPotential, m: int) -> float:
-    """|Re lambda_m|, the exponential growth rate of the bunching Phi_m."""
-    lam, _ = eigenvalues(fp, m)
-    return abs(lam.real)
 
 
 @dataclass(frozen=True)
@@ -58,10 +43,25 @@ class StabilitySpectrum:
 
 
 def spectrum(fp: FourierPotential, modes: np.ndarray) -> StabilitySpectrum:
+    """The eigenvalue pair +/- i m sqrt(m^2 + gamma V_m) and the growth rate
+    |Re lambda_m| of every mode, with the principal square root (Re >= 0,
+    and Im >= 0 on the imaginary axis) in the first entry of each pair."""
     modes = np.asarray(modes, dtype=int)
-    pairs = np.array([eigenvalues(fp, int(m)) for m in modes])
-    rates = np.abs(pairs[:, 0].real)
-    return StabilitySpectrum(modes=modes, eigenvalue_pairs=pairs, growth_rates=rates)
+    outside = np.abs(modes) > fp.k_max
+    if outside.any():
+        raise ConfigurationError(
+            f"harmonic k={modes[outside][0]} outside the retained band "
+            f"|k| <= {fp.k_max}"
+        )
+    m = modes.astype(float)
+    root = np.sqrt(m * m + fp.params.gamma * fp.coefficients[modes + fp.k_max])
+    root = np.where((root.real == 0.0) & (root.imag < 0.0), -root, root)
+    lam = 1j * m * root
+    return StabilitySpectrum(
+        modes=modes,
+        eigenvalue_pairs=np.stack([lam, -lam], axis=-1),
+        growth_rates=np.abs(lam.real),
+    )
 
 
 @dataclass(frozen=True)

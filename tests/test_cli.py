@@ -366,6 +366,37 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    def test_overflowing_coupling_exits_three(self, tmp_path, capsys):
+        # gamma = 1e308 overflows the nonlinear term to inf and NaN; the
+        # integrator must shrink its step to underflow, not retry forever.
+        with pytest.warns(RuntimeWarning):
+            rc = main(["evolve", "--out", str(tmp_path),
+                       "--set", "params.gamma=1e308", "--set", "evolve.tau_end=2"])
+        assert rc == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "IntegrationError"
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("state", {"m_max": 19, "re": [0.0] * 19 + [1.0] + [0.0] * 19, "im": [0.0]}),
+            ("state", {"m_max": 1, "re": [0.0, 1.0, float("nan")], "im": [0.0] * 3}),
+            ("state", {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0, float("inf"), 0.0]}),
+            ("state", {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0] * 3, "tau": "x"}),
+            ("phi_json", {"band": 1, "coefficients": [[0, 0], [1, 0], [float("nan"), 0]]}),
+        ],
+        ids=["short-im", "nan-re", "inf-im", "bad-tau", "nan-phi"],
+    )
+    def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, kind, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["radiate", "--out", str(tmp_path / "out"),
+                   "--set", f"radiate.{kind}={path}"])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert str(path) in record["message"]
+
     def test_truncation_failure_is_four(self, tmp_path):
         rc = main([
             "evolve", "--out", str(tmp_path),

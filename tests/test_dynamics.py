@@ -22,7 +22,7 @@ from oamring.dynamics import (
 from oamring.errors import ConfigurationError, ToleranceError, TruncationError
 
 from oamring.potential import SystemParams, fourier_coefficients
-from oamring.stability import growth_rate
+from oamring.stability import spectrum
 
 RNG = np.random.default_rng(2024)
 
@@ -90,6 +90,14 @@ class TestInitialState:
         params, _ = fig2_setup()
         with pytest.raises(ConfigurationError):
             default_initial_state(params, seed_amplitude=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf), -np.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        amps = np.zeros(7, dtype=complex)
+        amps[3] = 1.0
+        amps[5] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            StateVector(0.0, amps)
 
 
 class TestDerivative:
@@ -219,7 +227,7 @@ class TestEvolve:
         while lo > 0 and phi1[lo - 1] > 1e-4:
             lo -= 1
         slope = np.polyfit(traj.times[lo : hi + 1], np.log(phi1[lo : hi + 1]), 1)[0]
-        expected = growth_rate(fp, 1)
+        expected = spectrum(fp, [1]).growth_rates[0]
         assert slope == pytest.approx(expected, rel=0.05)
 
     def test_norm_and_central_bunching_along_trajectory(self):

@@ -17,7 +17,6 @@ from oamring.numerics import (
     bessel_j_orders,
     integrate_ode,
     periodic_fourier_coefficients,
-    principal_sqrt,
 )
 from oamring.potential import fourier_coefficients
 
@@ -207,6 +206,13 @@ class TestIntegrator:
                 blows_up, np.array([1.0 + 0j]), (0.0, 2.0), sample_stride=2.0
             )
         assert 0.0 < info.value.tau_last <= 1.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_derivative_ends_in_integration_error(self, value):
+        # A non-finite error norm must shrink the step, never grow it.
+        with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as info:
+            integrate_ode(lambda t, y: np.full_like(y, value), np.ones(2), (0.0, 1.0))
+        assert info.value.tau_last == 0.0
 
     def test_frequencies_solve_the_linear_part(self):
         omega = np.array([0.0, 1.0, -2.5, 40.0])
@@ -463,24 +469,3 @@ class TestCallPattern:
         assert rejected >= 1 and accepted > rejected
         start, h = attempts(calls, span[0])
         assert start[-1] + h[-1] == pytest.approx(span[1], abs=1e-13)
-
-
-class TestPrincipalSqrt:
-    def test_real_positive(self):
-        assert principal_sqrt(4.0) == 2.0
-
-    def test_negative_real_axis(self):
-        assert principal_sqrt(-1.0) == 1j
-        w = principal_sqrt(complex(-4.0, -0.0))
-        assert w.imag > 0.0 and w.real == 0.0
-
-    def test_exact_gaussian_integer(self):
-        assert principal_sqrt(3 + 4j) == 2 + 1j
-
-    def test_square_recovers_input_within_ulps(self):
-        mags = 10.0 ** RNG.uniform(-3, 6, size=300)
-        args = RNG.uniform(-np.pi, np.pi, size=300)
-        for z in mags * np.exp(1j * args):
-            w = principal_sqrt(complex(z))
-            assert w.real >= 0.0
-            assert abs(w * w - z) <= 4.0 * np.spacing(abs(z))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamring.errors import ConfigurationError, ResolutionError
 from oamring.potential import (
@@ -90,6 +92,18 @@ class TestFourierSpectrum:
                                                k0_rho=5.605, ell=2))
         flipped = np.conj(fp.coefficients[::-1])
         assert np.max(np.abs(fp.coefficients - flipped)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        epsilon=st.floats(0.05, 1.0),
+        k0_rho=st.floats(0.2, 8.0),
+        ell=st.integers(-4, 4),
+    )
+    def test_hermitian_pairing_on_any_ring(self, epsilon, k0_rho, ell):
+        # V(phi) is real, so V_{-k} = conj(V_k) up to the FFT's rounding.
+        params = SystemParams(gamma=1.0, epsilon=epsilon, k0_rho=k0_rho, ell=ell)
+        v = fourier_coefficients(params).coefficients
+        assert np.max(np.abs(v[::-1] - np.conj(v))) < 1e-12
 
     def test_winding_flip_conjugates_spectrum(self):
         plus = fourier_coefficients(

@@ -3,7 +3,10 @@ summation oracles, and the closed-form two-state transition."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oamring.rate_model as rate_model
 from oamring.errors import ConfigurationError
 from oamring.numerics import OdeControls
 from oamring.potential import SystemParams, fourier_coefficients, rate_coefficients
@@ -86,6 +89,47 @@ class TestRateDerivative:
             ) < 1e-14
 
 
+# Ladder shapes relative to the coefficient list: fig3 runs n = 21 rungs
+# against 41 coefficients, the fixed tests above run n > len(g).
+LADDER_SHAPES = pytest.mark.parametrize(
+    "excess", [-4, 0, 4], ids=["n<len", "n=len", "n>len"]
+)
+
+
+def random_ladder(n_rungs, excess, seed):
+    """A seeded random state of n_rungs rungs, len(coefficients) = n_rungs - excess."""
+    rng = np.random.default_rng(seed)
+    pops = rng.uniform(0.01, 1.0, n_rungs)
+    pops /= pops.sum()
+    state = RateState(0.0, pops, np.zeros(n_rungs))
+    return rng, state, n_rungs - excess
+
+
+class TestLadderProperties:
+    @LADDER_SHAPES
+    @settings(max_examples=40, deadline=None)
+    @given(n_rungs=st.integers(5, 24), seed=st.integers(0, 2**32 - 1))
+    def test_rates_match_naive_summation_and_conserve(self, excess, n_rungs, seed):
+        rng, state, size = random_ladder(n_rungs, excess, seed)
+        g = np.concatenate([[0.0], rng.uniform(0.0, 1.0, size - 1)])
+        got = rate_derivative(state, g)
+        assert np.max(np.abs(got - naive_rate_derivative(state, g))) < 1e-14
+        assert abs(got.sum()) < 1e-15
+
+    @LADDER_SHAPES
+    @settings(max_examples=40, deadline=None)
+    @given(n_rungs=st.integers(5, 24), seed=st.integers(0, 2**32 - 1))
+    def test_phases_match_naive_summation(self, excess, n_rungs, seed):
+        rng, state, size = random_ladder(n_rungs, excess, seed)
+        alpha = rng.normal(size=size)
+        gamma_v0 = float(rng.normal())
+        got = phase_derivative(state, alpha, gamma_v0)
+        want = naive_phase_derivative(state, alpha, gamma_v0)
+        # The ladder sums agree to 1e-14; the rotor -m^2 (up to 529 here)
+        # adds the rounding of one subtraction on each side.
+        assert np.all(np.abs(got - want) <= 1e-14 + 2 * np.spacing(np.abs(want)))
+
+
 class TestPhaseDerivative:
     def test_free_rotor_phases(self):
         state = random_rate_state(5)
@@ -109,6 +153,28 @@ class TestPhaseDerivative:
 
 
 class TestEvolveRates:
+    @LADDER_SHAPES
+    def test_stacked_rhs_matches_the_public_derivatives(self, monkeypatch, excess):
+        # evolve_rates' one stacked product must give exactly what the two
+        # public derivatives (checked against the naive sums) give.
+        rng, state, size = random_ladder(21, excess, 3)
+        g = np.concatenate([[0.0], rng.uniform(0.0, 1.0, size - 1)])
+        alpha = rng.normal(size=size)
+        captured = {}
+
+        def capture(rhs, y0, *args, **kwargs):
+            captured["rhs"] = rhs
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(rate_model, "integrate_ode", capture)
+        with pytest.raises(RuntimeError, match="captured"):
+            evolve_rates(state, g, alpha, 0.7, tau_end=1.0)
+        y = np.concatenate([state.populations, rng.normal(size=21)]).astype(complex)
+        got = captured["rhs"](0.0, y)
+        assert np.max(np.abs(got[:21] - rate_derivative(state, g))) < 1e-15
+        want = phase_derivative(state, alpha, 0.7)
+        assert np.all(np.abs(got[21:] - want) <= 1e-15 + 2 * np.spacing(np.abs(want)))
+
     def test_population_conserved(self):
         g = np.concatenate([[0.0], RNG.uniform(0.0, 0.4, 6)])
         traj = evolve_rates(
@@ -198,6 +264,19 @@ class TestRateState:
             RateState(0.0, np.array([0.5, 0.4]), np.zeros(2))
         with pytest.raises(ConfigurationError):
             RateState(0.0, np.array([1.2, -0.2]), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "pops, phases",
+        [
+            ([np.nan, 0.5, 0.5], [0.0, 0.0, 0.0]),
+            ([0.5, np.inf, 0.5], [0.0, 0.0, 0.0]),
+            ([0.5, 0.25, 0.25], [0.0, np.inf, 0.0]),
+            ([0.5, 0.25, 0.25], [np.nan, 0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, pops, phases):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RateState(0.0, np.array(pops), np.array(phases))
 
     def test_seeding_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
