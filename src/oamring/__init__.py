@@ -21,7 +21,7 @@ from .dynamics import (
     mean_angular_velocity,
     populations,
 )
-from .numerics import OdeControls, Trajectory, bessel_j, integrate_ode
+from .numerics import OdeControls, Trajectory, integrate_ode
 from .potential import (
     FourierPotential,
     SystemParams,
@@ -30,13 +30,7 @@ from .potential import (
     pair_potential,
     rate_coefficients,
 )
-from .radiation import (
-    RadiationPattern,
-    averaged_intensity,
-    field_expansion,
-    field_quadrature,
-    pattern_grid,
-)
+from .radiation import RadiationPattern, field_quadrature
 from .rate_model import (
     RateState,
     evolve_rates,
@@ -57,8 +51,6 @@ __all__ = [
     "SystemParams",
     "Trajectory",
     "__version__",
-    "averaged_intensity",
-    "bessel_j",
     "bunching",
     "classify_regime",
     "default_initial_state",
@@ -66,13 +58,11 @@ __all__ = [
     "dispersion_coefficients",
     "evolve",
     "evolve_rates",
-    "field_expansion",
     "field_quadrature",
     "fourier_coefficients",
     "integrate_ode",
     "mean_angular_velocity",
     "pair_potential",
-    "pattern_grid",
     "phase_derivative",
     "populations",
     "rate_coefficients",

@@ -228,6 +228,8 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
             f"evolve.snapshot_k={opts['snapshot_k']} outside the bunching lags "
             f"1..{2 * params.m_max}"
         )
+    if opts["phi_band"] < 0:
+        raise ConfigurationError(f"evolve.phi_band={opts['phi_band']} must be >= 0")
     fp = fourier_coefficients(params)
     state0 = default_initial_state(
         params,

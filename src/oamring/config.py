@@ -28,9 +28,14 @@ def _as_float(raw: str) -> float:
 
 
 def _as_int(raw: str) -> int:
-    if float(raw) != int(float(raw)):
-        raise ValueError("not an integer")
-    return int(float(raw))
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)  # float forms such as 3.0 and 1e3
+    # from 2**53 on, the float may already have rounded the integer written
+    if not (abs(value) < 2**53 and value.is_integer()):
+        raise ValueError("not an exact integer")
+    return int(value)
 
 
 def _as_int_or_auto(raw: str):
@@ -193,29 +198,33 @@ def _parse_config_text(text: str) -> dict[str, str]:
     return flat
 
 
-def _manifest_config_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
+def _manifest_config_layer(
+    path: Path, text: str
+) -> tuple[dict[str, str], str | None, tuple]:
     """Pull the resolved config (plus preset provenance) out of a manifest."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        block = payload["reproducible"]
-        flat = block["config"]
+        block = json.loads(text)["reproducible"]
+        flat, preset = block["config"], block.get("preset")
+        overridden = tuple(block.get("overridden_preset_keys", ()))
+        if not isinstance(flat, dict):
+            raise TypeError("reproducible.config is not a mapping")
+        keys_ok = all(isinstance(key, str) for key in overridden)
+        if preset not in (None, *PRESETS) or not keys_ok:
+            raise TypeError("reproducible.preset provenance is malformed")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path} is not a run manifest: {exc}") from exc
     # null entries mean "left at default"; omitting them reproduces that
     layer = {key: str(value) for key, value in flat.items() if value is not None}
-    return (
-        layer,
-        block.get("preset"),
-        tuple(block.get("overridden_preset_keys", ())),
-    )
+    return layer, preset, overridden
 
 
 def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
-        return _manifest_config_layer(path)
+        return _manifest_config_layer(path, text)
     return _parse_config_text(text), None, ()
 
 

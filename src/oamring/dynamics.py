@@ -72,9 +72,6 @@ class StateVector:
     def m_max(self) -> int:
         return (self.amplitudes.size - 1) // 2
 
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
 
 @dataclass(frozen=True)
 class BunchingSpectrum:

@@ -18,7 +18,6 @@ from .errors import ConfigurationError, IntegrationError
 __all__ = [
     "OdeControls",
     "Trajectory",
-    "bessel_j",
     "bessel_j_orders",
     "integrate_ode",
     "periodic_fourier_coefficients",
@@ -75,16 +74,6 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     out[:, zero] = 0.0
     out[0, zero] = 1.0
     return out.reshape((n_max + 1,) + x.shape)
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x), one entry of bessel_j_orders.
-
-    Negative orders use the reflection J_{-n}(x) = (-1)^n J_n(x).
-    """
-    n = int(n)
-    value = float(bessel_j_orders(abs(n), x)[abs(n)])
-    return -value if n < 0 and n % 2 else value
 
 
 def periodic_fourier_coefficients(samples: np.ndarray, k_max: int) -> np.ndarray:

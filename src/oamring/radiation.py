@@ -20,20 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BunchingSpectrum, StateVector, bunching
+from .dynamics import BunchingSpectrum, StateVector
 from .errors import ConfigurationError
 from .numerics import bessel_j_orders
 from .potential import SystemParams
 
 __all__ = [
     "RadiationPattern",
-    "averaged_intensity",
     "count_lobes",
     "expansion_tail_bound",
-    "field_expansion",
     "field_quadrature",
     "pattern_from_bunching",
-    "pattern_grid",
 ]
 
 # (-i)^n cycles with period four; table lookup keeps the factor exact.
@@ -61,19 +58,6 @@ def _channel_weights(
     sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
     jn = bessel_j_orders(int(np.abs(ns).max()), x)[np.abs(ns)].T * sign
     return ms, _MINUS_I_POW[ns % 4] * jn * phim
-
-
-def field_expansion(
-    bunch: BunchingSpectrum,
-    ell: int,
-    k0_rho: float,
-    theta: float,
-    phi: float,
-    m_band: int | None = None,
-) -> complex:
-    """Field M(theta, phi) from the truncated OAM sum over |m| <= m_band."""
-    ms, weights = _channel_weights(bunch, ell, [k0_rho * math.sin(theta)], m_band)
-    return complex(weights[0] @ np.exp(1j * (ell + ms) * phi))
 
 
 def _majorant_sum(n0: int, x: float) -> float:
@@ -117,7 +101,8 @@ def field_quadrature(
     Evaluates int_0^2pi exp(-i k0_rho sin(theta) cos(phi - phi') + i ell phi')
     |Psi(phi')|^2 dphi' on a uniform grid, which is spectrally accurate for
     this periodic integrand.  |Psi|^2 carries its 1/2pi normalization, and no
-    further prefactor is applied so the result matches field_expansion.
+    further prefactor is applied so the result matches the pattern_from_bunching
+    field of the state's bunching spectrum.
     """
     width = state.amplitudes.size
     if grid_size is None:
@@ -135,24 +120,6 @@ def field_quadrature(
         -1j * k0_rho * math.sin(theta) * np.cos(phi - phi_p) + 1j * ell * phi_p
     )
     return complex(np.sum(kernel * density) * (2.0 * np.pi / grid_size))
-
-
-def averaged_intensity(
-    bunch: BunchingSpectrum,
-    ell: int,
-    k0_rho: float,
-    theta: float,
-    m_band: int | None = None,
-) -> tuple[float, list[tuple[int, float]]]:
-    """Azimuthally averaged intensity and its per-channel breakdown.
-
-    Returns (Ibar, components) with Ibar = sum_m J_{ell+m}^2 |Phi_m|^2 and
-    components a list of (ell', weight) pairs, ell' = ell + m.  Cross terms
-    vanish in the phi average because distinct channels are orthogonal.
-    """
-    ms, weights = _channel_weights(bunch, ell, [k0_rho * math.sin(theta)], m_band)
-    power = np.abs(weights[0]) ** 2
-    return float(power.sum()), list(zip((ell + ms).tolist(), power.tolist()))
 
 
 @dataclass(frozen=True)
@@ -211,21 +178,6 @@ def pattern_from_bunching(
         components=components,
         ell=params.ell,
         tail_bound=tail,
-    )
-
-
-def pattern_grid(
-    state: StateVector,
-    params: SystemParams,
-    theta_count: int = 181,
-    phi_count: int = 256,
-    m_band: int | None = None,
-) -> RadiationPattern:
-    """Radiation pattern of a mode-amplitude state (see pattern_from_bunching)."""
-    if m_band is None:
-        m_band = min(state.amplitudes.size - 1, 2 * params.m_max)
-    return pattern_from_bunching(
-        bunching(state), params, theta_count, phi_count, m_band
     )
 
 

@@ -106,6 +106,18 @@ class TestParseConfig:
             parse_config("evolve", overrides=["params.ell=1.5"])
         assert "params.ell" in str(info.value)
 
+    def test_large_integer_is_exact(self):
+        seed = 2**53 + 1  # the first integer a float cannot hold
+        cfg = parse_config("evolve", overrides=[f"evolve.rng_seed={seed}"])
+        assert cfg.options["rng_seed"] == seed
+        for raw, want in (("3.0", 3), ("1e3", 1000), ("-7", -7)):
+            cfg = parse_config("evolve", overrides=[f"evolve.rng_seed={raw}"])
+            assert cfg.options["rng_seed"] == want
+        for raw in ("9.007199254740993e15", "1e300", "nan"):
+            with pytest.raises(ConfigurationError) as info:
+                parse_config("evolve", overrides=[f"evolve.rng_seed={raw}"])
+            assert "evolve.rng_seed" in str(info.value)
+
     def test_unknown_preset_and_scenario(self):
         with pytest.raises(ConfigurationError):
             parse_config("evolve", preset="fig9")
@@ -239,14 +251,15 @@ class TestTimeseries:
         drifts, edges = [], []
         for row, tau, amps in zip(table, traj.times, traj.states):
             state = StateVector(tau=float(tau), amplitudes=amps)
+            drift = abs(populations(state).sum() - 1.0)
             bunch = bunching(state)
             phis = np.array([bunch.coefficient(k) for k in range(phi_band + 1)])
             want = np.concatenate(
-                [[tau, state.norm_error()], populations(state), phis.real, phis.imag,
+                [[tau, drift], populations(state), phis.real, phis.imag,
                  [mean_angular_velocity(state)]]
             )
             assert np.max(np.abs(row - want)) < 1e-15
-            drifts.append(state.norm_error())
+            drifts.append(drift)
             edges.append(band_edge_occupancy(amps))
         assert abs(drift_max - max(drifts)) < 1e-15
         assert edge_max == max(edges)
@@ -308,6 +321,15 @@ class TestReproducibility:
         ]
         self.rerun_and_compare(tmp_path, "evolve", ["--preset", "fig2"] + args)
 
+    def test_large_seed_survives_manifest_rerun(self, tmp_path):
+        seed = 2**53 + 1
+        args = QUICK_EVOLVE + [
+            "--set", "evolve.seed_mode=random", "--set", f"evolve.rng_seed={seed}",
+        ]
+        self.rerun_and_compare(tmp_path, "evolve", ["--preset", "fig2"] + args)
+        config = read_manifest(tmp_path / "second")["reproducible"]["config"]
+        assert config["evolve.rng_seed"] == seed
+
     def test_manifest_echoes_resolved_truncations(self, tmp_path):
         rc = main(["potential", "--preset", "fig2", "--out", str(tmp_path)])
         assert rc == 0
@@ -323,6 +345,8 @@ class TestExitCodes:
             ("evolve", "evolve.rng_seed=inf"),
             ("evolve", "params.k0_rho=inf"),
             ("evolve", "evolve.tau_end=inf"),
+            ("evolve", "evolve.phi_band=-1"),
+            ("evolve", "evolve.phi_band=-2"),
             ("radiate", "radiate.m_band=-1"),
             ("radiate", "radiate.component_band=-1"),
             ("rate", "rate.m_max=-1"),
@@ -339,6 +363,30 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: path.mkdir(),
+            lambda path: path.write_bytes(b"[params]\ngamma = 0.3 \xff\n"),
+            lambda path: path.write_text(json.dumps({"reproducible": {"config": [1]}})),
+            lambda path: path.write_text(
+                json.dumps({"reproducible": {"config": {}, "overridden_preset_keys": 5}})
+            ),
+            lambda path: path.write_text(
+                json.dumps({"reproducible": {"config": {}, "preset": ["fig2"]}})
+            ),
+        ],
+        ids=["directory", "not-utf8", "list-config", "int-overrides", "list-preset"],
+    )
+    def test_unreadable_config_file_exits_two(self, tmp_path, capsys, write):
+        path = tmp_path / "run.conf"
+        write(path)
+        rc = main(["potential", "--out", str(tmp_path), "--config", str(path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
+        assert str(path) in record["message"]
 
     @pytest.mark.parametrize("lag", [0, 29])  # the default band has 2*m_max = 28
     def test_snapshot_lag_outside_band_exits_two(self, tmp_path, capsys, lag):

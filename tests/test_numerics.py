@@ -13,7 +13,6 @@ from oamring.errors import ConfigurationError, IntegrationError
 from oamring.numerics import (
     OdeControls,
     Trajectory,
-    bessel_j,
     bessel_j_orders,
     integrate_ode,
     periodic_fourier_coefficients,
@@ -44,22 +43,27 @@ def series_oracle(n: int, x: float) -> float:
         return float(total)
 
 
+def j_n(n: int, x: float) -> float:
+    """J_n(x), the last row of a bessel_j_orders pass that stops at order n."""
+    return float(bessel_j_orders(n, x)[n])
+
+
 class TestBessel:
     def test_j0_at_origin(self):
-        assert bessel_j(0, 0.0) == 1.0
+        assert j_n(0, 0.0) == 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 25])
     def test_higher_orders_vanish_at_origin(self, n):
-        assert bessel_j(n, 0.0) == 0.0
+        assert j_n(n, 0.0) == 0.0
 
     def test_golden_values(self):
-        assert abs(bessel_j(1, 1.0) - J1_AT_1) < 1e-13
-        assert abs(bessel_j(0, 50.0) - J0_AT_50) < 1e-12
-        assert abs(bessel_j(60, 50.0) - J60_AT_50) < 1e-12
-        assert abs(bessel_j(10, 0.5) - J10_AT_HALF) < 1e-15
+        assert abs(j_n(1, 1.0) - J1_AT_1) < 1e-13
+        assert abs(j_n(0, 50.0) - J0_AT_50) < 1e-12
+        assert abs(j_n(60, 50.0) - J60_AT_50) < 1e-12
+        assert abs(j_n(10, 0.5) - J10_AT_HALF) < 1e-15
 
     def test_first_root_of_j2(self):
-        assert abs(bessel_j(2, J2_FIRST_ROOT)) < 1e-10
+        assert abs(j_n(2, J2_FIRST_ROOT)) < 1e-10
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 60])
     def test_against_series_oracle(self, n):
@@ -68,7 +72,7 @@ class TestBessel:
         rows = bessel_j_orders(60, np.array(xs))
         for x, from_rows in zip(xs, rows[n]):
             want = series_oracle(n, x)
-            assert abs(bessel_j(n, x) - want) < 1e-12
+            assert abs(j_n(n, x) - want) < 1e-12
             assert abs(from_rows - want) < 1e-12
 
     def test_orders_shape_origin_and_tiny_argument(self):
@@ -79,30 +83,26 @@ class TestBessel:
         tiny = bessel_j_orders(2, np.array([1e-300]))[:, 0]
         assert tiny[0] == 1.0 and tiny[1] == pytest.approx(5e-301, rel=1e-15)
 
-    def test_reflection_in_order_is_exact(self):
-        for n in range(0, 12):
-            for x in (0.7, 3.3, 11.0, 42.5):
-                assert bessel_j(-n, x) == (-1.0) ** n * bessel_j(n, x)
-
     def test_reflection_in_argument(self):
+        rows_neg, rows_pos = bessel_j_orders(4, [-7.7, 7.7]).T
         for n in (0, 1, 4):
-            assert bessel_j(n, -7.7) == (-1.0) ** n * bessel_j(n, 7.7)
+            assert rows_neg[n] == (-1.0) ** n * rows_pos[n]
 
     def test_recurrence_residual(self):
         for n in range(1, 40):
             for x in (0.4, 2.2, 7.9, 23.0, 49.0):
                 res = (
-                    bessel_j(n - 1, x)
-                    + bessel_j(n + 1, x)
-                    - (2.0 * n / x) * bessel_j(n, x)
+                    j_n(n - 1, x)
+                    + j_n(n + 1, x)
+                    - (2.0 * n / x) * j_n(n, x)
                 )
                 assert abs(res) < 1e-10
 
     def test_nonfinite_argument_rejected(self):
         with pytest.raises(ValueError):
-            bessel_j(0, math.nan)
+            bessel_j_orders(0, math.nan)
         with pytest.raises(ValueError):
-            bessel_j(2, math.inf)
+            bessel_j_orders(2, [1.0, math.inf])
 
 
 class TestFourierCoefficients:

@@ -1,6 +1,8 @@
-"""Far-field tests: the Bessel expansion against the direct quadrature of the
-ring density (the two routes are tied by the Jacobi-Anger identity), channel
-orthogonality in the azimuthal average, and lobe structure."""
+"""Far-field tests: the grid pattern's Bessel expansion against the direct
+quadrature of the ring density (the two routes are tied by the Jacobi-Anger
+identity), channel orthogonality in the azimuthal average, and lobe
+structure.  Every field value is read from pattern_from_bunching, the
+evaluator the radiate command runs."""
 
 import math
 
@@ -9,15 +11,13 @@ import pytest
 
 from oamring.dynamics import StateVector, bunching
 from oamring.errors import ConfigurationError
-from oamring.numerics import bessel_j
+from oamring.numerics import bessel_j_orders
 from oamring.potential import SystemParams
 from oamring.radiation import (
-    averaged_intensity,
     count_lobes,
     expansion_tail_bound,
-    field_expansion,
     field_quadrature,
-    pattern_grid,
+    pattern_from_bunching,
 )
 
 RNG = np.random.default_rng(31)
@@ -46,39 +46,54 @@ def two_mode_state(m_max, lo, hi, weight=0.5) -> StateVector:
     return StateVector(0.0, amps)
 
 
+def far_field(spec, ell, k0_rho, theta_count=7, phi_count=8, m_band=None):
+    """The radiate command's pattern; only ell and k0_rho of the params enter."""
+    params = SystemParams(gamma=0.0, k0_rho=k0_rho, ell=ell, m_max=abs(ell) + 2)
+    return pattern_from_bunching(spec, params, theta_count, phi_count, m_band)
+
+
+def channels(pattern, i) -> dict:
+    """Channel weight by ell' = ell + m at theta row i."""
+    ell_primes = (pattern.component_modes + pattern.ell).tolist()
+    return dict(zip(ell_primes, pattern.components[i].tolist()))
+
+
 class TestFieldExpansion:
     def test_uniform_state_single_channel(self):
-        spec = bunching(uniform_state())
-        for theta, phi in ((0.9, 0.4), (1.7, 5.1)):
-            got = field_expansion(spec, ell=1, k0_rho=1.0, theta=theta, phi=phi)
-            x = math.sin(theta)
-            want = -1j * bessel_j(1, x) * np.exp(1j * phi)
-            assert abs(got - want) < 1e-14
+        pattern = far_field(bunching(uniform_state()), ell=1, k0_rho=1.0)
+        j1 = bessel_j_orders(1, np.sin(pattern.theta_grid))[1]
+        want = -1j * np.outer(j1, np.exp(1j * pattern.phi_grid))
+        assert np.max(np.abs(pattern.field - want)) < 1e-14
 
     def test_forward_axis_dark_for_wound_pump(self):
         spec = bunching(uniform_state())
         for ell in (1, 2, 5):
-            assert abs(field_expansion(spec, ell, 2.0, 0.0, 0.3)) == 0.0
+            assert np.max(np.abs(far_field(spec, ell, 2.0).field[0])) == 0.0
+
+    def test_negative_order_reflection(self):
+        # ell' = -3 needs J_{-3} = -J_3, so a uniform ring radiates
+        # (-i)^(-3) J_{-3} e^(-3i phi) = i J_3 e^(-3i phi)
+        pattern = far_field(bunching(uniform_state()), -3, 2.0, 19, 16)
+        j3 = bessel_j_orders(3, 2.0 * np.sin(pattern.theta_grid))[3]
+        want = 1j * np.outer(j3, np.exp(-3j * pattern.phi_grid))
+        assert np.max(np.abs(pattern.field - want)) < 1e-15
 
     def test_two_state_small_ring_matches_reduced_form(self):
         # With only Phi_0 and Phi_(+/-1) present, the field reduces to
         # -i J_1 e^(i phi) + conj(Phi_1) J_0 up to the dropped J_2 piece.
-        state = two_mode_state(6, 0, 1)
-        spec = bunching(state)
+        spec = bunching(two_mode_state(6, 0, 1))
         phi1 = spec.coefficient(1)
         assert abs(abs(phi1) - 0.5) < 1e-12
-        theta, phi = 1.1, 2.0
-        x = math.sin(theta)
-        reduced = -1j * bessel_j(1, x) * np.exp(1j * phi) + np.conj(
-            phi1
-        ) * bessel_j(0, x)
-        full = field_expansion(spec, ell=1, k0_rho=1.0, theta=theta, phi=phi)
-        assert abs(full - reduced) <= abs(phi1) * abs(bessel_j(2, x)) + 1e-12
+        pattern = far_field(spec, ell=1, k0_rho=1.0)
+        j = bessel_j_orders(2, np.sin(pattern.theta_grid))[:, :, None]
+        reduced = -1j * j[1] * np.exp(1j * pattern.phi_grid) + np.conj(phi1) * j[0]
+        assert np.all(np.abs(pattern.field - reduced) <= abs(phi1) * np.abs(j[2]) + 1e-12)
 
     def test_band_argument_validated(self):
         spec = bunching(uniform_state(3))
-        with pytest.raises(ConfigurationError):
-            field_expansion(spec, 1, 1.0, 0.5, 0.5, m_band=spec.band + 1)
+        for m_band in (-1, spec.band + 1):
+            with pytest.raises(ConfigurationError):
+                far_field(spec, 1, 1.0, m_band=m_band)
 
 
 class TestQuadratureEquivalence:
@@ -87,17 +102,14 @@ class TestQuadratureEquivalence:
         assert abs(got - 1.0) < 1e-14
 
     def test_expansion_equals_quadrature_on_random_states(self):
-        thetas = np.linspace(0.15, math.pi - 0.15, 5)
-        phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         worst = 0.0
         for _ in range(50):
             state = random_interior_state()
-            spec = bunching(state)
-            for theta in thetas:
-                for phi in phis:
-                    a = field_expansion(spec, 2, 2.3, float(theta), float(phi))
-                    b = field_quadrature(state, 2, 2.3, float(theta), float(phi))
-                    worst = max(worst, abs(a - b))
+            pattern = far_field(bunching(state), 2, 2.3)
+            for i, theta in enumerate(pattern.theta_grid.tolist()):
+                for j, phi in enumerate(pattern.phi_grid.tolist()):
+                    b = field_quadrature(state, 2, 2.3, theta, phi)
+                    worst = max(worst, abs(pattern.field[i, j] - b))
         assert worst < 1e-8
 
     def test_azimuthal_phase_structure_single_component(self):
@@ -115,37 +127,30 @@ class TestQuadratureEquivalence:
 
 class TestAveragedIntensity:
     def test_uniform_state(self):
-        spec = bunching(uniform_state())
-        for theta in (0.3, 1.2):
-            total, _ = averaged_intensity(spec, ell=2, k0_rho=3.0, theta=theta)
-            assert total == pytest.approx(
-                bessel_j(2, 3.0 * math.sin(theta)) ** 2, abs=1e-14
-            )
+        pattern = far_field(bunching(uniform_state()), ell=2, k0_rho=3.0)
+        j2 = bessel_j_orders(2, 3.0 * np.sin(pattern.theta_grid))[2]
+        assert pattern.avg_intensity == pytest.approx(j2**2, abs=1e-14)
 
     def test_two_state_small_ring_decomposition(self):
-        spec = bunching(two_mode_state(6, 0, 1))
-        theta = 1.0
-        x = math.sin(theta)
-        total, components = averaged_intensity(spec, ell=1, k0_rho=1.0, theta=theta)
-        square = dict(components)
-        # exact three-channel sum, and the quoted two-term reduction
-        exact = (
-            bessel_j(1, x) ** 2
-            + 0.25 * bessel_j(0, x) ** 2
-            + 0.25 * bessel_j(2, x) ** 2
-        )
-        assert total == pytest.approx(exact, abs=1e-12)
-        reduced = bessel_j(1, x) ** 2 + 0.25 * bessel_j(0, x) ** 2
-        assert abs(total - reduced) <= 0.25 * bessel_j(2, x) ** 2 + 1e-12
-        assert square[1] == pytest.approx(bessel_j(1, x) ** 2, abs=1e-12)
+        pattern = far_field(bunching(two_mode_state(6, 0, 1)), ell=1, k0_rho=1.0)
+        j = bessel_j_orders(2, np.sin(pattern.theta_grid)) ** 2
+        for i, total in enumerate(pattern.avg_intensity):
+            square = channels(pattern, i)
+            # exact three-channel sum, and the quoted two-term reduction
+            exact = j[1, i] + 0.25 * j[0, i] + 0.25 * j[2, i]
+            assert total == pytest.approx(exact, abs=1e-12)
+            reduced = j[1, i] + 0.25 * j[0, i]
+            assert abs(total - reduced) <= 0.25 * j[2, i] + 1e-12
+            assert square[1] == pytest.approx(j[1, i], abs=1e-12)
 
     def test_sideband_dominates_pump_channel_on_tuned_ring(self):
         # ring radius at the (approximate) null of the pump channel: the
         # ell' = -3 weight beats ell' = 2 by J_3(5)^2 / J_2(5)^2 ~ 61 before
         # the bunching factors
         spec = bunching(two_mode_state(10, 0, 5))
-        _, components = averaged_intensity(spec, ell=2, k0_rho=5.0, theta=math.pi / 2)
-        weights = dict(components)
+        pattern = far_field(spec, ell=2, k0_rho=5.0, theta_count=3)
+        assert pattern.theta_grid[1] == math.pi / 2
+        weights = channels(pattern, 1)
         bare_ratio = (weights[-3] / abs(spec.coefficient(-5)) ** 2) / (
             weights[2] / abs(spec.coefficient(0)) ** 2
         )
@@ -153,38 +158,34 @@ class TestAveragedIntensity:
         assert bare_ratio == pytest.approx(61.39, abs=0.5)
 
     def test_matches_numerical_phi_average(self):
-        state = random_interior_state(6)
-        spec = bunching(state)
-        theta = 0.8
-        phis = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-        cut = np.array(
-            [abs(field_expansion(spec, 1, 2.0, theta, float(p))) ** 2 for p in phis]
-        )
-        total, _ = averaged_intensity(spec, ell=1, k0_rho=2.0, theta=theta)
-        assert abs(cut.mean() - total) < 1e-9
+        spec = bunching(random_interior_state(6))
+        pattern = far_field(spec, ell=1, k0_rho=2.0, theta_count=5, phi_count=512)
+        i = 1  # theta = pi/4
+        assert abs(pattern.intensity[i].mean() - pattern.avg_intensity[i]) < 1e-9
 
     def test_forward_axis_selects_zero_channel(self):
         for _ in range(5):
             spec = bunching(random_interior_state(5))
             ell = 3
-            total, components = averaged_intensity(spec, ell, 2.7, 0.0)
-            for ell_prime, weight in components:
+            pattern = far_field(spec, ell, 2.7)
+            for ell_prime, weight in channels(pattern, 0).items():
                 if ell_prime != 0:
                     assert weight == 0.0
             # the surviving channel is m = -ell
-            assert total == pytest.approx(abs(spec.coefficient(-ell)) ** 2, abs=1e-14)
+            assert pattern.avg_intensity[0] == pytest.approx(
+                abs(spec.coefficient(-ell)) ** 2, abs=1e-14
+            )
 
 
 class TestTailBound:
     def test_truncation_change_within_reported_bound(self):
-        state = random_interior_state(6)
-        spec = bunching(state)
-        ell, k0_rho, theta, phi = 1, 2.0, 1.0, 0.7
-        small = field_expansion(spec, ell, k0_rho, theta, phi, m_band=8)
-        full = field_expansion(spec, ell, k0_rho, theta, phi, m_band=spec.band)
-        bound = expansion_tail_bound(ell, k0_rho, theta, m_band=8)
-        assert abs(full - small) <= bound
-        assert bound < 1e-3
+        spec = bunching(random_interior_state(6))
+        ell, k0_rho = 1, 2.0
+        small = far_field(spec, ell, k0_rho, m_band=8)
+        full = far_field(spec, ell, k0_rho)
+        for theta, change in zip(small.theta_grid, np.abs(full.field - small.field)):
+            assert change.max() <= expansion_tail_bound(ell, k0_rho, theta, m_band=8)
+        assert small.tail_bound < 1e-3
 
     def test_zero_at_forward_axis(self):
         assert expansion_tail_bound(2, 5.0, 0.0, 4) == 0.0
@@ -192,7 +193,8 @@ class TestTailBound:
     def test_tail_through_order_zero_is_bounded(self):
         # m_band < |ell|: the neglected lower tail passes through n = 0
         ell, k0_rho, theta, m_band = 2, 1.0, math.pi / 2, 0
-        neglected = sum(abs(bessel_j(n, 1.0)) for n in range(-60, 61) if n != ell)
+        j = np.abs(bessel_j_orders(60, 1.0))
+        neglected = sum(j[abs(n)] for n in range(-60, 61) if n != ell)
         assert expansion_tail_bound(ell, k0_rho, theta, m_band) >= neglected
         # on the forward axis only the neglected J_0(0) = 1 channel remains
         assert expansion_tail_bound(ell, k0_rho, 0.0, m_band) == 1.0
@@ -201,33 +203,22 @@ class TestTailBound:
 class TestPatternGrid:
     def test_uniform_state_is_azimuthally_flat(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=6)
-        pattern = pattern_grid(uniform_state(6), params, theta_count=21, phi_count=32)
+        spec = bunching(uniform_state(6))
+        pattern = pattern_from_bunching(spec, params, theta_count=21, phi_count=32)
         intens = pattern.intensity
         assert np.max(intens.max(axis=1) - intens.min(axis=1)) < 1e-14
 
-    def test_grid_matches_pointwise_expansion(self):
-        params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=2.0, ell=2, m_max=5)
-        state = random_interior_state(5)
-        spec = bunching(state)
-        pattern = pattern_grid(state, params, theta_count=7, phi_count=8)
-        for i, theta in enumerate(pattern.theta_grid):
-            for j, phi in enumerate(pattern.phi_grid):
-                direct = field_expansion(
-                    spec, params.ell, params.k0_rho, float(theta), float(phi)
-                )
-                assert abs(pattern.field[i, j] - direct) < 1e-12
-
     def test_avg_intensity_column_consistency(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=2.0, ell=1, m_max=5)
-        pattern = pattern_grid(random_interior_state(5), params, 11, 16)
+        pattern = pattern_from_bunching(bunching(random_interior_state(5)), params, 11, 16)
         assert np.allclose(
             pattern.avg_intensity, pattern.components.sum(axis=1), atol=1e-15
         )
 
     def test_five_lobes_from_dominant_fifth_harmonic(self):
         params = SystemParams(gamma=0.2, epsilon=0.1, k0_rho=5.0, ell=2, m_max=10)
-        pattern = pattern_grid(
-            two_mode_state(10, 0, 5), params, theta_count=33, phi_count=256
+        pattern = pattern_from_bunching(
+            bunching(two_mode_state(10, 0, 5)), params, theta_count=33, phi_count=256
         )
         i_eq = int(np.argmin(np.abs(pattern.theta_grid - math.pi / 2)))
         assert count_lobes(pattern.intensity[i_eq]) == 5
@@ -235,7 +226,7 @@ class TestPatternGrid:
     def test_tiny_grid_rejected(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=5)
         with pytest.raises(ConfigurationError):
-            pattern_grid(uniform_state(5), params, theta_count=1)
+            pattern_from_bunching(bunching(uniform_state(5)), params, theta_count=1)
 
 
 class TestCountLobes:
