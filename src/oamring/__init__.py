@@ -31,13 +31,7 @@ from .potential import (
     rate_coefficients,
 )
 from .radiation import RadiationPattern, field_quadrature
-from .rate_model import (
-    RateState,
-    evolve_rates,
-    phase_derivative,
-    rate_derivative,
-    two_state_analytic,
-)
+from .rate_model import RateState, evolve_rates, two_state_analytic
 from .stability import StabilitySpectrum, classify_regime, spectrum, spectrum_sweep
 
 __all__ = [
@@ -63,10 +57,8 @@ __all__ = [
     "integrate_ode",
     "mean_angular_velocity",
     "pair_potential",
-    "phase_derivative",
     "populations",
     "rate_coefficients",
-    "rate_derivative",
     "spectrum",
     "spectrum_sweep",
     "two_state_analytic",

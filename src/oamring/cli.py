@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +95,7 @@ def _manifest_hash(config: RunConfig) -> str:
 
 
 def _controls(options: dict) -> OdeControls:
-    return OdeControls(
-        rel_tol=options["rel_tol"],
-        abs_tol=options["abs_tol"],
-        max_step=options["max_step"],
-        initial_step=options["initial_step"],
-    )
+    return OdeControls(**{f.name: options[f.name] for f in fields(OdeControls)})
 
 
 def _g_table(fp: FourierPotential, limit: int = 12) -> dict:
@@ -340,12 +335,19 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     return derived, diagnostics
 
 
+def _json_int(payload: dict, key: str) -> int:
+    value = payload[key]
+    if type(value) is not int:  # 2.5 would truncate; true would read as 1
+        raise TypeError(f"{key}={value!r} is not a JSON integer")
+    return value
+
+
 def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         real = np.array(payload["re"], dtype=float)
         imag = np.array(payload["im"], dtype=float)
-        m_max = int(payload["m_max"])
+        m_max = _json_int(payload, "m_max")
         tau = float(payload.get("tau", 0.0))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"cannot read state snapshot {path}: {exc}") from exc
@@ -364,7 +366,7 @@ def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
 def _load_phi_list(path: Path) -> BunchingSpectrum:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        band = int(payload["band"])
+        band = _json_int(payload, "band")
         pairs = payload["coefficients"]
         coeff = np.array([complex(re, im) for re, im in pairs])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

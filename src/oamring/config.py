@@ -12,10 +12,11 @@ import configparser
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
+from .numerics import OdeControls
 from .potential import SystemParams
 
 __all__ = ["RunConfig", "parse_config", "PRESETS", "SCENARIOS"]
@@ -56,6 +57,9 @@ def _choice(*allowed: str):
     return convert
 
 
+# The step controls of both integrating scenarios, with OdeControls' defaults.
+_ODE_KEYS = {f.name: (_as_float, f.default) for f in fields(OdeControls)}
+
 # (converter, default) per key; this is the whole configuration surface.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "params": {
@@ -84,10 +88,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "rng_seed": (_as_int, 0),
         "snapshot": (_choice("final", "max_bunching"), "final"),
         "snapshot_k": (_as_int, 1),
-        "rel_tol": (_as_float, 1e-9),
-        "abs_tol": (_as_float, 1e-12),
-        "max_step": (_as_float, 10.0),
-        "initial_step": (_as_float, 1e-4),
+        **_ODE_KEYS,
         "phi_band": (_as_int, 8),
     },
     "rate": {
@@ -96,10 +97,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "seed_population": (_as_float, 1e-6),
         "channel": (_as_int, 0),  # 0 keeps every harmonic
         "m_max": (_as_int_or_auto, None),
-        "rel_tol": (_as_float, 1e-9),
-        "abs_tol": (_as_float, 1e-12),
-        "max_step": (_as_float, 10.0),
-        "initial_step": (_as_float, 1e-4),
+        **_ODE_KEYS,
     },
     "radiate": {
         "state": (_as_str, ""),

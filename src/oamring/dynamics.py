@@ -115,14 +115,22 @@ def default_initial_state(
             f"seed_amplitude must lie in (0, 1e-2], got {seed_amplitude}"
         )
     m_max = params.m_max
+    seed_norm = 2.0 * m_max * seed_amplitude**2
+    if seed_norm >= 1.0:
+        raise ConfigurationError(
+            f"seed_amplitude={seed_amplitude} on 2*m_max={2 * m_max} modes "
+            f"carries norm {seed_norm:.6g} >= 1, leaving none for m = 0"
+        )
     amps = np.full(2 * m_max + 1, seed_amplitude, dtype=complex)
     if mode == "random":
+        if rng_seed < 0:
+            raise ConfigurationError(f"rng_seed={rng_seed} must be >= 0 in random mode")
         rng = np.random.default_rng(rng_seed)
         phases = rng.uniform(0.0, 2.0 * np.pi, 2 * m_max + 1)
         amps = amps * np.exp(1j * phases)
     elif mode != "deterministic":
         raise ConfigurationError(f"unknown seed mode {mode!r}")
-    amps[m_max] = np.sqrt(1.0 - 2.0 * m_max * seed_amplitude**2)
+    amps[m_max] = np.sqrt(1.0 - seed_norm)
     return StateVector(tau=0.0, amplitudes=amps)
 
 
@@ -234,7 +242,7 @@ def evolve(
         _nonlinear_rhs(fp),
         initial.amplitudes,
         (initial.tau, tau_end),
-        controls or OdeControls(),
+        controls,
         sample_stride=stride,
         frequencies=(m * m).astype(float),
     )

@@ -36,6 +36,10 @@ DEFAULT_EPSILON = 0.1
 #: Convergence demanded of every retained coefficient under grid doubling.
 GRID_DOUBLING_TOL = 1e-10
 
+# Largest base quadrature grid (the doubled check grid holds twice this):
+# epsilon >= 64 / 2**20 ~ 6.1e-5 and k_max <= 2**15.
+_MAX_GRID = 1 << 20
+
 
 def default_m_max(ell: int, k0_rho: float) -> int:
     """Band half-width ample for cascades at this radius: the dominant
@@ -130,24 +134,26 @@ def pair_potential(phi, params: SystemParams):
 def _quadrature_grid(params: SystemParams) -> int:
     # The integrand has a peak of angular width ~epsilon at phi = 0 that the
     # grid must resolve; aliasing there is the dominant silent failure mode.
-    need = max(8192, 32 * params.k_max, int(math.ceil(64.0 / params.epsilon)))
-    return 1 << (need - 1).bit_length()
-
-
-def _coefficients_on_grid(params: SystemParams, grid: int) -> np.ndarray:
-    phi = 2.0 * np.pi * np.arange(grid) / grid
-    return periodic_fourier_coefficients(pair_potential(phi, params), params.k_max)
+    need = max(8192, 32 * params.k_max, 64.0 / params.epsilon)
+    if need > _MAX_GRID:
+        raise ConfigurationError(
+            f"epsilon={params.epsilon} and k_max={params.k_max} need a quadrature "
+            f"grid of {need:.0f} points, past the limit of {_MAX_GRID}"
+        )
+    return 1 << (math.ceil(need) - 1).bit_length()
 
 
 def fourier_coefficients(params: SystemParams) -> FourierPotential:
     """Fourier spectrum of the pair potential, verified by grid doubling.
 
-    Raises ResolutionError naming the first harmonic whose value moves by
-    more than GRID_DOUBLING_TOL when the quadrature grid is doubled.
+    V(phi) is sampled once, on the doubled grid; its even samples are the
+    base grid.  Raises ResolutionError naming the first harmonic whose value
+    moves by more than GRID_DOUBLING_TOL between the two grids.
     """
-    grid = _quadrature_grid(params)
-    coarse = _coefficients_on_grid(params, grid)
-    fine = _coefficients_on_grid(params, 2 * grid)
+    fine_grid = 2 * _quadrature_grid(params)
+    samples = pair_potential(2.0 * np.pi * np.arange(fine_grid) / fine_grid, params)
+    coarse = periodic_fourier_coefficients(samples[::2], params.k_max)
+    fine = periodic_fourier_coefficients(samples, params.k_max)
     delta = np.abs(fine - coarse)
     if np.any(delta > GRID_DOUBLING_TOL):
         k_bad = int(np.argmax(delta)) - params.k_max

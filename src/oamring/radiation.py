@@ -165,9 +165,10 @@ def pattern_from_bunching(
     ms, weights = _channel_weights(bunch, params.ell, x, m_band)
     field = weights @ np.exp(1j * np.outer(params.ell + ms, phi_grid))
     components = np.abs(weights) ** 2
-    tail = max(
-        expansion_tail_bound(params.ell, params.k0_rho, float(t), int(ms[-1]))
-        for t in theta_grid
+    # The bound is nondecreasing in x, and the x = 0 rows reach no higher
+    # than the others, so the row of largest x carries the grid's bound.
+    tail = expansion_tail_bound(
+        params.ell, params.k0_rho, float(theta_grid[np.argmax(x)]), int(ms[-1])
     )
     return RadiationPattern(
         theta_grid=theta_grid,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +27,6 @@ __all__ = [
     "RateState",
     "RateTrajectory",
     "evolve_rates",
-    "phase_derivative",
-    "rate_derivative",
     "two_state_analytic",
 ]
 
@@ -92,23 +91,25 @@ def _ladder(n: int, coeff: np.ndarray, antisymmetric: bool) -> np.ndarray:
     return np.sign(lag) * ladder if antisymmetric else ladder
 
 
-def _rotor(size: int, gamma_v0: float) -> np.ndarray:
-    m = np.arange(size, dtype=float)
-    return -(m * m + gamma_v0)
+def _rate_rhs(n: int, g: np.ndarray, alpha: np.ndarray, gamma_v0: float) -> Callable:
+    """rhs(tau, y) of the cascade on y = (N_0 .. N_{n-1}, phi_0 .. phi_{n-1}).
 
+    Rows 0..n-1 are dN/dtau, band-truncated, so they sum to zero; rows n..
+    are dphi/dtau: the rotor term, the mean-field offset and the dispersive
+    ladder sums.  One stacked (2n, n) product gives both ladders.
+    """
+    ops = np.vstack([_ladder(n, g, True), -_ladder(n, alpha, False)])
+    m = np.arange(n, dtype=float)
+    rotor = -(m * m + gamma_v0)
 
-def rate_derivative(state: RateState, g: np.ndarray) -> np.ndarray:
-    """dN/dtau of the cascade, band-truncated; components sum to zero."""
-    pops = state.populations
-    return (_ladder(pops.size, g, True) @ pops) * pops
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        pops = y[:n].real
+        out = ops @ pops
+        out[:n] *= pops
+        out[n:] += rotor
+        return out
 
-
-def phase_derivative(
-    state: RateState, alpha: np.ndarray, gamma_v0: float
-) -> np.ndarray:
-    """dphi/dtau: rotor term, mean-field offset, and dispersive ladder sums."""
-    pops = state.populations
-    return _rotor(pops.size, gamma_v0) - _ladder(pops.size, alpha, False) @ pops
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -137,33 +138,24 @@ def evolve_rates(
     tiny integration negatives are clamped to zero in the reported result.
     """
     n = initial.populations.size
-    # Rows 0..n-1 give the population ladder sums, rows n.. the phase ones.
-    ops = np.vstack([_ladder(n, g, True), -_ladder(n, alpha, False)])
-    rotor = _rotor(n, gamma_v0)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        pops = y[:n].real
-        out = ops @ pops
-        out[:n] *= pops
-        out[n:] += rotor
-        return out
-
     y0 = np.concatenate([initial.populations, initial.phases]).astype(complex)
     raw = integrate_ode(
-        rhs, y0, (initial.tau, tau_end), controls or OdeControls(), stride
+        _rate_rhs(n, g, alpha, gamma_v0), y0, (initial.tau, tau_end), controls, stride
     )
     pops = raw.states[:, :n].real
     phases = raw.states[:, n:].real
 
-    totals = pops.sum(axis=1)
-    worst = int(np.argmax(np.abs(totals - 1.0)))
-    if abs(totals[worst] - 1.0) > CONSERVATION_TOL:
-        raise ToleranceError(
-            f"total population drift {abs(totals[worst] - 1.0):.3e} exceeds "
-            f"{CONSERVATION_TOL:.0e} at tau={raw.times[worst]:.6g}"
-        )
-    if np.any(pops < -NEGATIVE_TOL):
-        i, j = np.unravel_index(int(np.argmin(pops)), pops.shape)
+    drift = np.abs(pops.sum(axis=1) - 1.0)
+    lowest = pops.min(axis=1)
+    bad = np.nonzero((drift > CONSERVATION_TOL) | (lowest < -NEGATIVE_TOL))[0]
+    if bad.size:  # name the first bad sample, its drift before its negatives
+        i = bad[0]
+        if drift[i] > CONSERVATION_TOL:
+            raise ToleranceError(
+                f"total population drift {drift[i]:.3e} exceeds "
+                f"{CONSERVATION_TOL:.0e} at tau={raw.times[i]:.6g}"
+            )
+        j = int(np.argmin(pops[i]))
         raise ToleranceError(
             f"population N_{j} = {pops[i, j]:.3e} fell below -{NEGATIVE_TOL:.0e} "
             f"at tau={raw.times[i]:.6g}"

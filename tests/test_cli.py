@@ -2,6 +2,7 @@
 reproducibility, and exit codes."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from oamring.dynamics import (
     populations,
 )
 from oamring.errors import ConfigurationError, ToleranceError
+from oamring.numerics import OdeControls
 from oamring.potential import fourier_coefficients
 
 QUICK_EVOLVE = [
@@ -117,6 +119,13 @@ class TestParseConfig:
             with pytest.raises(ConfigurationError) as info:
                 parse_config("evolve", overrides=[f"evolve.rng_seed={raw}"])
             assert "evolve.rng_seed" in str(info.value)
+
+    def test_step_controls_default_to_the_integrators(self):
+        want = {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 10.0, "initial_step": 1e-4}
+        assert asdict(OdeControls()) == want
+        for scenario in ("evolve", "rate"):
+            resolved = parse_config(scenario).resolved
+            assert {key: resolved[f"{scenario}.{key}"] for key in want} == want
 
     def test_unknown_preset_and_scenario(self):
         with pytest.raises(ConfigurationError):
@@ -351,12 +360,17 @@ class TestExitCodes:
             ("radiate", "radiate.component_band=-1"),
             ("rate", "rate.m_max=-1"),
             ("potential", "potential.samples=-3"),
+            ("potential", "params.epsilon=1e-9"),
+            ("potential", "params.k0_rho=1e6"),
+            ("evolve", "evolve.seed_mode=random evolve.rng_seed=-1"),
         ],
     )
     def test_bad_value_exits_two_with_record(self, tmp_path, capsys, scenario, override):
         phi_file = tmp_path / "phi.json"
         phi_file.write_text(json.dumps({"band": 1, "coefficients": [[0, 0], [1, 0], [0, 0]]}))
-        args = [scenario, "--out", str(tmp_path / "out"), "--set", override]
+        args = [scenario, "--out", str(tmp_path / "out")]
+        for setting in override.split():
+            args += ["--set", setting]
         if scenario == "radiate":
             args += ["--set", f"radiate.phi_json={phi_file}"]
         assert main(args) == 2
@@ -432,8 +446,12 @@ class TestExitCodes:
             ("state", {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0, float("inf"), 0.0]}),
             ("state", {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0] * 3, "tau": "x"}),
             ("phi_json", {"band": 1, "coefficients": [[0, 0], [1, 0], [float("nan"), 0]]}),
+            ("state", {"m_max": 14.5, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29}),
+            ("phi_json", {"band": 1.7, "coefficients": [[0, 0], [1, 0], [0, 0]]}),
         ],
-        ids=["short-im", "nan-re", "inf-im", "bad-tau", "nan-phi"],
+        ids=[
+            "short-im", "nan-re", "inf-im", "bad-tau", "nan-phi", "float-m_max", "float-band"
+        ],
     )
     def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, kind, payload):
         path = tmp_path / "input.json"

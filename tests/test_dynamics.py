@@ -91,6 +91,19 @@ class TestInitialState:
         with pytest.raises(ConfigurationError):
             default_initial_state(params, seed_amplitude=0.1)
 
+    def test_seeds_past_the_norm_rejected_without_warning(self):
+        # 2 * 6000 * 0.01**2 > 1: c_0 would be the square root of a negative
+        # number, which the suite's RuntimeWarning filter turns into an error.
+        params = SystemParams(gamma=0.05, m_max=6000)
+        with pytest.raises(ConfigurationError, match=r"seed_amplitude=0.01 on 2\*m_max=12000"):
+            default_initial_state(params, seed_amplitude=0.01)
+
+    def test_negative_seed_rejected_in_random_mode(self):
+        params, _ = fig2_setup()
+        with pytest.raises(ConfigurationError, match="rng_seed=-1"):
+            default_initial_state(params, mode="random", rng_seed=-1)
+        default_initial_state(params, rng_seed=-1)  # deterministic mode draws nothing
+
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf), -np.inf])
     def test_non_finite_amplitude_rejected(self, bad):
         amps = np.zeros(7, dtype=complex)

@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oamring.dynamics as dynamics
 from oamring.config import parse_config
@@ -439,6 +441,44 @@ class TestStackedStagesMatchLoopForm:
         assert step_counts(new_calls, t0) == step_counts(ref_calls, t0)
         assert np.array_equal(new.times, ref.times)
         assert np.max(np.abs(new.states - ref.states)) < 1e-12
+
+
+class TestLawsonMatchesReference:
+    # The error estimates must stay far above rounding, or the two summation
+    # orders move later steps by more than the bounds: a loose rel_tol, a
+    # first attempt as long as the span (the controller shrinks into range
+    # rather than growing through tiny estimates) and no step cut short
+    # before an inner sample.
+    CONTROLS = OdeControls(rel_tol=1e-6, abs_tol=1e-9, initial_step=10.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dim=st.integers(1, 5),
+        t0=st.floats(-5.0, 5.0),
+        length=st.floats(0.05, 2.0),
+        omega_top=st.floats(0.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_linear_rhs_and_frequencies(self, dim, t0, length, omega_top, seed):
+        # integrate_ode(..., frequencies=omega) against the loop-form DP5 on
+        # the interaction-picture equation it stands for.
+        rng = np.random.default_rng(seed)
+        omega = rng.uniform(-omega_top, omega_top, dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a /= 2.0 * dim
+        y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        span = (t0, t0 + length)
+
+        ref_rhs, ref_calls = recorded(interaction_picture(lambda t, y: a @ y, omega))
+        a0 = y0 * np.exp(1j * omega * t0)
+        ref = reference_dp5(ref_rhs, a0, span, self.CONTROLS, length)
+        new_rhs, new_calls = recorded(lambda t, y: a @ y)
+        new = integrate_ode(new_rhs, y0, span, self.CONTROLS, length, omega)
+        assert len(new_calls) == len(ref_calls)
+        assert np.max(np.abs(np.array(new_calls) - np.array(ref_calls))) < 1e-9
+        assert np.array_equal(new.times, ref.times)
+        ref_lab = ref.states * np.exp(-1j * omega[None, :] * ref.times[:, None])
+        assert np.max(np.abs(new.states - ref_lab)) < 1e-12
 
 
 class TestCallPattern:

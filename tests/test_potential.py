@@ -5,6 +5,7 @@ trapezoid quadrature with direct exponential sums on a grid four times the
 production size; see the JSON's "oracle" field.
 """
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oamring.potential as potential
 from oamring.errors import ConfigurationError, ResolutionError
+from oamring.numerics import periodic_fourier_coefficients
 from oamring.potential import (
     FourierPotential,
     SystemParams,
@@ -31,6 +34,12 @@ RNG = np.random.default_rng(11)
 def golden_table():
     payload = json.loads((DATA / "golden_vk_k0rho1_ell1_eps0p1.json").read_text())
     return {int(k): complex(re, im) for k, (re, im) in payload["coefficients"].items()}
+
+
+def coefficients_on_grid(params, grid):
+    """V_k from V(phi) sampled on its own uniform grid of ``grid`` points."""
+    phi = 2.0 * np.pi * np.arange(grid) / grid
+    return periodic_fourier_coefficients(pair_potential(phi, params), params.k_max)
 
 
 def fig2_params(**kw):
@@ -123,14 +132,66 @@ class TestFourierSpectrum:
         assert abs(float(np.sum(np.abs(fp.coefficients) ** 2)) - mean_square) < 1e-8
 
     def test_grid_doubling_failure_names_harmonic(self, monkeypatch):
-        import oamring.potential as pot
-
-        monkeypatch.setattr(pot, "_quadrature_grid", lambda params: 256)
+        monkeypatch.setattr(potential, "_quadrature_grid", lambda params: 256)
         with pytest.raises(ResolutionError) as info:
             fourier_coefficients(
                 SystemParams(gamma=0.0, epsilon=0.01, k0_rho=1.0, ell=1)
             )
         assert "k=" in str(info.value)
+
+    def test_potential_is_sampled_once(self, monkeypatch):
+        calls = []
+
+        def counted(phi, params):
+            calls.append(np.shape(phi))
+            return pair_potential(phi, params)
+
+        monkeypatch.setattr(potential, "pair_potential", counted)
+        params = fig2_params()
+        fourier_coefficients(params)
+        assert calls == [(2 * potential._quadrature_grid(params),)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        epsilon=st.floats(0.01, 1.0),
+        k0_rho=st.floats(0.1, 12.0),
+        ell=st.integers(-5, 5),
+    )
+    def test_one_sampling_equals_two_grids_bitwise(self, epsilon, k0_rho, ell):
+        # The reference samples V(phi) on each grid separately; the even
+        # samples of the doubled grid must give the base grid's, bit for bit.
+        params = SystemParams(gamma=1.0, epsilon=epsilon, k0_rho=k0_rho, ell=ell)
+        base = potential._quadrature_grid(params)
+        want = [coefficients_on_grid(params, grid) for grid in (base, 2 * base)]
+        got = []
+
+        def recorded(samples, k_max):
+            got.append(periodic_fourier_coefficients(samples, k_max))
+            return got[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(potential, "periodic_fourier_coefficients", recorded)
+            with contextlib.suppress(ResolutionError):  # raised from got, too
+                fourier_coefficients(params)
+        assert len(got) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "overrides", [{"epsilon": 1e-9}, {"k0_rho": 1e6}], ids=["epsilon", "k_max"]
+    )
+    def test_oversized_grid_rejected_before_allocation(self, overrides):
+        # epsilon = 1e-9 would need a 2**36-point grid and k0_rho = 1e6 gives
+        # k_max ~ 2e6; both must stop before anything is sampled.
+        params = fig2_params(**overrides)
+        with pytest.raises(ConfigurationError) as info:
+            fourier_coefficients(params)
+        message = str(info.value)
+        assert f"epsilon={params.epsilon}" in message
+        assert f"k_max={params.k_max}" in message
+
+    def test_grid_limit_admits_the_stated_domain(self):
+        for params in (fig2_params(epsilon=6.2e-5), fig2_params(m_max=16384)):
+            assert potential._quadrature_grid(params) == 1 << 20
 
     def test_out_of_band_coefficient_rejected(self):
         fp = fourier_coefficients(fig2_params())

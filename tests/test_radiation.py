@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oamring.radiation as radiation
 from oamring.dynamics import StateVector, bunching
 from oamring.errors import ConfigurationError
 from oamring.numerics import bessel_j_orders
@@ -198,6 +201,36 @@ class TestTailBound:
         assert expansion_tail_bound(ell, k0_rho, theta, m_band) >= neglected
         # on the forward axis only the neglected J_0(0) = 1 channel remains
         assert expansion_tail_bound(ell, k0_rho, 0.0, m_band) == 1.0
+
+    def test_pattern_calls_the_bound_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expansion_tail_bound(*args)
+
+        monkeypatch.setattr(radiation, "expansion_tail_bound", counted)
+        pattern = far_field(bunching(uniform_state()), 1, 2.0, theta_count=181)
+        assert len(calls) == 1
+        assert pattern.tail_bound == expansion_tail_bound(*calls[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ell=st.integers(-8, 8),
+        k0_rho=st.floats(1e-3, 40.0),
+        m_band=st.integers(0, 12),
+        theta_count=st.integers(2, 200),
+    )
+    def test_one_call_equals_row_by_row_maximum(self, ell, k0_rho, m_band, theta_count):
+        # The reference is the bound at every theta row, maximized.
+        pattern = far_field(
+            bunching(uniform_state(6)), ell, k0_rho, theta_count, 2, m_band
+        )
+        rows = max(
+            expansion_tail_bound(ell, k0_rho, float(theta), m_band)
+            for theta in pattern.theta_grid
+        )
+        assert pattern.tail_bound == rows
 
 
 class TestPatternGrid:

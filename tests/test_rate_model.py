@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamring.rate_model as rate_model
-from oamring.errors import ConfigurationError
-from oamring.numerics import OdeControls
+from oamring.errors import ConfigurationError, ToleranceError
+from oamring.numerics import OdeControls, Trajectory
 from oamring.potential import SystemParams, fourier_coefficients, rate_coefficients
 from oamring.rate_model import (
     RateState,
+    _rate_rhs,
     evolve_rates,
-    phase_derivative,
-    rate_derivative,
     seeded_rate_state,
     two_state_analytic,
 )
@@ -26,6 +25,23 @@ def random_rate_state(m_max: int) -> RateState:
     pops = RNG.uniform(0.01, 1.0, m_max + 1)
     pops /= pops.sum()
     return RateState(tau=0.0, populations=pops, phases=np.zeros(m_max + 1))
+
+
+def stacked_rhs(state, g, alpha, gamma_v0):
+    """The rhs evolve_rates integrates, at the state: its first n rows are
+    the population rates, its last n rows the phase rates."""
+    n = state.populations.size
+    y = np.concatenate([state.populations, state.phases]).astype(complex)
+    out = _rate_rhs(n, g, alpha, gamma_v0)(state.tau, y)
+    return out[:n], out[n:]
+
+
+def rate_rows(state, g):
+    return stacked_rhs(state, g, np.zeros(len(g)), 0.0)[0]
+
+
+def phase_rows(state, alpha, gamma_v0):
+    return stacked_rhs(state, np.zeros(len(alpha)), alpha, gamma_v0)[1]
 
 
 def naive_rate_derivative(state, g):
@@ -66,26 +82,26 @@ class TestRateDerivative:
         g = np.array([0.0, 0.3])
         pops = np.array([0.7, 0.3, 0.0, 0.0])
         state = RateState(0.0, pops, np.zeros(4))
-        d = rate_derivative(state, g)
+        d = rate_rows(state, g)
         assert d[1] == pytest.approx(0.3 * 0.7 * 0.3, abs=1e-15)
         assert d[0] == pytest.approx(-0.3 * 0.7 * 0.3, abs=1e-15)
 
     def test_zero_rates_freeze_everything(self):
         state = random_rate_state(6)
-        assert np.all(rate_derivative(state, np.zeros(5)) == 0.0)
+        assert np.all(rate_rows(state, np.zeros(5)) == 0.0)
 
     def test_derivative_components_telescope(self):
         g = np.concatenate([[0.0], RNG.uniform(0.0, 1.0, 8)])
         for _ in range(25):
             state = random_rate_state(12)
-            assert abs(rate_derivative(state, g).sum()) < 1e-15
+            assert abs(rate_rows(state, g).sum()) < 1e-15
 
     def test_matches_naive_summation(self):
         g = np.concatenate([[0.0], RNG.uniform(0.0, 1.0, 6)])
         for _ in range(25):
             state = random_rate_state(10)
             assert np.max(
-                np.abs(rate_derivative(state, g) - naive_rate_derivative(state, g))
+                np.abs(rate_rows(state, g) - naive_rate_derivative(state, g))
             ) < 1e-14
 
 
@@ -112,7 +128,7 @@ class TestLadderProperties:
     def test_rates_match_naive_summation_and_conserve(self, excess, n_rungs, seed):
         rng, state, size = random_ladder(n_rungs, excess, seed)
         g = np.concatenate([[0.0], rng.uniform(0.0, 1.0, size - 1)])
-        got = rate_derivative(state, g)
+        got = rate_rows(state, g)
         assert np.max(np.abs(got - naive_rate_derivative(state, g))) < 1e-14
         assert abs(got.sum()) < 1e-15
 
@@ -123,7 +139,7 @@ class TestLadderProperties:
         rng, state, size = random_ladder(n_rungs, excess, seed)
         alpha = rng.normal(size=size)
         gamma_v0 = float(rng.normal())
-        got = phase_derivative(state, alpha, gamma_v0)
+        got = phase_rows(state, alpha, gamma_v0)
         want = naive_phase_derivative(state, alpha, gamma_v0)
         # The ladder sums agree to 1e-14; the rotor -m^2 (up to 529 here)
         # adds the rounding of one subtraction on each side.
@@ -133,30 +149,30 @@ class TestLadderProperties:
 class TestPhaseDerivative:
     def test_free_rotor_phases(self):
         state = random_rate_state(5)
-        d = phase_derivative(state, np.zeros(4), 0.0)
+        d = phase_rows(state, np.zeros(4), 0.0)
         assert np.array_equal(d, -np.arange(6.0) ** 2)
 
     def test_mean_field_offset_alone(self):
         pops = np.zeros(4)
         pops[0] = 1.0
         state = RateState(0.0, pops, np.zeros(4))
-        d = phase_derivative(state, np.zeros(3), 0.37)
+        d = phase_rows(state, np.zeros(3), 0.37)
         assert d[0] == -0.37
 
     def test_matches_naive_summation(self):
         alpha = np.concatenate([[0.5], RNG.normal(size=6)])
         for _ in range(25):
             state = random_rate_state(9)
-            got = phase_derivative(state, alpha, 0.9)
+            got = phase_rows(state, alpha, 0.9)
             want = naive_phase_derivative(state, alpha, 0.9)
             assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestEvolveRates:
     @LADDER_SHAPES
-    def test_stacked_rhs_matches_the_public_derivatives(self, monkeypatch, excess):
-        # evolve_rates' one stacked product must give exactly what the two
-        # public derivatives (checked against the naive sums) give.
+    def test_integrates_the_rate_rhs(self, monkeypatch, excess):
+        # evolve_rates must hand integrate_ode exactly the _rate_rhs that the
+        # naive-sum checks above pin.
         rng, state, size = random_ladder(21, excess, 3)
         g = np.concatenate([[0.0], rng.uniform(0.0, 1.0, size - 1)])
         alpha = rng.normal(size=size)
@@ -170,10 +186,32 @@ class TestEvolveRates:
         with pytest.raises(RuntimeError, match="captured"):
             evolve_rates(state, g, alpha, 0.7, tau_end=1.0)
         y = np.concatenate([state.populations, rng.normal(size=21)]).astype(complex)
-        got = captured["rhs"](0.0, y)
-        assert np.max(np.abs(got[:21] - rate_derivative(state, g))) < 1e-15
-        want = phase_derivative(state, alpha, 0.7)
-        assert np.all(np.abs(got[21:] - want) <= 1e-15 + 2 * np.spacing(np.abs(want)))
+        want = _rate_rhs(21, g, alpha, 0.7)(0.0, y)
+        assert np.array_equal(captured["rhs"](0.0, y), want)
+
+    @pytest.mark.parametrize(
+        "faults, named",
+        [
+            ({1: [0.5 + 2e-9, 0.25, 0.25], 3: [0.5 + 1e-6, 0.25, 0.25]},
+             "drift 2.000e-09 .* tau=1$"),
+            ({1: [0.75 + 2e-12, 0.25, -2e-12], 2: [0.5 + 1e-6, 0.25, 0.25]},
+             "N_2 = -2.000e-12 .* tau=1$"),
+            ({2: [0.751001, 0.25, -1e-3], 3: [1.25, 0.25, -0.5]},
+             "drift 1.000e-06 .* tau=2$"),
+        ],
+        ids=["drift-then-worse-drift", "negative-then-drift", "both-in-one-sample"],
+    )
+    def test_names_the_first_bad_sample(self, monkeypatch, faults, named):
+        # A synthetic trajectory whose first fault is not its worst one.
+        pops = np.tile([0.5, 0.25, 0.25], (5, 1))
+        for i, row in faults.items():
+            pops[i] = row
+        states = np.hstack([pops, np.zeros_like(pops)]).astype(complex)
+        fake = Trajectory(times=np.arange(5.0), states=states)
+        monkeypatch.setattr(rate_model, "integrate_ode", lambda *args: fake)
+        initial = RateState(0.0, pops[0], np.zeros(3))
+        with pytest.raises(ToleranceError, match=named):
+            evolve_rates(initial, np.zeros(3), np.zeros(3), 0.0, tau_end=4.0)
 
     def test_population_conserved(self):
         g = np.concatenate([[0.0], RNG.uniform(0.0, 0.4, 6)])
