@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .config import PRESETS, RunConfig, SCENARIOS, parse_config
 from .dynamics import (
+    NORM_TOL,
     BunchingSpectrum,
     StateVector,
     band_edge_occupancy,
@@ -342,14 +343,26 @@ def _json_int(payload: dict, key: str) -> int:
     return value
 
 
+def _json_real(value, key: str) -> float:
+    if type(value) not in (int, float):  # true would read as 1.0
+        raise TypeError(f"{key} entry {value!r} is not a JSON number")
+    return float(value)
+
+
+# A malformed input file: what json, the key lookups and the conversions raise.
+_BAD_JSON = (
+    OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
+)
+
+
 def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        real = np.array(payload["re"], dtype=float)
-        imag = np.array(payload["im"], dtype=float)
+        real = np.array([_json_real(v, "re") for v in payload["re"]])
+        imag = np.array([_json_real(v, "im") for v in payload["im"]])
         m_max = _json_int(payload, "m_max")
-        tau = float(payload.get("tau", 0.0))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        tau = _json_real(payload.get("tau", 0.0), "tau")
+    except _BAD_JSON as exc:
         raise ConfigurationError(f"cannot read state snapshot {path}: {exc}") from exc
     if not real.shape == imag.shape == (2 * m_max + 1,):
         raise ConfigurationError(f"snapshot {path} has inconsistent band")
@@ -360,7 +373,14 @@ def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
             f"snapshot band m_max={m_max} does not match params.m_max="
             f"{params.m_max}"
         )
-    return StateVector(tau=tau, amplitudes=real + 1j * imag)
+    amps = real + 1j * imag
+    # The far-field tail bound assumes a normalized state (|Phi_m| <= 1).
+    drift = abs(float((np.abs(amps) ** 2).sum()) - 1.0)
+    if drift > NORM_TOL:
+        raise ConfigurationError(
+            f"snapshot {path} norm is off by {drift:.3e}, past {NORM_TOL:.0e}"
+        )
+    return StateVector(tau=tau, amplitudes=amps)
 
 
 def _load_phi_list(path: Path) -> BunchingSpectrum:
@@ -368,8 +388,10 @@ def _load_phi_list(path: Path) -> BunchingSpectrum:
         payload = json.loads(path.read_text(encoding="utf-8"))
         band = _json_int(payload, "band")
         pairs = payload["coefficients"]
-        coeff = np.array([complex(re, im) for re, im in pairs])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        coeff = np.array(
+            [complex(_json_real(re, "re"), _json_real(im, "im")) for re, im in pairs]
+        )
+    except _BAD_JSON as exc:
         raise ConfigurationError(f"cannot read phi list {path}: {exc}") from exc
     if coeff.size != 2 * band + 1:
         raise ConfigurationError(
@@ -377,6 +399,12 @@ def _load_phi_list(path: Path) -> BunchingSpectrum:
         )
     if not np.isfinite(coeff).all():
         raise ConfigurationError(f"phi list {path} has non-finite coefficients")
+    # Bunching of a normalized state; the far-field tail bound relies on it.
+    top = float(np.abs(coeff).max())
+    if top > 1.0 + NORM_TOL:
+        raise ConfigurationError(
+            f"phi list {path} has |Phi_m| = {top:.6g} > 1 + {NORM_TOL:.0e}"
+        )
     return BunchingSpectrum(coefficients=coeff, band=band)
 
 

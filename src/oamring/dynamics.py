@@ -141,7 +141,9 @@ def _nonlinear_rhs(fp: FourierPotential) -> Callable[[float, np.ndarray], np.nda
     The returned function owns one zero-padded copy of the band.  Row j of
     its Toeplitz view is c shifted by j - k_max, so the rows dotted with
     conj(c) give Phi_k at index k + k_max, and the sum over k is the weights
-    in reverse order dotted with the rows.
+    in reverse order dotted with the rows.  Each call copies the view once
+    into a contiguous array for both products; numpy cannot hand the strided
+    view to BLAS and would otherwise copy it inside each ``dot``.
     """
     size = 2 * fp.params.m_max + 1
     k_max = fp.k_max
@@ -152,7 +154,8 @@ def _nonlinear_rhs(fp: FourierPotential) -> Callable[[float, np.ndarray], np.nda
 
     def rhs(tau: float, c: np.ndarray) -> np.ndarray:
         band[...] = c
-        return (weights * rows.dot(c.conj()))[::-1].dot(rows)
+        toeplitz = np.ascontiguousarray(rows)
+        return (weights * toeplitz.dot(c.conj()))[::-1].dot(toeplitz)
 
     return rhs
 

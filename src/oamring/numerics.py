@@ -175,6 +175,10 @@ def integrate_ode(
     Step control acts on a, ``rhs`` always sees y at the stage times, and the
     samples are y.
 
+    ``rhs`` is called once at the start and six times per attempted step, at
+    tau + c_i h.  Each call gets an array of its own that the integrator
+    never writes afterwards, so ``rhs`` may keep it.
+
     The step sequence is a pure function of the inputs, so repeated calls are
     bitwise reproducible.  A step whose error norm is not finite is rejected
     at the largest shrink, so a derivative that stays NaN or inf ends, like
@@ -198,12 +202,17 @@ def integrate_ode(
     # at (t + h, y_new).
     k = np.empty((7, y.size), dtype=complex)
     k_re = k.view(float)  # real coefficients act on re/im pairs alike
+    # h * _DP_A is written into ha once per attempt; stage i reads its node,
+    # its row of ha and the stages before it through views made here once.
+    ha = np.empty_like(_DP_A)
+    stages = [(i, _DP_C[i].item(), ha[i, :i], k_re[:i], k[i]) for i in range(1, 7)]
+    nodes = _DP_C[1:, None]
     rotating = frequencies is not None
     if rotating:
         i_omega = 1j * np.asarray(frequencies, dtype=float)
         phase = np.exp(i_omega * t)
         k[0] = phase * rhs(t, y)
-        y *= phase  # from here on y holds a = exp(i w t) y
+        y = y * phase  # a = exp(i w t) y from here on; rhs may keep the old y
     else:
         k[0] = rhs(t, y)
     times = [t0]
@@ -220,18 +229,17 @@ def integrate_ode(
         if h < underflow:
             raise IntegrationError("step size underflow", tau_last=t)
 
-        ha = h * _DP_A
+        np.multiply(h, _DP_A, out=ha)
         if rotating:  # row i - 1 goes with stage i
-            phases = np.exp(np.multiply.outer(t + _DP_C[1:] * h, i_omega))
+            phases = np.exp((t + nodes * h) * i_omega)
             unphases = phases.conj()
-        for i in range(1, 7):
-            y_stage = y + ha[i, :i].dot(k_re[:i]).view(complex)
-            t_stage = t + _DP_C[i] * h
+        for i, c_i, ha_i, k_before, k_i in stages:
+            y_stage = y + ha_i.dot(k_before).view(complex)
             if rotating:
-                f = rhs(t_stage, y_stage * unphases[i - 1])
-                np.multiply(phases[i - 1], f, out=k[i])
+                f = rhs(t + c_i * h, y_stage * unphases[i - 1])
+                np.multiply(phases[i - 1], f, out=k_i)
             else:
-                k[i] = rhs(t_stage, y_stage)
+                k_i[...] = rhs(t + c_i * h, y_stage)
         y_new = y_stage  # stage 7's input is the 5th-order solution
         abs_new = np.abs(y_new)
         err_vec = (h * _DP_ERR).dot(k_re).view(complex)

@@ -448,9 +448,21 @@ class TestExitCodes:
             ("phi_json", {"band": 1, "coefficients": [[0, 0], [1, 0], [float("nan"), 0]]}),
             ("state", {"m_max": 14.5, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29}),
             ("phi_json", {"band": 1.7, "coefficients": [[0, 0], [1, 0], [0, 0]]}),
+            ("state", {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14,
+                       "im": [0.0] * 29, "tau": True}),
+            ("state", {"m_max": 14, "re": [0.0] * 14 + [True] + [0.0] * 14,
+                       "im": [False] * 29}),
+            ("phi_json", {"band": 1, "coefficients": [[0, 0], [True, 0], [0, 0]]}),
+            ("state", {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 13 + [10**400],
+                       "im": [0.0] * 29}),
+            ("state", {"m_max": 14, "re": [0.0] * 14 + [2.0] + [0.0] * 14,
+                       "im": [0.0] * 29}),
+            ("phi_json", {"band": 1, "coefficients": [[0.75, 0.75], [1, 0], [0.75, -0.75]]}),
         ],
         ids=[
-            "short-im", "nan-re", "inf-im", "bad-tau", "nan-phi", "float-m_max", "float-band"
+            "short-im", "nan-re", "inf-im", "bad-tau", "nan-phi", "float-m_max", "float-band",
+            "bool-tau", "bool-re-im", "bool-phi", "huge-int-re", "norm-4-state",
+            "phi-above-one",
         ],
     )
     def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, kind, payload):

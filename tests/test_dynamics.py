@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oamring.dynamics as dynamics
 from oamring.dynamics import (
@@ -56,6 +57,23 @@ def naive_derivative(state, params, fp):
             total += fp.coefficient(k) * amp(m - k) * phi_k
         out[m + m_max] = -1j * m * m * amp(m) - 0.5j * params.gamma * total
     return out
+
+
+def reference_nonlinear_rhs(fp):
+    """The nonlinear kernel with both products on the strided Toeplitz view,
+    as it was before the view was copied once per call."""
+    size = 2 * fp.params.m_max + 1
+    k_max = fp.k_max
+    weights = (-0.5j * fp.params.gamma) * fp.coefficients
+    padded = np.zeros(size + 2 * k_max, dtype=complex)
+    band = padded[k_max : k_max + size]
+    rows = sliding_window_view(padded, size)  # rows[j, m] = c_{m + j - k_max}
+
+    def rhs(tau, c):
+        band[...] = c
+        return (weights * rows.dot(c.conj()))[::-1].dot(rows)
+
+    return rhs
 
 
 class TestInitialState:
@@ -156,6 +174,21 @@ class TestDerivative:
         params, fp = fig2_setup(m_max=m_max, k_max=k_max)
         slow = naive_derivative(state, params, fp)
         assert np.max(np.abs(derivative(state, fp) - slow)) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_the_strided_view_bitwise(self, data):
+        m_max = data.draw(st.integers(3, 24), label="m_max")
+        k_max = data.draw(st.integers(1, 2 * m_max), label="k_max")
+        parts = arrays(float, (3, 2, 2 * m_max + 1), elements=st.floats(-1.0, 1.0))
+        re, im = data.draw(parts, label="re, im").transpose(1, 0, 2)
+        amps = re + 1j * im
+        norms = np.linalg.norm(amps, axis=1)
+        assume(np.all(norms > 1e-3))
+        _, fp = fig2_setup(m_max=m_max, k_max=k_max)
+        fast, slow = dynamics._nonlinear_rhs(fp), reference_nonlinear_rhs(fp)
+        for c in amps / norms[:, None]:  # three calls: each reuses the band buffer
+            assert fast(0.0, c).tobytes() == slow(0.0, c).tobytes()
 
 
 class TestObservables:

@@ -356,6 +356,24 @@ def attempts(calls, t0):
     return start, h
 
 
+def kept(rhs):
+    """rhs plus the list of (array handed in, copy taken at the call)."""
+    seen = []
+
+    def wrapper(t, y):
+        seen.append((y, y.copy()))
+        return rhs(t, y)
+
+    return wrapper, seen
+
+
+def assert_fresh_and_kept(seen):
+    """Every call got its own array, and none changed after the call."""
+    assert len({id(y) for y, _ in seen}) == len(seen)
+    for y, at_call in seen:
+        assert y.tobytes() == at_call.tobytes()
+
+
 def step_counts(calls, t0) -> tuple[int, int]:
     """(accepted, rejected) attempts, from the times the rhs saw."""
     start, h = attempts(calls, t0)
@@ -509,3 +527,25 @@ class TestCallPattern:
         assert rejected >= 1 and accepted > rejected
         start, h = attempts(calls, span[0])
         assert start[-1] + h[-1] == pytest.approx(span[1], abs=1e-13)
+
+
+class TestRhsArguments:
+    """A caller's rhs may keep the arrays it is handed (perfbench's tracer
+    does), so the integrator hands each call a fresh array it never writes."""
+
+    @pytest.mark.parametrize("start", [0.0, 1.5])
+    def test_fig2(self, monkeypatch, start):
+        rhs, y0, _, controls, stride, omega = fig2_rotated_problem(monkeypatch, 2.0)
+        wrapped, seen = kept(rhs)
+        integrate_ode(wrapped, y0, (start, start + 2.0), controls, stride, omega)
+        assert len(seen) > 100
+        assert_fresh_and_kept(seen)
+
+    @pytest.mark.parametrize("frequencies", [None, np.array([50.0])])
+    def test_through_rejections(self, frequencies):
+        rhs, y0, _, controls, stride = stiff_problem()
+        recording, calls = recorded(rhs)
+        wrapped, seen = kept(recording)
+        integrate_ode(wrapped, y0, (0.5, 1.5), controls, stride, frequencies)
+        assert step_counts(calls, 0.5)[1] >= 1
+        assert_fresh_and_kept(seen)
