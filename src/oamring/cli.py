@@ -53,6 +53,10 @@ SEED_POLICY = (
 )
 
 
+# Most radii one spectrum run may sweep (fig1b sweeps 32); every radius is a
+# row of growth_rates.csv, summary.json and the manifest.
+_MAX_RADII = 1 << 16
+
 # Rows turned into Python values at a time: bounds the writer's memory, which
 # would otherwise hold every value of a 46k-row pattern as a Python float.
 _ROWS_PER_WRITE = 64
@@ -99,10 +103,14 @@ def _controls(options: dict) -> OdeControls:
     return OdeControls(**{f.name: options[f.name] for f in fields(OdeControls)})
 
 
-def _g_table(fp: FourierPotential, limit: int = 12) -> dict:
+# Harmonics k (and modes m) listed in the manifest's g_k and growth-rate tables.
+_TABLE_TOP = 12
+
+
+def _g_table(fp: FourierPotential) -> dict:
     g = rate_coefficients(fp)
-    top = min(limit, fp.k_max)
-    dominant = int(np.argmax(g[1:])) + 1 if fp.k_max >= 1 else 0
+    top = min(_TABLE_TOP, fp.k_max)
+    dominant = int(np.argmax(g[1:])) + 1
     return {
         "g_k": {str(k): float(g[k]) for k in range(1, top + 1)},
         "dominant_k": dominant,
@@ -110,8 +118,8 @@ def _g_table(fp: FourierPotential, limit: int = 12) -> dict:
     }
 
 
-def _lambda_summary(fp: FourierPotential, limit: int = 12) -> dict:
-    ms = np.arange(1, min(limit, fp.k_max) + 1)
+def _lambda_summary(fp: FourierPotential) -> dict:
+    ms = np.arange(1, min(_TABLE_TOP, fp.k_max) + 1)
     spec = spectrum(fp, ms)
     imax = int(np.argmax(spec.growth_rates))
     m_star = int(spec.modes[imax])
@@ -128,14 +136,11 @@ def _lambda_summary(fp: FourierPotential, limit: int = 12) -> dict:
 
 def _run_potential(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     params = config.params
-    count = config.options["samples"]
-    if count < 1:
-        raise ConfigurationError(f"potential.samples={count} must be >= 1")
     fp = fourier_coefficients(params)
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
 
-    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, config.options["samples"], endpoint=False)
     values = pair_potential(phis, params)
     _write_csv(out / "samples.csv", mhash, ["phi", "V"], [phis, values])
 
@@ -151,10 +156,14 @@ def _run_potential(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict
 
 def _run_spectrum(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     opts = config.options
-    step = opts["k0_rho_step"]
-    if not step > 0:
-        raise ConfigurationError("spectrum.k0_rho_step must be positive")
-    grid = np.arange(opts["k0_rho_min"], opts["k0_rho_max"] + 0.5 * step, step)
+    start, step = opts["k0_rho_min"], opts["k0_rho_step"]
+    stop = opts["k0_rho_max"] + 0.5 * step
+    if (stop - start) / step > _MAX_RADII:  # np.arange's length before its ceil
+        raise ConfigurationError(
+            f"spectrum grid from {start} to {opts['k0_rho_max']} at step {step} "
+            f"has more than {_MAX_RADII} radii"
+        )
+    grid = np.arange(start, stop, step)
     sweep = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
 
     header = ["k0_rho"] + [f"m_{int(m)}" for m in sweep.modes]
@@ -224,8 +233,6 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
             f"evolve.snapshot_k={opts['snapshot_k']} outside the bunching lags "
             f"1..{2 * params.m_max}"
         )
-    if opts["phi_band"] < 0:
-        raise ConfigurationError(f"evolve.phi_band={opts['phi_band']} must be >= 0")
     fp = fourier_coefficients(params)
     state0 = default_initial_state(
         params,
@@ -415,10 +422,6 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         raise ConfigurationError(
             "radiate needs exactly one input: radiate.state or radiate.phi_json"
         )
-    if opts["component_band"] < 0:
-        raise ConfigurationError(
-            f"radiate.component_band={opts['component_band']} must be >= 0"
-        )
     if opts["state"]:
         state = _load_snapshot(Path(opts["state"]), params)
         bunch = bunching(state)
@@ -445,11 +448,9 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     )
 
     comp_band = min(opts["component_band"], m_band)
-    comp_modes = pattern.component_modes
-    keep = np.abs(comp_modes) <= comp_band
-    header = ["theta", "total"] + [
-        f"I_ellp_{params.ell + int(m)}" for m in comp_modes[keep]
-    ]
+    keep = np.abs(pattern.component_modes) <= comp_band
+    comp_modes = pattern.component_modes[keep]
+    header = ["theta", "total"] + [f"I_ellp_{params.ell + int(m)}" for m in comp_modes]
     _write_csv(
         out / "avg_intensity.csv",
         mhash,
@@ -462,8 +463,7 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     i_eq = int(np.argmin(np.abs(pattern.theta_grid - np.pi / 2)))
     eq_weights = {
         str(params.ell + int(m)): float(w)
-        for m, w in zip(comp_modes, pattern.components[i_eq])
-        if abs(int(m)) <= comp_band
+        for m, w in zip(comp_modes, pattern.components[i_eq, keep])
     }
     lobes = count_lobes(intensity[i_eq])
     dominant = max(eq_weights, key=eq_weights.get)

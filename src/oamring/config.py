@@ -57,10 +57,28 @@ def _choice(*allowed: str):
     return convert
 
 
+def _within(converter, low, high=math.inf, *, above: bool = False):
+    """``converter``, then reject values below ``low`` (or equal to it, with
+    ``above``) and above ``high``."""
+
+    def convert(raw: str):
+        value = converter(raw)
+        if value < low or (above and value == low) or value > high:
+            raise ValueError(f"outside {'(' if above else '['}{low}, {high}]")
+        return value
+
+    return convert
+
+
+# Largest potential.samples; far past what a plot of V(phi) needs.
+_MAX_POTENTIAL_SAMPLES = 1 << 20
+
+
 # The step controls of both integrating scenarios, with OdeControls' defaults.
 _ODE_KEYS = {f.name: (_as_float, f.default) for f in fields(OdeControls)}
 
-# (converter, default) per key; this is the whole configuration surface.
+# (converter, default) per key; this is the whole configuration surface.  A
+# converter rejects a value outside the key's accepted range with ValueError.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "params": {
         "gamma": (_as_float, 0.2),
@@ -71,12 +89,12 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "k_max": (_as_int_or_auto, None),
     },
     "potential": {
-        "samples": (_as_int, 512),
+        "samples": (_within(_as_int, 1, _MAX_POTENTIAL_SAMPLES), 512),
     },
     "spectrum": {
         "k0_rho_min": (_as_float, 0.25),
         "k0_rho_max": (_as_float, 8.0),
-        "k0_rho_step": (_as_float, 0.25),
+        "k0_rho_step": (_within(_as_float, 0.0, above=True), 0.25),
         "m_lo": (_as_int, 1),
         "m_hi": (_as_int, 12),
     },
@@ -89,7 +107,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "snapshot": (_choice("final", "max_bunching"), "final"),
         "snapshot_k": (_as_int, 1),
         **_ODE_KEYS,
-        "phi_band": (_as_int, 8),
+        "phi_band": (_within(_as_int, 0), 8),
     },
     "rate": {
         "tau_end": (_as_float, 300.0),
@@ -105,7 +123,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "theta_count": (_as_int, 181),
         "phi_count": (_as_int, 256),
         "m_band": (_as_int_or_auto, None),
-        "component_band": (_as_int, 8),
+        "component_band": (_within(_as_int, 0), 8),
     },
 }
 
@@ -173,33 +191,29 @@ class RunConfig:
 
 
 def _parse_config_text(text: str) -> dict[str, str]:
-    """Key = value sections -> flat dict; unknown keys are rejected."""
+    """Key = value sections -> flat section.key dict."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigurationError(
-                f"unknown config section [{section}]; expected one of "
-                f"{sorted(_SCHEMA)}"
-            )
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigurationError(
-                    f"unknown key '{key}' in section [{section}]; allowed: "
-                    f"{sorted(_SCHEMA[section])}"
-                )
-            flat[f"{section}.{key}"] = raw
-    return flat
+    unknown = sorted(set(parser.sections()) - _SCHEMA.keys())
+    if unknown:  # checked here: an empty section adds no key to parse_config
+        raise ConfigurationError(
+            f"unknown config section {unknown}; expected one of {sorted(_SCHEMA)}"
+        )
+    return {
+        f"{section}.{key}": raw
+        for section in parser.sections()
+        for key, raw in parser.items(section)
+    }
 
 
 def _manifest_config_layer(
     path: Path, text: str
 ) -> tuple[dict[str, str], str | None, tuple]:
-    """Pull the resolved config (plus preset provenance) out of a manifest."""
+    """Pull the resolved config, its preset and the preset keys it overrode
+    out of a manifest."""
     try:
         block = json.loads(text)["reproducible"]
         flat, preset = block["config"], block.get("preset")
@@ -208,7 +222,7 @@ def _manifest_config_layer(
             raise TypeError("reproducible.config is not a mapping")
         keys_ok = all(isinstance(key, str) for key in overridden)
         if preset not in (None, *PRESETS) or not keys_ok:
-            raise TypeError("reproducible.preset provenance is malformed")
+            raise TypeError("reproducible.preset or its overridden keys are malformed")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path} is not a run manifest: {exc}") from exc
     # null entries mean "left at default"; omitting them reproduces that
@@ -226,9 +240,7 @@ def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
     return _parse_config_text(text), None, ()
 
 
-def _convert(dotted: str, raw: str):
-    section, _, key = dotted.partition(".")
-    converter = _SCHEMA[section][key][0]
+def _convert(converter, dotted: str, raw: str):
     try:
         value = converter(raw)
         if isinstance(value, float) and not math.isfinite(value):
@@ -256,64 +268,41 @@ def parse_config(
             f"unknown preset '{preset}'; available: {sorted(PRESETS)}"
         )
 
-    layers: list[tuple[str, dict[str, str]]] = []
-    inherited_preset: str | None = None
-    inherited_overrides: tuple = ()
-    if preset:
-        layers.append(("preset", PRESETS[preset]))
-    if config_path is not None:
-        file_layer, inherited_preset, inherited_overrides = _config_file_layer(
-            Path(config_path)
-        )
-        layers.append(("config", file_layer))
-    if overrides:
-        cli_layer: dict[str, str] = {}
-        for entry in overrides:
-            dotted, sep, raw = entry.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"--set expects section.key=value, got {entry!r}"
-                )
-            cli_layer[dotted.strip()] = raw.strip()
-        layers.append(("cli", cli_layer))
+    file_layer, inherited_preset, inherited_overrides = (
+        ({}, None, ()) if config_path is None else _config_file_layer(Path(config_path))
+    )
+    cli_layer: dict[str, str] = {}
+    for entry in overrides or ():
+        dotted, sep, raw = entry.partition("=")
+        if not sep:
+            raise ConfigurationError(f"--set expects section.key=value, got {entry!r}")
+        cli_layer[dotted.strip()] = raw.strip()
 
-    raw_values: dict[str, str] = {}
-    provenance: dict[str, str] = {}
-    for origin, layer in layers:
-        for dotted, raw in layer.items():
-            section, _, key = dotted.partition(".")
-            if section not in _SCHEMA or key not in _SCHEMA[section]:
-                raise ConfigurationError(f"unknown config key '{dotted}'")
-            raw_values[dotted] = raw
-            provenance[dotted] = origin
+    raw_values = {**PRESETS.get(preset, {}), **file_layer, **cli_layer}
+    for dotted in raw_values:
+        section, _, key = dotted.partition(".")
+        if key not in _SCHEMA.get(section, ()):
+            known = f"[{section}] keys" if section in _SCHEMA else "sections"
+            allowed = sorted(_SCHEMA.get(section, _SCHEMA))
+            raise ConfigurationError(
+                f"unknown config key '{dotted}'; {known}: {allowed}"
+            )
 
     resolved: dict = {}
     for section, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
+        for key, (conv, default) in keys.items():
             dotted = f"{section}.{key}"
-            if dotted in raw_values:
-                resolved[dotted] = _convert(dotted, raw_values[dotted])
-            else:
-                resolved[dotted] = default
+            raw = raw_values.get(dotted)
+            resolved[dotted] = default if raw is None else _convert(conv, dotted, raw)
 
-    # A manifest rerun is the same run: keep its preset provenance unless the
-    # caller names a preset explicitly.
-    effective_preset = preset or inherited_preset
+    # A manifest rerun is the same run: keep its preset and overridden keys
+    # unless the caller names a preset explicitly.
     if preset:
-        overridden = tuple(
-            sorted(
-                dotted
-                for dotted, origin in provenance.items()
-                if origin != "preset" and dotted in PRESETS[preset]
-            )
-        )
+        setters = file_layer.keys() | cli_layer.keys()
+        overridden = tuple(sorted(setters & PRESETS[preset].keys()))
     elif inherited_preset:
-        extra = {
-            dotted
-            for dotted, origin in provenance.items()
-            if origin == "cli" and dotted in PRESETS.get(inherited_preset, {})
-        }
-        overridden = tuple(sorted(set(inherited_overrides) | extra))
+        extra = cli_layer.keys() & PRESETS[inherited_preset].keys()
+        overridden = tuple(sorted(extra.union(inherited_overrides)))
     else:
         overridden = ()
 
@@ -329,15 +318,13 @@ def parse_config(
     resolved["params.m_max"] = params.m_max
     resolved["params.k_max"] = params.k_max
 
-    options = {
-        key: resolved[f"{scenario}.{key}"] for key in _SCHEMA[scenario]
-    }
+    options = {key: resolved[f"{scenario}.{key}"] for key in _SCHEMA[scenario]}
     return RunConfig(
         scenario=scenario,
         params=params,
         options=options,
         output_dir=Path(output_dir),
-        preset=effective_preset,
+        preset=preset or inherited_preset,
         resolved=resolved,
         overridden_preset_keys=overridden,
     )

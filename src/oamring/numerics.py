@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 _OVERFLOW_GUARD = 1e250
+# Most samples one integrate_ode call may record (every preset needs at most
+# 1,201); each sample keeps a copy of the state.
+_MAX_SAMPLES = 1 << 20
 
 
 def bessel_j_orders(n_max: int, x) -> np.ndarray:
@@ -163,7 +166,8 @@ def integrate_ode(
     """Integrate dy/dtau = -i diag(frequencies) y + rhs(tau, y) with an
     adaptive Dormand-Prince 5(4) pair and PI step-size control, sampling the
     solution every ``sample_stride`` time units (the final time is always
-    sampled).
+    sampled).  A span that needs more than 2**20 samples is a
+    ConfigurationError, raised before the first step.
 
     Without ``frequencies`` the equation is dy/dtau = rhs(tau, y) and no phase
     work is done.  With real ``frequencies`` w the linear part is solved
@@ -192,10 +196,15 @@ def integrate_ode(
     if not sample_stride > 0.0:
         raise ConfigurationError("sample_stride must be positive")
 
+    n_inner = (t1 - t0) / sample_stride - 1e-12
+    if not n_inner <= _MAX_SAMPLES:
+        raise ConfigurationError(
+            f"span ({t0}, {t1}) at stride {sample_stride} needs more than "
+            f"{_MAX_SAMPLES} samples"
+        )
+    last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
+
     y = np.asarray(y0, dtype=complex).copy()
-    n_inner = int(math.ceil((t1 - t0) / sample_stride - 1e-12))
-    sample_times = [t0 + i * sample_stride for i in range(1, n_inner)]
-    sample_times.append(t1)
 
     t = t0
     # One row per stage; row 0 holds the derivative at (t, y), row 6 the one
@@ -224,7 +233,7 @@ def integrate_ode(
     next_sample = 0
 
     while t < t1:
-        target = sample_times[next_sample]
+        target = t1 if next_sample == last else t0 + (next_sample + 1) * sample_stride
         h = min(h, controls.max_step, target - t)
         if h < underflow:
             raise IntegrationError("step size underflow", tau_last=t)
@@ -264,7 +273,7 @@ def integrate_ode(
                 times.append(target)
                 states.append(y.copy())
                 next_sample += 1
-                if next_sample >= len(sample_times):
+                if next_sample > last:
                     break
         else:
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)

@@ -36,6 +36,10 @@ __all__ = [
 # (-i)^n cycles with period four; table lookup keeps the factor exact.
 _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 
+# Most (theta, phi) points one pattern may have: a 1024 x 1024 grid, whose
+# complex field alone takes 16 MiB.
+_MAX_PATTERN_POINTS = 1 << 20
+
 
 def _channel_weights(
     bunch: BunchingSpectrum, ell: int, x: np.ndarray, m_band: int | None
@@ -154,11 +158,16 @@ def pattern_from_bunching(
 ) -> RadiationPattern:
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
-    theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open.  One
-    channel-weight pass covers every theta row.
+    theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open, with at most
+    2**20 points in all.  One channel-weight pass covers every theta row.
     """
     if theta_count < 2 or phi_count < 2:
         raise ConfigurationError("grid needs at least 2 points per axis")
+    if theta_count * phi_count > _MAX_PATTERN_POINTS:
+        raise ConfigurationError(
+            f"a {theta_count} x {phi_count} grid is past the limit of "
+            f"{_MAX_PATTERN_POINTS} points"
+        )
     theta_grid = np.linspace(0.0, np.pi, theta_count)
     phi_grid = np.linspace(0.0, 2.0 * np.pi, phi_count, endpoint=False)
     x = params.k0_rho * np.sin(theta_grid)

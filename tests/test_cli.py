@@ -2,12 +2,16 @@
 reproducibility, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamring
 from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_csv, main
 from oamring.config import PRESETS, parse_config
 from oamring.dynamics import (
@@ -31,6 +35,31 @@ QUICK_EVOLVE = [
 
 def read_manifest(out: Path) -> dict:
     return json.loads((out / "manifest.json").read_text())
+
+
+# Address space of a capped CLI child: room for the interpreter and numpy, while
+# an allocation sized by an unchecked input fails there instead of exhausting
+# the host.
+ADDRESS_CAP = 2 << 30
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from oamring.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_capped(args: list[str]) -> tuple[int, str]:
+    """Run the CLI in a child process under ADDRESS_CAP and return its exit
+    code and stderr.  One BLAS thread keeps numpy's import under the cap on
+    hosts with many cores."""
+    src = str(Path(oamring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, str(ADDRESS_CAP), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return child.returncode, child.stderr
 
 
 def _fmt(value) -> str:
@@ -102,6 +131,68 @@ class TestParseConfig:
             parse_config("evolve", overrides=["nosuch.key=1"])
         with pytest.raises(ConfigurationError):
             parse_config("evolve", overrides=["params.bogus=1"])
+
+    def test_empty_unknown_section_rejected(self, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("[nosuch]\n")
+        with pytest.raises(ConfigurationError) as info:
+            parse_config("evolve", config_path=conf)
+        assert "nosuch" in str(info.value)
+
+    # The INI file sets a fig2 key (gamma) and a key of no preset (phi_band);
+    # the manifest of a fig4 run carries the preset and the keys it overrode.
+    PROVENANCE_INI = "[params]\ngamma = 0.07\n\n[evolve]\nphi_band = 6\n"
+    PROVENANCE_MANIFEST = {
+        "reproducible": {
+            "config": {"params.epsilon": 0.2, "params.gamma": 0.2},
+            "preset": "fig4",
+            "overridden_preset_keys": ["params.epsilon"],
+        }
+    }
+
+    @pytest.mark.parametrize(
+        "preset, source, override, want_preset, want_keys",
+        [
+            (None, None, None, None, ()),
+            (None, None, "params.k0_rho=1.5", None, ()),
+            (None, None, "evolve.phi_band=5", None, ()),
+            (None, "ini", None, None, ()),
+            (None, "ini", "params.k0_rho=1.5", None, ()),
+            (None, "ini", "evolve.phi_band=5", None, ()),
+            (None, "manifest", None, "fig4", ("params.epsilon",)),
+            (None, "manifest", "params.k0_rho=1.5", "fig4",
+             ("params.epsilon", "params.k0_rho")),
+            (None, "manifest", "evolve.phi_band=5", "fig4", ("params.epsilon",)),
+            ("fig2", None, None, "fig2", ()),
+            ("fig2", None, "params.k0_rho=1.5", "fig2", ("params.k0_rho",)),
+            ("fig2", None, "evolve.phi_band=5", "fig2", ()),
+            ("fig2", "ini", None, "fig2", ("params.gamma",)),
+            ("fig2", "ini", "params.k0_rho=1.5", "fig2",
+             ("params.gamma", "params.k0_rho")),
+            ("fig2", "ini", "evolve.phi_band=5", "fig2", ("params.gamma",)),
+            ("fig2", "manifest", None, "fig2", ("params.epsilon", "params.gamma")),
+            ("fig2", "manifest", "params.k0_rho=1.5", "fig2",
+             ("params.epsilon", "params.gamma", "params.k0_rho")),
+            ("fig2", "manifest", "evolve.phi_band=5", "fig2",
+             ("params.epsilon", "params.gamma")),
+        ],
+    )
+    def test_preset_provenance_table(
+        self, tmp_path, preset, source, override, want_preset, want_keys
+    ):
+        path = None
+        if source == "ini":
+            path = tmp_path / "run.conf"
+            path.write_text(self.PROVENANCE_INI)
+        elif source == "manifest":
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps(self.PROVENANCE_MANIFEST))
+        cfg = parse_config(
+            "evolve", config_path=path, preset=preset,
+            overrides=[override] if override else None,
+        )
+        assert cfg.preset == want_preset
+        assert cfg.overridden_preset_keys == want_keys
 
     def test_type_mismatch_rejected_with_name(self):
         with pytest.raises(ConfigurationError) as info:
@@ -377,6 +468,54 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("potential", "potential.samples=0"),
+            ("spectrum", "spectrum.k0_rho_step=0"),
+            ("spectrum", "spectrum.k0_rho_step=-0.25"),
+            ("evolve", "evolve.phi_band=-1"),
+            ("radiate", "radiate.component_band=-1"),
+            ("evolve", "potential.samples=0"),  # another scenario's key
+        ],
+    )
+    def test_out_of_range_value_exits_two_before_writing(
+        self, tmp_path, capsys, scenario, override
+    ):
+        out = tmp_path / "new"
+        assert main([scenario, "--out", str(out), "--set", override]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
+        assert override.partition("=")[0] in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["potential", "--set", "potential.samples=1000000000000"],
+             "potential.samples"),
+            (["spectrum", "--set", "spectrum.k0_rho_step=1e-12"], "radii"),
+            (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
+            (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
+            (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
+              "--set", "radiate.phi_count=100000"], "100000 x 100000"),
+        ],
+        ids=["potential-samples", "spectrum-radii", "evolve-samples", "rate-samples",
+             "radiate-grid"],
+    )
+    def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
+        if args[0] == "radiate":
+            phi_file = tmp_path / "phi.json"
+            phi_file.write_text(
+                json.dumps({"band": 1, "coefficients": [[0, 0], [1, 0], [0, 0]]})
+            )
+            args = args + ["--set", f"radiate.phi_json={phi_file}"]
+        rc, err = run_capped(args + ["--out", str(tmp_path / "out")])
+        assert rc == 2, err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
+        assert named in record["message"]
 
     @pytest.mark.parametrize(
         "write",

@@ -199,6 +199,22 @@ class TestIntegrator:
         )
         assert np.allclose(traj.times, np.arange(0.0, 2.01, 0.25), atol=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t0=st.floats(-50.0, 50.0),
+        stride=st.floats(0.01, 5.0),
+        count=st.integers(1, 200),
+        fraction=st.floats(0.05, 0.95),
+    )
+    def test_sample_times_match_the_list_form(self, t0, stride, count, fraction):
+        t1 = t0 + stride * (count - 1 + fraction)
+        n_inner = int(math.ceil((t1 - t0) / stride - 1e-12))
+        want = [t0] + [t0 + i * stride for i in range(1, n_inner)] + [t1]
+        traj = integrate_ode(
+            lambda t, y: np.zeros_like(y), np.ones(1), (t0, t1), sample_stride=stride
+        )
+        assert traj.times.tolist() == want
+
     def test_underflow_reports_last_good_tau(self):
         def blows_up(t, y):
             return y / (1.0 - t)
