@@ -18,8 +18,7 @@ from .dynamics import (
     default_initial_state,
     derivative,
     evolve,
-    mean_angular_velocity,
-    populations,
+    observables,
 )
 from .numerics import OdeControls, Trajectory, integrate_ode
 from .potential import (
@@ -55,9 +54,8 @@ __all__ = [
     "field_quadrature",
     "fourier_coefficients",
     "integrate_ode",
-    "mean_angular_velocity",
+    "observables",
     "pair_potential",
-    "populations",
     "rate_coefficients",
     "spectrum",
     "spectrum_sweep",

@@ -25,12 +25,11 @@ from .dynamics import (
     NORM_TOL,
     BunchingSpectrum,
     StateVector,
-    band_edge_occupancy,
     bunching,
-    bunching_series,
     default_initial_state,
     evolve,
     modes,
+    observables,
 )
 from .errors import ConfigurationError, OamringError, ToleranceError
 from .numerics import OdeControls, Trajectory
@@ -198,27 +197,16 @@ def _timeseries(
     N_m, Re and Im of Phi_0..Phi_phi_band, <omega>), its largest norm drift
     and band-edge occupancy, and the index of the sample with the largest
     |Phi_snapshot_k| (the last sample when snapshot_k is None)."""
-    states = traj.states
-    band = modes((states.shape[1] - 1) // 2)
-    pops = np.abs(states) ** 2
-    drift = np.abs(pops.sum(axis=1) - 1.0)
-    phis = bunching_series(states, max(phi_band, snapshot_k or 0))
+    obs = observables(traj.states, max(phi_band, snapshot_k or 0))
+    phis = obs.phi[:, : phi_band + 1]
     table = np.column_stack(
-        [
-            traj.times,
-            drift,
-            pops,
-            phis[:, : phi_band + 1].real,
-            phis[:, : phi_band + 1].imag,
-            (band * pops).sum(axis=1),
-        ]
+        [traj.times, obs.drift, obs.populations, phis.real, phis.imag, obs.mean_omega]
     )
     if snapshot_k is None:
         snap_index = len(traj.times) - 1
     else:
-        snap_index = int(np.argmax(np.abs(phis[:, snapshot_k])))
-    edge_max = float(band_edge_occupancy(states).max())
-    return table, float(drift.max()), edge_max, snap_index
+        snap_index = int(np.argmax(np.abs(obs.phi[:, snapshot_k])))
+    return table, float(obs.drift.max()), float(obs.edge.max()), snap_index
 
 
 def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
@@ -382,7 +370,7 @@ def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
         )
     amps = real + 1j * imag
     # The far-field tail bound assumes a normalized state (|Phi_m| <= 1).
-    drift = abs(float((np.abs(amps) ** 2).sum()) - 1.0)
+    drift = float(observables(amps, 0).drift)
     if drift > NORM_TOL:
         raise ConfigurationError(
             f"snapshot {path} norm is off by {drift:.3e}, past {NORM_TOL:.0e}"

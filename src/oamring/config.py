@@ -192,7 +192,10 @@ class RunConfig:
 
 def _parse_config_text(text: str) -> dict[str, str]:
     """Key = value sections -> flat section.key dict."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so a [DEFAULT] section is parsed
+    # as an ordinary one and rejected below instead of leaking its keys into
+    # every other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:

@@ -30,16 +30,14 @@ from .potential import FourierPotential, SystemParams
 
 __all__ = [
     "BunchingSpectrum",
+    "Observables",
     "StateVector",
-    "band_edge_occupancy",
     "bunching",
-    "bunching_series",
     "default_initial_state",
     "derivative",
     "evolve",
-    "mean_angular_velocity",
     "modes",
-    "populations",
+    "observables",
 ]
 
 NORM_TOL = 1e-8
@@ -77,24 +75,39 @@ class StateVector:
 class BunchingSpectrum:
     """Azimuthal bunching Phi_m = sum_n conj(c_{n-m}) c_n for |m| <= band."""
 
-    coefficients: np.ndarray
+    coefficients: np.ndarray  # Phi_m at index m + band
     band: int
 
-    def coefficient(self, m: int) -> complex:
-        if abs(m) > self.band:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[m + self.band])
+
+@dataclass(frozen=True)
+class Observables:
+    """One value per state of amplitudes shaped (..., size); ``populations``
+    keeps the band axis and ``phi`` ends in a lag axis of k_top + 1."""
+
+    drift: np.ndarray  # norm drift |sum_m N_m - 1|
+    edge: np.ndarray  # population in the outer ~10% of the band, both edges
+    populations: np.ndarray  # N_m = |c_m|^2 in band order
+    phi: np.ndarray  # bunching Phi_0 .. Phi_k_top
+    mean_omega: np.ndarray  # <omega> = sum_m m N_m, in angular recoil units
 
 
-def band_edge_occupancy(amplitudes: np.ndarray) -> float | np.ndarray:
-    """Population in the outer ~10% of the band (split across both edges).
-
-    The band is the last axis, so a (T, size) trajectory gives T values.
-    """
-    size = amplitudes.shape[-1]
+def observables(states: np.ndarray, k_top: int) -> Observables:
+    """Observables of amplitudes whose last axis is the band, so (size,),
+    (T, size) and (B, T, size) arrays all work.  Phi_k sums
+    conj(c_{n-k}) c_n over in-band n, for k = 0 .. k_top."""
+    size = states.shape[-1]
+    pops = np.abs(states) ** 2
     n_side = max(1, int(0.05 * size + 0.5))
-    pops = np.abs(amplitudes) ** 2
-    return pops[..., :n_side].sum(axis=-1) + pops[..., -n_side:].sum(axis=-1)
+    phi = np.empty(states.shape[:-1] + (k_top + 1,), dtype=complex)
+    for k in range(k_top + 1):
+        phi[..., k] = (np.conj(states[..., : size - k]) * states[..., k:]).sum(axis=-1)
+    return Observables(
+        drift=np.abs(pops.sum(axis=-1) - 1.0),
+        edge=pops[..., :n_side].sum(axis=-1) + pops[..., -n_side:].sum(axis=-1),
+        populations=pops,
+        phi=phi,
+        mean_omega=(modes((size - 1) // 2) * pops).sum(axis=-1),
+    )
 
 
 def default_initial_state(
@@ -180,45 +193,25 @@ def derivative(state: StateVector, fp: FourierPotential) -> np.ndarray:
 def bunching(state: StateVector) -> BunchingSpectrum:
     """Bunching coefficients over every lag the band supports."""
     c = state.amplitudes
-    corr = np.correlate(c, c, "full")  # sum_j conj(c_j) c_{j+k} at index k + size - 1
-    return BunchingSpectrum(coefficients=corr, band=c.size - 1)
-
-
-def bunching_series(states: np.ndarray, k_top: int) -> np.ndarray:
-    """Phi_0 .. Phi_k_top of every row of a (T, size) array of amplitudes."""
-    size = states.shape[-1]
-    out = np.empty(states.shape[:-1] + (k_top + 1,), dtype=complex)
-    for k in range(k_top + 1):
-        out[..., k] = (np.conj(states[..., : size - k]) * states[..., k:]).sum(axis=-1)
-    return out
-
-
-def populations(state: StateVector) -> np.ndarray:
-    """Mode populations N_m = |c_m|^2 in band order."""
-    return np.abs(state.amplitudes) ** 2
-
-
-def mean_angular_velocity(state: StateVector) -> float:
-    """<omega> = sum_m m N_m in units of the angular recoil frequency."""
-    return float(np.sum(modes(state.m_max) * populations(state)))
+    phi = observables(c, c.size - 1).phi
+    return BunchingSpectrum(np.concatenate([phi[:0:-1].conj(), phi]), band=c.size - 1)
 
 
 def _check_samples(times: np.ndarray, states: np.ndarray) -> None:
     """Raise at the first sample whose norm drift or band-edge occupancy is
     past tolerance; the drift is checked first within a sample."""
-    drift = np.abs((np.abs(states) ** 2).sum(axis=-1) - 1.0)
-    edge = band_edge_occupancy(states)
-    bad = np.nonzero((drift > NORM_TOL) | (edge > EDGE_TOL))[0]
+    obs = observables(states, 0)
+    bad = np.nonzero((obs.drift > NORM_TOL) | (obs.edge > EDGE_TOL))[0]
     if bad.size == 0:
         return
     i = bad[0]
     tau = float(times[i])
-    if drift[i] > NORM_TOL:
+    if obs.drift[i] > NORM_TOL:
         raise ToleranceError(
-            f"norm drift {drift[i]:.3e} exceeds {NORM_TOL:.0e} at tau={tau:.6g}"
+            f"norm drift {obs.drift[i]:.3e} exceeds {NORM_TOL:.0e} at tau={tau:.6g}"
         )
     raise TruncationError(
-        f"band-edge occupancy {edge[i]:.3e} exceeds {EDGE_TOL:.0e} at "
+        f"band-edge occupancy {obs.edge[i]:.3e} exceeds {EDGE_TOL:.0e} at "
         f"tau={tau:.6g}; increase m_max"
     )
 

@@ -203,6 +203,9 @@ def integrate_ode(
             f"{_MAX_SAMPLES} samples"
         )
     last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
+    underflow = 1e-14 * max(1.0, abs(t1))
+    if last and t1 - (t0 + last * sample_stride) < underflow:
+        last -= 1  # t1 is nearer the last inner sample than any step: merge them
 
     y = np.asarray(y0, dtype=complex).copy()
 
@@ -229,7 +232,6 @@ def integrate_ode(
     abs_y = np.abs(y)
     h = min(controls.initial_step, controls.max_step, t1 - t0)
     fac_old = 1e-4
-    underflow = 1e-14 * max(1.0, abs(t1))
     next_sample = 0
 
     while t < t1:

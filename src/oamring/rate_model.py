@@ -165,16 +165,19 @@ def evolve_rates(
 
 
 def two_state_analytic(g_k: float, seed_population: float, tau: float) -> tuple[float, float]:
-    """Closed-form single-channel transition (N_0, N_k) at time tau.
+    """Closed-form single-channel transition (N_0, N_k) at time tau >= 0.
 
-    N_{0,k} = (1/2) {1 -/+ tanh[g_k (tau - tau_0) / 2]} with the delay
-    tau_0 = ln(2 / sqrt(N_k(0))) / g_k.  The pair sums to 1 exactly.
+    The logistic N_k = s / (s + (1 - s) exp(-g_k tau)), N_0 = 1 - N_k, solves
+    dN_k/dtau = g_k N_0 N_k from N_k(0) = s, the seed population, and equals
+    (1/2) {1 + tanh[g_k (tau - tau_0) / 2]} with the delay
+    tau_0 = ln((1 - s) / s) / g_k.  The pair sums to 1 exactly.
     """
     if not g_k > 0.0:
         raise ConfigurationError("two-state solution needs g_k > 0")
     if not 0.0 < seed_population < 1.0:
         raise ConfigurationError("seed population must lie in (0, 1)")
-    tau_0 = math.log(2.0 / math.sqrt(seed_population)) / g_k
-    t = math.tanh(0.5 * g_k * (tau - tau_0))
-    n_k = 0.5 * (1.0 + t)
+    if not tau >= 0.0:  # exp(-g_k tau) would overflow far enough back
+        raise ConfigurationError(f"two-state solution needs tau >= 0, got {tau}")
+    s = seed_population
+    n_k = s / (s + (1.0 - s) * math.exp(-g_k * tau))
     return 1.0 - n_k, n_k

@@ -14,18 +14,12 @@ import pytest
 import oamring
 from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_csv, main
 from oamring.config import PRESETS, parse_config
-from oamring.dynamics import (
-    StateVector,
-    band_edge_occupancy,
-    bunching,
-    default_initial_state,
-    evolve,
-    mean_angular_velocity,
-    populations,
-)
+from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
 from oamring.potential import fourier_coefficients
+
+from test_dynamics import naive_bunching
 
 QUICK_EVOLVE = [
     "--set", "evolve.tau_end=20",
@@ -247,6 +241,20 @@ class TestArtifacts:
         manifest = read_manifest(tmp_path)
         assert manifest["reproducible"]["derived"]["single_channel_k"] == 6
 
+    def test_rate_overlay_follows_the_integrated_channel(self, tmp_path):
+        # The closed form starts from the run's seed, so it tracks N_0 and
+        # N_6 through the whole transfer, not just its shape.
+        rc = main(["rate", "--preset", "fig3", "--out", str(tmp_path),
+                   "--set", "rate.channel=6"])
+        assert rc == 0
+        lines = (tmp_path / "rates.csv").read_text().splitlines()
+        col = {name: i for i, name in enumerate(lines[1].split(","))}
+        data = np.loadtxt(lines[2:], delimiter=",")
+        done = int(np.nonzero(data[:, col["N_6"]] >= 0.99)[0][0])
+        rows = data[: done + 1]
+        assert np.max(np.abs(rows[:, col["N0_analytic"]] - rows[:, col["N_0"]])) < 5e-4
+        assert np.max(np.abs(rows[:, col["Nk_analytic"]] - rows[:, col["N_6"]])) < 5e-4
+
     def test_rate_multi_channel_has_no_overlay(self, tmp_path):
         rc = main(["rate", "--preset", "fig3", "--out", str(tmp_path),
                    "--set", "rate.tau_end=10"])
@@ -336,7 +344,8 @@ class TestArtifacts:
 
 
 class TestTimeseries:
-    """The array-form timeseries against the per-sample observables."""
+    """The array-form timeseries against per-sample values and the double-loop
+    bunching."""
 
     @pytest.fixture(scope="class")
     def traj(self):
@@ -348,30 +357,27 @@ class TestTimeseries:
         phi_band = 8
         table, drift_max, edge_max, _ = _timeseries(traj, phi_band, None)
         assert table.shape[0] == len(traj.times)
+        band = modes((traj.states.shape[1] - 1) // 2)
         drifts, edges = [], []
         for row, tau, amps in zip(table, traj.times, traj.states):
-            state = StateVector(tau=float(tau), amplitudes=amps)
-            drift = abs(populations(state).sum() - 1.0)
-            bunch = bunching(state)
-            phis = np.array([bunch.coefficient(k) for k in range(phi_band + 1)])
+            pops = np.abs(amps) ** 2
+            drift = abs(pops.sum() - 1.0)
+            phis = naive_bunching(amps, phi_band)
             want = np.concatenate(
-                [[tau, drift], populations(state), phis.real, phis.imag,
-                 [mean_angular_velocity(state)]]
+                [[tau, drift], pops, phis.real, phis.imag, [np.sum(band * pops)]]
             )
             assert np.max(np.abs(row - want)) < 1e-15
             drifts.append(drift)
-            edges.append(band_edge_occupancy(amps))
+            edges.append(observables(amps, 0).edge)
         assert abs(drift_max - max(drifts)) < 1e-15
         assert edge_max == max(edges)
 
     def test_snapshot_index_is_first_largest_bunching(self, traj):
         size = traj.states.shape[1]
         assert _timeseries(traj, 8, None)[3] == len(traj.times) - 1
+        slow = np.abs([naive_bunching(amps, size - 1) for amps in traj.states])
         for k in range(size):
-            metrics = [
-                abs(bunching(StateVector(0.0, amps)).coefficient(k))
-                for amps in traj.states
-            ]
+            metrics = slow[:, k].tolist()
             best, index = -1.0, None
             for i, metric in enumerate(metrics):
                 if metric > best:
@@ -540,6 +546,20 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
         assert str(path) in record["message"]
+
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\ngamma = 0.3\n", "[DEFAULT]\ngamma = 0.3\n[params]\nell = 1\n"]
+    )
+    def test_default_section_exits_two(self, tmp_path, capsys, text):
+        # configparser would hand [DEFAULT] keys to every section unchecked.
+        path = tmp_path / "run.conf"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["potential", "--preset", "fig2", "--out", str(out), "--config", str(path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and "DEFAULT" in record["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("lag", [0, 29])  # the default band has 2*m_max = 28
     def test_snapshot_lag_outside_band_exits_two(self, tmp_path, capsys, lag):

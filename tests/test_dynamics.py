@@ -11,14 +11,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 import oamring.dynamics as dynamics
 from oamring.dynamics import (
     StateVector,
-    band_edge_occupancy,
     bunching,
     default_initial_state,
     derivative,
     evolve,
-    mean_angular_velocity,
     modes,
-    populations,
+    observables,
 )
 from oamring.errors import ConfigurationError, ToleranceError, TruncationError
 
@@ -59,6 +57,17 @@ def naive_derivative(state, params, fp):
     return out
 
 
+def naive_bunching(amps, k_top):
+    """Phi_0 .. Phi_k_top of one band by a direct double loop:
+    Phi_k = sum_n conj(c_{n-k}) c_n over the n with both modes in band."""
+    size = len(amps)
+    out = np.zeros(k_top + 1, dtype=complex)
+    for k in range(k_top + 1):
+        for n in range(k, size):
+            out[k] += np.conj(amps[n - k]) * amps[n]
+    return out
+
+
 def reference_nonlinear_rhs(fp):
     """The nonlinear kernel with both products on the strided Toeplitz view,
     as it was before the view was copied once per call."""
@@ -92,7 +101,7 @@ class TestInitialState:
         params, _ = fig2_setup()
         seed = 1e-4
         state = default_initial_state(params, seed_amplitude=seed)
-        n0 = populations(state)[params.m_max]
+        n0 = observables(state.amplitudes, 0).populations[params.m_max]
         assert abs(n0 - (1.0 - 2.0 * params.m_max * seed**2)) < 1e-15
 
     def test_random_mode_seeded(self):
@@ -195,48 +204,66 @@ class TestObservables:
     def test_uniform_condensate_bunching_is_delta(self):
         amps = np.zeros(9, dtype=complex)
         amps[4] = 1.0
-        spec = bunching(StateVector(0.0, amps))
-        assert spec.coefficient(0) == 1.0
-        assert max(abs(spec.coefficient(m)) for m in range(1, 9)) == 0.0
+        phi = observables(amps, 8).phi
+        assert phi[0] == 1.0
+        assert np.max(np.abs(phi[1:])) == 0.0
 
     def test_two_mode_superposition_values(self):
         amps = np.zeros(9, dtype=complex)
         amps[4] = amps[5] = 1.0 / np.sqrt(2.0)
         spec = bunching(StateVector(0.0, amps))
-        assert abs(spec.coefficient(0) - 1.0) < 1e-15
-        assert abs(spec.coefficient(1) - 0.5) < 1e-15
-        assert abs(spec.coefficient(-1) - 0.5) < 1e-15
+        lag = spec.coefficients[spec.band - 1 : spec.band + 2]  # Phi_-1, Phi_0, Phi_1
+        assert abs(lag[1] - 1.0) < 1e-15
+        assert abs(lag[2] - 0.5) < 1e-15
+        assert abs(lag[0] - 0.5) < 1e-15
 
     def test_single_rotating_mode_carries_no_bunching(self):
         amps = np.zeros(9, dtype=complex)
         amps[7] = 1.0
-        spec = bunching(StateVector(0.0, amps))
-        assert spec.coefficient(0) == 1.0
-        assert max(abs(spec.coefficient(m)) for m in range(1, 9)) == 0.0
+        phi = observables(amps, 8).phi
+        assert phi[0] == 1.0
+        assert np.max(np.abs(phi[1:])) == 0.0
 
     def test_bunching_hermitian_on_random_states(self):
         for _ in range(20):
             spec = bunching(random_state(6))
-            for m in range(1, spec.band + 1):
-                assert abs(spec.coefficient(-m) - np.conj(spec.coefficient(m))) < 1e-12
-            assert abs(spec.coefficient(0) - 1.0) < 1e-10
-            assert max(abs(spec.coefficient(m)) for m in range(spec.band + 1)) <= 1 + 1e-12
+            coeff = spec.coefficients
+            assert coeff.shape == (2 * spec.band + 1,)
+            assert np.max(np.abs(coeff[::-1] - coeff.conj())) < 1e-12
+            assert abs(coeff[spec.band] - 1.0) < 1e-10
+            assert np.max(np.abs(coeff)) <= 1 + 1e-12
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_matches_naive_bunching_on_every_shape(self, lead):
+        rng = np.random.default_rng(11)
+        size = 13
+        amps = rng.normal(size=lead + (size,)) + 1j * rng.normal(size=lead + (size,))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        obs = observables(amps, size - 1)
+        assert obs.phi.shape == lead + (size,)
+        for index in np.ndindex(*lead):
+            slow = naive_bunching(amps[index], size - 1)
+            assert np.max(np.abs(obs.phi[index] - slow)) < 1e-15
+            # a stacked state reads exactly what it reads alone
+            alone = observables(amps[index], size - 1)
+            assert obs.phi[index].tobytes() == alone.phi.tobytes()
+            assert obs.drift[index] == alone.drift and obs.edge[index] == alone.edge
 
     def test_populations_match_squared_amplitudes(self):
         state = random_state(5)
-        assert np.allclose(populations(state), np.abs(state.amplitudes) ** 2, atol=0)
-        assert abs(populations(state).sum() - 1.0) < 1e-12
+        pops = observables(state.amplitudes, 0).populations
+        assert np.allclose(pops, np.abs(state.amplitudes) ** 2, atol=0)
+        assert abs(pops.sum() - 1.0) < 1e-12
 
     def test_mean_angular_velocity_cases(self):
-        uniform = np.zeros(9, dtype=complex)
-        uniform[4] = 1.0
-        assert mean_angular_velocity(StateVector(0.0, uniform)) == 0.0
-        single = np.zeros(9, dtype=complex)
-        single[5] = 1.0
-        assert mean_angular_velocity(StateVector(0.0, single)) == 1.0
-        pair = np.zeros(9, dtype=complex)
-        pair[4] = pair[6] = 1.0 / np.sqrt(2.0)
-        assert mean_angular_velocity(StateVector(0.0, pair)) == pytest.approx(1.0)
+        amps = np.zeros((3, 9), dtype=complex)
+        amps[0, 4] = 1.0  # uniform
+        amps[1, 5] = 1.0  # a single rotating mode
+        amps[2, 4] = amps[2, 6] = 1.0 / np.sqrt(2.0)  # m = 0 and m = 2
+        omega = observables(amps, 0).mean_omega
+        assert omega[0] == 0.0
+        assert omega[1] == 1.0
+        assert omega[2] == pytest.approx(1.0)
 
 
 class TestEvolve:
@@ -265,9 +292,7 @@ class TestEvolve:
         params, fp = fig2_setup()
         state = default_initial_state(params)
         traj = evolve(state, fp, tau_end=260.0, stride=0.5)
-        phi1 = np.array(
-            [abs(bunching(StateVector(0.0, s)).coefficient(1)) for s in traj.states]
-        )
+        phi1 = np.abs(observables(traj.states, 1).phi[:, 1])
         hi = int(np.argmax(phi1 >= 1e-2))
         lo = hi
         while lo > 0 and phi1[lo - 1] > 1e-4:
@@ -279,9 +304,9 @@ class TestEvolve:
     def test_norm_and_central_bunching_along_trajectory(self):
         params, fp = fig2_setup()
         traj = evolve(default_initial_state(params), fp, 50.0, stride=5.0)
-        for s in traj.states:
-            assert abs(np.sum(np.abs(s) ** 2) - 1.0) < 1e-8
-            assert abs(bunching(StateVector(0.0, s)).coefficient(0) - 1.0) < 1e-10
+        obs = observables(traj.states, 0)
+        assert np.max(obs.drift) < 1e-8
+        assert np.max(np.abs(obs.phi[:, 0] - 1.0)) < 1e-10
 
     def test_band_mismatch_rejected(self):
         params, fp = fig2_setup()
@@ -330,4 +355,4 @@ class TestEvolve:
         amps = np.zeros(21, dtype=complex)
         amps[0] = 0.3
         amps[-1] = 0.4
-        assert band_edge_occupancy(amps) == pytest.approx(0.25)
+        assert observables(amps, 0).edge == pytest.approx(0.25)

@@ -215,6 +215,15 @@ class TestIntegrator:
         )
         assert traj.times.tolist() == want
 
+    def test_end_just_past_a_sample_merges_with_it(self):
+        # t1 lies 5e-12 past the sample at 1000, nearer than any step may go.
+        t1 = 1000.000000000005
+        traj = integrate_ode(
+            lambda t, y: np.zeros_like(y), np.ones(1), (0.0, t1), sample_stride=1.0
+        )
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert traj.times[-1] == t1 and len(traj.times) == 1001
+
     def test_underflow_reports_last_good_tau(self):
         def blows_up(t, y):
             return y / (1.0 - t)

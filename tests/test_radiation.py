@@ -85,7 +85,7 @@ class TestFieldExpansion:
         # With only Phi_0 and Phi_(+/-1) present, the field reduces to
         # -i J_1 e^(i phi) + conj(Phi_1) J_0 up to the dropped J_2 piece.
         spec = bunching(two_mode_state(6, 0, 1))
-        phi1 = spec.coefficient(1)
+        phi1 = spec.coefficients[spec.band + 1]
         assert abs(abs(phi1) - 0.5) < 1e-12
         pattern = far_field(spec, ell=1, k0_rho=1.0)
         j = bessel_j_orders(2, np.sin(pattern.theta_grid))[:, :, None]
@@ -154,8 +154,8 @@ class TestAveragedIntensity:
         pattern = far_field(spec, ell=2, k0_rho=5.0, theta_count=3)
         assert pattern.theta_grid[1] == math.pi / 2
         weights = channels(pattern, 1)
-        bare_ratio = (weights[-3] / abs(spec.coefficient(-5)) ** 2) / (
-            weights[2] / abs(spec.coefficient(0)) ** 2
+        bare_ratio = (weights[-3] / abs(spec.coefficients[spec.band - 5]) ** 2) / (
+            weights[2] / abs(spec.coefficients[spec.band]) ** 2
         )
         assert bare_ratio == pytest.approx((J3_AT_5 / J2_AT_5) ** 2, rel=1e-10)
         assert bare_ratio == pytest.approx(61.39, abs=0.5)
@@ -176,7 +176,7 @@ class TestAveragedIntensity:
                     assert weight == 0.0
             # the surviving channel is m = -ell
             assert pattern.avg_intensity[0] == pytest.approx(
-                abs(spec.coefficient(-ell)) ** 2, abs=1e-14
+                abs(spec.coefficients[spec.band - ell]) ** 2, abs=1e-14
             )
 
 

@@ -238,15 +238,14 @@ class TestEvolveRates:
         assert np.min(np.diff(mean_m)) > -1e-12
 
     def test_single_channel_follows_tanh_curve(self):
-        # Starting on the closed-form orbit, the numeric cascade must stay
-        # on it: the tanh profile is an exact solution of the two-state
-        # system, with the seed entering through the delay time.
+        # Started from the seed, the numeric cascade must follow the closed
+        # form: the logistic (a shifted tanh) solves the two-state system
+        # exactly, with the seed entering through the delay time.
         g_k, seed, k = 0.21, 1e-5, 3
         g = np.zeros(6)
         g[k] = g_k
-        n0, nk = two_state_analytic(g_k, seed, 0.0)
         pops = np.zeros(8)
-        pops[0], pops[k] = n0, nk
+        pops[0], pops[k] = 1.0 - seed, seed
         initial = RateState(0.0, pops, np.zeros(8))
         traj = evolve_rates(
             initial, g, np.zeros(6), 0.0, tau_end=150.0,
@@ -269,9 +268,14 @@ class TestTwoStateAnalytic:
         assert n0 == pytest.approx(0.0, abs=1e-12)
         assert nk == pytest.approx(1.0, abs=1e-12)
 
+    def test_starts_at_the_seed_exactly(self):
+        rng = np.random.default_rng(3)
+        for seed in np.exp(rng.uniform(np.log(1e-12), np.log(0.5), 20000)).tolist():
+            assert two_state_analytic(0.3, seed, 0.0) == (1.0 - seed, seed)
+
     def test_half_transfer_at_delay_time(self):
         g_k, seed = 0.4, 1e-8
-        tau_0 = np.log(2.0 / np.sqrt(seed)) / g_k
+        tau_0 = np.log((1.0 - seed) / seed) / g_k
         n0, nk = two_state_analytic(g_k, seed, tau_0)
         assert n0 == pytest.approx(0.5, abs=1e-12)
         assert nk == pytest.approx(0.5, abs=1e-12)
@@ -283,7 +287,7 @@ class TestTwoStateAnalytic:
 
     def test_peak_growth_rate_by_finite_differences(self):
         g_k, seed = 0.3, 1e-6
-        tau_0 = np.log(2.0 / np.sqrt(seed)) / g_k
+        tau_0 = np.log((1.0 - seed) / seed) / g_k
         h = 1e-5
         _, up = two_state_analytic(g_k, seed, tau_0 + h)
         _, dn = two_state_analytic(g_k, seed, tau_0 - h)
@@ -294,6 +298,8 @@ class TestTwoStateAnalytic:
             two_state_analytic(0.0, 1e-4, 1.0)
         with pytest.raises(ConfigurationError):
             two_state_analytic(0.3, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="tau >= 0"):
+            two_state_analytic(0.3, 1e-4, -1e4)
 
 
 class TestRateState:
