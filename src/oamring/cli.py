@@ -61,6 +61,15 @@ _MAX_RADII = 1 << 16
 _ROWS_PER_WRITE = 64
 
 
+def _open_artifact(path: Path):
+    """Open an artifact for writing; its directory is made on first use."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, manifest_hash: str, header: list[str], columns) -> None:
     """Write equal-length 1-D arrays as CSV columns under ``header``.
 
@@ -73,7 +82,7 @@ def _write_csv(path: Path, manifest_hash: str, header: list[str], columns) -> No
             raise ToleranceError(
                 f"non-finite value reached output column {name} of {path.name}"
             )
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
+    with _open_artifact(path) as handle:
         handle.write(f"# manifest: {manifest_hash}\n")
         handle.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
@@ -83,7 +92,7 @@ def _write_csv(path: Path, manifest_hash: str, header: list[str], columns) -> No
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
+    with _open_artifact(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -277,7 +286,6 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     fp = fourier_coefficients(params)
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
-    gamma_v0 = params.gamma * fp.coefficient(0).real
 
     channel = opts["channel"]
     if channel:
@@ -295,7 +303,6 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         initial,
         g,
         alpha,
-        gamma_v0,
         tau_end=opts["tau_end"],
         controls=_controls(opts),
         stride=opts["stride"],
@@ -319,7 +326,7 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     _write_csv(out / "rates.csv", mhash, header, columns)
 
     totals = traj.populations.sum(axis=1)
-    derived = {**_g_table(fp), "gamma_v0": float(gamma_v0)}
+    derived = {**_g_table(fp), "gamma_v0": float(2.0 * alpha[0])}
     if overlay is not None:
         derived["single_channel_k"] = int(overlay)
     diagnostics = {
@@ -416,13 +423,12 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     else:
         bunch = _load_phi_list(Path(opts["phi_json"]))
 
-    m_band = opts["m_band"] if opts["m_band"] is not None else bunch.band
     pattern = pattern_from_bunching(
         bunch,
         params,
         theta_count=opts["theta_count"],
         phi_count=opts["phi_count"],
-        m_band=m_band,
+        m_band=opts["m_band"],
     )
 
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
@@ -435,7 +441,7 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         [thetas.ravel(), phis.ravel(), field.real, field.imag, intensity.ravel()],
     )
 
-    comp_band = min(opts["component_band"], m_band)
+    comp_band = min(opts["component_band"], int(pattern.component_modes[-1]))
     keep = np.abs(pattern.component_modes) <= comp_band
     comp_modes = pattern.component_modes[keep]
     header = ["theta", "total"] + [f"I_ellp_{params.ell + int(m)}" for m in comp_modes]
@@ -488,7 +494,6 @@ def run_scenario(config: RunConfig) -> dict:
     them exactly.
     """
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     mhash = _manifest_hash(config)
     started = time.perf_counter()
     derived, diagnostics = _RUNNERS[config.scenario](config, out, mhash)

@@ -12,20 +12,18 @@ import configparser
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .dynamics import DEFAULT_SEED_AMPLITUDE
 from .errors import ConfigurationError
 from .numerics import OdeControls
-from .potential import SystemParams
+from .potential import DEFAULT_EPSILON, SystemParams
+from .rate_model import DEFAULT_SEED_POPULATION
 
 __all__ = ["RunConfig", "parse_config", "PRESETS", "SCENARIOS"]
 
 SCENARIOS = ("potential", "spectrum", "evolve", "rate", "radiate")
-
-
-def _as_float(raw: str) -> float:
-    return float(raw)
 
 
 def _as_int(raw: str) -> int:
@@ -41,10 +39,6 @@ def _as_int(raw: str) -> int:
 
 def _as_int_or_auto(raw: str):
     return None if raw.strip().lower() == "auto" else _as_int(raw)
-
-
-def _as_str(raw: str) -> str:
-    return raw.strip()
 
 
 def _choice(*allowed: str):
@@ -73,17 +67,19 @@ def _within(converter, low, high=math.inf, *, above: bool = False):
 # Largest potential.samples; far past what a plot of V(phi) needs.
 _MAX_POTENTIAL_SAMPLES = 1 << 20
 
+_positive = _within(float, 0.0, above=True)
+
 
 # The step controls of both integrating scenarios, with OdeControls' defaults.
-_ODE_KEYS = {f.name: (_as_float, f.default) for f in fields(OdeControls)}
+_ODE_KEYS = {f.name: (_positive, f.default) for f in fields(OdeControls)}
 
 # (converter, default) per key; this is the whole configuration surface.  A
 # converter rejects a value outside the key's accepted range with ValueError.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "params": {
-        "gamma": (_as_float, 0.2),
-        "epsilon": (_as_float, 0.1),
-        "k0_rho": (_as_float, 1.0),
+        "gamma": (float, 0.2),
+        "epsilon": (float, DEFAULT_EPSILON),
+        "k0_rho": (float, 1.0),
         "ell": (_as_int, 1),
         "m_max": (_as_int_or_auto, None),
         "k_max": (_as_int_or_auto, None),
@@ -92,16 +88,16 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "samples": (_within(_as_int, 1, _MAX_POTENTIAL_SAMPLES), 512),
     },
     "spectrum": {
-        "k0_rho_min": (_as_float, 0.25),
-        "k0_rho_max": (_as_float, 8.0),
-        "k0_rho_step": (_within(_as_float, 0.0, above=True), 0.25),
+        "k0_rho_min": (float, 0.25),
+        "k0_rho_max": (float, 8.0),
+        "k0_rho_step": (_positive, 0.25),
         "m_lo": (_as_int, 1),
         "m_hi": (_as_int, 12),
     },
     "evolve": {
-        "tau_end": (_as_float, 200.0),
-        "stride": (_as_float, 1.0),
-        "seed_amplitude": (_as_float, 1e-4),
+        "tau_end": (float, 200.0),
+        "stride": (float, 1.0),
+        "seed_amplitude": (float, DEFAULT_SEED_AMPLITUDE),
         "seed_mode": (_choice("deterministic", "random"), "deterministic"),
         "rng_seed": (_as_int, 0),
         "snapshot": (_choice("final", "max_bunching"), "final"),
@@ -110,16 +106,16 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "phi_band": (_within(_as_int, 0), 8),
     },
     "rate": {
-        "tau_end": (_as_float, 300.0),
-        "stride": (_as_float, 0.25),
-        "seed_population": (_as_float, 1e-6),
+        "tau_end": (float, 300.0),
+        "stride": (float, 0.25),
+        "seed_population": (float, DEFAULT_SEED_POPULATION),
         "channel": (_as_int, 0),  # 0 keeps every harmonic
         "m_max": (_as_int_or_auto, None),
         **_ODE_KEYS,
     },
     "radiate": {
-        "state": (_as_str, ""),
-        "phi_json": (_as_str, ""),
+        "state": (str.strip, ""),
+        "phi_json": (str.strip, ""),
         "theta_count": (_as_int, 181),
         "phi_count": (_as_int, 256),
         "m_band": (_as_int_or_auto, None),
@@ -309,17 +305,9 @@ def parse_config(
     else:
         overridden = ()
 
-    params = SystemParams(
-        gamma=resolved["params.gamma"],
-        epsilon=resolved["params.epsilon"],
-        k0_rho=resolved["params.k0_rho"],
-        ell=resolved["params.ell"],
-        m_max=resolved["params.m_max"],
-        k_max=resolved["params.k_max"],
-    )
-    # Echo the derived truncations so the manifest pins them explicitly.
-    resolved["params.m_max"] = params.m_max
-    resolved["params.k_max"] = params.k_max
+    params = SystemParams(**{f.name: resolved[f"params.{f.name}"] for f in fields(SystemParams)})
+    # Echo the params, derived truncations included, so the manifest pins them.
+    resolved.update({f"params.{key}": value for key, value in asdict(params).items()})
 
     options = {key: resolved[f"{scenario}.{key}"] for key in _SCHEMA[scenario]}
     return RunConfig(

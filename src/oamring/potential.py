@@ -14,7 +14,7 @@ the real parts the dispersive phase shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,10 +106,10 @@ class FourierPotential:
 
     coefficients: np.ndarray
     params: SystemParams
-    k_max: int = field(init=False)  # params.k_max, a plain attribute for hot loops
 
-    def __post_init__(self):
-        object.__setattr__(self, "k_max", self.params.k_max)
+    @property
+    def k_max(self) -> int:
+        return self.params.k_max
 
     def coefficient(self, k: int) -> complex:
         if abs(k) > self.k_max:

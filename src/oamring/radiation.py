@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BunchingSpectrum, StateVector
+from .dynamics import BunchingSpectrum, StateVector, modes
 from .errors import ConfigurationError
 from .numerics import bessel_j_orders
 from .potential import SystemParams
@@ -117,8 +117,7 @@ def field_quadrature(
             f"need at least {16 * width}"
         )
     phi_p = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    m = np.arange(-state.m_max, state.m_max + 1)
-    psi = state.amplitudes @ np.exp(1j * np.outer(m, phi_p))
+    psi = state.amplitudes @ np.exp(1j * np.outer(modes(state.m_max), phi_p))
     density = np.abs(psi) ** 2 / (2.0 * np.pi)
     kernel = np.exp(
         -1j * k0_rho * math.sin(theta) * np.cos(phi - phi_p) + 1j * ell * phi_p

@@ -78,10 +78,11 @@ def _ladder(n: int, coeff: np.ndarray, antisymmetric: bool) -> np.ndarray:
     """(n, n) Toeplitz matrix T[m, j] = coeff_|m-j| for 1 <= |m-j| < len(coeff).
 
     Coefficients arrive indexed by harmonic k = 0..k_max; entry 0 is never
-    read (g_0 has no meaning and alpha_0 enters only through gamma_v0), and
-    lags past the band or past the ladder are zero.  ``antisymmetric`` negates
-    the entries above the diagonal, so T @ N is up - down rather than up +
-    down, with up[m] = sum_k coeff_k N_{m-k} and down[m] = sum_k coeff_k N_{m+k}.
+    read (g_0 has no meaning, and alpha_0 enters only the rotor, as the
+    mean-field offset 2 alpha_0 = gamma V_0), and lags past the band or past
+    the ladder are zero.  ``antisymmetric`` negates the entries above the
+    diagonal, so T @ N is up - down rather than up + down, with
+    up[m] = sum_k coeff_k N_{m-k} and down[m] = sum_k coeff_k N_{m+k}.
     """
     padded = np.zeros(n)
     top = min(n, len(coeff))
@@ -91,16 +92,16 @@ def _ladder(n: int, coeff: np.ndarray, antisymmetric: bool) -> np.ndarray:
     return np.sign(lag) * ladder if antisymmetric else ladder
 
 
-def _rate_rhs(n: int, g: np.ndarray, alpha: np.ndarray, gamma_v0: float) -> Callable:
+def _rate_rhs(n: int, g: np.ndarray, alpha: np.ndarray) -> Callable:
     """rhs(tau, y) of the cascade on y = (N_0 .. N_{n-1}, phi_0 .. phi_{n-1}).
 
     Rows 0..n-1 are dN/dtau, band-truncated, so they sum to zero; rows n..
-    are dphi/dtau: the rotor term, the mean-field offset and the dispersive
-    ladder sums.  One stacked (2n, n) product gives both ladders.
+    are dphi/dtau: the rotor term, the mean-field offset 2 alpha_0 and the
+    dispersive ladder sums.  One stacked (2n, n) product gives both ladders.
     """
     ops = np.vstack([_ladder(n, g, True), -_ladder(n, alpha, False)])
     m = np.arange(n, dtype=float)
-    rotor = -(m * m + gamma_v0)
+    rotor = -(m * m + 2.0 * alpha[0])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         pops = y[:n].real
@@ -125,7 +126,6 @@ def evolve_rates(
     initial: RateState,
     g: np.ndarray,
     alpha: np.ndarray,
-    gamma_v0: float,
     tau_end: float,
     controls: OdeControls | None = None,
     stride: float = 1.0,
@@ -140,7 +140,7 @@ def evolve_rates(
     n = initial.populations.size
     y0 = np.concatenate([initial.populations, initial.phases]).astype(complex)
     raw = integrate_ode(
-        _rate_rhs(n, g, alpha, gamma_v0), y0, (initial.tau, tau_end), controls, stride
+        _rate_rhs(n, g, alpha), y0, (initial.tau, tau_end), controls, stride
     )
     pops = raw.states[:, :n].real
     phases = raw.states[:, n:].real
@@ -172,8 +172,8 @@ def two_state_analytic(g_k: float, seed_population: float, tau: float) -> tuple[
     (1/2) {1 + tanh[g_k (tau - tau_0) / 2]} with the delay
     tau_0 = ln((1 - s) / s) / g_k.  The pair sums to 1 exactly.
     """
-    if not g_k > 0.0:
-        raise ConfigurationError("two-state solution needs g_k > 0")
+    if not 0.0 < g_k < math.inf:
+        raise ConfigurationError(f"two-state solution needs 0 < g_k < inf, got {g_k}")
     if not 0.0 < seed_population < 1.0:
         raise ConfigurationError("seed population must lie in (0, 1)")
     if not tau >= 0.0:  # exp(-g_k tau) would overflow far enough back

@@ -85,7 +85,6 @@ def fig3_run():
         seeded_rate_state(params.m_max, cfg.options["seed_population"]),
         g,
         alpha,
-        gamma_v0=params.gamma * fp.coefficient(0).real,
         tau_end=cfg.options["tau_end"],
         stride=cfg.options["stride"],
     )
@@ -289,7 +288,7 @@ def test_criterion_5_oracle_equivalences(fig2_run):
     pops = np.zeros(6)
     pops[0], pops[k] = 1.0 - seed, seed
     traj = evolve_rates(
-        RateState(0.0, pops, np.zeros(6)), g, np.zeros(4), 0.0,
+        RateState(0.0, pops, np.zeros(6)), g, np.zeros(4),
         tau_end=130.0, controls=OdeControls(rel_tol=1e-11, abs_tol=1e-14),
         stride=0.5,
     )
@@ -418,7 +417,6 @@ def test_rate_model_tracks_full_dynamics_timing(fig2_run):
     seed = 1e-4**2
     traj = evolve_rates(
         seeded_rate_state(10, seed), g, alpha,
-        gamma_v0=params.gamma * fp.coefficient(0).real,
         tau_end=800.0, stride=1.0,
     )
     t_rate = float(traj.times[np.nonzero(traj.populations[:, 1] > 0.5)[0][0]])
@@ -441,7 +439,6 @@ def test_rate_model_reproduces_evolve_delays(fig2_run, fig4_run):
             seeded_rate_state(m_max, run["seed_amplitude"] ** 2),
             rate_coefficients(fp),
             dispersion_coefficients(fp),
-            gamma_v0=params.gamma * fp.coefficient(0).real,
             tau_end=float(times[-1]),
             stride=float(times[1] - times[0]),
         )

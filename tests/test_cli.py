@@ -13,7 +13,7 @@ import pytest
 
 import oamring
 from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_csv, main
-from oamring.config import PRESETS, parse_config
+from oamring.config import _SCHEMA, PRESETS, parse_config
 from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
@@ -211,6 +211,13 @@ class TestParseConfig:
         for scenario in ("evolve", "rate"):
             resolved = parse_config(scenario).resolved
             assert {key: resolved[f"{scenario}.{key}"] for key in want} == want
+
+    def test_every_default_passes_its_own_converter(self):
+        # Defaults skip conversion, so nothing else checks their range.
+        for section, keys in _SCHEMA.items():
+            for key, (convert, default) in keys.items():
+                raw = "auto" if default is None else str(default)
+                assert convert(raw) == default, f"{section}.{key}"
 
     def test_unknown_preset_and_scenario(self):
         with pytest.raises(ConfigurationError):
@@ -484,6 +491,9 @@ class TestExitCodes:
             ("evolve", "evolve.phi_band=-1"),
             ("radiate", "radiate.component_band=-1"),
             ("evolve", "potential.samples=0"),  # another scenario's key
+            ("evolve", "evolve.rel_tol=0"),
+            ("rate", "rate.initial_step=-1e-4"),
+            ("rate", "evolve.max_step=-1"),
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(
@@ -578,14 +588,40 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
 
+    TOLERANCE_FAILURE = [
+        "evolve",
+        "--set", "params.gamma=5.0", "--set", "evolve.tau_end=60",
+        "--set", "evolve.rel_tol=1e-2", "--set", "evolve.abs_tol=1e-2",
+        "--set", "evolve.max_step=5.0",
+    ]
+
     def test_tolerance_failure_is_three(self, tmp_path):
-        rc = main([
-            "evolve", "--out", str(tmp_path),
-            "--set", "params.gamma=5.0", "--set", "evolve.tau_end=60",
-            "--set", "evolve.rel_tol=1e-2", "--set", "evolve.abs_tol=1e-2",
-            "--set", "evolve.max_step=5.0",
-        ])
-        assert rc == 3
+        assert main(self.TOLERANCE_FAILURE + ["--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["evolve", "--set", "evolve.seed_amplitude=0.5"], 2),
+            (["rate", "--preset", "fig3", "--set", "rate.stride=0"], 2),
+            (TOLERANCE_FAILURE, 3),
+        ],
+        ids=["seed-amplitude", "rate-stride", "tolerance"],
+    )
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, args, code):
+        # The output directory is made at the first artifact write.
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["a-file", "below-a-file"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker.joinpath(*below)
+        assert main(["potential", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
+        assert str(out) in record["message"]
 
     def test_overflowing_coupling_exits_three(self, tmp_path, capsys):
         # gamma = 1e308 overflows the nonlinear term to inf and NaN; the

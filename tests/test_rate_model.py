@@ -1,6 +1,8 @@
 """Rate-equation cascade tests: exact conservation structure, independent
 summation oracles, and the closed-form two-state transition."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,21 +29,21 @@ def random_rate_state(m_max: int) -> RateState:
     return RateState(tau=0.0, populations=pops, phases=np.zeros(m_max + 1))
 
 
-def stacked_rhs(state, g, alpha, gamma_v0):
+def stacked_rhs(state, g, alpha):
     """The rhs evolve_rates integrates, at the state: its first n rows are
     the population rates, its last n rows the phase rates."""
     n = state.populations.size
     y = np.concatenate([state.populations, state.phases]).astype(complex)
-    out = _rate_rhs(n, g, alpha, gamma_v0)(state.tau, y)
+    out = _rate_rhs(n, g, alpha)(state.tau, y)
     return out[:n], out[n:]
 
 
 def rate_rows(state, g):
-    return stacked_rhs(state, g, np.zeros(len(g)), 0.0)[0]
+    return stacked_rhs(state, g, np.zeros(len(g)))[0]
 
 
-def phase_rows(state, alpha, gamma_v0):
-    return stacked_rhs(state, np.zeros(len(alpha)), alpha, gamma_v0)[1]
+def phase_rows(state, alpha):
+    return stacked_rhs(state, np.zeros(len(alpha)), alpha)[1]
 
 
 def naive_rate_derivative(state, g):
@@ -60,7 +62,8 @@ def naive_rate_derivative(state, g):
     return out
 
 
-def naive_phase_derivative(state, alpha, gamma_v0):
+def naive_phase_derivative(state, alpha):
+    """Phase rates by explicit sums; the mean-field offset is 2 alpha_0."""
     n = state.populations.size
     out = np.zeros(n)
     for m in range(n):
@@ -73,7 +76,7 @@ def naive_phase_derivative(state, alpha, gamma_v0):
             for k in range(1, len(alpha))
             if m + k < n
         )
-        out[m] = -(m * m + gamma_v0) - (up + down)
+        out[m] = -(m * m + 2.0 * alpha[0]) - (up + down)
     return out
 
 
@@ -138,9 +141,9 @@ class TestLadderProperties:
     def test_phases_match_naive_summation(self, excess, n_rungs, seed):
         rng, state, size = random_ladder(n_rungs, excess, seed)
         alpha = rng.normal(size=size)
-        gamma_v0 = float(rng.normal())
-        got = phase_rows(state, alpha, gamma_v0)
-        want = naive_phase_derivative(state, alpha, gamma_v0)
+        alpha[0] = float(rng.normal()) / 2  # the mean-field offset gamma V_0
+        got = phase_rows(state, alpha)
+        want = naive_phase_derivative(state, alpha)
         # The ladder sums agree to 1e-14; the rotor -m^2 (up to 529 here)
         # adds the rounding of one subtraction on each side.
         assert np.all(np.abs(got - want) <= 1e-14 + 2 * np.spacing(np.abs(want)))
@@ -149,22 +152,22 @@ class TestLadderProperties:
 class TestPhaseDerivative:
     def test_free_rotor_phases(self):
         state = random_rate_state(5)
-        d = phase_rows(state, np.zeros(4), 0.0)
+        d = phase_rows(state, np.zeros(4))
         assert np.array_equal(d, -np.arange(6.0) ** 2)
 
     def test_mean_field_offset_alone(self):
         pops = np.zeros(4)
         pops[0] = 1.0
         state = RateState(0.0, pops, np.zeros(4))
-        d = phase_rows(state, np.zeros(3), 0.37)
+        d = phase_rows(state, np.array([0.37 / 2, 0.0, 0.0]))
         assert d[0] == -0.37
 
     def test_matches_naive_summation(self):
-        alpha = np.concatenate([[0.5], RNG.normal(size=6)])
+        alpha = np.concatenate([[0.9 / 2], RNG.normal(size=6)])
         for _ in range(25):
             state = random_rate_state(9)
-            got = phase_rows(state, alpha, 0.9)
-            want = naive_phase_derivative(state, alpha, 0.9)
+            got = phase_rows(state, alpha)
+            want = naive_phase_derivative(state, alpha)
             assert np.max(np.abs(got - want)) < 1e-14
 
 
@@ -176,6 +179,7 @@ class TestEvolveRates:
         rng, state, size = random_ladder(21, excess, 3)
         g = np.concatenate([[0.0], rng.uniform(0.0, 1.0, size - 1)])
         alpha = rng.normal(size=size)
+        alpha[0] = 0.7 / 2
         captured = {}
 
         def capture(rhs, y0, *args, **kwargs):
@@ -184,9 +188,9 @@ class TestEvolveRates:
 
         monkeypatch.setattr(rate_model, "integrate_ode", capture)
         with pytest.raises(RuntimeError, match="captured"):
-            evolve_rates(state, g, alpha, 0.7, tau_end=1.0)
+            evolve_rates(state, g, alpha, tau_end=1.0)
         y = np.concatenate([state.populations, rng.normal(size=21)]).astype(complex)
-        want = _rate_rhs(21, g, alpha, 0.7)(0.0, y)
+        want = _rate_rhs(21, g, alpha)(0.0, y)
         assert np.array_equal(captured["rhs"](0.0, y), want)
 
     @pytest.mark.parametrize(
@@ -211,12 +215,12 @@ class TestEvolveRates:
         monkeypatch.setattr(rate_model, "integrate_ode", lambda *args: fake)
         initial = RateState(0.0, pops[0], np.zeros(3))
         with pytest.raises(ToleranceError, match=named):
-            evolve_rates(initial, np.zeros(3), np.zeros(3), 0.0, tau_end=4.0)
+            evolve_rates(initial, np.zeros(3), np.zeros(3), tau_end=4.0)
 
     def test_population_conserved(self):
         g = np.concatenate([[0.0], RNG.uniform(0.0, 0.4, 6)])
         traj = evolve_rates(
-            seeded_rate_state(10, 1e-4), g, np.zeros_like(g), 0.0, tau_end=80.0
+            seeded_rate_state(10, 1e-4), g, np.zeros_like(g), tau_end=80.0
         )
         assert np.max(np.abs(traj.populations.sum(axis=1) - 1.0)) < 1e-9
 
@@ -225,14 +229,15 @@ class TestEvolveRates:
         pops[0] = 1.0
         initial = RateState(0.0, pops, np.zeros(6))
         g = np.array([0.0, 0.5, 0.2])
-        traj = evolve_rates(initial, g, np.zeros(3), 0.1, tau_end=30.0)
+        alpha = np.array([0.1 / 2, 0.0, 0.0])
+        traj = evolve_rates(initial, g, alpha, tau_end=30.0)
         assert np.max(np.abs(traj.populations[-1] - pops)) == 0.0
 
     def test_mean_mode_never_decreases(self):
         params = SystemParams(gamma=1.0, epsilon=0.1, k0_rho=5.605, ell=2)
         g = rate_coefficients(fourier_coefficients(params))
         traj = evolve_rates(
-            seeded_rate_state(20, 1e-6), g, np.zeros_like(g), 0.0, tau_end=120.0
+            seeded_rate_state(20, 1e-6), g, np.zeros_like(g), tau_end=120.0
         )
         mean_m = traj.populations @ np.arange(21.0)
         assert np.min(np.diff(mean_m)) > -1e-12
@@ -248,7 +253,7 @@ class TestEvolveRates:
         pops[0], pops[k] = 1.0 - seed, seed
         initial = RateState(0.0, pops, np.zeros(8))
         traj = evolve_rates(
-            initial, g, np.zeros(6), 0.0, tau_end=150.0,
+            initial, g, np.zeros(6), tau_end=150.0,
             controls=OdeControls(rel_tol=1e-11, abs_tol=1e-14), stride=0.5,
         )
         worst = 0.0
@@ -294,8 +299,9 @@ class TestTwoStateAnalytic:
         assert (up - dn) / (2.0 * h) == pytest.approx(g_k / 4.0, rel=1e-8)
 
     def test_domain_checks(self):
-        with pytest.raises(ConfigurationError):
-            two_state_analytic(0.0, 1e-4, 1.0)
+        for g_k in (0.0, math.inf):
+            with pytest.raises(ConfigurationError):
+                two_state_analytic(g_k, 1e-4, 1.0)
         with pytest.raises(ConfigurationError):
             two_state_analytic(0.3, 0.0, 1.0)
         with pytest.raises(ConfigurationError, match="tau >= 0"):
