@@ -338,76 +338,54 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     return derived, diagnostics
 
 
-def _json_int(payload: dict, key: str) -> int:
-    value = payload[key]
-    if type(value) is not int:  # 2.5 would truncate; true would read as 1
-        raise TypeError(f"{key}={value!r} is not a JSON integer")
-    return value
+def _json_array(value, key: str, ndim: int, types=(int, float)) -> np.ndarray:
+    """A JSON number (ndim 0) or ndim-deep list of numbers as floats, typed in one
+    pass: true and false never pass, where float() reads 1 and 0."""
+    values = np.array(value, dtype=object)
+    if values.ndim != ndim or not set(map(type, values.flat)) <= set(types):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} is not a JSON {kinds} at list depth {ndim}")
+    return values.astype(float)
 
 
-def _json_real(value, key: str) -> float:
-    if type(value) not in (int, float):  # true would read as 1.0
-        raise TypeError(f"{key} entry {value!r} is not a JSON number")
-    return float(value)
-
-
-# A malformed input file: what json, the key lookups and the conversions raise.
-_BAD_JSON = (
-    OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
-)
-
-
-def _load_snapshot(path: Path, params: SystemParams) -> StateVector:
+def _load_bunching(path: Path, params: SystemParams, snapshot: bool) -> BunchingSpectrum:
+    """The bunching spectrum of a radiate input file: a state snapshot (m_max,
+    re, im, optional tau) or a Phi list (band, [re, im] pairs).  The far-field
+    tail bound assumes a normalized state, so the norm is checked too."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        real = np.array([_json_real(v, "re") for v in payload["re"]])
-        imag = np.array([_json_real(v, "im") for v in payload["im"]])
-        m_max = _json_int(payload, "m_max")
-        tau = _json_real(payload.get("tau", 0.0), "tau")
-    except _BAD_JSON as exc:
-        raise ConfigurationError(f"cannot read state snapshot {path}: {exc}") from exc
-    if not real.shape == imag.shape == (2 * m_max + 1,):
-        raise ConfigurationError(f"snapshot {path} has inconsistent band")
-    if not np.isfinite([real, imag]).all():
-        raise ConfigurationError(f"snapshot {path} has non-finite amplitudes")
-    if m_max != params.m_max:
-        raise ConfigurationError(
-            f"snapshot band m_max={m_max} does not match params.m_max="
-            f"{params.m_max}"
-        )
-    amps = real + 1j * imag
-    # The far-field tail bound assumes a normalized state (|Phi_m| <= 1).
-    drift = float(observables(amps, 0).drift)
-    if drift > NORM_TOL:
-        raise ConfigurationError(
-            f"snapshot {path} norm is off by {drift:.3e}, past {NORM_TOL:.0e}"
-        )
-    return StateVector(tau=tau, amplitudes=amps)
-
-
-def _load_phi_list(path: Path) -> BunchingSpectrum:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        band = _json_int(payload, "band")
-        pairs = payload["coefficients"]
-        coeff = np.array(
-            [complex(_json_real(re, "re"), _json_real(im, "im")) for re, im in pairs]
-        )
-    except _BAD_JSON as exc:
-        raise ConfigurationError(f"cannot read phi list {path}: {exc}") from exc
-    if coeff.size != 2 * band + 1:
-        raise ConfigurationError(
-            f"phi list {path}: need 2*band+1 coefficients for band={band}"
-        )
-    if not np.isfinite(coeff).all():
-        raise ConfigurationError(f"phi list {path} has non-finite coefficients")
-    # Bunching of a normalized state; the far-field tail bound relies on it.
-    top = float(np.abs(coeff).max())
-    if top > 1.0 + NORM_TOL:
-        raise ConfigurationError(
-            f"phi list {path} has |Phi_m| = {top:.6g} > 1 + {NORM_TOL:.0e}"
-        )
-    return BunchingSpectrum(coefficients=coeff, band=band)
+        if snapshot:
+            re, im = (_json_array(payload[key], key, 1) for key in ("re", "im"))
+        else:
+            re, im = _json_array(payload["coefficients"], "coefficients", 2).T
+        # Stacked, not re + 1j * im: an inf there would warn before any check.
+        values = np.stack([re, im], axis=-1).view(complex)[:, 0]
+        if snapshot:
+            m_max = int(_json_array(payload["m_max"], "m_max", 0, (int,)))
+            tau = float(_json_array(payload.get("tau", 0.0), "tau", 0))
+            state = StateVector(tau=tau, amplitudes=values)
+            if not m_max == state.m_max == params.m_max:
+                raise ValueError(f"m_max={m_max} over {values.size} amplitudes, "
+                                 f"params.m_max={params.m_max}")
+        else:
+            band = int(_json_array(payload["band"], "band", 0, (int,)))
+            bunch = BunchingSpectrum(values)
+            if bunch.band != band:
+                raise ValueError(f"band={band} needs {2 * band + 1} coefficients")
+        # Every |c_m| and |Phi_m| of a normalized state is at most 1.
+        top = float(np.abs(values).max())
+        if top > 1.0 + NORM_TOL:
+            raise ValueError(f"an entry has modulus {top:.6g} > 1 + {NORM_TOL:.0e}")
+        if not snapshot:
+            return bunch
+        drift = float(observables(values, 0).drift)
+        if drift > NORM_TOL:
+            raise ValueError(f"norm is off by {drift:.3e}, past {NORM_TOL:.0e}")
+        return bunching(state)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError, ConfigurationError) as exc:
+        kind = "state snapshot" if snapshot else "phi list"
+        raise ConfigurationError(f"cannot read {kind} {path}: {exc}") from exc
 
 
 def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
@@ -417,11 +395,8 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
         raise ConfigurationError(
             "radiate needs exactly one input: radiate.state or radiate.phi_json"
         )
-    if opts["state"]:
-        state = _load_snapshot(Path(opts["state"]), params)
-        bunch = bunching(state)
-    else:
-        bunch = _load_phi_list(Path(opts["phi_json"]))
+    path = Path(opts["state"] or opts["phi_json"])
+    bunch = _load_bunching(path, params, snapshot=bool(opts["state"]))
 
     pattern = pattern_from_bunching(
         bunch,

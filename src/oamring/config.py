@@ -192,13 +192,10 @@ def _parse_config_text(text: str) -> dict[str, str]:
     # as an ordinary one and rejected below instead of leaking its keys into
     # every other section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ConfigurationError(f"malformed config: {exc}") from exc
+    parser.read_file(io.StringIO(text))
     unknown = sorted(set(parser.sections()) - _SCHEMA.keys())
     if unknown:  # checked here: an empty section adds no key to parse_config
-        raise ConfigurationError(
+        raise ValueError(
             f"unknown config section {unknown}; expected one of {sorted(_SCHEMA)}"
         )
     return {
@@ -208,12 +205,13 @@ def _parse_config_text(text: str) -> dict[str, str]:
     }
 
 
-def _manifest_config_layer(
-    path: Path, text: str
-) -> tuple[dict[str, str], str | None, tuple]:
-    """Pull the resolved config, its preset and the preset keys it overrode
-    out of a manifest."""
+def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
+    """The flat section.key layer of a key = value file, or of a run manifest
+    together with its preset and the preset keys it overrode."""
     try:
+        text = path.read_text(encoding="utf-8")
+        if not text.lstrip().startswith("{"):
+            return _parse_config_text(text), None, ()
         block = json.loads(text)["reproducible"]
         flat, preset = block["config"], block.get("preset")
         overridden = tuple(block.get("overridden_preset_keys", ()))
@@ -222,21 +220,12 @@ def _manifest_config_layer(
         keys_ok = all(isinstance(key, str) for key in overridden)
         if preset not in (None, *PRESETS) or not keys_ok:
             raise TypeError("reproducible.preset or its overridden keys are malformed")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigurationError(f"{path} is not a run manifest: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
+            configparser.Error) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     # null entries mean "left at default"; omitting them reproduces that
     layer = {key: str(value) for key, value in flat.items() if value is not None}
     return layer, preset, overridden
-
-
-def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        return _manifest_config_layer(path, text)
-    return _parse_config_text(text), None, ()
 
 
 def _convert(converter, dotted: str, raw: str):

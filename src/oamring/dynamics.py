@@ -44,6 +44,9 @@ NORM_TOL = 1e-8
 EDGE_TOL = 1e-6
 DEFAULT_SEED_AMPLITUDE = 1e-4
 
+# Most entries of the rhs's Toeplitz copy (256 MiB); fig4's band needs 3,003.
+_MAX_TOEPLITZ = 1 << 24
+
 
 def modes(m_max: int) -> np.ndarray:
     """Mode numbers m = -m_max .. m_max in array order."""
@@ -76,7 +79,15 @@ class BunchingSpectrum:
     """Azimuthal bunching Phi_m = sum_n conj(c_{n-m}) c_n for |m| <= band."""
 
     coefficients: np.ndarray  # Phi_m at index m + band
-    band: int
+
+    def __post_init__(self):
+        phi = self.coefficients
+        if phi.ndim != 1 or phi.size % 2 == 0 or not np.isfinite(phi).all():
+            raise ConfigurationError("bunching must be finite over -band..band")
+
+    @property
+    def band(self) -> int:
+        return (self.coefficients.size - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,10 @@ def _nonlinear_rhs(fp: FourierPotential) -> Callable[[float, np.ndarray], np.nda
     """
     size = 2 * fp.params.m_max + 1
     k_max = fp.k_max
+    if (2 * k_max + 1) * size > _MAX_TOEPLITZ:
+        raise ConfigurationError(
+            f"m_max={fp.params.m_max} needs a coupling table past {_MAX_TOEPLITZ} entries"
+        )
     weights = (-0.5j * fp.params.gamma) * fp.coefficients
     padded = np.zeros(size + 2 * k_max, dtype=complex)
     band = padded[k_max : k_max + size]
@@ -194,7 +209,7 @@ def bunching(state: StateVector) -> BunchingSpectrum:
     """Bunching coefficients over every lag the band supports."""
     c = state.amplitudes
     phi = observables(c, c.size - 1).phi
-    return BunchingSpectrum(np.concatenate([phi[:0:-1].conj(), phi]), band=c.size - 1)
+    return BunchingSpectrum(np.concatenate([phi[:0:-1].conj(), phi]))
 
 
 def _check_samples(times: np.ndarray, states: np.ndarray) -> None:

@@ -40,6 +40,9 @@ _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 # complex field alone takes 16 MiB.
 _MAX_PATTERN_POINTS = 1 << 20
 
+# Most entries of the Bessel table over theta (128 MiB); fig4 needs 7,421.
+_MAX_BESSEL_TABLE = 1 << 24
+
 
 def _channel_weights(
     bunch: BunchingSpectrum, ell: int, x: np.ndarray, m_band: int | None
@@ -58,9 +61,14 @@ def _channel_weights(
         )
     ms = np.arange(-m_band, m_band + 1)
     ns = ell + ms
+    top = int(np.abs(ns).max())
+    if (top + 1) * x.size > _MAX_BESSEL_TABLE:
+        raise ConfigurationError(
+            f"ell={ell}, m_band={m_band}: Bessel table past {_MAX_BESSEL_TABLE} entries"
+        )
     phim = bunch.coefficients[bunch.band - m_band : bunch.band + m_band + 1]
     sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
-    jn = bessel_j_orders(int(np.abs(ns).max()), x)[np.abs(ns)].T * sign
+    jn = bessel_j_orders(top, x)[np.abs(ns)].T * sign
     return ms, _MINUS_I_POW[ns % 4] * jn * phim
 
 

@@ -34,6 +34,10 @@ CONSERVATION_TOL = 1e-9
 NEGATIVE_TOL = 1e-12
 DEFAULT_SEED_POPULATION = 1e-6
 
+# Highest rung of a ladder (fig3's is 20); the rhs holds (m_max + 1)^2-entry
+# Toeplitz matrices, 128 MiB each at this size.
+_MAX_RUNGS = 1 << 12
+
 
 @dataclass(frozen=True)
 class RateState:
@@ -46,6 +50,8 @@ class RateState:
     def __post_init__(self):
         if self.populations.shape != self.phases.shape:
             raise ConfigurationError("populations and phases must align")
+        if self.populations.size > _MAX_RUNGS + 1:
+            raise ConfigurationError(f"rate ladder needs m_max <= {_MAX_RUNGS}")
         if not np.isfinite([self.populations, self.phases]).all():
             raise ConfigurationError("populations and phases must be finite")
         if np.any(self.populations < -NEGATIVE_TOL):
@@ -65,8 +71,8 @@ def seeded_rate_state(
 
     Delay times depend logarithmically on the seeds, so they are an explicit
     argument here rather than something baked in."""
-    if m_max < 0:
-        raise ConfigurationError(f"rate ladder needs m_max >= 0, got {m_max}")
+    if not 0 <= m_max <= _MAX_RUNGS:
+        raise ConfigurationError(f"m_max={m_max} outside the rate ladder's 0..{_MAX_RUNGS}")
     if not 0.0 < seed_population < 1.0 / max(m_max, 1):
         raise ConfigurationError(f"seed population {seed_population} out of range")
     pops = np.full(m_max + 1, seed_population)

@@ -82,9 +82,9 @@ def spectrum_sweep(
 ) -> SweepResult:
     """Growth rates over a grid of ring radii.
 
-    Each sweep point rebuilds the Fourier potential at its own radius (the
-    band default follows the radius when the template leaves m_max unset).
-    Rows are evaluated independently and assembled in grid order.
+    Each sweep point rebuilds the Fourier potential at its own radius with
+    that radius's default band (m_max = m_hi where the default k_max falls
+    short of m_hi): the template's m_max and k_max are never read.
     """
     k0_rho_grid = np.asarray(k0_rho_grid, dtype=float)
     if k0_rho_grid.size == 0:

@@ -236,6 +236,23 @@ class TestArtifacts:
             assert first == f"# manifest: {manifest['manifest_hash']}"
         assert manifest["reproducible"]["derived"]["dominant_k"] == 1
 
+    def test_spectrum_sweep_sets_its_own_band(self, tmp_path):
+        # Every radius takes its default band, so a user band changes no row
+        # of the artifacts; the manifest still records what was set.
+        args = ["spectrum", "--preset", "fig1b",
+                "--set", "spectrum.k0_rho_max=2.0", "--set", "spectrum.m_hi=6"]
+        banded = ["--set", "params.m_max=40", "--set", "params.k_max=3"]
+        runs = {}
+        for name, extra in (("plain", []), ("banded", banded)):
+            out = tmp_path / name
+            assert main(args + extra + ["--out", str(out)]) == 0
+            rows = (out / "growth_rates.csv").read_text().splitlines()[1:]
+            summary = json.loads((out / "summary.json").read_text())
+            runs[name] = rows, summary["rows"]
+        assert runs["plain"] == runs["banded"]
+        config = read_manifest(tmp_path / "banded")["reproducible"]["config"]
+        assert (config["params.m_max"], config["params.k_max"]) == (40, 3)
+
     def test_rate_single_channel_overlay(self, tmp_path):
         rc = main([
             "rate", "--preset", "fig3", "--out", str(tmp_path),
@@ -516,9 +533,17 @@ class TestExitCodes:
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
             (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
               "--set", "radiate.phi_count=100000"], "100000 x 100000"),
+            (["rate", "--preset", "fig3", "--set", "rate.m_max=100000"], "m_max=100000"),
+            (["rate", "--preset", "fig3", "--set", "rate.m_max=1000000000000",
+              "--set", "rate.seed_population=1e-13"], "m_max=1000000000000"),
+            (["evolve", "--preset", "fig2", "--set", "params.m_max=16000",
+              "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
+             "m_max=16000"),
+            (["radiate", "--set", "params.ell=10000000"], "ell=10000000"),
         ],
         ids=["potential-samples", "spectrum-radii", "evolve-samples", "rate-samples",
-             "radiate-grid"],
+             "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling",
+             "radiate-bessel"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":
@@ -532,6 +557,7 @@ class TestExitCodes:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
         assert named in record["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "write",
@@ -545,8 +571,12 @@ class TestExitCodes:
             lambda path: path.write_text(
                 json.dumps({"reproducible": {"config": {}, "preset": ["fig2"]}})
             ),
+            lambda path: path.write_text("gamma = 0.3\n"),
+            lambda path: path.write_text("[nosuch]\ngamma = 0.3\n"),
+            lambda path: path.write_text('{"reproducible": ' + "[" * 100_000),
         ],
-        ids=["directory", "not-utf8", "list-config", "int-overrides", "list-preset"],
+        ids=["directory", "not-utf8", "list-config", "int-overrides", "list-preset",
+             "no-section-header", "unknown-section", "deep-nesting"],
     )
     def test_unreadable_config_file_exits_two(self, tmp_path, capsys, write):
         path = tmp_path / "run.conf"
@@ -653,16 +683,23 @@ class TestExitCodes:
             ("state", {"m_max": 14, "re": [0.0] * 14 + [2.0] + [0.0] * 14,
                        "im": [0.0] * 29}),
             ("phi_json", {"band": 1, "coefficients": [[0.75, 0.75], [1, 0], [0.75, -0.75]]}),
+            ("state", {"m_max": 14, "re": [0.0] * 14 + [1e200] + [0.0] * 14,
+                       "im": [0.0] * 29}),
+            ("phi_json", {"band": 1, "coefficients": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]}),
+            ("phi_json", {"band": 0, "coefficients": [1, 0]}),
+            ("phi_json", {"band": 1, "coefficients": [[[0, 0], [1, 0], [0, 0]]]}),
+            ("phi_json", '{"band": 1, "coefficients": ' + "[" * 100_000),
         ],
         ids=[
             "short-im", "nan-re", "inf-im", "bad-tau", "nan-phi", "float-m_max", "float-band",
             "bool-tau", "bool-re-im", "bool-phi", "huge-int-re", "norm-4-state",
-            "phi-above-one",
+            "phi-above-one", "overflowing-norm", "phi-triples", "phi-flat-pair",
+            "phi-three-axes", "deep-nesting",
         ],
     )
     def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, kind, payload):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         rc = main(["radiate", "--out", str(tmp_path / "out"),
                    "--set", f"radiate.{kind}={path}"])
         assert rc == 2

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import oamring.dynamics as dynamics
 from oamring.dynamics import (
+    BunchingSpectrum,
     StateVector,
     bunching,
     default_initial_state,
@@ -200,6 +201,23 @@ class TestDerivative:
             assert fast(0.0, c).tobytes() == slow(0.0, c).tobytes()
 
 
+class TestBunchingSpectrum:
+    def test_band_follows_the_coefficients(self):
+        assert BunchingSpectrum(np.zeros(7, dtype=complex)).band == 3
+        assert bunching(StateVector(0.0, np.eye(9)[4].astype(complex))).band == 8
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [np.ones(4), np.ones((3, 3)), np.array([0.0, 1.0, np.nan]),
+         np.array([0.0, 1.0, complex(0.0, np.inf)])],
+        ids=["even-length", "two-axes", "nan", "inf"],
+    )
+    def test_malformed_coefficients_rejected(self, coefficients):
+        # An even length once reached pattern_from_bunching as a broadcast error.
+        with pytest.raises(ConfigurationError, match="band"):
+            BunchingSpectrum(coefficients.astype(complex))
+
+
 class TestObservables:
     def test_uniform_condensate_bunching_is_delta(self):
         amps = np.zeros(9, dtype=complex)
@@ -307,6 +325,13 @@ class TestEvolve:
         obs = observables(traj.states, 0)
         assert np.max(obs.drift) < 1e-8
         assert np.max(np.abs(obs.phi[:, 0] - 1.0)) < 1e-10
+
+    def test_oversized_coupling_table_rejected(self):
+        # (2 k_max + 1) x (2 m_max + 1) = 2001 x 18001 entries, past 2**24.
+        params, fp = fig2_setup(m_max=9000, k_max=1000)
+        state = default_initial_state(params, seed_amplitude=1e-6)
+        with pytest.raises(ConfigurationError, match="m_max=9000"):
+            derivative(state, fp)
 
     def test_band_mismatch_rejected(self):
         params, fp = fig2_setup()

@@ -92,6 +92,12 @@ class TestFieldExpansion:
         reduced = -1j * j[1] * np.exp(1j * pattern.phi_grid) + np.conj(phi1) * j[0]
         assert np.all(np.abs(pattern.field - reduced) <= abs(phi1) * np.abs(j[2]) + 1e-12)
 
+    def test_oversized_bessel_table_rejected(self):
+        # J_0 .. J_20002 at 1024 theta rows is past 2**24 table entries.
+        spec = bunching(uniform_state(1))
+        with pytest.raises(ConfigurationError, match="ell=20000"):
+            far_field(spec, 20_000, 1.0, theta_count=1024, phi_count=2)
+
     def test_band_argument_validated(self):
         spec = bunching(uniform_state(3))
         for m_band in (-1, spec.band + 1):

@@ -331,3 +331,12 @@ class TestRateState:
     def test_seeding_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             seeded_rate_state(10, 0.2)
+
+    def test_oversized_ladder_rejected_before_allocating(self):
+        # np.full would ask for 7.3 TiB here, the rhs's ladder for far more.
+        with pytest.raises(ConfigurationError, match="m_max=1000000000000"):
+            seeded_rate_state(10**12, 1e-13)
+        big = rate_model._MAX_RUNGS + 2
+        pops = np.full(big, 1.0 / big)
+        with pytest.raises(ConfigurationError, match="m_max"):
+            RateState(0.0, pops, np.zeros(big))
