@@ -61,40 +61,43 @@ _MAX_RADII = 1 << 16
 _ROWS_PER_WRITE = 64
 
 
-def _open_artifact(path: Path):
-    """Open an artifact for writing; its directory is made on first use."""
+def _write_artifacts(out: Path, mhash: str, files: dict) -> None:
+    """Write each artifact under ``out``: a ``(header, columns)`` pair of
+    equal-length 1-D arrays as a CSV headed by a ``# manifest:`` line, a dict
+    as a JSON file with a ``manifest_hash`` key.
+
+    Every CSV column is checked before ``out`` is made, so a non-finite value
+    raises ToleranceError and leaves no output directory.  Values are written
+    with ``repr``: floats round-trip exactly and integer columns stay integers.
+    """
+    for name, payload in files.items():
+        if isinstance(payload, dict):
+            continue
+        for column_name, column in zip(*payload, strict=True):
+            if not np.isfinite(column).all():
+                raise ToleranceError(
+                    f"non-finite value reached output column {column_name} of {name}"
+                )
+    path = out
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path.open("w", encoding="utf-8", newline="\n")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            path = out / name
+            with path.open("w", encoding="utf-8", newline="\n") as handle:
+                if isinstance(payload, dict):
+                    json.dump({**payload, "manifest_hash": mhash}, handle,
+                              indent=2, sort_keys=True)
+                    handle.write("\n")
+                    continue
+                header, columns = payload
+                handle.write(f"# manifest: {mhash}\n")
+                handle.write(",".join(header) + "\n")
+                for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+                    stop = start + _ROWS_PER_WRITE
+                    rows = zip(*(col[start:stop].tolist() for col in columns), strict=True)
+                    handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_csv(path: Path, manifest_hash: str, header: list[str], columns) -> None:
-    """Write equal-length 1-D arrays as CSV columns under ``header``.
-
-    Values are written with ``repr``: floats round-trip exactly and integer
-    columns stay integers.  A non-finite value raises ToleranceError before
-    the file is opened, so no partial CSV is left behind.
-    """
-    for name, column in zip(header, columns, strict=True):
-        if not np.isfinite(column).all():
-            raise ToleranceError(
-                f"non-finite value reached output column {name} of {path.name}"
-            )
-    with _open_artifact(path) as handle:
-        handle.write(f"# manifest: {manifest_hash}\n")
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            stop = start + _ROWS_PER_WRITE
-            rows = zip(*(column[start:stop].tolist() for column in columns), strict=True)
-            handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with _open_artifact(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _manifest_hash(config: RunConfig) -> str:
@@ -142,61 +145,58 @@ def _lambda_summary(fp: FourierPotential) -> dict:
     }
 
 
-def _run_potential(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
+def _run_potential(config: RunConfig) -> tuple[dict, dict, dict]:
     params = config.params
     fp = fourier_coefficients(params)
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
 
     phis = np.linspace(0.0, 2.0 * np.pi, config.options["samples"], endpoint=False)
-    values = pair_potential(phis, params)
-    _write_csv(out / "samples.csv", mhash, ["phi", "V"], [phis, values])
-
     v = fp.coefficients[fp.k_max :]
-    _write_csv(
-        out / "coefficients.csv",
-        mhash,
-        ["k", "re_Vk", "im_Vk", "g_k", "alpha_k"],
-        [np.arange(fp.k_max + 1), v.real, v.imag, g, alpha],
-    )
-    return _g_table(fp), {}
+    files = {
+        "samples.csv": (["phi", "V"], [phis, pair_potential(phis, params)]),
+        "coefficients.csv": (
+            ["k", "re_Vk", "im_Vk", "g_k", "alpha_k"],
+            [np.arange(fp.k_max + 1), v.real, v.imag, g, alpha],
+        ),
+    }
+    return files, _g_table(fp), {}
 
 
-def _run_spectrum(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
+def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
     opts = config.options
     start, step = opts["k0_rho_min"], opts["k0_rho_step"]
     stop = opts["k0_rho_max"] + 0.5 * step
-    if (stop - start) / step > _MAX_RADII:  # np.arange's length before its ceil
+    # np.arange's length before its ceil; one that is not positive can make
+    # np.arange raise where it should return an empty grid.
+    if not 0.0 < (stop - start) / step <= _MAX_RADII:
         raise ConfigurationError(
             f"spectrum grid from {start} to {opts['k0_rho_max']} at step {step} "
-            f"has more than {_MAX_RADII} radii"
+            f"does not have 1 to {_MAX_RADII} radii"
         )
     grid = np.arange(start, stop, step)
     sweep = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
 
     header = ["k0_rho"] + [f"m_{int(m)}" for m in sweep.modes]
-    _write_csv(
-        out / "growth_rates.csv", mhash, header, [sweep.k0_rho_grid, *sweep.rates.T]
-    )
-    summary = {
-        "manifest_hash": mhash,
-        "rows": [
-            {
-                "k0_rho": float(kr),
-                "argmax_m": int(sweep.argmax_m[i]),
-                "max_rate": float(sweep.max_rate[i]),
-            }
-            for i, kr in enumerate(sweep.k0_rho_grid)
-        ],
+    rows = [
+        {
+            "k0_rho": float(kr),
+            "argmax_m": int(sweep.argmax_m[i]),
+            "max_rate": float(sweep.max_rate[i]),
+        }
+        for i, kr in enumerate(sweep.k0_rho_grid)
+    ]
+    files = {
+        "growth_rates.csv": (header, [sweep.k0_rho_grid, *sweep.rates.T]),
+        "summary.json": {"rows": rows},
     }
-    _write_json(out / "summary.json", summary)
     derived = {
         "argmax_by_radius": {
             repr(float(kr)): int(sweep.argmax_m[i])
             for i, kr in enumerate(sweep.k0_rho_grid)
         }
     }
-    return derived, {}
+    return files, derived, {}
 
 
 def _timeseries(
@@ -218,7 +218,7 @@ def _timeseries(
     return table, float(obs.drift.max()), float(obs.edge.max()), snap_index
 
 
-def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
+def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
     params = config.params
     opts = config.options
     # |Phi_0| is the norm, equal at every sample up to rounding, so a lag of
@@ -256,31 +256,29 @@ def _run_evolve(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     )
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
     table, drift_max, edge_max, snap_index = _timeseries(traj, phi_band, snapshot_k)
-    _write_csv(out / "timeseries.csv", mhash, header, table.T)
 
     snap_tau = float(traj.times[snap_index])
     snap_amps = traj.states[snap_index]
-    _write_json(
-        out / "snapshot.json",
-        {
-            "manifest_hash": mhash,
+    files = {
+        "timeseries.csv": (header, table.T),
+        "snapshot.json": {
             "tau": snap_tau,
             "m_max": params.m_max,
             "params": asdict(params),
             "re": snap_amps.real.tolist(),
             "im": snap_amps.imag.tolist(),
         },
-    )
+    }
     derived = {
         **_g_table(fp),
         "lambda": _lambda_summary(fp),
         "snapshot_tau": snap_tau,
     }
     diagnostics = {"max_norm_drift": drift_max, "max_band_edge": edge_max}
-    return derived, diagnostics
+    return files, derived, diagnostics
 
 
-def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
+def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     params = config.params
     opts = config.options
     fp = fourier_coefficients(params)
@@ -323,7 +321,6 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
             for tau in traj.times.tolist()
         ]
         columns += list(np.array(analytic).T)
-    _write_csv(out / "rates.csv", mhash, header, columns)
 
     totals = traj.populations.sum(axis=1)
     derived = {**_g_table(fp), "gamma_v0": float(2.0 * alpha[0])}
@@ -335,7 +332,7 @@ def _run_rate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
             np.sum(np.arange(m_top + 1) * traj.populations[-1])
         ),
     }
-    return derived, diagnostics
+    return {"rates.csv": (header, columns)}, derived, diagnostics
 
 
 def _json_array(value, key: str, ndim: int, types=(int, float)) -> np.ndarray:
@@ -388,7 +385,7 @@ def _load_bunching(path: Path, params: SystemParams, snapshot: bool) -> Bunching
         raise ConfigurationError(f"cannot read {kind} {path}: {exc}") from exc
 
 
-def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
+def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     params = config.params
     opts = config.options
     if bool(opts["state"]) == bool(opts["phi_json"]):
@@ -409,23 +406,11 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
     field = pattern.field.ravel()
     intensity = pattern.intensity
-    _write_csv(
-        out / "pattern.csv",
-        mhash,
-        ["theta", "phi", "re_M", "im_M", "intensity"],
-        [thetas.ravel(), phis.ravel(), field.real, field.imag, intensity.ravel()],
-    )
 
     comp_band = min(opts["component_band"], int(pattern.component_modes[-1]))
     keep = np.abs(pattern.component_modes) <= comp_band
     comp_modes = pattern.component_modes[keep]
     header = ["theta", "total"] + [f"I_ellp_{params.ell + int(m)}" for m in comp_modes]
-    _write_csv(
-        out / "avg_intensity.csv",
-        mhash,
-        header,
-        [pattern.theta_grid, pattern.avg_intensity, *pattern.components[:, keep].T],
-    )
 
     tail = float(pattern.tail_bound)
     tail_out = tail if np.isfinite(tail) else None
@@ -436,20 +421,28 @@ def _run_radiate(config: RunConfig, out: Path, mhash: str) -> tuple[dict, dict]:
     }
     lobes = count_lobes(intensity[i_eq])
     dominant = max(eq_weights, key=eq_weights.get)
-    summary = {
-        "manifest_hash": mhash,
-        "theta_equator": float(pattern.theta_grid[i_eq]),
-        "equator_components": eq_weights,
-        "dominant_ell_prime": int(dominant),
-        "equator_lobes": lobes,
-        "tail_bound": tail_out,
+    files = {
+        "pattern.csv": (
+            ["theta", "phi", "re_M", "im_M", "intensity"],
+            [thetas.ravel(), phis.ravel(), field.real, field.imag, intensity.ravel()],
+        ),
+        "avg_intensity.csv": (
+            header,
+            [pattern.theta_grid, pattern.avg_intensity, *pattern.components[:, keep].T],
+        ),
+        "components.json": {
+            "theta_equator": float(pattern.theta_grid[i_eq]),
+            "equator_components": eq_weights,
+            "dominant_ell_prime": int(dominant),
+            "equator_lobes": lobes,
+            "tail_bound": tail_out,
+        },
     }
-    _write_json(out / "components.json", summary)
     derived = {
         "dominant_ell_prime": int(dominant),
         "equator_lobes": lobes,
     }
-    return derived, {"tail_bound": tail_out}
+    return files, derived, {"tail_bound": tail_out}
 
 
 _RUNNERS = {
@@ -462,16 +455,15 @@ _RUNNERS = {
 
 
 def run_scenario(config: RunConfig) -> dict:
-    """Execute one scenario: write its artifacts plus manifest.json.
+    """Execute one scenario, then write its artifacts and manifest.json last.
 
     Returns the manifest payload.  Artifact bytes are a pure function of the
     resolved configuration, so re-running from an emitted manifest reproduces
-    them exactly.
+    them exactly.  Nothing is written until the run has succeeded.
     """
-    out = config.output_dir
     mhash = _manifest_hash(config)
     started = time.perf_counter()
-    derived, diagnostics = _RUNNERS[config.scenario](config, out, mhash)
+    files, derived, diagnostics = _RUNNERS[config.scenario](config)
     wall = time.perf_counter() - started
     manifest = {
         "manifest_hash": mhash,
@@ -492,7 +484,7 @@ def run_scenario(config: RunConfig) -> dict:
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
-    _write_json(out / "manifest.json", manifest)
+    _write_artifacts(config.output_dir, mhash, {**files, "manifest.json": manifest})
     return manifest
 
 

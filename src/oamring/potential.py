@@ -40,6 +40,10 @@ GRID_DOUBLING_TOL = 1e-10
 # epsilon >= 64 / 2**20 ~ 6.1e-5 and k_max <= 2**15.
 _MAX_GRID = 1 << 20
 
+# Largest epsilon: pair_potential squares it, and the square must stay a
+# finite double.
+_MAX_EPSILON = 1e150
+
 
 def default_m_max(ell: int, k0_rho: float) -> int:
     """Band half-width ample for cascades at this radius: the dominant
@@ -71,6 +75,10 @@ class SystemParams:
             raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
         if not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.epsilon > _MAX_EPSILON:
+            raise ConfigurationError(
+                f"epsilon={self.epsilon} past {_MAX_EPSILON:g}, where its square overflows"
+            )
         if not self.k0_rho > 0.0:
             raise ConfigurationError(f"k0_rho must be > 0, got {self.k0_rho}")
         if self.ell != int(self.ell):

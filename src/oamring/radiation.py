@@ -43,6 +43,10 @@ _MAX_PATTERN_POINTS = 1 << 20
 # Most entries of the Bessel table over theta (128 MiB); fig4 needs 7,421.
 _MAX_BESSEL_TABLE = 1 << 24
 
+# Largest far-field argument k0_rho sin(theta): bessel_j_orders is validated
+# up to |x| = 50, and its recurrence runs about |x| steps.
+_MAX_BESSEL_ARG = 50.0
+
 
 def _channel_weights(
     bunch: BunchingSpectrum, ell: int, x: np.ndarray, m_band: int | None
@@ -65,6 +69,12 @@ def _channel_weights(
     if (top + 1) * x.size > _MAX_BESSEL_TABLE:
         raise ConfigurationError(
             f"ell={ell}, m_band={m_band}: Bessel table past {_MAX_BESSEL_TABLE} entries"
+        )
+    x_top = float(np.abs(x).max())
+    if x_top > _MAX_BESSEL_ARG:
+        raise ConfigurationError(
+            f"k0_rho sin(theta) reaches {x_top:.6g}, past the far field's "
+            f"Bessel argument limit of {_MAX_BESSEL_ARG:g}; lower params.k0_rho"
         )
     phim = bunch.coefficients[bunch.band - m_band : bunch.band + m_band + 1]
     sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
@@ -166,7 +176,8 @@ def pattern_from_bunching(
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
     theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open, with at most
-    2**20 points in all.  One channel-weight pass covers every theta row.
+    2**20 points in all, and k0_rho sin(theta) stays at most 50.  One
+    channel-weight pass covers every theta row.
     """
     if theta_count < 2 or phi_count < 2:
         raise ConfigurationError("grid needs at least 2 points per axis")

@@ -5,15 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oamring
-from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_csv, main
-from oamring.config import _SCHEMA, PRESETS, parse_config
+from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_artifacts, main
+from oamring.config import _MAX_POTENTIAL_SAMPLES, _SCHEMA, PRESETS, parse_config
 from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
@@ -328,16 +331,21 @@ class TestArtifacts:
         ]) == 2
 
     def test_all_columns_finite_guard(self, tmp_path):
+        # A JSON file and a finite CSV come first: nothing may be written
+        # before every column is checked.
+        good = (["k"], [np.arange(4)])
         for bad in (np.nan, np.inf, -np.inf):
             for col in range(3):
                 columns = [np.arange(4), np.linspace(0.0, 1.0, 4), np.full(4, 0.25)]
                 columns[col] = columns[col].astype(float)
                 columns[col][2] = bad
-                path = tmp_path / f"bad_{col}.csv"
+                out = tmp_path / f"bad_{col}"
+                files = {"a.json": {"x": 1}, "good.csv": good,
+                         "bad.csv": (["k", "x", "y"], columns)}
                 with pytest.raises(ToleranceError) as info:
-                    _write_csv(path, "h", ["k", "x", "y"], columns)
-                assert ["k", "x", "y"][col] in str(info.value)
-                assert not path.exists()
+                    _write_artifacts(out, "h", files)
+                assert f"column {['k', 'x', 'y'][col]} of bad.csv" in str(info.value)
+                assert not out.exists()
 
     def test_columns_match_row_wise_reference(self, tmp_path):
         n = 2 * _ROWS_PER_WRITE + 5
@@ -348,12 +356,16 @@ class TestArtifacts:
         floats[:7] = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, -1e308, 0.25]
         header = ["k", "a", "b"]
         columns = [ints, floats, floats[::-1]]
-        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        _write_csv(new, "h", header, columns)
+        summary = {"rows": [{"k": 3, "x": 0.1}], "none": None}
+        _write_artifacts(tmp_path / "out", "h", {"new.csv": (header, columns),
+                                                 "summary.json": summary})
+        new, ref = tmp_path / "out" / "new.csv", tmp_path / "ref.csv"
         reference_write_csv(ref, "h", header, zip(*columns))
         assert new.read_bytes() == ref.read_bytes()
         lines = new.read_text().splitlines()
         assert lines[2].startswith("0,-0.0,") and lines[3].startswith("3,5e-324,")
+        want = json.dumps({**summary, "manifest_hash": "h"}, indent=2, sort_keys=True)
+        assert (tmp_path / "out" / "summary.json").read_text() == want + "\n"
 
     def test_non_finite_output_exits_three_without_csv(
         self, tmp_path, capsys, monkeypatch
@@ -361,10 +373,23 @@ class TestArtifacts:
         monkeypatch.setattr(
             "oamring.cli.pair_potential", lambda phis, params: np.full(phis.shape, np.nan)
         )
-        assert main(["potential", "--preset", "fig2", "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main(["potential", "--preset", "fig2", "--out", str(out)]) == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ToleranceError" and record["exit_code"] == 3
-        assert not (tmp_path / "samples.csv").exists()
+        assert not out.exists()
+
+    def test_late_non_finite_column_leaves_no_output_directory(self, tmp_path, capsys):
+        # samples.csv is finite; alpha_k of coefficients.csv overflows to inf.
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["potential", "--out", str(out), "--set", "params.gamma=1.7e308",
+                       "--set", "params.k0_rho=0.01"])
+        assert rc == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ToleranceError"
+        assert "alpha_k of coefficients.csv" in record["message"]
+        assert not out.exists()
 
 
 class TestTimeseries:
@@ -482,6 +507,8 @@ class TestExitCodes:
             ("rate", "rate.m_max=-1"),
             ("potential", "potential.samples=-3"),
             ("potential", "params.epsilon=1e-9"),
+            ("potential", "params.epsilon=1e300"),
+            ("spectrum", "spectrum.k0_rho_min=1e300"),
             ("potential", "params.k0_rho=1e6"),
             ("evolve", "evolve.seed_mode=random evolve.rng_seed=-1"),
         ],
@@ -540,10 +567,12 @@ class TestExitCodes:
               "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
              "m_max=16000"),
             (["radiate", "--set", "params.ell=10000000"], "ell=10000000"),
+            (["radiate", "--set", "params.k0_rho=1e5"], "k0_rho"),
+            (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
         ],
         ids=["potential-samples", "spectrum-radii", "evolve-samples", "rate-samples",
              "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling",
-             "radiate-bessel"],
+             "radiate-bessel", "radiate-argument", "spectrum-modes"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":
@@ -638,7 +667,7 @@ class TestExitCodes:
         ids=["seed-amplitude", "rate-stride", "tolerance"],
     )
     def test_failed_run_leaves_no_output_directory(self, tmp_path, args, code):
-        # The output directory is made at the first artifact write.
+        # Nothing is written until the run has succeeded.
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == code
         assert not out.exists()
@@ -715,3 +744,97 @@ class TestExitCodes:
             "--set", "evolve.tau_end=5",
         ])
         assert rc == 4
+
+
+# Text that no converter reads as a finite number.
+JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "true", "0x10", "1,5"])
+
+# Every word a choice key accepts: the string defaults, the presets' words and
+# the one choice neither uses.
+WORDS = sorted(
+    {d for keys in _SCHEMA.values() for _, d in keys.values() if isinstance(d, str)}
+    | {v for preset in PRESETS.values() for v in preset.values() if v.isalpha()}
+    | {"random"}
+)
+
+
+def raw_values(dotted: str, default) -> st.SearchStrategy:
+    """--set text for one schema key: its default, its preset values, numbers
+    of its type around the default and on both sides of zero (so every range
+    bound is crossed), extremes that every size bound must stop, and junk.
+    tau_end stays at most 5, which keeps a valid run within seconds."""
+    if dotted.endswith(".tau_end"):  # mostly a span the integrator can step
+        valid = st.floats(0.5, 5.0).map(repr)
+        return st.one_of(valid, valid, valid, st.sampled_from(["0", "-1", "1e-300"]) | JUNK)
+    fixed = ["auto" if default is None else str(default)]
+    fixed += [preset[dotted] for preset in PRESETS.values() if dotted in preset]
+    if isinstance(default, str):
+        return st.sampled_from(fixed + WORDS) | JUNK
+    if isinstance(default, float):
+        scaled = st.floats(-1.0, 1.0).map(lambda u: repr(default * 10.0**u))
+        edges = st.sampled_from(["0", repr(-default), "1e300", "5e-324"])
+        return st.sampled_from(fixed) | scaled | edges | JUNK
+    ints = st.integers(-3, 2 * (default or 0) + 8).map(str)
+    edges = st.sampled_from([str(_MAX_POTENTIAL_SAMPLES + 1), str(10**7), str(2**62)])
+    return st.sampled_from(fixed) | ints | edges | JUNK
+
+
+# A unit amplitude at m = 0 for the default band, m_max = 14.
+SNAPSHOT = {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29}
+
+
+@st.composite
+def radiate_input(draw) -> tuple[str, str]:
+    """A radiate input key and file text: a phi list or a snapshot, often
+    broken by a junk value at one key or cut short."""
+    kind = draw(st.sampled_from(["phi_json", "state"]))
+    payload = dict(SNAPSHOT)
+    if kind == "phi_json":
+        band = draw(st.integers(0, 3))
+        pair = st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2)
+        pairs = draw(st.lists(pair, min_size=2 * band, max_size=2 * band))
+        payload = {"band": band, "coefficients": pairs[:band] + [[1.0, 0.0]] + pairs[band:]}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(payload) + ["tau"]))
+        junk = [None, "x", True, 1e999, [], {}, -1, 2.5, [[0, 0]], [1.0] * 29]
+        payload[key] = draw(st.sampled_from(junk))
+    text = json.dumps(payload)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return kind, text
+
+
+class TestExitContract:
+    """Drawn configurations and radiate files, each a capped CLI child: every
+    run exits 0, 2, 3 or 4, every failure ends stderr with its JSON record
+    and leaves no output directory, and every success writes a manifest."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_run_keeps_the_exit_contract(self, data):
+        scenario = data.draw(st.sampled_from(sorted(_SCHEMA.keys() - {"params"})))
+        preset = data.draw(st.sampled_from([None, *sorted(PRESETS)]))
+        keys = [f"{section}.{key}" for section in ("params", scenario)
+                for key in _SCHEMA[section]]
+        chosen = data.draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+        if f"{scenario}.tau_end" in keys and f"{scenario}.tau_end" not in chosen:
+            chosen.append(f"{scenario}.tau_end")  # the default would run for minutes
+        args = [scenario] + (["--preset", preset] if preset else [])
+        for dotted in chosen:
+            section, _, key = dotted.partition(".")
+            raw = data.draw(raw_values(dotted, _SCHEMA[section][key][1]), label=dotted)
+            args += ["--set", f"{dotted}={raw}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            if scenario == "radiate":
+                kind, text = data.draw(radiate_input())
+                (Path(tmp) / "input.json").write_text(text)
+                args += ["--set", f"radiate.{kind}={Path(tmp) / 'input.json'}"]
+            out = Path(tmp) / "out"
+            rc, err = run_capped(args + ["--out", str(out)])
+            assert rc in (0, 2, 3, 4), err
+            if rc == 0:
+                assert (out / "manifest.json").is_file()
+                return
+            record = json.loads(err.strip().splitlines()[-1])
+            assert record["exit_code"] == rc and set(record) == {"error", "message", "exit_code"}
+            assert not out.exists()

@@ -262,6 +262,17 @@ class TestPatternGrid:
         i_eq = int(np.argmin(np.abs(pattern.theta_grid - math.pi / 2)))
         assert count_lobes(pattern.intensity[i_eq]) == 5
 
+    def test_far_field_argument_bound(self):
+        # The equator row reaches x = k0_rho exactly: 50 is the largest
+        # argument bessel_j_orders is validated for, and still runs.
+        state = random_interior_state(8)
+        spec = bunching(state)
+        pattern = far_field(spec, ell=2, k0_rho=50.0, theta_count=3, phi_count=4)
+        want = field_quadrature(state, 2, 50.0, math.pi / 2, pattern.phi_grid[1])
+        assert abs(pattern.field[1, 1] - want) < 1e-12
+        with pytest.raises(ConfigurationError, match="k0_rho"):
+            far_field(spec, ell=2, k0_rho=50.001, theta_count=3)
+
     def test_tiny_grid_rejected(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=5)
         with pytest.raises(ConfigurationError):
