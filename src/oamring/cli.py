@@ -43,7 +43,13 @@ from .potential import (
 )
 from .radiation import count_lobes, pattern_from_bunching
 from .rate_model import evolve_rates, seeded_rate_state, two_state_analytic
-from .stability import classify_regime, spectrum, spectrum_sweep
+from .stability import (
+    CLASSICAL_FACTOR,
+    QUANTUM_FACTOR,
+    classify_regime,
+    spectrum,
+    spectrum_sweep,
+)
 
 SEED_POLICY = (
     "all seeds explicit in config: evolve.seed_amplitude with "
@@ -141,7 +147,10 @@ def _lambda_summary(fp: FourierPotential) -> dict:
         "argmax_m": m_star,
         "max_rate": float(spec.growth_rates[imax]),
         "regime": classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star)),
-        "regime_thresholds": "classical if gamma|V_m| > 10 m^2, quantum if < 0.1 m^2",
+        "regime_thresholds": (
+            f"classical if gamma|V_m| > {CLASSICAL_FACTOR:g} m^2, "
+            f"quantum if < {QUANTUM_FACTOR:g} m^2"
+        ),
     }
 
 
@@ -347,8 +356,10 @@ def _json_array(value, key: str, ndim: int, types=(int, float)) -> np.ndarray:
 
 def _load_bunching(path: Path, params: SystemParams, snapshot: bool) -> BunchingSpectrum:
     """The bunching spectrum of a radiate input file: a state snapshot (m_max,
-    re, im, optional tau) or a Phi list (band, [re, im] pairs).  The far-field
-    tail bound assumes a normalized state, so the norm is checked too."""
+    re, im, optional tau and params) or a Phi list (band, [re, im] pairs).
+    The far-field tail bound assumes a normalized state, so the norm is
+    checked too, and a snapshot's own ell and k0_rho, which set its far
+    field, must be the run's."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if snapshot:
@@ -364,6 +375,11 @@ def _load_bunching(path: Path, params: SystemParams, snapshot: bool) -> Bunching
             if not m_max == state.m_max == params.m_max:
                 raise ValueError(f"m_max={m_max} over {values.size} amplitudes, "
                                  f"params.m_max={params.m_max}")
+            for key in ("ell", "k0_rho") if "params" in payload else ():
+                own, run = payload["params"][key], getattr(params, key)
+                if float(_json_array(own, f"params.{key}", 0)) != run:
+                    raise ValueError(f"its params.{key}={own!r} is not the run's "
+                                     f"params.{key}={run!r}")
         else:
             band = int(_json_array(payload["band"], "band", 0, (int,)))
             bunch = BunchingSpectrum(values)

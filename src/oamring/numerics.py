@@ -27,6 +27,9 @@ _OVERFLOW_GUARD = 1e250
 # Most samples one integrate_ode call may record (every preset needs at most
 # 1,201); each sample keeps a copy of the state.
 _MAX_SAMPLES = 1 << 20
+# Most steps of max_step a span may need (every preset needs at most 120); at
+# about 100 us a fig2 step, that many take under two minutes.
+_MAX_STEPS = 1 << 20
 
 
 def bessel_j_orders(n_max: int, x) -> np.ndarray:
@@ -162,12 +165,16 @@ def integrate_ode(
     controls: OdeControls | None = None,
     sample_stride: float = 1.0,
     frequencies: np.ndarray | None = None,
+    check: Callable[[float, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate dy/dtau = -i diag(frequencies) y + rhs(tau, y) with an
     adaptive Dormand-Prince 5(4) pair and PI step-size control, sampling the
     solution every ``sample_stride`` time units (the final time is always
-    sampled).  A span that needs more than 2**20 samples is a
-    ConfigurationError, raised before the first step.
+    sampled).  A span that needs more than 2**20 samples or 2**20 steps of
+    ``max_step``, or is shorter than the smallest step 1e-14 max(1, |t1|), is
+    a ConfigurationError, raised before any ``rhs`` call.  ``check(tau, y)``,
+    if given, sees each sample as it is recorded, sample 0 before the first
+    ``rhs`` call; an exception it raises ends the run there.
 
     Without ``frequencies`` the equation is dy/dtau = rhs(tau, y) and no phase
     work is done.  With real ``frequencies`` w the linear part is solved
@@ -176,8 +183,8 @@ def integrate_ode(
     Lawson 1967, SIAM J. Numer. Anal. 4, 372).  Each attempted step forms its
     six stage phases exp(i w (tau + c_i h)) in one exponential; every stage
     turns its input back to y for ``rhs`` and rotates the result forward.
-    Step control acts on a, ``rhs`` always sees y at the stage times, and the
-    samples are y.
+    Step control acts on a, ``rhs`` always sees y at the stage times, and
+    each later sample is turned back to y as it is recorded.
 
     ``rhs`` is called once at the start and six times per attempted step, at
     tau + c_i h.  Each call gets an array of its own that the integrator
@@ -202,8 +209,17 @@ def integrate_ode(
             f"span ({t0}, {t1}) at stride {sample_stride} needs more than "
             f"{_MAX_SAMPLES} samples"
         )
-    last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
+    if not (t1 - t0) / controls.max_step <= _MAX_STEPS:
+        raise ConfigurationError(
+            f"span ({t0}, {t1}) at max_step {controls.max_step} needs more than "
+            f"{_MAX_STEPS} steps"
+        )
     underflow = 1e-14 * max(1.0, abs(t1))
+    if t1 - t0 < underflow:
+        raise ConfigurationError(
+            f"span ({t0}, {t1}) is shorter than the smallest step {underflow:.3g}"
+        )
+    last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
     if last and t1 - (t0 + last * sample_stride) < underflow:
         last -= 1  # t1 is nearer the last inner sample than any step: merge them
 
@@ -220,6 +236,15 @@ def integrate_ode(
     stages = [(i, _DP_C[i].item(), ha[i, :i], k_re[:i], k[i]) for i in range(1, 7)]
     nodes = _DP_C[1:, None]
     rotating = frequencies is not None
+    times, states = [], []
+
+    def record(t, state):
+        if check is not None:
+            check(t, state)
+        times.append(t)
+        states.append(state)
+
+    record(t, y.copy())
     if rotating:
         i_omega = 1j * np.asarray(frequencies, dtype=float)
         phase = np.exp(i_omega * t)
@@ -227,8 +252,6 @@ def integrate_ode(
         y = y * phase  # a = exp(i w t) y from here on; rhs may keep the old y
     else:
         k[0] = rhs(t, y)
-    times = [t0]
-    states = [y.copy()]
     abs_y = np.abs(y)
     h = min(controls.initial_step, controls.max_step, t1 - t0)
     fac_old = 1e-4
@@ -272,16 +295,11 @@ def integrate_ode(
             fac_old = max(err, 1e-4)
             if t >= target - underflow:
                 t = target
-                times.append(target)
-                states.append(y.copy())
+                record(t, y * np.exp(-i_omega * t) if rotating else y.copy())
                 next_sample += 1
                 if next_sample > last:
                     break
         else:
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
 
-    times = np.array(times)
-    states = np.array(states)
-    if rotating:
-        states *= np.exp(-i_omega * times[:, None])
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=np.array(times), states=np.array(states))

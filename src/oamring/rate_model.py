@@ -140,34 +140,34 @@ def evolve_rates(
 
     Seeds must be positive in any state meant to grow; the equations are
     multiplicative in N_m, so an exactly empty state stays empty forever.
-    Total population is checked against CONSERVATION_TOL at every sample and
-    tiny integration negatives are clamped to zero in the reported result.
+    Each sample's population sum (against CONSERVATION_TOL) and populations
+    (against -NEGATIVE_TOL) are checked as it is recorded, so a failing run
+    stops there; tiny integration negatives are clamped to zero in the result.
     """
     n = initial.populations.size
+
+    def check(tau: float, y: np.ndarray) -> None:
+        pops = y[:n].real
+        drift = abs(pops.sum() - 1.0)
+        if drift > CONSERVATION_TOL:
+            raise ToleranceError(
+                f"total population drift {drift:.3e} exceeds "
+                f"{CONSERVATION_TOL:.0e} at tau={tau:.6g}"
+            )
+        j = int(np.argmin(pops))
+        if pops[j] < -NEGATIVE_TOL:
+            raise ToleranceError(
+                f"population N_{j} = {pops[j]:.3e} fell below -{NEGATIVE_TOL:.0e} "
+                f"at tau={tau:.6g}"
+            )
+
     y0 = np.concatenate([initial.populations, initial.phases]).astype(complex)
     raw = integrate_ode(
-        _rate_rhs(n, g, alpha), y0, (initial.tau, tau_end), controls, stride
+        _rate_rhs(n, g, alpha), y0, (initial.tau, tau_end), controls, stride,
+        check=check,
     )
-    pops = raw.states[:, :n].real
-    phases = raw.states[:, n:].real
-
-    drift = np.abs(pops.sum(axis=1) - 1.0)
-    lowest = pops.min(axis=1)
-    bad = np.nonzero((drift > CONSERVATION_TOL) | (lowest < -NEGATIVE_TOL))[0]
-    if bad.size:  # name the first bad sample, its drift before its negatives
-        i = bad[0]
-        if drift[i] > CONSERVATION_TOL:
-            raise ToleranceError(
-                f"total population drift {drift[i]:.3e} exceeds "
-                f"{CONSERVATION_TOL:.0e} at tau={raw.times[i]:.6g}"
-            )
-        j = int(np.argmin(pops[i]))
-        raise ToleranceError(
-            f"population N_{j} = {pops[i, j]:.3e} fell below -{NEGATIVE_TOL:.0e} "
-            f"at tau={raw.times[i]:.6g}"
-        )
-    pops = np.where(pops < 0.0, 0.0, pops)
-    return RateTrajectory(times=raw.times, populations=pops, phases=phases)
+    pops, phases = raw.states[:, :n].real, raw.states[:, n:].real
+    return RateTrajectory(raw.times, np.where(pops < 0.0, 0.0, pops), phases)
 
 
 def two_state_analytic(g_k: float, seed_population: float, tau: float) -> tuple[float, float]:

@@ -511,6 +511,8 @@ class TestExitCodes:
             ("spectrum", "spectrum.k0_rho_min=1e300"),
             ("potential", "params.k0_rho=1e6"),
             ("evolve", "evolve.seed_mode=random evolve.rng_seed=-1"),
+            ("evolve", "evolve.tau_end=5e-324"),  # shorter than any step
+            ("rate", "rate.tau_end=1e-30"),
         ],
     )
     def test_bad_value_exits_two_with_record(self, tmp_path, capsys, scenario, override):
@@ -558,6 +560,8 @@ class TestExitCodes:
             (["spectrum", "--set", "spectrum.k0_rho_step=1e-12"], "radii"),
             (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
+            (["evolve", "--preset", "fig2", "--set", "evolve.max_step=1e-6",
+              "--set", "evolve.tau_end=5"], "steps"),
             (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
               "--set", "radiate.phi_count=100000"], "100000 x 100000"),
             (["rate", "--preset", "fig3", "--set", "rate.m_max=100000"], "m_max=100000"),
@@ -571,6 +575,7 @@ class TestExitCodes:
             (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
         ],
         ids=["potential-samples", "spectrum-radii", "evolve-samples", "rate-samples",
+             "evolve-steps",
              "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling",
              "radiate-bessel", "radiate-argument", "spectrum-modes"],
     )
@@ -735,6 +740,26 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert str(path) in record["message"]
+
+    @pytest.mark.parametrize(
+        "setting", ["params.ell=-4", "params.k0_rho=3"], ids=["ell", "k0_rho"]
+    )
+    def test_snapshot_of_another_system_exits_two(self, tmp_path, capsys, setting):
+        # A snapshot written by an ell 1, k0_rho 1 run, radiated as another ring.
+        path = tmp_path / "snapshot.json"
+        params = {"gamma": 0.05, "epsilon": 0.1, "k0_rho": 1.0, "ell": 1, "m_max": 14}
+        path.write_text(json.dumps({
+            "m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29,
+            "params": params,
+        }))
+        args = ["radiate", "--set", f"radiate.state={path}", "--set", "params.m_max=14"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        out = tmp_path / "out"
+        assert main(args + ["--set", setting, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigurationError"
+        assert setting.partition("=")[0] in record["message"]
+        assert not out.exists()
 
     def test_truncation_failure_is_four(self, tmp_path):
         rc = main([

@@ -357,24 +357,34 @@ class TestEvolve:
         with pytest.raises(TruncationError):
             evolve(StateVector(0.0, amps), fp, 1.0)
 
-    def test_mid_run_truncation_names_first_bad_tau(self):
+    def test_mid_run_truncation_names_first_bad_tau(self, monkeypatch):
+        # The band edge breaks at the sample at tau 845, which ends the run:
+        # no rhs call reaches the next sample.
         params, fp = fig2_setup(m_max=3)
+        calls = []
+        ode = dynamics.integrate_ode
+
+        def traced(rhs, *args, **kwargs):
+            return ode(lambda t, c: calls.append(t) or rhs(t, c), *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_ode", traced)
         with pytest.raises(TruncationError, match=r"at tau=845; increase m_max"):
             evolve(default_initial_state(params), fp, 900.0)
+        assert 800.0 < max(calls) <= 846.0
 
     def test_first_offending_sample_is_reported(self):
-        states = np.zeros((4, 21), dtype=complex)
-        states[:, 10] = 1.0
-        states[1, 10] = np.sqrt(1.0 - 1e-5)
-        states[1, 0] = np.sqrt(1e-5)  # band edge at tau 2.5
-        states[2, 10] = 1.1  # norm drift, later
-        times = np.array([2.0, 2.5, 3.0, 3.5])
+        # integrate_ode checks each sample as it records it, so the first
+        # sample that raises here is the one the run reports.
+        dynamics._check_sample(2.0, np.eye(21)[10])
+        c = np.zeros(21, dtype=complex)
+        c[10] = np.sqrt(1.0 - 1e-5)
+        c[0] = np.sqrt(1e-5)  # band edge
         edge_message = r"1\.000e-05 exceeds 1e-06 at tau=2\.5;"
         with pytest.raises(TruncationError, match=edge_message):
-            dynamics._check_samples(times, states)
-        states[1, 10] = 1.1  # drift and edge at one sample: drift is named
+            dynamics._check_sample(2.5, c)
+        c[10] = 1.1  # drift and edge in one sample: drift is named
         with pytest.raises(ToleranceError, match=r"exceeds 1e-08 at tau=2\.5$"):
-            dynamics._check_samples(times, states)
+            dynamics._check_sample(2.5, c)
 
     def test_band_edge_occupancy_definition(self):
         amps = np.zeros(21, dtype=complex)

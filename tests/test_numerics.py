@@ -259,6 +259,64 @@ class TestIntegrator:
         assert np.array_equal(zero.times, plain.times)
         assert np.array_equal(zero.states, plain.states)
 
+    def test_check_sees_each_sample_as_it_is_recorded(self):
+        omega = np.array([0.0, 1.0, -2.5, 40.0])
+        y0 = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+        events = []
+
+        def rhs(t, y):
+            events.append(("rhs", t, None))
+            return -0.5 * y
+
+        def check(t, y):
+            events.append(("check", t, y.copy()))
+
+        traj = integrate_ode(
+            rhs, y0, (0.5, 6.0), sample_stride=0.5, frequencies=omega, check=check
+        )
+        checks = [i for i, event in enumerate(events) if event[0] == "check"]
+        assert checks[0] == 0
+        assert [events[i][1] for i in checks] == traj.times.tolist()
+        for i, state in zip(checks, traj.states):
+            assert np.array_equal(events[i][2], state)
+            assert all(t <= events[i][1] for _, t, _ in events[:i])
+            assert all(t >= events[i][1] for _, t, _ in events[i + 1 :])
+        # Lab frame: the exact solution of dy/dt = -(i omega + 0.5) y.
+        elapsed = traj.times[:, None] - 0.5
+        exact = y0[None, :] * np.exp(-(1j * omega[None, :] + 0.5) * elapsed)
+        assert np.max(np.abs(np.array([events[i][2] for i in checks]) - exact)) < 1e-10
+
+    @pytest.mark.parametrize("frequencies", [None, np.array([3.0])])
+    def test_raising_check_ends_the_run(self, frequencies):
+        class Stop(Exception):
+            pass
+
+        def check(t, y):
+            if t >= 2.0:
+                raise Stop
+
+        wrapped, calls = recorded(_rotation)
+        with pytest.raises(Stop):
+            integrate_ode(wrapped, np.array([1.0 + 0j]), (0.0, 5.0), None, 0.5,
+                          frequencies, check)
+        assert 1.5 < max(calls) <= 2.0
+
+    @staticmethod
+    def never(t, y):
+        raise AssertionError("rhs called")
+
+    def test_step_bound_rejected_before_any_rhs_call(self):
+        controls = OdeControls(max_step=1e-6)
+        with pytest.raises(ConfigurationError, match=r"max_step 1e-06 .* steps"):
+            integrate_ode(self.never, np.ones(1), (0.0, 5.0), controls)
+
+    @pytest.mark.parametrize(
+        "span", [(0.0, 5e-324), (0.0, 1e-30), (1e3, 1e3 + 1e-12), (-5.0, -5.0 + 1e-15)]
+    )
+    def test_span_shorter_than_a_step_rejected(self, span):
+        with pytest.raises(ConfigurationError, match=r"span .* shorter than"):
+            integrate_ode(self.never, np.ones(1), span)
+
     def test_empty_span_rejected(self):
         with pytest.raises(ConfigurationError):
             integrate_ode(_rotation, np.array([1.0 + 0j]), (1.0, 1.0))
@@ -432,9 +490,11 @@ def fig2_rotated_problem(monkeypatch, tau_end=20.0):
     initial = dynamics.default_initial_state(cfg.params, cfg.options["seed_amplitude"])
     captured = []
 
-    def capture(rhs, y0, tau_span, controls, sample_stride, frequencies):
+    def capture(rhs, y0, tau_span, controls, sample_stride, frequencies, check):
         captured.append((rhs, y0, tau_span, controls, sample_stride, frequencies))
-        return integrate_ode(rhs, y0, tau_span, controls, sample_stride, frequencies)
+        return integrate_ode(
+            rhs, y0, tau_span, controls, sample_stride, frequencies, check=check
+        )
 
     monkeypatch.setattr(dynamics, "integrate_ode", capture)
     dynamics.evolve(initial, fp, tau_end=tau_end, stride=cfg.options["stride"])

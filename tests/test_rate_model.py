@@ -211,8 +211,13 @@ class TestEvolveRates:
         for i, row in faults.items():
             pops[i] = row
         states = np.hstack([pops, np.zeros_like(pops)]).astype(complex)
-        fake = Trajectory(times=np.arange(5.0), states=states)
-        monkeypatch.setattr(rate_model, "integrate_ode", lambda *args: fake)
+
+        def fake(*args, check):
+            for tau, y in enumerate(states):
+                check(float(tau), y)
+            return Trajectory(times=np.arange(5.0), states=states)
+
+        monkeypatch.setattr(rate_model, "integrate_ode", fake)
         initial = RateState(0.0, pops[0], np.zeros(3))
         with pytest.raises(ToleranceError, match=named):
             evolve_rates(initial, np.zeros(3), np.zeros(3), tau_end=4.0)
