@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ToleranceError, TruncationError
-from .numerics import OdeControls, Trajectory, integrate_ode
+from .numerics import OdeControls, Trajectory, check_entries, integrate_ode
 from .potential import FourierPotential, SystemParams
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
 NORM_TOL = 1e-8
 EDGE_TOL = 1e-6
 DEFAULT_SEED_AMPLITUDE = 1e-4
-
-# Most entries of the rhs's Toeplitz copy (256 MiB); fig4's band needs 3,003.
-_MAX_TOEPLITZ = 1 << 24
 
 
 def modes(m_max: int) -> np.ndarray:
@@ -171,10 +168,7 @@ def _nonlinear_rhs(fp: FourierPotential) -> Callable[[float, np.ndarray], np.nda
     """
     size = 2 * fp.params.m_max + 1
     k_max = fp.k_max
-    if (2 * k_max + 1) * size > _MAX_TOEPLITZ:
-        raise ConfigurationError(
-            f"m_max={fp.params.m_max} needs a coupling table past {_MAX_TOEPLITZ} entries"
-        )
+    check_entries((2 * k_max + 1) * size, f"m_max={fp.params.m_max}: coupling table")
     weights = (-0.5j * fp.params.gamma) * fp.coefficients
     padded = np.zeros(size + 2 * k_max, dtype=complex)
     band = padded[k_max : k_max + size]

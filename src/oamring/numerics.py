@@ -16,20 +16,31 @@ import numpy as np
 from .errors import ConfigurationError, IntegrationError
 
 __all__ = [
+    "MAX_ENTRIES",
     "OdeControls",
     "Trajectory",
     "bessel_j_orders",
+    "check_entries",
     "integrate_ode",
     "periodic_fourier_coefficients",
 ]
 
 _OVERFLOW_GUARD = 1e250
-# Most samples one integrate_ode call may record (every preset needs at most
-# 1,201); each sample keeps a copy of the state.
-_MAX_SAMPLES = 1 << 20
+# Most entries of any one table sized by an input: 256 MiB of complex values.
+# The largest preset table, rate fig3's sample store, holds 50,442.
+MAX_ENTRIES = 1 << 24
 # Most steps of max_step a span may need (every preset needs at most 120); at
 # about 100 us a fig2 step, that many take under two minutes.
 _MAX_STEPS = 1 << 20
+
+
+def check_entries(entries, what: str) -> None:
+    """Raise ConfigurationError naming ``what`` unless a table of ``entries``
+    entries is within MAX_ENTRIES; NaN and inf never are."""
+    if not entries <= MAX_ENTRIES:
+        raise ConfigurationError(
+            f"{what} needs {entries:.6g} entries, past the limit of {MAX_ENTRIES}"
+        )
 
 
 def bessel_j_orders(n_max: int, x) -> np.ndarray:
@@ -170,11 +181,12 @@ def integrate_ode(
     """Integrate dy/dtau = -i diag(frequencies) y + rhs(tau, y) with an
     adaptive Dormand-Prince 5(4) pair and PI step-size control, sampling the
     solution every ``sample_stride`` time units (the final time is always
-    sampled).  A span that needs more than 2**20 samples or 2**20 steps of
-    ``max_step``, or is shorter than the smallest step 1e-14 max(1, |t1|), is
-    a ConfigurationError, raised before any ``rhs`` call.  ``check(tau, y)``,
-    if given, sees each sample as it is recorded, sample 0 before the first
-    ``rhs`` call; an exception it raises ends the run there.
+    sampled).  A sample store past MAX_ENTRIES entries (samples times state
+    size), a span of more than 2**20 steps of ``max_step``, or one shorter
+    than the smallest step 1e-14 max(1, |t1|), is a ConfigurationError,
+    raised before any ``rhs`` call.  ``check(tau, y)``, if given, sees each
+    sample as it is recorded, sample 0 before the first ``rhs`` call; an
+    exception it raises ends the run there.
 
     Without ``frequencies`` the equation is dy/dtau = rhs(tau, y) and no phase
     work is done.  With real ``frequencies`` w the linear part is solved
@@ -203,12 +215,13 @@ def integrate_ode(
     if not sample_stride > 0.0:
         raise ConfigurationError("sample_stride must be positive")
 
+    y = np.asarray(y0, dtype=complex).copy()
     n_inner = (t1 - t0) / sample_stride - 1e-12
-    if not n_inner <= _MAX_SAMPLES:
-        raise ConfigurationError(
-            f"span ({t0}, {t1}) at stride {sample_stride} needs more than "
-            f"{_MAX_SAMPLES} samples"
-        )
+    # At most n_inner + 2 samples: t0, the inner ones and t1.
+    check_entries(
+        (max(n_inner, 0.0) + 2) * y.size,
+        f"span ({t0}, {t1}) at stride {sample_stride}: sample store",
+    )
     if not (t1 - t0) / controls.max_step <= _MAX_STEPS:
         raise ConfigurationError(
             f"span ({t0}, {t1}) at max_step {controls.max_step} needs more than "
@@ -222,8 +235,6 @@ def integrate_ode(
     last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
     if last and t1 - (t0 + last * sample_stride) < underflow:
         last -= 1  # t1 is nearer the last inner sample than any step: merge them
-
-    y = np.asarray(y0, dtype=complex).copy()
 
     t = t0
     # One row per stage; row 0 holds the derivative at (t, y), row 6 the one

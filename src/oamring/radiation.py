@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import BunchingSpectrum, StateVector, modes
 from .errors import ConfigurationError
-from .numerics import bessel_j_orders
+from .numerics import bessel_j_orders, check_entries
 from .potential import SystemParams
 
 __all__ = [
@@ -39,9 +39,6 @@ _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 # Most (theta, phi) points one pattern may have: a 1024 x 1024 grid, whose
 # complex field alone takes 16 MiB.
 _MAX_PATTERN_POINTS = 1 << 20
-
-# Most entries of the Bessel table over theta (128 MiB); fig4 needs 7,421.
-_MAX_BESSEL_TABLE = 1 << 24
 
 # Largest far-field argument k0_rho sin(theta): bessel_j_orders is validated
 # up to |x| = 50, and its recurrence runs about |x| steps.
@@ -66,10 +63,7 @@ def _channel_weights(
     ms = np.arange(-m_band, m_band + 1)
     ns = ell + ms
     top = int(np.abs(ns).max())
-    if (top + 1) * x.size > _MAX_BESSEL_TABLE:
-        raise ConfigurationError(
-            f"ell={ell}, m_band={m_band}: Bessel table past {_MAX_BESSEL_TABLE} entries"
-        )
+    check_entries((top + 1) * x.size, f"ell={ell}, m_band={m_band}: Bessel table")
     x_top = float(np.abs(x).max())
     if x_top > _MAX_BESSEL_ARG:
         raise ConfigurationError(

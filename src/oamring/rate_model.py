@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ToleranceError
-from .numerics import OdeControls, integrate_ode
+from .numerics import OdeControls, check_entries, integrate_ode
 
 __all__ = [
     "RateState",
@@ -33,10 +33,6 @@ __all__ = [
 CONSERVATION_TOL = 1e-9
 NEGATIVE_TOL = 1e-12
 DEFAULT_SEED_POPULATION = 1e-6
-
-# Highest rung of a ladder (fig3's is 20); the rhs holds (m_max + 1)^2-entry
-# Toeplitz matrices, 128 MiB each at this size.
-_MAX_RUNGS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,7 @@ class RateState:
     def __post_init__(self):
         if self.populations.shape != self.phases.shape:
             raise ConfigurationError("populations and phases must align")
-        if self.populations.size > _MAX_RUNGS + 1:
-            raise ConfigurationError(f"rate ladder needs m_max <= {_MAX_RUNGS}")
+        check_entries(2 * self.populations.size**2, f"m_max={self.m_max}: rate ladder")
         if not np.isfinite([self.populations, self.phases]).all():
             raise ConfigurationError("populations and phases must be finite")
         if np.any(self.populations < -NEGATIVE_TOL):
@@ -71,8 +66,9 @@ def seeded_rate_state(
 
     Delay times depend logarithmically on the seeds, so they are an explicit
     argument here rather than something baked in."""
-    if not 0 <= m_max <= _MAX_RUNGS:
-        raise ConfigurationError(f"m_max={m_max} outside the rate ladder's 0..{_MAX_RUNGS}")
+    if m_max < 0:
+        raise ConfigurationError(f"rate ladder needs m_max >= 0, got {m_max}")
+    check_entries(2 * (m_max + 1) ** 2, f"m_max={m_max}: rate ladder")
     if not 0.0 < seed_population < 1.0 / max(m_max, 1):
         raise ConfigurationError(f"seed population {seed_population} out of range")
     pops = np.full(m_max + 1, seed_population)

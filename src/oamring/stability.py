@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, OamringError
+from .numerics import check_entries
 from .potential import FourierPotential, SystemParams, fourier_coefficients
 
 __all__ = [
@@ -31,10 +32,6 @@ __all__ = [
 # each side is the conventional reading and is echoed in output metadata.
 CLASSICAL_FACTOR = 10.0
 QUANTUM_FACTOR = 0.1
-
-# Most entries of a sweep's radius x mode rate table (128 MiB); fig1b needs
-# 32 x 12.
-_MAX_SWEEP_TABLE = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,10 @@ def spectrum_sweep(
     m_lo, m_hi = int(m_range[0]), int(m_range[1])
     if m_lo < 1 or m_hi < m_lo:
         raise ConfigurationError(f"bad mode range [{m_lo}, {m_hi}]")
-    if k0_rho_grid.size * (m_hi - m_lo + 1) > _MAX_SWEEP_TABLE:
-        raise ConfigurationError(
-            f"{k0_rho_grid.size} radii x modes {m_lo}..{m_hi}: rate table past "
-            f"{_MAX_SWEEP_TABLE} entries"
-        )
+    check_entries(
+        k0_rho_grid.size * (m_hi - m_lo + 1),
+        f"{k0_rho_grid.size} radii x modes {m_lo}..{m_hi}: rate table",
+    )
     modes = np.arange(m_lo, m_hi + 1)
     rates = np.empty((k0_rho_grid.size, modes.size))
     for i, kr in enumerate(k0_rho_grid):

@@ -559,6 +559,7 @@ class TestExitCodes:
              "potential.samples"),
             (["spectrum", "--set", "spectrum.k0_rho_step=1e-12"], "radii"),
             (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
+            (["evolve", "--preset", "fig2", "--set", "evolve.stride=0.002"], "stride"),
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
             (["evolve", "--preset", "fig2", "--set", "evolve.max_step=1e-6",
               "--set", "evolve.tau_end=5"], "steps"),
@@ -574,7 +575,8 @@ class TestExitCodes:
             (["radiate", "--set", "params.k0_rho=1e5"], "k0_rho"),
             (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
         ],
-        ids=["potential-samples", "spectrum-radii", "evolve-samples", "rate-samples",
+        ids=["potential-samples", "spectrum-radii", "evolve-samples", "evolve-store",
+             "rate-samples",
              "evolve-steps",
              "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling",
              "radiate-bessel", "radiate-argument", "spectrum-modes"],

@@ -13,9 +13,11 @@ import oamring.dynamics as dynamics
 from oamring.config import parse_config
 from oamring.errors import ConfigurationError, IntegrationError
 from oamring.numerics import (
+    MAX_ENTRIES,
     OdeControls,
     Trajectory,
     bessel_j_orders,
+    check_entries,
     integrate_ode,
     periodic_fourier_coefficients,
 )
@@ -310,6 +312,11 @@ class TestIntegrator:
         with pytest.raises(ConfigurationError, match=r"max_step 1e-06 .* steps"):
             integrate_ode(self.never, np.ones(1), (0.0, 5.0), controls)
 
+    def test_sample_store_counted_in_entries(self):
+        # 10,001 samples of 5,000 entries: 50M entries in a few samples.
+        with pytest.raises(ConfigurationError, match=r"stride 1\.0: sample store"):
+            integrate_ode(self.never, np.ones(5000), (0.0, 10000.0), sample_stride=1.0)
+
     @pytest.mark.parametrize(
         "span", [(0.0, 5e-324), (0.0, 1e-30), (1e3, 1e3 + 1e-12), (-5.0, -5.0 + 1e-15)]
     )
@@ -330,6 +337,13 @@ class TestIntegrator:
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1), complex))
+
+
+def test_check_entries_boundary():
+    check_entries(MAX_ENTRIES, "table")
+    for entries in (MAX_ENTRIES + 1, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="table needs"):
+            check_entries(entries, "table")
 
 
 # Dormand-Prince 5(4) in loop form: the retained slow path that the stacked

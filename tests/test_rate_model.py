@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oamring.rate_model as rate_model
 from oamring.errors import ConfigurationError, ToleranceError
-from oamring.numerics import OdeControls, Trajectory
+from oamring.numerics import MAX_ENTRIES, OdeControls, Trajectory
 from oamring.potential import SystemParams, fourier_coefficients, rate_coefficients
 from oamring.rate_model import (
     RateState,
@@ -341,7 +341,12 @@ class TestRateState:
         # np.full would ask for 7.3 TiB here, the rhs's ladder for far more.
         with pytest.raises(ConfigurationError, match="m_max=1000000000000"):
             seeded_rate_state(10**12, 1e-13)
-        big = rate_model._MAX_RUNGS + 2
-        pops = np.full(big, 1.0 / big)
-        with pytest.raises(ConfigurationError, match="m_max"):
-            RateState(0.0, pops, np.zeros(big))
+        # The rhs stacks two (m_max + 1)^2 ladders into one table.
+        top = math.isqrt(MAX_ENTRIES // 2) - 1
+        assert top == 2895
+        assert seeded_rate_state(top, 1e-6).m_max == top
+        with pytest.raises(ConfigurationError, match="m_max=2896"):
+            seeded_rate_state(top + 1, 1e-6)
+        pops = np.full(top + 2, 1.0 / (top + 2))
+        with pytest.raises(ConfigurationError, match="m_max=2896"):
+            RateState(0.0, pops, np.zeros(top + 2))
