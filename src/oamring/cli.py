@@ -30,6 +30,7 @@ from .dynamics import (
     evolve,
     modes,
     observables,
+    transitions,
 )
 from .errors import ConfigurationError, OamringError, ToleranceError
 from .numerics import OdeControls, Trajectory
@@ -42,7 +43,8 @@ from .potential import (
     rate_coefficients,
 )
 from .radiation import count_lobes, pattern_from_bunching
-from .rate_model import evolve_rates, seeded_rate_state, two_state_analytic
+from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
+from .rate_model import two_state_analytic
 from .stability import (
     CLASSICAL_FACTOR,
     QUANTUM_FACTOR,
@@ -210,12 +212,14 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
 
 def _timeseries(
     traj: Trajectory, phi_band: int, snapshot_k: int | None
-) -> tuple[np.ndarray, float, float, int]:
+) -> tuple[np.ndarray, float, float, int, dict]:
     """The timeseries.csv rows of a lab-frame trajectory (tau, norm error,
     N_m, Re and Im of Phi_0..Phi_phi_band, <omega>), its largest norm drift
-    and band-edge occupancy, and the index of the sample with the largest
-    |Phi_snapshot_k| (the last sample when snapshot_k is None)."""
-    obs = observables(traj.states, max(phi_band, snapshot_k or 0))
+    and band-edge occupancy, the index of the sample with the largest
+    |Phi_snapshot_k| (the last sample when snapshot_k is None) and its
+    transitions record."""
+    m_max = traj.states.shape[1] // 2
+    obs = observables(traj.states, max(phi_band, snapshot_k or 0, m_max))
     phis = obs.phi[:, : phi_band + 1]
     table = np.column_stack(
         [traj.times, obs.drift, obs.populations, phis.real, phis.imag, obs.mean_omega]
@@ -224,7 +228,8 @@ def _timeseries(
         snap_index = len(traj.times) - 1
     else:
         snap_index = int(np.argmax(np.abs(obs.phi[:, snapshot_k])))
-    return table, float(obs.drift.max()), float(obs.edge.max()), snap_index
+    record = transitions(traj.times, obs)
+    return table, float(obs.drift.max()), float(obs.edge.max()), snap_index, record
 
 
 def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
@@ -264,7 +269,7 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         + ["mean_omega"]
     )
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
-    table, drift_max, edge_max, snap_index = _timeseries(traj, phi_band, snapshot_k)
+    table, drift_max, edge_max, snap_index, record = _timeseries(traj, phi_band, snapshot_k)
 
     snap_tau = float(traj.times[snap_index])
     snap_amps = traj.states[snap_index]
@@ -282,6 +287,7 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         **_g_table(fp),
         "lambda": _lambda_summary(fp),
         "snapshot_tau": snap_tau,
+        "transitions": record,
     }
     diagnostics = {"max_norm_drift": drift_max, "max_band_edge": edge_max}
     return files, derived, diagnostics
@@ -294,26 +300,21 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
 
+    m_top = opts["m_max"] if opts["m_max"] is not None else params.m_max
     channel = opts["channel"]
     if channel:
-        if not 1 <= channel <= fp.k_max:
+        if not 1 <= channel <= min(fp.k_max, m_top):
             raise ConfigurationError(
-                f"rate.channel={channel} outside 1..{fp.k_max}"
+                f"rate.channel={channel} outside 1..{min(fp.k_max, m_top)}: "
+                f"k_max={fp.k_max}, rate.m_max={m_top}"
             )
         single = np.zeros_like(g)
         single[channel] = g[channel]
         g = single
 
-    m_top = opts["m_max"] if opts["m_max"] is not None else params.m_max
-    initial = seeded_rate_state(m_top, opts["seed_population"])
-    traj = evolve_rates(
-        initial,
-        g,
-        alpha,
-        tau_end=opts["tau_end"],
-        controls=_controls(opts),
-        stride=opts["stride"],
-    )
+    seed = opts["seed_population"]
+    traj = evolve_rates(seeded_rate_state(m_top, seed), g, alpha, tau_end=opts["tau_end"],
+                        controls=_controls(opts), stride=opts["stride"])
 
     active = np.nonzero(g[1:])[0] + 1
     overlay = active[0] if active.size == 1 else None
@@ -323,18 +324,17 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
         + [f"phi_{m}" for m in range(m_top + 1)]
     )
     columns = [traj.times, *traj.populations.T, *traj.phases.T]
+    derived = {**_g_table(fp), "gamma_v0": float(2.0 * alpha[0]),
+               "transitions": ladder_transitions(traj)}
     if overlay is not None:
+        g_k = float(g[overlay])
         header += ["N0_analytic", "Nk_analytic"]
-        analytic = [
-            two_state_analytic(float(g[overlay]), opts["seed_population"], tau)
-            for tau in traj.times.tolist()
-        ]
+        analytic = [two_state_analytic(g_k, seed, tau) for tau in traj.times.tolist()]
         columns += list(np.array(analytic).T)
+        derived["single_channel"] = {"k": int(overlay),
+                                     "tau_logistic": float(np.log((1.0 - seed) / seed) / g_k)}
 
     totals = traj.populations.sum(axis=1)
-    derived = {**_g_table(fp), "gamma_v0": float(2.0 * alpha[0])}
-    if overlay is not None:
-        derived["single_channel_k"] = int(overlay)
     diagnostics = {
         "max_population_drift": float(np.max(np.abs(totals - 1.0))),
         "final_mean_m": float(

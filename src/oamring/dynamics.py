@@ -36,8 +36,10 @@ __all__ = [
     "default_initial_state",
     "derivative",
     "evolve",
+    "first_crossing",
     "modes",
     "observables",
+    "transitions",
 ]
 
 NORM_TOL = 1e-8
@@ -116,6 +118,32 @@ def observables(states: np.ndarray, k_top: int) -> Observables:
         phi=phi,
         mean_omega=(modes((size - 1) // 2) * pops).sum(axis=-1),
     )
+
+
+def first_crossing(populations: np.ndarray) -> int | None:
+    """Index of the first sample whose population exceeds 1/2, or None: the
+    one rule for when a quantized transfer has happened."""
+    hits = np.flatnonzero(populations > 0.5)
+    return int(hits[0]) if hits.size else None
+
+
+def transitions(times: np.ndarray, obs: Observables) -> dict[int, dict]:
+    """The transfers of a (T, size) pass whose phi reaches lag m_max, keyed by
+    each k whose N_{+k} + N_{-k} crosses 1/2: that sample's ``tau``, the
+    ``sign`` of the larger of N_{+k}, N_{-k} there (+1 on a tie), and the
+    largest |Phi_k| up to and including it, ``peak_phi``, at ``peak_tau``."""
+    pops = obs.populations
+    m_max = (pops.shape[-1] - 1) // 2
+    record = {}
+    for k in range(1, m_max + 1):
+        plus, minus = pops[:, m_max + k], pops[:, m_max - k]
+        i = first_crossing(plus + minus)
+        if i is not None:
+            phi = np.abs(obs.phi[: i + 1, k])
+            j = int(np.argmax(phi))
+            record[k] = {"tau": float(times[i]), "sign": 1 if plus[i] >= minus[i] else -1,
+                         "peak_phi": float(phi[j]), "peak_tau": float(times[j])}
+    return record
 
 
 def default_initial_state(

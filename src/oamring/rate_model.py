@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import first_crossing
 from .errors import ConfigurationError, ToleranceError
 from .numerics import OdeControls, check_entries, integrate_ode
 
@@ -27,6 +28,7 @@ __all__ = [
     "RateState",
     "RateTrajectory",
     "evolve_rates",
+    "ladder_transitions",
     "two_state_analytic",
 ]
 
@@ -164,6 +166,13 @@ def evolve_rates(
     )
     pops, phases = raw.states[:, :n].real, raw.states[:, n:].real
     return RateTrajectory(raw.times, np.where(pops < 0.0, 0.0, pops), phases)
+
+
+def ladder_transitions(traj: RateTrajectory) -> dict[int, dict]:
+    """The ladder twin of dynamics.transitions: for each rung k >= 1 whose
+    N_k crosses 1/2, that sample's ``tau``."""
+    crossings = {k: first_crossing(pops) for k, pops in enumerate(traj.populations.T) if k}
+    return {k: {"tau": float(traj.times[i])} for k, i in crossings.items() if i is not None}
 
 
 def two_state_analytic(g_k: float, seed_population: float, tau: float) -> tuple[float, float]:

@@ -5,6 +5,7 @@ module-scoped fixtures; every tolerance is pinned here, not configurable."""
 import json
 import math
 import time
+from itertools import groupby
 
 
 import numpy as np
@@ -19,6 +20,7 @@ from oamring.dynamics import (
     derivative,
     evolve,
     observables,
+    transitions,
 )
 from oamring.numerics import OdeControls
 from oamring.potential import (
@@ -35,6 +37,7 @@ from oamring.radiation import (
 from oamring.rate_model import (
     RateState,
     evolve_rates,
+    ladder_transitions,
     seeded_rate_state,
     two_state_analytic,
 )
@@ -59,7 +62,7 @@ def fig2_run():
         tau_end=cfg.options["tau_end"], stride=cfg.options["stride"],
     )
     elapsed = time.perf_counter() - start
-    obs = observables(traj.states, 1)
+    obs = observables(traj.states, params.m_max)
     return {
         "params": params,
         "fp": fp,
@@ -69,6 +72,7 @@ def fig2_run():
         "phi1": obs.phi[:, 1],
         "phi0": obs.phi[:, 0],
         "omega": obs.mean_omega,
+        "record": transitions(traj.times, obs),
         "elapsed": elapsed,
     }
 
@@ -83,13 +87,12 @@ def fig3_run():
     start = time.perf_counter()
     traj = evolve_rates(
         seeded_rate_state(params.m_max, cfg.options["seed_population"]),
-        g,
-        alpha,
+        g, alpha,
         tau_end=cfg.options["tau_end"],
         stride=cfg.options["stride"],
     )
     elapsed = time.perf_counter() - start
-    return {"params": params, "g": g, "traj": traj, "elapsed": elapsed}
+    return {"g": g, "traj": traj, "record": ladder_transitions(traj), "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +106,7 @@ def fig4_run():
         initial, fp,
         tau_end=cfg.options["tau_end"], stride=cfg.options["stride"],
     )
-    obs = observables(traj.states, 5)
+    obs = observables(traj.states, params.m_max)
     phi5 = np.abs(obs.phi[:, 5])
     snap = int(np.argmax(phi5))
     state = StateVector(float(traj.times[snap]), traj.states[snap])
@@ -120,6 +123,7 @@ def fig4_run():
         "seed_amplitude": cfg.options["seed_amplitude"],
         "traj": traj,
         "pops": obs.populations,
+        "record": transitions(traj.times, obs),
         "phi5": phi5,
         "snap_index": snap,
         "snap_state": state,
@@ -131,11 +135,7 @@ def fig4_run():
 def plateau_lengths(omega: np.ndarray, level: int, tol: float = 0.05) -> int:
     """Longest run of consecutive samples within tol of the level."""
     close = np.abs(omega - level) <= tol
-    best = run = 0
-    for flag in close:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    return best
+    return max((len(list(run)) for flag, run in groupby(close) if flag), default=0)
 
 
 def test_criterion_1_growth_rate_trend():
@@ -157,35 +157,29 @@ def test_criterion_1_growth_rate_trend():
 
 
 def test_criterion_2_small_ring_cascade(fig2_run):
-    pops = fig2_run["pops"]
-    omega = fig2_run["omega"]
-    phi1 = np.abs(fig2_run["phi1"])
+    record = fig2_run["record"]
     m_max = fig2_run["params"].m_max
 
-    # transitions appear in order 0 -> 1 -> 2, each a unit step
-    crossing = {}
-    for m in range(0, 4):
-        hits = np.nonzero(pops[:, m_max + m] > 0.5)[0]
-        if hits.size:
-            crossing[m] = int(hits[0])
-    assert {0, 1, 2} <= set(crossing)
-    assert crossing[0] < crossing[1] < crossing[2]
-    negatives = pops[:, :m_max].sum(axis=1)
+    # transitions appear in order 0 -> 1 -> 2, each a unit step up
+    assert {1, 2} <= set(record)
+    assert record[1]["tau"] < record[2]["tau"]
+    assert record[1]["sign"] == record[2]["sign"] == 1
+    negatives = fig2_run["pops"][:, :m_max].sum(axis=1)
     assert negatives.max() < 1e-3  # transfer is one-sided (quantum regime)
 
     # mean angular velocity plateaus within 0.05 of successive integers
     for level in (1, 2):
-        assert plateau_lengths(omega, level) >= 50, f"no plateau at {level}"
+        assert plateau_lengths(fig2_run["omega"], level) >= 50, f"no plateau at {level}"
 
     # peak bunching of the first transition
-    first_peak = float(phi1[: crossing[2]].max())
+    first_peak = record[1]["peak_phi"]
     assert abs(first_peak - 0.5) <= 0.05
 
     assert fig2_run["elapsed"] < 120.0
     report(
         2,
         "small-ring cascade",
-        f"transitions at tau={[float(fig2_run['traj'].times[crossing[m]]) for m in (1, 2)]}, "
+        f"transitions at tau={[record[k]['tau'] for k in (1, 2)]}, "
         f"max|Phi_1|={first_peak:.3f}, {fig2_run['elapsed']:.0f}s",
     )
 
@@ -193,16 +187,18 @@ def test_criterion_2_small_ring_cascade(fig2_run):
 def test_criterion_3_channel_competition(fig3_run):
     g = fig3_run["g"]
     traj = fig3_run["traj"]
+    record = fig3_run["record"]
 
     order = np.argsort(g[1:])[::-1] + 1
     assert g[1] < 0.02 * g[order[0]]
     assert list(order[:2]) == [6, 5]
 
-    done = np.nonzero(traj.populations[:, 0] < 0.01)[0]
-    assert done.size, "first transition did not complete"
-    i_star = int(done[0])
-    n6 = float(traj.populations[i_star, 6])
-    n5 = float(traj.populations[i_star, 5])
+    # k = 6 wins the first transfer and 6 -> 12 is the next; the split is
+    # read halfway between them, once the first transfer has completed
+    assert sorted(record)[:2] == [6, 12]
+    i_star = int(np.searchsorted(traj.times, 0.5 * (record[6]["tau"] + record[12]["tau"])))
+    assert traj.populations[i_star, 0] < 0.01, "first transition did not complete"
+    n6, n5 = traj.populations[i_star, [6, 5]].tolist()
     residual = 1.0 - n6 - n5
     assert n6 > 0.8
     assert n6 > n5
@@ -212,15 +208,15 @@ def test_criterion_3_channel_competition(fig3_run):
     report(
         3,
         "channel competition",
-        f"g ranking {list(map(int, order[:2]))}, split N6={n6:.3f}/N5={n5:.3f}, "
-        f"residual={residual:.3f}, {fig3_run['elapsed']:.1f}s",
+        f"g ranking {list(map(int, order[:2]))}, transfers at tau {record[6]['tau']}, "
+        f"{record[12]['tau']}, split N6={n6:.3f}/N5={n5:.3f}, residual={residual:.3f}, "
+        f"{fig3_run['elapsed']:.1f}s",
     )
 
 
 def test_criterion_4_oam_conversion(fig4_run):
     params = fig4_run["params"]
-    traj = fig4_run["traj"]
-    pops = np.abs(traj.states) ** 2
+    pops = fig4_run["pops"]
     m_max = params.m_max
 
     # dominant transfer 0 -> 5: fifth mode ends macroscopic, others stay small
@@ -400,52 +396,21 @@ def test_criterion_7_manifest_determinism(tmp_path):
     report(7, "manifest determinism", "5 scenarios re-run byte-identically")
 
 
-def test_rate_model_tracks_full_dynamics_timing(fig2_run):
-    """Supplementary validity cross-check: in the quantum regime the cascade
-    approximation reproduces the first transition time within 15% when the
-    rate seed matches the squared amplitude seed."""
-    params = fig2_run["params"]
-    pops = fig2_run["pops"]
-    m_max = params.m_max
-    t_dyn = float(
-        fig2_run["traj"].times[np.nonzero(pops[:, m_max + 1] > 0.5)[0][0]]
-    )
-
-    fp = fig2_run["fp"]
-    g = rate_coefficients(fp)
-    alpha = dispersion_coefficients(fp)
-    seed = 1e-4**2
-    traj = evolve_rates(
-        seeded_rate_state(10, seed), g, alpha,
-        tau_end=800.0, stride=1.0,
-    )
-    t_rate = float(traj.times[np.nonzero(traj.populations[:, 1] > 0.5)[0][0]])
-    assert abs(t_rate - t_dyn) <= 0.15 * t_dyn
-    print(
-        f"\nSUPPLEMENT (rate vs dynamics timing): PASS  "
-        f"[t_dyn={t_dyn:.0f}, t_rate={t_rate:.0f}]"
-    )
-
-
 def test_rate_model_reproduces_evolve_delays(fig2_run, fig4_run):
     """Cross-model delay oracle: the full-ladder rate model seeded with the
     squared seed amplitude crosses N_k = 1/2 within 5% of the coupled-mode
     N_{+k} + N_{-k}, for the fig2 cascade's first two steps and fig4's k = 5."""
     delays = []
     for run, ks in ((fig2_run, (1, 2)), (fig4_run, (5,))):
-        params, fp, times = run["params"], run["fp"], run["traj"].times
-        m_max = params.m_max
-        rates = evolve_rates(
-            seeded_rate_state(m_max, run["seed_amplitude"] ** 2),
-            rate_coefficients(fp),
-            dispersion_coefficients(fp),
+        fp, times = run["fp"], run["traj"].times
+        ladder = ladder_transitions(evolve_rates(
+            seeded_rate_state(run["params"].m_max, run["seed_amplitude"] ** 2),
+            rate_coefficients(fp), dispersion_coefficients(fp),
             tau_end=float(times[-1]),
             stride=float(times[1] - times[0]),
-        )
+        ))
         for k in ks:
-            pair = run["pops"][:, m_max + k] + run["pops"][:, m_max - k]
-            t_evolve = float(times[np.nonzero(pair > 0.5)[0][0]])
-            t_rate = float(rates.times[np.nonzero(rates.populations[:, k] > 0.5)[0][0]])
+            t_evolve, t_rate = run["record"][k]["tau"], ladder[k]["tau"]
             assert abs(t_rate - t_evolve) <= 0.05 * t_evolve
             delays.append(f"k={k}: {t_evolve:.0f}/{t_rate:.0f}")
     print(f"\nSUPPLEMENT (cross-model delays): PASS  [{', '.join(delays)}]")

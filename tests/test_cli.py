@@ -265,8 +265,8 @@ class TestArtifacts:
         assert rc == 0
         header = (tmp_path / "rates.csv").read_text().splitlines()[1].split(",")
         assert header[-2:] == ["N0_analytic", "Nk_analytic"]
-        manifest = read_manifest(tmp_path)
-        assert manifest["reproducible"]["derived"]["single_channel_k"] == 6
+        single = read_manifest(tmp_path)["reproducible"]["derived"]["single_channel"]
+        assert single == {"k": 6, "tau_logistic": pytest.approx(142.44, abs=5e-3)}
 
     def test_rate_overlay_follows_the_integrated_channel(self, tmp_path):
         # The closed form starts from the run's seed, so it tracks N_0 and
@@ -404,7 +404,7 @@ class TestTimeseries:
 
     def test_columns_match_per_sample_observables(self, traj):
         phi_band = 8
-        table, drift_max, edge_max, _ = _timeseries(traj, phi_band, None)
+        table, drift_max, edge_max, *_ = _timeseries(traj, phi_band, None)
         assert table.shape[0] == len(traj.times)
         band = modes((traj.states.shape[1] - 1) // 2)
         drifts, edges = [], []
@@ -440,50 +440,21 @@ class TestTimeseries:
 
 
 class TestReproducibility:
-    @staticmethod
-    def artifact_bytes(out: Path) -> dict:
-        return {
-            p.name: p.read_bytes()
-            for p in sorted(out.iterdir())
-            if p.name != "manifest.json"
-        }
-
-    def rerun_and_compare(self, tmp_path, scenario, args):
-        first = tmp_path / "first"
-        rc = main([scenario, "--out", str(first)] + args)
-        assert rc == 0
-        second = tmp_path / "second"
-        rc = main([
-            scenario, "--config", str(first / "manifest.json"), "--out", str(second)
-        ])
-        assert rc == 0
-        assert self.artifact_bytes(first) == self.artifact_bytes(second)
+    def test_large_seed_survives_manifest_rerun(self, tmp_path):
+        seed = 2**53 + 1
+        first, second = tmp_path / "first", tmp_path / "second"
+        args = QUICK_EVOLVE + [
+            "--set", "evolve.seed_mode=random", "--set", f"evolve.rng_seed={seed}"]
+        assert main(["evolve", "--preset", "fig2", "--out", str(first)] + args) == 0
+        rerun = ["evolve", "--config", str(first / "manifest.json"), "--out", str(second)]
+        assert main(rerun) == 0
+        files = [{p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+                 for out in (first, second)]
+        assert files[0] == files[1]
         a, b = read_manifest(first), read_manifest(second)
         assert a["reproducible"] == b["reproducible"]
         assert a["manifest_hash"] == b["manifest_hash"]
-
-    def test_potential_rerun_byte_identical(self, tmp_path):
-        self.rerun_and_compare(tmp_path, "potential", ["--preset", "fig2"])
-
-    def test_evolve_rerun_byte_identical(self, tmp_path):
-        self.rerun_and_compare(
-            tmp_path, "evolve", ["--preset", "fig2"] + QUICK_EVOLVE
-        )
-
-    def test_random_seed_mode_rerun_byte_identical(self, tmp_path):
-        args = QUICK_EVOLVE + [
-            "--set", "evolve.seed_mode=random", "--set", "evolve.rng_seed=3",
-        ]
-        self.rerun_and_compare(tmp_path, "evolve", ["--preset", "fig2"] + args)
-
-    def test_large_seed_survives_manifest_rerun(self, tmp_path):
-        seed = 2**53 + 1
-        args = QUICK_EVOLVE + [
-            "--set", "evolve.seed_mode=random", "--set", f"evolve.rng_seed={seed}",
-        ]
-        self.rerun_and_compare(tmp_path, "evolve", ["--preset", "fig2"] + args)
-        config = read_manifest(tmp_path / "second")["reproducible"]["config"]
-        assert config["evolve.rng_seed"] == seed
+        assert b["reproducible"]["config"]["evolve.rng_seed"] == seed
 
     def test_manifest_echoes_resolved_truncations(self, tmp_path):
         rc = main(["potential", "--preset", "fig2", "--out", str(tmp_path)])
@@ -513,6 +484,7 @@ class TestExitCodes:
             ("evolve", "evolve.seed_mode=random evolve.rng_seed=-1"),
             ("evolve", "evolve.tau_end=5e-324"),  # shorter than any step
             ("rate", "rate.tau_end=1e-30"),
+            ("rate", "rate.m_max=3 rate.channel=6"),  # a rung past the ladder
         ],
     )
     def test_bad_value_exits_two_with_record(self, tmp_path, capsys, scenario, override):

@@ -18,11 +18,11 @@ from oamring.dynamics import (
     evolve,
     modes,
     observables,
+    transitions,
 )
 from oamring.errors import ConfigurationError, ToleranceError, TruncationError
-
 from oamring.potential import SystemParams, fourier_coefficients
-from oamring.stability import spectrum
+from oamring.rate_model import RateTrajectory, ladder_transitions
 
 RNG = np.random.default_rng(2024)
 
@@ -284,6 +284,40 @@ class TestObservables:
         assert omega[2] == pytest.approx(1.0)
 
 
+def pass_of(rows: dict, m_max: int = 2):
+    """Sample times and the observables of real amplitudes sqrt(N_m), from
+    N_m per sample for each m in ``rows``; m = 0 holds the rest."""
+    pops = np.zeros((len(next(iter(rows.values()))), 2 * m_max + 1))
+    for m, values in rows.items():
+        pops[:, m_max + m] = values
+    pops[:, m_max] = 1.0 - pops.sum(axis=1)
+    return 10.0 * np.arange(len(pops)), observables(np.sqrt(pops) + 0j, m_max)
+
+
+@pytest.mark.parametrize("rows, ladder, want", [
+    # N_{+1} = N_{-1} = 0.3: neither passes 1/2 alone, their sum does; a tie is +1
+    ({1: [0.1, 0.3], -1: [0.1, 0.3]}, False, {1: {"tau": 10.0, "sign": 1}}),
+    ({1: [0.1, 0.24], -1: [0.1, 0.3]}, False, {1: {"tau": 10.0, "sign": -1}}),
+    # a -k win; lag 1 peaks at 0.4 and never crosses, so it has no entry
+    ({-2: [0.0, 0.2, 0.9], 1: [0.0, 0.4, 0.05]}, False, {2: {"tau": 20.0, "sign": -1}}),
+    # |Phi_1| = sqrt(N_0 N_1) peaks on the crossing sample itself
+    ({1: [0.1, 0.3, 0.52, 0.9]}, False,
+     {1: {"tau": 20.0, "peak_tau": 20.0, "peak_phi": np.sqrt(0.52 * 0.48)}}),
+    # the ladder reads N_k itself, from rung 1 up
+    ({1: [0.1, 0.6], 2: [0.0, 0.3]}, True, {1: {"tau": 10.0}}),
+], ids=["pair-tie", "pair-sign", "minus-win", "peak-on-crossing", "ladder"])
+def test_transitions_record(rows, ladder, want):
+    times, obs = pass_of(rows)
+    if ladder:
+        rungs = obs.populations[:, 2:]  # N_0, N_1, N_2
+        record = ladder_transitions(RateTrajectory(times, rungs, 0 * rungs))
+    else:
+        record = transitions(times, obs)
+    assert set(record) == set(want)
+    for k, entry in want.items():
+        assert {key: record[k][key] for key in entry} == pytest.approx(entry)
+
+
 class TestEvolve:
     def test_free_single_mode_phase_rotation(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=3)
@@ -305,19 +339,6 @@ class TestEvolve:
         traj = evolve(state, fp, tau_end=100.0, stride=10.0)
         drift = np.abs(np.abs(traj.states) - np.abs(state.amplitudes)[None, :])
         assert drift.max() < 1e-10
-
-    def test_seeded_growth_matches_eigenvalue(self):
-        params, fp = fig2_setup()
-        state = default_initial_state(params)
-        traj = evolve(state, fp, tau_end=260.0, stride=0.5)
-        phi1 = np.abs(observables(traj.states, 1).phi[:, 1])
-        hi = int(np.argmax(phi1 >= 1e-2))
-        lo = hi
-        while lo > 0 and phi1[lo - 1] > 1e-4:
-            lo -= 1
-        slope = np.polyfit(traj.times[lo : hi + 1], np.log(phi1[lo : hi + 1]), 1)[0]
-        expected = spectrum(fp, [1]).growth_rates[0]
-        assert slope == pytest.approx(expected, rel=0.05)
 
     def test_norm_and_central_bunching_along_trajectory(self):
         params, fp = fig2_setup()

@@ -38,6 +38,11 @@ RUNS = {
     "evolve-fig2-tau60-rerun": [
         "evolve", "--config", "{evolve-fig2-tau60}/manifest.json",
     ],
+    # Crosses k = 1, 2 and 3, so its manifest pins a non-empty transitions record.
+    "evolve-fig2-gamma0.5": [
+        "evolve", "--preset", "fig2",
+        "--set", "params.gamma=0.5", "--set", "evolve.tau_end=120",
+    ],
     "evolve-fig2-random3": [
         "evolve", "--preset", "fig2", "--set", "evolve.tau_end=150",
         "--set", "evolve.seed_mode=random", "--set", "evolve.rng_seed=3",
