@@ -35,6 +35,7 @@ from .dynamics import (
 from .errors import ConfigurationError, OamringError, ToleranceError
 from .numerics import OdeControls, Trajectory
 from .potential import (
+    GRID_DOUBLING_TOL,
     FourierPotential,
     SystemParams,
     dispersion_coefficients,
@@ -69,19 +70,19 @@ _MAX_RADII = 1 << 16
 _ROWS_PER_WRITE = 64
 
 
-def _write_artifacts(out: Path, mhash: str, files: dict) -> None:
-    """Write each artifact under ``out``: a ``(header, columns)`` pair of
-    equal-length 1-D arrays as a CSV headed by a ``# manifest:`` line, a dict
-    as a JSON file with a ``manifest_hash`` key.
+def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
+    """Write each artifact under ``out``.  A ``.csv`` name maps column names
+    to equal-length 1-D arrays: a CSV headed by a ``# manifest:`` line and
+    the names.  Any other name holds a dict: a JSON file with a
+    ``manifest_hash`` key.
 
     Every CSV column is checked before ``out`` is made, so a non-finite value
     raises ToleranceError and leaves no output directory.  Values are written
     with ``repr``: floats round-trip exactly and integer columns stay integers.
     """
-    for name, payload in files.items():
-        if isinstance(payload, dict):
-            continue
-        for column_name, column in zip(*payload, strict=True):
+    tables = {name: table for name, table in files.items() if name.endswith(".csv")}
+    for name, table in tables.items():
+        for column_name, column in table.items():
             if not np.isfinite(column).all():
                 raise ToleranceError(
                     f"non-finite value reached output column {column_name} of {name}"
@@ -92,14 +93,14 @@ def _write_artifacts(out: Path, mhash: str, files: dict) -> None:
         for name, payload in files.items():
             path = out / name
             with path.open("w", encoding="utf-8", newline="\n") as handle:
-                if isinstance(payload, dict):
+                if name not in tables:
                     json.dump({**payload, "manifest_hash": mhash}, handle,
                               indent=2, sort_keys=True)
                     handle.write("\n")
                     continue
-                header, columns = payload
+                columns = list(payload.values())
                 handle.write(f"# manifest: {mhash}\n")
-                handle.write(",".join(header) + "\n")
+                handle.write(",".join(payload) + "\n")
                 for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
                     stop = start + _ROWS_PER_WRITE
                     rows = zip(*(col[start:stop].tolist() for col in columns), strict=True)
@@ -165,11 +166,9 @@ def _run_potential(config: RunConfig) -> tuple[dict, dict, dict]:
     phis = np.linspace(0.0, 2.0 * np.pi, config.options["samples"], endpoint=False)
     v = fp.coefficients[fp.k_max :]
     files = {
-        "samples.csv": (["phi", "V"], [phis, pair_potential(phis, params)]),
-        "coefficients.csv": (
-            ["k", "re_Vk", "im_Vk", "g_k", "alpha_k"],
-            [np.arange(fp.k_max + 1), v.real, v.imag, g, alpha],
-        ),
+        "samples.csv": {"phi": phis, "V": pair_potential(phis, params)},
+        "coefficients.csv": {"k": np.arange(fp.k_max + 1), "re_Vk": v.real,
+                             "im_Vk": v.imag, "g_k": g, "alpha_k": alpha},
     }
     return files, _g_table(fp), {}
 
@@ -188,7 +187,6 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
     grid = np.arange(start, stop, step)
     sweep = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
 
-    header = ["k0_rho"] + [f"m_{int(m)}" for m in sweep.modes]
     rows = [
         {
             "k0_rho": float(kr),
@@ -197,39 +195,35 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
         }
         for i, kr in enumerate(sweep.k0_rho_grid)
     ]
-    files = {
-        "growth_rates.csv": (header, [sweep.k0_rho_grid, *sweep.rates.T]),
-        "summary.json": {"rows": rows},
-    }
-    derived = {
-        "argmax_by_radius": {
-            repr(float(kr)): int(sweep.argmax_m[i])
-            for i, kr in enumerate(sweep.k0_rho_grid)
-        }
-    }
+    growth = {"k0_rho": sweep.k0_rho_grid}
+    growth |= {f"m_{m}": rates for m, rates in zip(sweep.modes.tolist(), sweep.rates.T)}
+    files = {"growth_rates.csv": growth, "summary.json": {"rows": rows}}
+    derived = {"argmax_by_radius": {repr(row["k0_rho"]): row["argmax_m"] for row in rows}}
     return files, derived, {}
 
 
 def _timeseries(
     traj: Trajectory, phi_band: int, snapshot_k: int | None
-) -> tuple[np.ndarray, float, float, int, dict]:
-    """The timeseries.csv rows of a lab-frame trajectory (tau, norm error,
+) -> tuple[dict, float, float, int, dict]:
+    """The timeseries.csv columns of a lab-frame trajectory (tau, norm error,
     N_m, Re and Im of Phi_0..Phi_phi_band, <omega>), its largest norm drift
     and band-edge occupancy, the index of the sample with the largest
     |Phi_snapshot_k| (the last sample when snapshot_k is None) and its
     transitions record."""
     m_max = traj.states.shape[1] // 2
     obs = observables(traj.states, max(phi_band, snapshot_k or 0, m_max))
-    phis = obs.phi[:, : phi_band + 1]
-    table = np.column_stack(
-        [traj.times, obs.drift, obs.populations, phis.real, phis.imag, obs.mean_omega]
-    )
+    phis = obs.phi[:, : phi_band + 1].T
+    columns = {"tau": traj.times, "norm_error": obs.drift}
+    columns |= {f"N_{m}": n for m, n in zip(modes(m_max).tolist(), obs.populations.T)}
+    columns |= {f"re_phi_{k}": phi.real for k, phi in enumerate(phis)}
+    columns |= {f"im_phi_{k}": phi.imag for k, phi in enumerate(phis)}
+    columns["mean_omega"] = obs.mean_omega
     if snapshot_k is None:
         snap_index = len(traj.times) - 1
     else:
         snap_index = int(np.argmax(np.abs(obs.phi[:, snapshot_k])))
     record = transitions(traj.times, obs)
-    return table, float(obs.drift.max()), float(obs.edge.max()), snap_index, record
+    return columns, float(obs.drift.max()), float(obs.edge.max()), snap_index, record
 
 
 def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
@@ -259,22 +253,14 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         stride=opts["stride"],
     )
 
-    band = modes(params.m_max)
     phi_band = min(opts["phi_band"], 2 * params.m_max)
-    header = (
-        ["tau", "norm_error"]
-        + [f"N_{int(m)}" for m in band]
-        + [f"re_phi_{k}" for k in range(phi_band + 1)]
-        + [f"im_phi_{k}" for k in range(phi_band + 1)]
-        + ["mean_omega"]
-    )
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
-    table, drift_max, edge_max, snap_index, record = _timeseries(traj, phi_band, snapshot_k)
+    columns, drift_max, edge_max, snap_index, record = _timeseries(traj, phi_band, snapshot_k)
 
     snap_tau = float(traj.times[snap_index])
     snap_amps = traj.states[snap_index]
     files = {
-        "timeseries.csv": (header, table.T),
+        "timeseries.csv": columns,
         "snapshot.json": {
             "tau": snap_tau,
             "m_max": params.m_max,
@@ -301,12 +287,20 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     alpha = dispersion_coefficients(fp)
 
     m_top = opts["m_max"] if opts["m_max"] is not None else params.m_max
+    # V_k is verified only to GRID_DOUBLING_TOL, so a gain at or below this
+    # floor is not told apart from none.
+    floor = params.gamma * GRID_DOUBLING_TOL
     channel = opts["channel"]
     if channel:
         if not 1 <= channel <= min(fp.k_max, m_top):
             raise ConfigurationError(
                 f"rate.channel={channel} outside 1..{min(fp.k_max, m_top)}: "
                 f"k_max={fp.k_max}, rate.m_max={m_top}"
+            )
+        if not g[channel] > floor:
+            raise ConfigurationError(
+                f"rate.channel={channel} has no resolved gain: g_{channel}="
+                f"{g[channel]:.3g} is not above gamma * {GRID_DOUBLING_TOL:g}"
             )
         single = np.zeros_like(g)
         single[channel] = g[channel]
@@ -316,21 +310,17 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     traj = evolve_rates(seeded_rate_state(m_top, seed), g, alpha, tau_end=opts["tau_end"],
                         controls=_controls(opts), stride=opts["stride"])
 
-    active = np.nonzero(g[1:])[0] + 1
+    active = np.flatnonzero(g > floor)
     overlay = active[0] if active.size == 1 else None
-    header = (
-        ["tau"]
-        + [f"N_{m}" for m in range(m_top + 1)]
-        + [f"phi_{m}" for m in range(m_top + 1)]
-    )
-    columns = [traj.times, *traj.populations.T, *traj.phases.T]
+    columns = {"tau": traj.times}
+    columns |= {f"N_{m}": n for m, n in enumerate(traj.populations.T)}
+    columns |= {f"phi_{m}": phase for m, phase in enumerate(traj.phases.T)}
     derived = {**_g_table(fp), "gamma_v0": float(2.0 * alpha[0]),
                "transitions": ladder_transitions(traj)}
     if overlay is not None:
         g_k = float(g[overlay])
-        header += ["N0_analytic", "Nk_analytic"]
         analytic = [two_state_analytic(g_k, seed, tau) for tau in traj.times.tolist()]
-        columns += list(np.array(analytic).T)
+        columns["N0_analytic"], columns["Nk_analytic"] = np.array(analytic).T
         derived["single_channel"] = {"k": int(overlay),
                                      "tau_logistic": float(np.log((1.0 - seed) / seed) / g_k)}
 
@@ -341,7 +331,7 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
             np.sum(np.arange(m_top + 1) * traj.populations[-1])
         ),
     }
-    return {"rates.csv": (header, columns)}, derived, diagnostics
+    return {"rates.csv": columns}, derived, diagnostics
 
 
 def _json_array(value, key: str, ndim: int, types=(int, float)) -> np.ndarray:
@@ -426,7 +416,9 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     comp_band = min(opts["component_band"], int(pattern.component_modes[-1]))
     keep = np.abs(pattern.component_modes) <= comp_band
     comp_modes = pattern.component_modes[keep]
-    header = ["theta", "total"] + [f"I_ellp_{params.ell + int(m)}" for m in comp_modes]
+    averaged = {"theta": pattern.theta_grid, "total": pattern.avg_intensity}
+    averaged |= {f"I_ellp_{params.ell + m}": weights
+                 for m, weights in zip(comp_modes.tolist(), pattern.components[:, keep].T)}
 
     tail = float(pattern.tail_bound)
     tail_out = tail if np.isfinite(tail) else None
@@ -437,27 +429,20 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     }
     lobes = count_lobes(intensity[i_eq])
     dominant = max(eq_weights, key=eq_weights.get)
-    files = {
-        "pattern.csv": (
-            ["theta", "phi", "re_M", "im_M", "intensity"],
-            [thetas.ravel(), phis.ravel(), field.real, field.imag, intensity.ravel()],
-        ),
-        "avg_intensity.csv": (
-            header,
-            [pattern.theta_grid, pattern.avg_intensity, *pattern.components[:, keep].T],
-        ),
-        "components.json": {
-            "theta_equator": float(pattern.theta_grid[i_eq]),
-            "equator_components": eq_weights,
-            "dominant_ell_prime": int(dominant),
-            "equator_lobes": lobes,
-            "tail_bound": tail_out,
-        },
-    }
-    derived = {
+    components = {
+        "theta_equator": float(pattern.theta_grid[i_eq]),
+        "equator_components": eq_weights,
         "dominant_ell_prime": int(dominant),
         "equator_lobes": lobes,
+        "tail_bound": tail_out,
     }
+    files = {
+        "pattern.csv": {"theta": thetas.ravel(), "phi": phis.ravel(), "re_M": field.real,
+                        "im_M": field.imag, "intensity": intensity.ravel()},
+        "avg_intensity.csv": averaged,
+        "components.json": components,
+    }
+    derived = {key: components[key] for key in ("dominant_ell_prime", "equator_lobes")}
     return files, derived, {"tail_bound": tail_out}
 
 

@@ -110,24 +110,16 @@ def field_quadrature(
     k0_rho: float,
     theta: float,
     phi: float,
-    grid_size: int | None = None,
 ) -> complex:
     """Field by direct integration over the ring density (oracle route).
 
     Evaluates int_0^2pi exp(-i k0_rho sin(theta) cos(phi - phi') + i ell phi')
-    |Psi(phi')|^2 dphi' on a uniform grid, which is spectrally accurate for
-    this periodic integrand.  |Psi|^2 carries its 1/2pi normalization, and no
+    |Psi(phi')|^2 dphi' on a uniform grid of 16 points per retained mode,
+    which is spectrally accurate for this periodic integrand.  |Psi|^2 carries its 1/2pi normalization, and no
     further prefactor is applied so the result matches the pattern_from_bunching
     field of the state's bunching spectrum.
     """
-    width = state.amplitudes.size
-    if grid_size is None:
-        grid_size = 16 * width
-    if grid_size < 16 * width:
-        raise ConfigurationError(
-            f"grid_size={grid_size} too coarse for band width {width}; "
-            f"need at least {16 * width}"
-        )
+    grid_size = 16 * state.amplitudes.size
     phi_p = 2.0 * np.pi * np.arange(grid_size) / grid_size
     psi = state.amplitudes @ np.exp(1j * np.outer(modes(state.m_max), phi_p))
     density = np.abs(psi) ** 2 / (2.0 * np.pi)
@@ -170,7 +162,8 @@ def pattern_from_bunching(
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
     theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open, with at most
-    2**20 points in all, and k0_rho sin(theta) stays at most 50.  One
+    2**20 points in all, and k0_rho sin(theta) stays at most 50.  The Bessel
+    and phase tables share numerics.check_entries' budget.  One
     channel-weight pass covers every theta row.
     """
     if theta_count < 2 or phi_count < 2:
@@ -184,6 +177,8 @@ def pattern_from_bunching(
     phi_grid = np.linspace(0.0, 2.0 * np.pi, phi_count, endpoint=False)
     x = params.k0_rho * np.sin(theta_grid)
     ms, weights = _channel_weights(bunch, params.ell, x, m_band)
+    check_entries(ms.size * phi_count,
+                  f"m_band={int(ms[-1])}, phi_count={phi_count}: phase table")
     field = weights @ np.exp(1j * np.outer(params.ell + ms, phi_grid))
     components = np.abs(weights) ** 2
     # The bound is nondecreasing in x, and the x = 0 rows reach no higher

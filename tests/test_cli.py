@@ -333,7 +333,7 @@ class TestArtifacts:
     def test_all_columns_finite_guard(self, tmp_path):
         # A JSON file and a finite CSV come first: nothing may be written
         # before every column is checked.
-        good = (["k"], [np.arange(4)])
+        good = {"k": np.arange(4)}
         for bad in (np.nan, np.inf, -np.inf):
             for col in range(3):
                 columns = [np.arange(4), np.linspace(0.0, 1.0, 4), np.full(4, 0.25)]
@@ -341,7 +341,7 @@ class TestArtifacts:
                 columns[col][2] = bad
                 out = tmp_path / f"bad_{col}"
                 files = {"a.json": {"x": 1}, "good.csv": good,
-                         "bad.csv": (["k", "x", "y"], columns)}
+                         "bad.csv": dict(zip(["k", "x", "y"], columns))}
                 with pytest.raises(ToleranceError) as info:
                     _write_artifacts(out, "h", files)
                 assert f"column {['k', 'x', 'y'][col]} of bad.csv" in str(info.value)
@@ -357,7 +357,7 @@ class TestArtifacts:
         header = ["k", "a", "b"]
         columns = [ints, floats, floats[::-1]]
         summary = {"rows": [{"k": 3, "x": 0.1}], "none": None}
-        _write_artifacts(tmp_path / "out", "h", {"new.csv": (header, columns),
+        _write_artifacts(tmp_path / "out", "h", {"new.csv": dict(zip(header, columns)),
                                                  "summary.json": summary})
         new, ref = tmp_path / "out" / "new.csv", tmp_path / "ref.csv"
         reference_write_csv(ref, "h", header, zip(*columns))
@@ -404,9 +404,15 @@ class TestTimeseries:
 
     def test_columns_match_per_sample_observables(self, traj):
         phi_band = 8
-        table, drift_max, edge_max, *_ = _timeseries(traj, phi_band, None)
-        assert table.shape[0] == len(traj.times)
+        columns, drift_max, edge_max, *_ = _timeseries(traj, phi_band, None)
         band = modes((traj.states.shape[1] - 1) // 2)
+        assert list(columns) == (
+            ["tau", "norm_error"] + [f"N_{m}" for m in band]
+            + [f"re_phi_{k}" for k in range(phi_band + 1)]
+            + [f"im_phi_{k}" for k in range(phi_band + 1)] + ["mean_omega"]
+        )
+        table = np.column_stack(list(columns.values()))
+        assert table.shape[0] == len(traj.times)
         drifts, edges = [], []
         for row, tau, amps in zip(table, traj.times, traj.states):
             pops = np.abs(amps) ** 2
@@ -485,6 +491,10 @@ class TestExitCodes:
             ("evolve", "evolve.tau_end=5e-324"),  # shorter than any step
             ("rate", "rate.tau_end=1e-30"),
             ("rate", "rate.m_max=3 rate.channel=6"),  # a rung past the ladder
+            # g_k at or below gamma * 1e-10 is not resolved from zero: ell 0
+            # has no gain at all, and the default ring resolves only k = 1..7.
+            ("rate", "params.ell=0 rate.channel=6"),
+            ("rate", "rate.channel=10"),
         ],
     )
     def test_bad_value_exits_two_with_record(self, tmp_path, capsys, scenario, override):
@@ -546,19 +556,23 @@ class TestExitCodes:
             (["radiate", "--set", "params.ell=10000000"], "ell=10000000"),
             (["radiate", "--set", "params.k0_rho=1e5"], "k0_rho"),
             (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
+            (["radiate", "--set", "radiate.m_band=4096", "--set", "radiate.theta_count=2",
+              "--set", "radiate.phi_count=524288"], "phi_count=524288"),
         ],
         ids=["potential-samples", "spectrum-radii", "evolve-samples", "evolve-store",
              "rate-samples",
              "evolve-steps",
              "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling",
-             "radiate-bessel", "radiate-argument", "spectrum-modes"],
+             "radiate-bessel", "radiate-argument", "spectrum-modes", "radiate-phases"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":
+            # A unit Phi_0 list as wide as radiate.m_band asks, band 1 without it.
+            band = next((int(a.partition("=")[2]) for a in args
+                         if a.startswith("radiate.m_band=")), 1)
             phi_file = tmp_path / "phi.json"
-            phi_file.write_text(
-                json.dumps({"band": 1, "coefficients": [[0, 0], [1, 0], [0, 0]]})
-            )
+            coefficients = [[0, 0]] * band + [[1, 0]] + [[0, 0]] * band
+            phi_file.write_text(json.dumps({"band": band, "coefficients": coefficients}))
             args = args + ["--set", f"radiate.phi_json={phi_file}"]
         rc, err = run_capped(args + ["--out", str(tmp_path / "out")])
         assert rc == 2, err
@@ -697,12 +711,19 @@ class TestExitCodes:
             ("phi_json", {"band": 0, "coefficients": [1, 0]}),
             ("phi_json", {"band": 1, "coefficients": [[[0, 0], [1, 0], [0, 0]]]}),
             ("phi_json", '{"band": 1, "coefficients": ' + "[" * 100_000),
+            ("state", {"m_max": 14, "re": [0.0] * 13 + [1.0] + [0.0] * 13,
+                       "im": [0.0] * 27}),
+            ("phi_json", {"band": 2, "coefficients": [[0, 0], [1, 0], [0, 0]]}),
+            # Every modulus is at most 1, but the norm is off by 0.75.
+            ("state", {"m_max": 14, "re": [0.0] * 14 + [0.5] + [0.0] * 14,
+                       "im": [0.0] * 29}),
         ],
         ids=[
             "short-im", "nan-re", "inf-im", "bad-tau", "nan-phi", "float-m_max", "float-band",
             "bool-tau", "bool-re-im", "bool-phi", "huge-int-re", "norm-4-state",
             "phi-above-one", "overflowing-norm", "phi-triples", "phi-flat-pair",
-            "phi-three-axes", "deep-nesting",
+            "phi-three-axes", "deep-nesting", "m_max-over-27", "band-over-3",
+            "norm-quarter-state",
         ],
     )
     def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, kind, payload):

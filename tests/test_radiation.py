@@ -129,10 +129,6 @@ class TestQuadratureEquivalence:
         # single channel ell' = ell: M(phi + pi) = e^(i ell pi) M(phi)
         assert abs(back - front * np.exp(1j * ell * math.pi)) < 1e-12
 
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            field_quadrature(uniform_state(8), 1, 1.0, 0.5, 0.0, grid_size=64)
-
 
 class TestAveragedIntensity:
     def test_uniform_state(self):

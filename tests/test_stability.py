@@ -183,6 +183,20 @@ class TestSweep:
         direct = spectrum(fp, np.arange(1, 9))
         assert np.allclose(sweep.rates[0], direct.growth_rates, atol=1e-15)
 
+    def test_band_raised_to_the_top_mode(self):
+        # At k0_rho 0.5 the default k_max is 28, short of m_hi = 40.
+        assert SystemParams(gamma=0.2, k0_rho=0.5, ell=1).k_max == 28
+        sweep = spectrum_sweep(SystemParams(gamma=0.2, ell=1), [0.5], (1, 40))
+        _, fp = build(gamma=0.2, k0_rho=0.5, m_max=40)
+        direct = spectrum(fp, np.arange(1, 41))
+        assert sweep.rates[0].tobytes() == direct.growth_rates.tobytes()
+
+    def test_point_error_names_its_radius(self):
+        # epsilon 1e-5 needs a 6.4e6-point quadrature grid at any radius.
+        template = SystemParams(gamma=0.2, ell=1, epsilon=1e-5)
+        with pytest.raises(ConfigurationError, match=r"^sweep point k0_rho=2\.0: "):
+            spectrum_sweep(template, [2.0], (1, 4))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             spectrum_sweep(SystemParams(gamma=0.1), [], (1, 4))
