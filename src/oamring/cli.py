@@ -65,9 +65,29 @@ SEED_POLICY = (
 # row of growth_rates.csv, summary.json and the manifest.
 _MAX_RADII = 1 << 16
 
-# Rows turned into Python values at a time: bounds the writer's memory, which
-# would otherwise hold every value of a 46k-row pattern as a Python float.
-_ROWS_PER_WRITE = 64
+# Values turned into text at a time.  The writer's memory is bounded by this
+# block, not by the table: formatting a 46k-row pattern by whole columns holds
+# the string of every distinct value at once.
+_VALUES_PER_WRITE = 8192
+
+
+def _csv_lines(columns: list[np.ndarray]) -> str:
+    """The CSV lines of equal-length 1-D ``columns``.  The columns of each
+    dtype are stacked and sorted once, keyed by dtype and bit pattern, so
+    ``-0.0`` and ``0.0`` stay apart and an int column never meets a float
+    one.  Each distinct value gets one ``repr``, and the rows are joined from
+    that string table."""
+    index = np.empty((len(columns[0]), len(columns)), dtype=np.intp)
+    texts: list[str] = []
+    for dtype in dict.fromkeys(column.dtype for column in columns):
+        at = [i for i, column in enumerate(columns) if column.dtype == dtype]
+        values = np.stack([columns[i] for i in at], axis=1).ravel()
+        keys = values.view(f"u{dtype.itemsize}") if dtype.kind == "f" else values
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        index[:, at] = inverse.reshape(len(index), -1) + len(texts)
+        texts += map(repr, values[first].tolist())
+    rows = np.array(texts, dtype=object)[index].tolist()
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
@@ -79,6 +99,10 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
     Every CSV column is checked before ``out`` is made, so a non-finite value
     raises ToleranceError and leaves no output directory.  Values are written
     with ``repr``: floats round-trip exactly and integer columns stay integers.
+    Rows go out in blocks of ``_VALUES_PER_WRITE`` values, and each distinct
+    value of a block is formatted once (``_csv_lines``): the bytes are the
+    same ``repr`` output, and the writer's memory is bounded by the block, not
+    by the table.
     """
     tables = {name: table for name, table in files.items() if name.endswith(".csv")}
     for name, table in tables.items():
@@ -101,10 +125,9 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
                 columns = list(payload.values())
                 handle.write(f"# manifest: {mhash}\n")
                 handle.write(",".join(payload) + "\n")
-                for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-                    stop = start + _ROWS_PER_WRITE
-                    rows = zip(*(col[start:stop].tolist() for col in columns), strict=True)
-                    handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+                step = max(1, _VALUES_PER_WRITE // len(columns))
+                for start in range(0, len(columns[0]), step):
+                    handle.write(_csv_lines([col[start : start + step] for col in columns]))
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 

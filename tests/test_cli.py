@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamring
-from oamring.cli import _ROWS_PER_WRITE, _timeseries, _write_artifacts, main
+from oamring.cli import _VALUES_PER_WRITE, _timeseries, _write_artifacts, main
 from oamring.config import _MAX_POTENTIAL_SAMPLES, _SCHEMA, PRESETS, parse_config
 from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
@@ -76,6 +77,13 @@ def reference_write_csv(path: Path, manifest_hash: str, header: list[str], rows)
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+# Small value pools for drawn CSV tables, so values repeat within and across
+# blocks.  The int pool holds the float pool's bit patterns.
+FLOAT_POOL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1 + 0.2, 0.25, 1e16,
+                       -1e308, 2.0**53 + 2.0])
+INT_POOL = np.concatenate([[0, 3, -7, 2**53 + 1, -(2**62)], FLOAT_POOL.view(np.int64)])
 
 
 class TestParseConfig:
@@ -348,14 +356,20 @@ class TestArtifacts:
                 assert not out.exists()
 
     def test_columns_match_row_wise_reference(self, tmp_path):
-        n = 2 * _ROWS_PER_WRITE + 5
+        header = ["k", "a", "b", "bits"]
+        n = 3 * (_VALUES_PER_WRITE // len(header)) + 5  # four blocks
         rng = np.random.default_rng(7)
         ints = rng.integers(-(10**12), 10**12, n)
         ints[:5] = [0, 3, -7, 2**53 + 1, -(2**62)]
-        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
-        floats[:7] = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, -1e308, 0.25]
-        header = ["k", "a", "b"]
-        columns = [ints, floats, floats[::-1]]
+        # Values repeat within and across blocks, so most rows come from the
+        # shared string table.
+        pool = rng.normal(size=n // 8) * 10.0 ** rng.integers(-300, 300, n // 8)
+        floats = rng.choice(pool, n)
+        floats[:9] = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, -1e308, 0.25, 0.0, -0.0]
+        floats[-2:] = [0.0, 5e-324]
+        # An int column holding the float column's bit patterns: 0.0 is 0,
+        # -0.0 is -2**63 and 5e-324 is 1.
+        columns = [ints, floats, floats[::-1], floats.view(np.int64)]
         summary = {"rows": [{"k": 3, "x": 0.1}], "none": None}
         _write_artifacts(tmp_path / "out", "h", {"new.csv": dict(zip(header, columns)),
                                                  "summary.json": summary})
@@ -364,8 +378,48 @@ class TestArtifacts:
         assert new.read_bytes() == ref.read_bytes()
         lines = new.read_text().splitlines()
         assert lines[2].startswith("0,-0.0,") and lines[3].startswith("3,5e-324,")
+        assert lines[2].endswith(f",{-(2**63)}") and lines[3].endswith(",1")
+        assert lines[-1].split(",")[1:] == ["5e-324", "-0.0", "1"]
+        assert len(np.unique(floats)) < n // 4
         want = json.dumps({**summary, "manifest_hash": "h"}, indent=2, sort_keys=True)
         assert (tmp_path / "out" / "summary.json").read_text() == want + "\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_drawn_tables_match_row_wise_reference(self, data):
+        count = data.draw(st.integers(1, 50), label="columns")
+        step = _VALUES_PER_WRITE // count  # rows in a full block
+        rows = data.draw(st.sampled_from([1, step, 2 * step, 3 * step])
+                         | st.integers(1, 2 * step + 1), label="rows")
+        kinds = data.draw(st.lists(st.sampled_from([FLOAT_POOL, INT_POOL]),
+                                   min_size=count, max_size=count))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        columns = [rng.choice(rng.choice(pool, rng.integers(1, len(pool) + 1), replace=False),
+                              rows) for pool in kinds]
+        header = [f"c{i}" for i in range(count)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            _write_artifacts(out, "h", {"t.csv": dict(zip(header, columns))})
+            reference_write_csv(Path(tmp) / "ref.csv", "h", header, zip(*columns))
+            assert (out / "t.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
+
+    def test_writer_memory_is_bounded_by_the_block(self, tmp_path):
+        # A table shaped like radiate fig4's pattern.csv (181 x 256 rows, five
+        # float columns), a quarter of its values repeats.  The block writer
+        # peaks near 1.5 MiB here; formatting whole columns at once held
+        # about 36 MiB.
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(5, 181 * 256))
+        repeats = rng.random(values.shape) < 0.25
+        values[repeats] = rng.choice(values[:, :1000].ravel(), repeats.sum())
+        table = dict(zip(["theta", "phi", "re_M", "im_M", "intensity"], values))
+        tracemalloc.start()
+        try:
+            _write_artifacts(tmp_path / "out", "h", {"pattern.csv": table})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_non_finite_output_exits_three_without_csv(
         self, tmp_path, capsys, monkeypatch
