@@ -309,16 +309,15 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
 
-    m_top = opts["m_max"] if opts["m_max"] is not None else params.m_max
     # V_k is verified only to GRID_DOUBLING_TOL, so a gain at or below this
     # floor is not told apart from none.
     floor = params.gamma * GRID_DOUBLING_TOL
     channel = opts["channel"]
     if channel:
-        if not 1 <= channel <= min(fp.k_max, m_top):
+        if not 1 <= channel <= min(fp.k_max, params.m_max):
             raise ConfigurationError(
-                f"rate.channel={channel} outside 1..{min(fp.k_max, m_top)}: "
-                f"k_max={fp.k_max}, rate.m_max={m_top}"
+                f"rate.channel={channel} outside 1..{min(fp.k_max, params.m_max)}: "
+                f"params.k_max={fp.k_max}, params.m_max={params.m_max}"
             )
         if not g[channel] > floor:
             raise ConfigurationError(
@@ -330,8 +329,9 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
         g = single
 
     seed = opts["seed_population"]
-    traj = evolve_rates(seeded_rate_state(m_top, seed), g, alpha, tau_end=opts["tau_end"],
-                        controls=_controls(opts), stride=opts["stride"])
+    traj = evolve_rates(seeded_rate_state(params.m_max, seed), g, alpha,
+                        tau_end=opts["tau_end"], controls=_controls(opts),
+                        stride=opts["stride"])
 
     active = np.flatnonzero(g > floor)
     overlay = active[0] if active.size == 1 else None
@@ -351,7 +351,7 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     diagnostics = {
         "max_population_drift": float(np.max(np.abs(totals - 1.0))),
         "final_mean_m": float(
-            np.sum(np.arange(m_top + 1) * traj.populations[-1])
+            np.sum(np.arange(params.m_max + 1) * traj.populations[-1])
         ),
     }
     return {"rates.csv": columns}, derived, diagnostics
@@ -429,7 +429,6 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
         params,
         theta_count=opts["theta_count"],
         phi_count=opts["phi_count"],
-        m_band=opts["m_band"],
     )
 
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")

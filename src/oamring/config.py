@@ -110,7 +110,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "stride": (float, 0.25),
         "seed_population": (float, DEFAULT_SEED_POPULATION),
         "channel": (_as_int, 0),  # 0 keeps every harmonic
-        "m_max": (_as_int_or_auto, None),
         **_ODE_KEYS,
     },
     "radiate": {
@@ -118,7 +117,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "phi_json": (str.strip, ""),
         "theta_count": (_as_int, 181),
         "phi_count": (_as_int, 256),
-        "m_band": (_as_int_or_auto, None),
         "component_band": (_within(_as_int, 0), 8),
     },
 }

@@ -104,12 +104,13 @@ class Observables:
 def observables(states: np.ndarray, k_top: int) -> Observables:
     """Observables of amplitudes whose last axis is the band, so (size,),
     (T, size) and (B, T, size) arrays all work.  Phi_k sums
-    conj(c_{n-k}) c_n over in-band n, for k = 0 .. k_top."""
+    conj(c_{n-k}) c_n over in-band n, for k = 0 .. k_top; a lag past the
+    band has no such n, and its Phi_k is 0."""
     size = states.shape[-1]
     pops = np.abs(states) ** 2
     n_side = max(1, int(0.05 * size + 0.5))
-    phi = np.empty(states.shape[:-1] + (k_top + 1,), dtype=complex)
-    for k in range(k_top + 1):
+    phi = np.zeros(states.shape[:-1] + (k_top + 1,), dtype=complex)
+    for k in range(min(k_top + 1, size)):
         phi[..., k] = (np.conj(states[..., : size - k]) * states[..., k:]).sum(axis=-1)
     return Observables(
         drift=np.abs(pops.sum(axis=-1) - 1.0),
@@ -164,6 +165,7 @@ def default_initial_state(
             f"seed_amplitude must lie in (0, 1e-2], got {seed_amplitude}"
         )
     m_max = params.m_max
+    check_entries(2 * m_max + 1, f"m_max={m_max}: band")
     seed_norm = 2.0 * m_max * seed_amplitude**2
     if seed_norm >= 1.0:
         raise ConfigurationError(

@@ -119,12 +119,18 @@ class FourierPotential:
     def k_max(self) -> int:
         return self.params.k_max
 
-    def coefficient(self, k: int) -> complex:
-        if abs(k) > self.k_max:
+    def coefficient(self, k):
+        """V_k as a complex for an int k, or an array of V_k for an int
+        array k; every |k| must lie within k_max."""
+        k = np.asarray(k)
+        outside = np.abs(k) > self.k_max
+        if outside.any():
             raise ConfigurationError(
-                f"harmonic k={k} outside the retained band |k| <= {self.k_max}"
+                f"harmonic k={k[outside].flat[0]} outside the retained band "
+                f"|k| <= {self.k_max}"
             )
-        return complex(self.coefficients[k + self.k_max])
+        values = self.coefficients[k + self.k_max]
+        return complex(values) if k.ndim == 0 else values
 
 
 def pair_potential(phi, params: SystemParams):

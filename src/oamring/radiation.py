@@ -46,34 +46,27 @@ _MAX_BESSEL_ARG = 50.0
 
 
 def _channel_weights(
-    bunch: BunchingSpectrum, ell: int, x: np.ndarray, m_band: int | None
+    bunch: BunchingSpectrum, ell: int, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Modes m over |m| <= m_band and the weights (-i)^n J_n(x) Phi_m of the
-    far-field channels n = ell + m, one row per argument x.
+    """Modes m over the bunching band and the weights (-i)^n J_n(x) Phi_m of
+    the far-field channels n = ell + m, one row per argument x.
 
     Every Bessel order comes from a single bessel_j_orders pass; negative
     orders use J_{-n} = (-1)^n J_n.
     """
-    if m_band is None:
-        m_band = bunch.band
-    if not 0 <= m_band <= bunch.band:
-        raise ConfigurationError(
-            f"m_band={m_band} outside 0..{bunch.band}, the bunching band"
-        )
-    ms = np.arange(-m_band, m_band + 1)
+    ms = np.arange(-bunch.band, bunch.band + 1)
     ns = ell + ms
     top = int(np.abs(ns).max())
-    check_entries((top + 1) * x.size, f"ell={ell}, m_band={m_band}: Bessel table")
+    check_entries((top + 1) * x.size, f"ell={ell}, band={bunch.band}: Bessel table")
     x_top = float(np.abs(x).max())
     if x_top > _MAX_BESSEL_ARG:
         raise ConfigurationError(
             f"k0_rho sin(theta) reaches {x_top:.6g}, past the far field's "
             f"Bessel argument limit of {_MAX_BESSEL_ARG:g}; lower params.k0_rho"
         )
-    phim = bunch.coefficients[bunch.band - m_band : bunch.band + m_band + 1]
     sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
     jn = bessel_j_orders(top, x)[np.abs(ns)].T * sign
-    return ms, _MINUS_I_POW[ns % 4] * jn * phim
+    return ms, _MINUS_I_POW[ns % 4] * jn * bunch.coefficients
 
 
 def _majorant_sum(n0: int, x: float) -> float:
@@ -157,14 +150,15 @@ def pattern_from_bunching(
     params: SystemParams,
     theta_count: int = 181,
     phi_count: int = 256,
-    m_band: int | None = None,
 ) -> RadiationPattern:
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
-    theta spans [0, pi] inclusive; phi spans [0, 2pi) half-open, with at most
-    2**20 points in all, and k0_rho sin(theta) stays at most 50.  The Bessel
-    and phase tables share numerics.check_entries' budget.  One
-    channel-weight pass covers every theta row.
+    The field sums every channel of the spectrum's band; a truncated far field
+    is the pattern of a narrower spectrum.  theta spans [0, pi] inclusive; phi
+    spans [0, 2pi) half-open, with at most 2**20 points in all, and k0_rho
+    sin(theta) stays at most 50.  The Bessel and phase tables share
+    numerics.check_entries' budget.  One channel-weight pass covers every
+    theta row.
     """
     if theta_count < 2 or phi_count < 2:
         raise ConfigurationError("grid needs at least 2 points per axis")
@@ -176,15 +170,15 @@ def pattern_from_bunching(
     theta_grid = np.linspace(0.0, np.pi, theta_count)
     phi_grid = np.linspace(0.0, 2.0 * np.pi, phi_count, endpoint=False)
     x = params.k0_rho * np.sin(theta_grid)
-    ms, weights = _channel_weights(bunch, params.ell, x, m_band)
+    ms, weights = _channel_weights(bunch, params.ell, x)
     check_entries(ms.size * phi_count,
-                  f"m_band={int(ms[-1])}, phi_count={phi_count}: phase table")
+                  f"band={bunch.band}, phi_count={phi_count}: phase table")
     field = weights @ np.exp(1j * np.outer(params.ell + ms, phi_grid))
     components = np.abs(weights) ** 2
     # The bound is nondecreasing in x, and the x = 0 rows reach no higher
     # than the others, so the row of largest x carries the grid's bound.
     tail = expansion_tail_bound(
-        params.ell, params.k0_rho, float(theta_grid[np.argmax(x)]), int(ms[-1])
+        params.ell, params.k0_rho, float(theta_grid[np.argmax(x)]), bunch.band
     )
     return RadiationPattern(
         theta_grid=theta_grid,

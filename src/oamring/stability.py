@@ -48,14 +48,8 @@ def spectrum(fp: FourierPotential, modes: np.ndarray) -> StabilitySpectrum:
     |Re lambda_m| of every mode, with the principal square root (Re >= 0,
     and Im >= 0 on the imaginary axis) in the first entry of each pair."""
     modes = np.asarray(modes, dtype=int)
-    outside = np.abs(modes) > fp.k_max
-    if outside.any():
-        raise ConfigurationError(
-            f"harmonic k={modes[outside][0]} outside the retained band "
-            f"|k| <= {fp.k_max}"
-        )
     m = modes.astype(float)
-    root = np.sqrt(m * m + fp.params.gamma * fp.coefficients[modes + fp.k_max])
+    root = np.sqrt(m * m + fp.params.gamma * fp.coefficient(modes))
     root = np.where((root.real == 0.0) & (root.imag < 0.0), -root, root)
     lam = 1j * m * root
     return StabilitySpectrum(

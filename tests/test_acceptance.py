@@ -360,7 +360,7 @@ def test_criterion_7_manifest_determinism(tmp_path):
         ("evolve", ["--preset", "fig2", "--set", "evolve.tau_end=20",
                     "--set", "evolve.stride=2.0"]),
         ("rate", ["--preset", "fig3", "--set", "rate.tau_end=20",
-                  "--set", "rate.m_max=12"]),
+                  "--set", "params.m_max=12"]),
     ]
     for scenario, args in jobs:
         first = tmp_path / f"{scenario}_first"

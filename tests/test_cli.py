@@ -268,7 +268,7 @@ class TestArtifacts:
         rc = main([
             "rate", "--preset", "fig3", "--out", str(tmp_path),
             "--set", "rate.channel=6", "--set", "rate.tau_end=30",
-            "--set", "rate.m_max=12",
+            "--set", "params.m_max=12",
         ])
         assert rc == 0
         header = (tmp_path / "rates.csv").read_text().splitlines()[1].split(",")
@@ -516,6 +516,35 @@ class TestReproducibility:
         assert a["manifest_hash"] == b["manifest_hash"]
         assert b["reproducible"]["config"]["evolve.rng_seed"] == seed
 
+    def test_manifest_with_the_removed_band_keys(self, tmp_path, capsys):
+        # Manifests written while rate.m_max and radiate.m_band existed echo
+        # both as null, "left at default"; a set value names the gone key.
+        fresh = tmp_path / "fresh"
+        args = ["--preset", "fig3", "--set", "rate.tau_end=10"]
+        assert main(["rate", "--out", str(fresh)] + args) == 0
+        manifest = read_manifest(fresh)
+        config = manifest["reproducible"]["config"]
+        config |= {"rate.m_max": None, "radiate.m_band": None}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["rate", "--config", str(old), "--out", str(rerun)]) == 0
+        for artifact in fresh.iterdir():
+            if artifact.name != "manifest.json":
+                assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
+        again = read_manifest(rerun)
+        assert again["manifest_hash"] == read_manifest(fresh)["manifest_hash"]
+        assert "rate.m_max" not in again["reproducible"]["config"]
+
+        config["rate.m_max"] = 12
+        old.write_text(json.dumps(manifest))
+        refused = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(["rate", "--config", str(old), "--out", str(refused)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and "rate.m_max" in record["message"]
+        assert not refused.exists()
+
     def test_manifest_echoes_resolved_truncations(self, tmp_path):
         rc = main(["potential", "--preset", "fig2", "--out", str(tmp_path)])
         assert rc == 0
@@ -533,9 +562,7 @@ class TestExitCodes:
             ("evolve", "evolve.tau_end=inf"),
             ("evolve", "evolve.phi_band=-1"),
             ("evolve", "evolve.phi_band=-2"),
-            ("radiate", "radiate.m_band=-1"),
             ("radiate", "radiate.component_band=-1"),
-            ("rate", "rate.m_max=-1"),
             ("potential", "potential.samples=-3"),
             ("potential", "params.epsilon=1e-9"),
             ("potential", "params.epsilon=1e300"),
@@ -544,7 +571,7 @@ class TestExitCodes:
             ("evolve", "evolve.seed_mode=random evolve.rng_seed=-1"),
             ("evolve", "evolve.tau_end=5e-324"),  # shorter than any step
             ("rate", "rate.tau_end=1e-30"),
-            ("rate", "rate.m_max=3 rate.channel=6"),  # a rung past the ladder
+            ("rate", "params.m_max=3 rate.channel=6"),  # a rung past the ladder
             # g_k at or below gamma * 1e-10 is not resolved from zero: ell 0
             # has no gain at all, and the default ring resolves only k = 1..7.
             ("rate", "params.ell=0 rate.channel=6"),
@@ -601,29 +628,33 @@ class TestExitCodes:
               "--set", "evolve.tau_end=5"], "steps"),
             (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
               "--set", "radiate.phi_count=100000"], "100000 x 100000"),
-            (["rate", "--preset", "fig3", "--set", "rate.m_max=100000"], "m_max=100000"),
-            (["rate", "--preset", "fig3", "--set", "rate.m_max=1000000000000",
-              "--set", "rate.seed_population=1e-13"], "m_max=1000000000000"),
+            (["rate", "--preset", "fig3", "--set", "params.m_max=100000",
+              "--set", "params.k_max=1"], "m_max=100000: rate ladder"),
+            (["rate", "--preset", "fig3", "--set", "params.m_max=1000000000000",
+              "--set", "params.k_max=1", "--set", "rate.seed_population=1e-13"],
+             "m_max=1000000000000: rate ladder"),
             (["evolve", "--preset", "fig2", "--set", "params.m_max=16000",
               "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
              "m_max=16000"),
+            (["evolve", "--set", "params.m_max=1000000000", "--set", "params.k_max=1",
+              "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
+             "m_max=1000000000: band"),
             (["radiate", "--set", "params.ell=10000000"], "ell=10000000"),
             (["radiate", "--set", "params.k0_rho=1e5"], "k0_rho"),
             (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
-            (["radiate", "--set", "radiate.m_band=4096", "--set", "radiate.theta_count=2",
+            (["radiate", "--set", "radiate.theta_count=2",
               "--set", "radiate.phi_count=524288"], "phi_count=524288"),
         ],
         ids=["potential-samples", "spectrum-radii", "evolve-samples", "evolve-store",
              "rate-samples",
              "evolve-steps",
-             "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling",
+             "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling", "evolve-band",
              "radiate-bessel", "radiate-argument", "spectrum-modes", "radiate-phases"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":
-            # A unit Phi_0 list as wide as radiate.m_band asks, band 1 without it.
-            band = next((int(a.partition("=")[2]) for a in args
-                         if a.startswith("radiate.m_band=")), 1)
+            # A unit Phi_0 list: band 4096 for the phase table, band 1 otherwise.
+            band = 4096 if "radiate.phi_count=524288" in args else 1
             phi_file = tmp_path / "phi.json"
             coefficients = [[0, 0]] * band + [[1, 0]] + [[0, 0]] * band
             phi_file.write_text(json.dumps({"band": band, "coefficients": coefficients}))

@@ -267,6 +267,16 @@ class TestObservables:
             assert obs.phi[index].tobytes() == alone.phi.tobytes()
             assert obs.drift[index] == alone.drift and obs.edge[index] == alone.edge
 
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_lags_past_the_band_are_zero(self, lead):
+        rng = np.random.default_rng(5)
+        size = 9
+        amps = rng.normal(size=lead + (size,)) + 1j * rng.normal(size=lead + (size,))
+        past = observables(amps, size + 2).phi
+        assert past.shape == lead + (size + 3,)
+        assert past[..., :size].tobytes() == observables(amps, size - 1).phi.tobytes()
+        assert not past[..., size:].any()
+
     def test_populations_match_squared_amplitudes(self):
         state = random_state(5)
         pops = observables(state.amplitudes, 0).populations
