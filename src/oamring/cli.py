@@ -433,7 +433,6 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
 
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
     field = pattern.field.ravel()
-    intensity = pattern.intensity
 
     comp_band = min(opts["component_band"], int(pattern.component_modes[-1]))
     keep = np.abs(pattern.component_modes) <= comp_band
@@ -449,7 +448,7 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
         str(params.ell + int(m)): float(w)
         for m, w in zip(comp_modes, pattern.components[i_eq, keep])
     }
-    lobes = count_lobes(intensity[i_eq])
+    lobes = count_lobes(np.abs(pattern.field[i_eq]) ** 2)
     dominant = max(eq_weights, key=eq_weights.get)
     components = {
         "theta_equator": float(pattern.theta_grid[i_eq]),
@@ -459,8 +458,9 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
         "tail_bound": tail_out,
     }
     files = {
+        # The intensity is re_M**2 + im_M**2, so the file does not repeat it.
         "pattern.csv": {"theta": thetas.ravel(), "phi": phis.ravel(), "re_M": field.real,
-                        "im_M": field.imag, "intensity": intensity.ravel()},
+                        "im_M": field.imag},
         "avg_intensity.csv": averaged,
         "components.json": components,
     }

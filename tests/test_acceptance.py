@@ -6,6 +6,7 @@ import json
 import math
 import time
 from itertools import groupby
+from pathlib import Path
 
 
 import numpy as np
@@ -19,6 +20,7 @@ from oamring.dynamics import (
     default_initial_state,
     derivative,
     evolve,
+    modes,
     observables,
     transitions,
 )
@@ -351,6 +353,30 @@ def test_criterion_6_conservation(fig2_run, fig3_run):
         f"norm drift {drift:.1e}, rate drift {rate_drift:.1e}, "
         f"Phi_0 error {phi0_err:.1e}, ell=0 growth {worst_growth:.1e}",
     )
+
+
+# timeseries.csv of a deterministic fig2 run at rel_tol 1e-11 and abs_tol
+# 1e-14, sampled at tau = 0, 25, ..., 600; regenerate it with
+#   oamring evolve --preset fig2 --set evolve.tau_end=600 --set evolve.stride=25 \
+#     --set evolve.rel_tol=1e-11 --set evolve.abs_tol=1e-14 \
+#     --set evolve.phi_band=0 --out DIR
+# and copy DIR/timeseries.csv here.  Past tau 600 (the second transition,
+# tau 930) no run is a reference: small differences grow about 14x there.
+FIG2_REFERENCE = Path(__file__).parent / "data" / "fig2_reference_timeseries.csv"
+
+
+def test_fig2_populations_match_the_reference(fig2_run):
+    # The default controls sit 2e-13 from the reference; abs_tol 1e-11 sits
+    # 2.4e-10 from it and fails.
+    header = FIG2_REFERENCE.read_text(encoding="utf-8").splitlines()[1].split(",")
+    table = np.loadtxt(FIG2_REFERENCE, delimiter=",", skiprows=2)
+    names = [f"N_{m}" for m in modes(fig2_run["params"].m_max)]
+    reference = table[:, [header.index(name) for name in names]]
+    times = fig2_run["traj"].times
+    at = np.searchsorted(times, table[:, 0])
+    assert np.array_equal(times[at], table[:, 0])
+    error = float(np.abs(fig2_run["pops"][at] - reference).max())
+    assert error < 1e-11, f"populations {error:.2e} off the reference"
 
 
 def test_criterion_7_manifest_determinism(tmp_path):

@@ -22,6 +22,7 @@ from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
 from oamring.potential import fourier_coefficients
+from oamring.radiation import count_lobes
 
 from test_dynamics import naive_bunching
 
@@ -330,6 +331,19 @@ class TestArtifacts:
         assert rc == 0
         summary = json.loads((out / "components.json").read_text())
         assert summary["dominant_ell_prime"] == -3
+        # theta, phi, re_M and im_M per grid point, theta-major; the intensity
+        # is re_M**2 + im_M**2 and is not written.
+        lines = (out / "pattern.csv").read_text().splitlines()
+        assert lines[1] == "theta,phi,re_M,im_M"
+        table = np.array([line.split(",") for line in lines[2:]], dtype=float)
+        assert table.shape == (19 * 64, 4)
+        theta, phi, re_m, im_m = table.T.reshape(4, 19, 64)
+        assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi, 19))
+        assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+        i_eq = 9
+        assert summary["theta_equator"] == theta[i_eq, 0]
+        lobes = count_lobes(re_m[i_eq] ** 2 + im_m[i_eq] ** 2)
+        assert lobes == summary["equator_lobes"] == 5
 
     def test_radiate_requires_exactly_one_input(self, tmp_path):
         assert main(["radiate", "--out", str(tmp_path)]) == 2
@@ -404,15 +418,15 @@ class TestArtifacts:
             assert (out / "t.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
 
     def test_writer_memory_is_bounded_by_the_block(self, tmp_path):
-        # A table shaped like radiate fig4's pattern.csv (181 x 256 rows, five
+        # A table shaped like radiate fig4's pattern.csv (181 x 256 rows, four
         # float columns), a quarter of its values repeats.  The block writer
         # peaks near 1.5 MiB here; formatting whole columns at once held
-        # about 36 MiB.
+        # about 30 MiB.
         rng = np.random.default_rng(3)
-        values = rng.normal(size=(5, 181 * 256))
+        values = rng.normal(size=(4, 181 * 256))
         repeats = rng.random(values.shape) < 0.25
         values[repeats] = rng.choice(values[:, :1000].ravel(), repeats.sum())
-        table = dict(zip(["theta", "phi", "re_M", "im_M", "intensity"], values))
+        table = dict(zip(["theta", "phi", "re_M", "im_M"], values))
         tracemalloc.start()
         try:
             _write_artifacts(tmp_path / "out", "h", {"pattern.csv": table})

@@ -1,6 +1,8 @@
 """Coupled-mode dynamics tests: derivative oracle, conservation, free limits,
 seeded instability growth against the stability eigenvalue."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 import oamring.dynamics as dynamics
+from oamring.config import parse_config
 from oamring.dynamics import (
     BunchingSpectrum,
     StateVector,
@@ -30,6 +33,17 @@ RNG = np.random.default_rng(2024)
 def fig2_setup(**kw):
     params = SystemParams(gamma=0.05, epsilon=0.1, k0_rho=1.0, ell=1, **kw)
     return params, fourier_coefficients(params)
+
+
+@cache
+def system_rhs(name: str):
+    """m_max and the nonlinear term of the fig2, fig3 or fig4 preset's system,
+    or of a classical one (gamma 3, k0_rho 2, ell -1)."""
+    if name == "classical":
+        params = SystemParams(gamma=3.0, epsilon=0.1, k0_rho=2.0, ell=-1)
+    else:
+        params = parse_config("rate" if name == "fig3" else "evolve", preset=name).params
+    return params.m_max, dynamics._nonlinear_rhs(fourier_coefficients(params))
 
 
 def random_state(m_max: int, rng=RNG) -> StateVector:
@@ -199,6 +213,24 @@ class TestDerivative:
         fast, slow = dynamics._nonlinear_rhs(fp), reference_nonlinear_rhs(fp)
         for c in amps / norms[:, None]:  # three calls: each reuses the band buffer
             assert fast(0.0, c).tobytes() == slow(0.0, c).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nonlinear_term_conserves_the_norm(self, data):
+        # <c, N(c)> = -i (gamma/2) sum_k V_k |Phi_k|^2 is imaginary, since
+        # V_{-k} = conj(V_k) and |Phi_{-k}| = |Phi_k|: the root of criterion
+        # 6's norm conservation.
+        name = data.draw(st.sampled_from(["fig2", "fig3", "fig4", "classical"]),
+                         label="system")
+        m_max, rhs = system_rhs(name)
+        parts = arrays(float, (2, 2 * m_max + 1), elements=st.floats(-1.0, 1.0))
+        re, im = data.draw(parts, label="re, im")
+        amps = re + 1j * im
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        c = amps / norm
+        n = rhs(0.0, c)
+        assert abs(np.vdot(c, n).real) <= 1e-14 * np.linalg.norm(n)
 
 
 class TestBunchingSpectrum:
