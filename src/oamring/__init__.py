@@ -16,7 +16,6 @@ from .dynamics import (
     StateVector,
     bunching,
     default_initial_state,
-    derivative,
     evolve,
     observables,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "bunching",
     "classify_regime",
     "default_initial_state",
-    "derivative",
     "dispersion_coefficients",
     "evolve",
     "evolve_rates",

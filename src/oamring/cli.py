@@ -14,13 +14,14 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import PRESETS, RunConfig, SCENARIOS, parse_config
+from .config import COMPONENT_BAND, POTENTIAL_SAMPLES, PRESETS, RunConfig, SCENARIOS
+from .config import parse_config
 from .dynamics import (
     NORM_TOL,
     BunchingSpectrum,
@@ -142,10 +143,6 @@ def _manifest_hash(config: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _controls(options: dict) -> OdeControls:
-    return OdeControls(**{f.name: options[f.name] for f in fields(OdeControls)})
-
-
 # Harmonics k (and modes m) listed in the manifest's g_k and growth-rate tables.
 _TABLE_TOP = 12
 
@@ -186,7 +183,7 @@ def _run_potential(config: RunConfig) -> tuple[dict, dict, dict]:
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
 
-    phis = np.linspace(0.0, 2.0 * np.pi, config.options["samples"], endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, POTENTIAL_SAMPLES, endpoint=False)
     v = fp.coefficients[fp.k_max :]
     files = {
         "samples.csv": {"phi": phis, "V": pair_potential(phis, params)},
@@ -272,7 +269,7 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         state0,
         fp,
         tau_end=opts["tau_end"],
-        controls=_controls(opts),
+        controls=OdeControls(rel_tol=opts["rel_tol"], abs_tol=opts["abs_tol"]),
         stride=opts["stride"],
     )
 
@@ -330,7 +327,7 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
 
     seed = opts["seed_population"]
     traj = evolve_rates(seeded_rate_state(params.m_max, seed), g, alpha,
-                        tau_end=opts["tau_end"], controls=_controls(opts),
+                        tau_end=opts["tau_end"], controls=OdeControls(),
                         stride=opts["stride"])
 
     active = np.flatnonzero(g > floor)
@@ -434,8 +431,7 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
     field = pattern.field.ravel()
 
-    comp_band = min(opts["component_band"], int(pattern.component_modes[-1]))
-    keep = np.abs(pattern.component_modes) <= comp_band
+    keep = np.abs(pattern.component_modes) <= COMPONENT_BAND
     comp_modes = pattern.component_modes[keep]
     averaged = {"theta": pattern.theta_grid, "total": pattern.avg_intensity}
     averaged |= {f"I_ellp_{params.ell + m}": weights

@@ -51,27 +51,23 @@ def _choice(*allowed: str):
     return convert
 
 
-def _within(converter, low, high=math.inf, *, above: bool = False):
-    """``converter``, then reject values below ``low`` (or equal to it, with
-    ``above``) and above ``high``."""
+def _at_least(converter, low, *, above: bool = False):
+    """``converter``, then reject values below ``low``, or equal to it with ``above``."""
 
     def convert(raw: str):
         value = converter(raw)
-        if value < low or (above and value == low) or value > high:
-            raise ValueError(f"outside {'(' if above else '['}{low}, {high}]")
+        if value < low or (above and value == low):
+            raise ValueError(f"must be {'>' if above else '>='} {low}")
         return value
 
     return convert
 
 
-# Largest potential.samples; far past what a plot of V(phi) needs.
-_MAX_POTENTIAL_SAMPLES = 1 << 20
+_positive = _at_least(float, 0.0, above=True)
 
-_positive = _within(float, 0.0, above=True)
-
-
-# The step controls of both integrating scenarios, with OdeControls' defaults.
-_ODE_KEYS = {f.name: (_positive, f.default) for f in fields(OdeControls)}
+# Points of V(phi) in samples.csv; the largest |m| of avg_intensity.csv's components.
+POTENTIAL_SAMPLES = 512
+COMPONENT_BAND = 8
 
 # (converter, default) per key; this is the whole configuration surface.  A
 # converter rejects a value outside the key's accepted range with ValueError.
@@ -84,9 +80,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "m_max": (_as_int_or_auto, None),
         "k_max": (_as_int_or_auto, None),
     },
-    "potential": {
-        "samples": (_within(_as_int, 1, _MAX_POTENTIAL_SAMPLES), 512),
-    },
+    "potential": {},
     "spectrum": {
         "k0_rho_min": (float, 0.25),
         "k0_rho_max": (float, 8.0),
@@ -102,24 +96,29 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "rng_seed": (_as_int, 0),
         "snapshot": (_choice("final", "max_bunching"), "final"),
         "snapshot_k": (_as_int, 1),
-        **_ODE_KEYS,
-        "phi_band": (_within(_as_int, 0), 8),
+        "rel_tol": (_positive, OdeControls.rel_tol),
+        "abs_tol": (_positive, OdeControls.abs_tol),
+        "phi_band": (_at_least(_as_int, 0), 8),
     },
     "rate": {
         "tau_end": (float, 300.0),
         "stride": (float, 0.25),
         "seed_population": (float, DEFAULT_SEED_POPULATION),
         "channel": (_as_int, 0),  # 0 keeps every harmonic
-        **_ODE_KEYS,
     },
     "radiate": {
         "state": (str.strip, ""),
         "phi_json": (str.strip, ""),
         "theta_count": (_as_int, 181),
         "phi_count": (_as_int, 256),
-        "component_band": (_within(_as_int, 0), 8),
     },
 }
+
+# Former keys at the constants they became; every earlier manifest echoes them.
+# An integrating scenario takes each step control it has no key for from OdeControls().
+_RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND}
+_RETIRED |= {f"{section}.{f.name}": f.default for section in ("evolve", "rate")
+             for f in fields(OdeControls) if f.name not in _SCHEMA[section]}
 
 # Reference scenarios; every value below restates the source configuration,
 # with epsilon pinned to 0.1 where the source leaves it unstated (the pin is
@@ -221,8 +220,13 @@ def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
     except (OSError, ValueError, KeyError, TypeError, RecursionError,
             configparser.Error) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    for dotted, constant in _RETIRED.items():  # the same run only at the constant
+        if flat.get(dotted) not in (None, constant):
+            raise ConfigurationError(f"{path} sets {dotted}={flat[dotted]!r}, "
+                                     f"but it is fixed at {constant!r}")
     # null entries mean "left at default"; omitting them reproduces that
-    layer = {key: str(value) for key, value in flat.items() if value is not None}
+    layer = {key: str(value) for key, value in flat.items()
+             if value is not None and key not in _RETIRED}
     return layer, preset, overridden
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "StateVector",
     "bunching",
     "default_initial_state",
-    "derivative",
     "evolve",
     "first_crossing",
     "modes",
@@ -220,7 +219,7 @@ def _check_band(state: StateVector, fp: FourierPotential) -> None:
         )
 
 
-def derivative(state: StateVector, fp: FourierPotential) -> np.ndarray:
+def _derivative(state: StateVector, fp: FourierPotential) -> np.ndarray:
     """dc/dtau of the coupled-mode equations at the given state."""
     _check_band(state, fp)
     m = modes(state.m_max)

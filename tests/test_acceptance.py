@@ -16,9 +16,9 @@ from oamring.cli import main
 from oamring.config import parse_config
 from oamring.dynamics import (
     StateVector,
+    _derivative,
     bunching,
     default_initial_state,
-    derivative,
     evolve,
     modes,
     observables,
@@ -262,7 +262,7 @@ def test_criterion_5_oracle_equivalences(fig2_run):
     for _ in range(100):
         state = random_state(8, rng)
         delta = np.abs(
-            derivative(state, fp) - naive_derivative(state, params, fp)
+            _derivative(state, fp) - naive_derivative(state, params, fp)
         )
         worst_deriv = max(worst_deriv, float(delta.max()))
     assert worst_deriv < 1e-12

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 import oamring
 from oamring.cli import _VALUES_PER_WRITE, _timeseries, _write_artifacts, main
-from oamring.config import _MAX_POTENTIAL_SAMPLES, _SCHEMA, PRESETS, parse_config
+from oamring.config import _SCHEMA, PRESETS, parse_config
 from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
 from oamring.potential import fourier_coefficients
 from oamring.radiation import count_lobes
+from oamring.rate_model import evolve_rates
 
 from test_dynamics import naive_bunching
 
@@ -30,6 +31,14 @@ QUICK_EVOLVE = [
     "--set", "evolve.tau_end=20",
     "--set", "evolve.stride=2.0",
 ]
+
+# Former keys, each at the value every manifest written while it was a key echoes.
+RETIRED_KEYS = {
+    "potential.samples": 512, "radiate.component_band": 8,
+    "evolve.initial_step": 0.0001, "evolve.max_step": 10.0,
+    "rate.rel_tol": 1e-09, "rate.abs_tol": 1e-12,
+    "rate.initial_step": 0.0001, "rate.max_step": 10.0,
+}
 
 
 def read_manifest(out: Path) -> dict:
@@ -217,12 +226,29 @@ class TestParseConfig:
                 parse_config("evolve", overrides=[f"evolve.rng_seed={raw}"])
             assert "evolve.rng_seed" in str(info.value)
 
-    def test_step_controls_default_to_the_integrators(self):
+    def test_step_controls_default_to_the_integrators(self, tmp_path, monkeypatch):
         want = {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 10.0, "initial_step": 1e-4}
         assert asdict(OdeControls()) == want
-        for scenario in ("evolve", "rate"):
-            resolved = parse_config(scenario).resolved
-            assert {key: resolved[f"{scenario}.{key}"] for key in want} == want
+        resolved = parse_config("evolve").resolved
+        assert (resolved["evolve.rel_tol"], resolved["evolve.abs_tol"]) == (1e-9, 1e-12)
+        used = []
+
+        def spy(*args, controls, **kwargs):
+            used.append(controls)
+            return evolve_rates(*args, controls=controls, **kwargs)
+
+        monkeypatch.setattr(oamring.cli, "evolve_rates", spy)
+        assert main(["rate", "--set", "rate.tau_end=1", "--out", str(tmp_path)]) == 0
+        assert used == [OdeControls()]
+
+    @pytest.mark.parametrize("dotted", RETIRED_KEYS)
+    def test_retired_keys_are_unknown(self, tmp_path, dotted):
+        section, _, key = dotted.partition(".")
+        conf = tmp_path / "old.conf"
+        conf.write_text(f"[{section}]\n{key} = {RETIRED_KEYS[dotted]}\n")
+        for layer in ({"config_path": conf}, {"overrides": [f"{dotted}={RETIRED_KEYS[dotted]}"]}):
+            with pytest.raises(ConfigurationError, match=f"unknown config key '{dotted}'"):
+                parse_config("evolve", **layer)
 
     def test_every_default_passes_its_own_converter(self):
         # Defaults skip conversion, so nothing else checks their range.
@@ -559,6 +585,34 @@ class TestReproducibility:
         assert record["error"] == "ConfigurationError" and "rate.m_max" in record["message"]
         assert not refused.exists()
 
+    def test_manifest_with_the_retired_keys(self, tmp_path, capsys):
+        # Every manifest written while the retired keys existed echoes them at
+        # their constants: the same run.  Any other value names the key.
+        fresh = tmp_path / "fresh"
+        assert main(["evolve", "--out", str(fresh)] + QUICK_EVOLVE) == 0
+        manifest = read_manifest(fresh)
+        config = manifest["reproducible"]["config"]
+        config |= RETIRED_KEYS
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["evolve", "--config", str(old), "--out", str(rerun)]) == 0
+        for artifact in fresh.iterdir():
+            if artifact.name != "manifest.json":
+                assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
+        a, b = read_manifest(fresh), read_manifest(rerun)
+        assert a["reproducible"] == b["reproducible"]
+        assert a["manifest_hash"] == b["manifest_hash"]
+
+        config["evolve.max_step"] = 5.0
+        old.write_text(json.dumps(manifest))
+        refused = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(["evolve", "--config", str(old), "--out", str(refused)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and "evolve.max_step" in record["message"]
+        assert not refused.exists()
+
     def test_manifest_echoes_resolved_truncations(self, tmp_path):
         rc = main(["potential", "--preset", "fig2", "--out", str(tmp_path)])
         assert rc == 0
@@ -576,8 +630,8 @@ class TestExitCodes:
             ("evolve", "evolve.tau_end=inf"),
             ("evolve", "evolve.phi_band=-1"),
             ("evolve", "evolve.phi_band=-2"),
-            ("radiate", "radiate.component_band=-1"),
-            ("potential", "potential.samples=-3"),
+            ("radiate", "radiate.theta_count=1"),
+            ("potential", "params.m_max=-3"),
             ("potential", "params.epsilon=1e-9"),
             ("potential", "params.epsilon=1e300"),
             ("spectrum", "spectrum.k0_rho_min=1e300"),
@@ -608,15 +662,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "scenario, override",
         [
-            ("potential", "potential.samples=0"),
             ("spectrum", "spectrum.k0_rho_step=0"),
             ("spectrum", "spectrum.k0_rho_step=-0.25"),
             ("evolve", "evolve.phi_band=-1"),
-            ("radiate", "radiate.component_band=-1"),
-            ("evolve", "potential.samples=0"),  # another scenario's key
             ("evolve", "evolve.rel_tol=0"),
-            ("rate", "rate.initial_step=-1e-4"),
-            ("rate", "evolve.max_step=-1"),
+            # another scenario's key
+            ("potential", "evolve.rel_tol=0"),
+            ("evolve", "spectrum.k0_rho_step=0"),
+            ("rate", "evolve.abs_tol=-1"),
+            ("rate", "spectrum.k0_rho_step=-0.25"),
+            ("radiate", "evolve.phi_band=-1"),
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(
@@ -632,14 +687,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, named",
         [
-            (["potential", "--set", "potential.samples=1000000000000"],
-             "potential.samples"),
+            (["potential", "--set", "params.m_max=1000000000000",
+              "--set", "params.k_max=1000000000000"], "k_max=1000000000000"),
             (["spectrum", "--set", "spectrum.k0_rho_step=1e-12"], "radii"),
             (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
             (["evolve", "--preset", "fig2", "--set", "evolve.stride=0.002"], "stride"),
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
-            (["evolve", "--preset", "fig2", "--set", "evolve.max_step=1e-6",
-              "--set", "evolve.tau_end=5"], "steps"),
+            (["evolve", "--set", "evolve.stride=1e7", "--set", "evolve.tau_end=2e7"], "steps"),
             (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
               "--set", "radiate.phi_count=100000"], "100000 x 100000"),
             (["rate", "--preset", "fig3", "--set", "params.m_max=100000",
@@ -659,7 +713,7 @@ class TestExitCodes:
             (["radiate", "--set", "radiate.theta_count=2",
               "--set", "radiate.phi_count=524288"], "phi_count=524288"),
         ],
-        ids=["potential-samples", "spectrum-radii", "evolve-samples", "evolve-store",
+        ids=["potential-grid", "spectrum-radii", "evolve-samples", "evolve-store",
              "rate-samples",
              "evolve-steps",
              "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling", "evolve-band",
@@ -743,11 +797,12 @@ class TestExitCodes:
         "evolve",
         "--set", "params.gamma=5.0", "--set", "evolve.tau_end=60",
         "--set", "evolve.rel_tol=1e-2", "--set", "evolve.abs_tol=1e-2",
-        "--set", "evolve.max_step=5.0",
     ]
 
-    def test_tolerance_failure_is_three(self, tmp_path):
+    def test_tolerance_failure_is_three(self, tmp_path, capsys):
         assert main(self.TOLERANCE_FAILURE + ["--out", str(tmp_path)]) == 3
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith("norm drift") and message.endswith("at tau=1")
 
     @pytest.mark.parametrize(
         "args, code",
@@ -894,7 +949,7 @@ def raw_values(dotted: str, default) -> st.SearchStrategy:
         edges = st.sampled_from(["0", repr(-default), "1e300", "5e-324"])
         return st.sampled_from(fixed) | scaled | edges | JUNK
     ints = st.integers(-3, 2 * (default or 0) + 8).map(str)
-    edges = st.sampled_from([str(_MAX_POTENTIAL_SAMPLES + 1), str(10**7), str(2**62)])
+    edges = st.sampled_from([str(2**20 + 1), str(10**7), str(2**62)])
     return st.sampled_from(fixed) | ints | edges | JUNK
 
 

@@ -15,9 +15,9 @@ from oamring.config import parse_config
 from oamring.dynamics import (
     BunchingSpectrum,
     StateVector,
+    _derivative,
     bunching,
     default_initial_state,
-    derivative,
     evolve,
     modes,
     observables,
@@ -160,7 +160,7 @@ class TestDerivative:
         params, fp = fig2_setup()
         amps = np.zeros(2 * params.m_max + 1, dtype=complex)
         amps[params.m_max] = 1.0
-        dc = derivative(StateVector(0.0, amps), fp)
+        dc = _derivative(StateVector(0.0, amps), fp)
         expected = -0.5j * params.gamma * fp.coefficient(0)
         assert abs(dc[params.m_max] - expected) < 1e-15
         others = np.delete(dc, params.m_max)
@@ -171,7 +171,7 @@ class TestDerivative:
                                   m_max=5, k_max=10)
         fp = fourier_coefficients(zero_gamma)
         state = random_state(5)
-        dc = derivative(state, fp)
+        dc = _derivative(state, fp)
         m = modes(5)
         assert np.max(np.abs(dc + 1j * m * m * state.amplitudes)) < 1e-15
 
@@ -180,7 +180,7 @@ class TestDerivative:
         rng = np.random.default_rng(5)
         for _ in range(100):
             state = random_state(8, rng)
-            fast = derivative(state, fp)
+            fast = _derivative(state, fp)
             slow = naive_derivative(state, params, fp)
             assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -197,7 +197,7 @@ class TestDerivative:
         state = StateVector(0.0, amps / norm)
         params, fp = fig2_setup(m_max=m_max, k_max=k_max)
         slow = naive_derivative(state, params, fp)
-        assert np.max(np.abs(derivative(state, fp) - slow)) < 1e-12
+        assert np.max(np.abs(_derivative(state, fp) - slow)) < 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -394,7 +394,7 @@ class TestEvolve:
         params, fp = fig2_setup(m_max=9000, k_max=1000)
         state = default_initial_state(params, seed_amplitude=1e-6)
         with pytest.raises(ConfigurationError, match="m_max=9000"):
-            derivative(state, fp)
+            _derivative(state, fp)
 
     def test_band_mismatch_rejected(self):
         params, fp = fig2_setup()
@@ -402,7 +402,7 @@ class TestEvolve:
         with pytest.raises(ConfigurationError):
             evolve(small, fp, 1.0)
         with pytest.raises(ConfigurationError):
-            derivative(small, fp)
+            _derivative(small, fp)
 
     def test_unnormalized_initial_state_rejected(self):
         params, fp = fig2_setup()
