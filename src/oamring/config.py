@@ -3,7 +3,8 @@ named presets for the reference scenarios, and strict validation.
 
 Precedence, lowest to highest: built-in defaults, preset, config file,
 command-line --set overrides.  Presets never silently win over user keys;
-any preset key a user replaces is recorded in the run manifest.
+any preset key whose resolved value differs from the preset's is recorded
+in the run manifest.
 """
 
 from __future__ import annotations
@@ -202,21 +203,19 @@ def _parse_config_text(text: str) -> dict[str, str]:
     }
 
 
-def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
+def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None]:
     """The flat section.key layer of a key = value file, or of a run manifest
-    together with its preset and the preset keys it overrode."""
+    together with its preset."""
     try:
         text = path.read_text(encoding="utf-8")
         if not text.lstrip().startswith("{"):
-            return _parse_config_text(text), None, ()
+            return _parse_config_text(text), None
         block = json.loads(text)["reproducible"]
         flat, preset = block["config"], block.get("preset")
-        overridden = tuple(block.get("overridden_preset_keys", ()))
         if not isinstance(flat, dict):
             raise TypeError("reproducible.config is not a mapping")
-        keys_ok = all(isinstance(key, str) for key in overridden)
-        if preset not in (None, *PRESETS) or not keys_ok:
-            raise TypeError("reproducible.preset or its overridden keys are malformed")
+        if preset not in (None, *PRESETS):
+            raise TypeError("reproducible.preset is not a preset name or null")
     except (OSError, ValueError, KeyError, TypeError, RecursionError,
             configparser.Error) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
@@ -227,7 +226,7 @@ def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None, tuple]:
     # null entries mean "left at default"; omitting them reproduces that
     layer = {key: str(value) for key, value in flat.items()
              if value is not None and key not in _RETIRED}
-    return layer, preset, overridden
+    return layer, preset
 
 
 def _convert(converter, dotted: str, raw: str):
@@ -258,8 +257,8 @@ def parse_config(
             f"unknown preset '{preset}'; available: {sorted(PRESETS)}"
         )
 
-    file_layer, inherited_preset, inherited_overrides = (
-        ({}, None, ()) if config_path is None else _config_file_layer(Path(config_path))
+    file_layer, inherited_preset = (
+        ({}, None) if config_path is None else _config_file_layer(Path(config_path))
     )
     cli_layer: dict[str, str] = {}
     for entry in overrides or ():
@@ -278,23 +277,19 @@ def parse_config(
                 f"unknown config key '{dotted}'; {known}: {allowed}"
             )
 
+    # A manifest rerun keeps its preset unless the caller names one.  A key of
+    # that preset is overridden when its typed value is not the preset's.
+    preset = preset or inherited_preset
+    pinned = PRESETS.get(preset, {})
     resolved: dict = {}
+    overridden = []
     for section, keys in _SCHEMA.items():
         for key, (conv, default) in keys.items():
             dotted = f"{section}.{key}"
             raw = raw_values.get(dotted)
             resolved[dotted] = default if raw is None else _convert(conv, dotted, raw)
-
-    # A manifest rerun is the same run: keep its preset and overridden keys
-    # unless the caller names a preset explicitly.
-    if preset:
-        setters = file_layer.keys() | cli_layer.keys()
-        overridden = tuple(sorted(setters & PRESETS[preset].keys()))
-    elif inherited_preset:
-        extra = cli_layer.keys() & PRESETS[inherited_preset].keys()
-        overridden = tuple(sorted(extra.union(inherited_overrides)))
-    else:
-        overridden = ()
+            if dotted in pinned and resolved[dotted] != conv(pinned[dotted]):
+                overridden.append(dotted)
 
     params = SystemParams(**{f.name: resolved[f"params.{f.name}"] for f in fields(SystemParams)})
     # Echo the params, derived truncations included, so the manifest pins them.
@@ -306,7 +301,7 @@ def parse_config(
         params=params,
         options=options,
         output_dir=Path(output_dir),
-        preset=preset or inherited_preset,
+        preset=preset,
         resolved=resolved,
-        overridden_preset_keys=overridden,
+        overridden_preset_keys=tuple(sorted(overridden)),
     )

@@ -124,7 +124,7 @@ def field_quadrature(
 
 @dataclass(frozen=True)
 class RadiationPattern:
-    """Field and intensity on a (theta, phi) product grid.
+    """Field on a (theta, phi) product grid; its intensity is |field|**2.
 
     components[i, j] holds the channel weight J_{ell+m}^2 |Phi_m|^2 at
     theta_grid[i] for m = component_modes[j]; avg_intensity is their sum,
@@ -137,12 +137,7 @@ class RadiationPattern:
     avg_intensity: np.ndarray  # (n_theta,)
     component_modes: np.ndarray  # (n_m,) int
     components: np.ndarray  # (n_theta, n_m)
-    ell: int
     tail_bound: float
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.field) ** 2
 
 
 def pattern_from_bunching(
@@ -187,7 +182,6 @@ def pattern_from_bunching(
         avg_intensity=components.sum(axis=1),
         component_modes=ms,
         components=components,
-        ell=params.ell,
         tail_bound=tail,
     )
 

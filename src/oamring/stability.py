@@ -77,9 +77,9 @@ def spectrum_sweep(
 ) -> SweepResult:
     """Growth rates over a grid of ring radii.
 
-    Each sweep point rebuilds the Fourier potential at its own radius with
-    that radius's default band (m_max = m_hi where the default k_max falls
-    short of m_hi): the template's m_max and k_max are never read.
+    Each sweep point rebuilds the Fourier potential at its own radius for
+    the harmonics V_1..V_m_hi the rates read; the template's m_max and k_max
+    are never read.
     """
     k0_rho_grid = np.asarray(k0_rho_grid, dtype=float)
     if k0_rho_grid.size == 0:
@@ -93,10 +93,9 @@ def spectrum_sweep(
     )
     modes = np.arange(m_lo, m_hi + 1)
     rates = np.empty((k0_rho_grid.size, modes.size))
+    m_max = max(m_hi, abs(params_template.ell) + 2)
     for i, kr in enumerate(k0_rho_grid):
-        point = replace(params_template, k0_rho=float(kr), m_max=None, k_max=None)
-        if point.k_max < m_hi:
-            point = replace(point, m_max=m_hi, k_max=None)
+        point = replace(params_template, k0_rho=float(kr), m_max=m_max, k_max=m_hi)
         try:
             fp = fourier_coefficients(point)
         except OamringError as exc:

@@ -154,8 +154,10 @@ class TestParseConfig:
             parse_config("evolve", config_path=conf)
         assert "nosuch" in str(info.value)
 
-    # The INI file sets a fig2 key (gamma) and a key of no preset (phi_band);
-    # the manifest of a fig4 run carries the preset and the keys it overrode.
+    # The INI file sets a fig2 key (gamma) and a key of no preset (phi_band).
+    # The manifest names fig4 but holds two keys, so its run takes the rest
+    # from the defaults, and every default that is not fig4's is overridden;
+    # the list it records is not read.
     PROVENANCE_INI = "[params]\ngamma = 0.07\n\n[evolve]\nphi_band = 6\n"
     PROVENANCE_MANIFEST = {
         "reproducible": {
@@ -164,6 +166,8 @@ class TestParseConfig:
             "overridden_preset_keys": ["params.epsilon"],
         }
     }
+    MANIFEST_OVERRIDES = ("evolve.snapshot", "evolve.snapshot_k", "evolve.tau_end",
+                          "params.ell", "params.epsilon", "params.k0_rho")
 
     @pytest.mark.parametrize(
         "preset, source, override, want_preset, want_keys",
@@ -174,10 +178,9 @@ class TestParseConfig:
             (None, "ini", None, None, ()),
             (None, "ini", "params.k0_rho=1.5", None, ()),
             (None, "ini", "evolve.phi_band=5", None, ()),
-            (None, "manifest", None, "fig4", ("params.epsilon",)),
-            (None, "manifest", "params.k0_rho=1.5", "fig4",
-             ("params.epsilon", "params.k0_rho")),
-            (None, "manifest", "evolve.phi_band=5", "fig4", ("params.epsilon",)),
+            (None, "manifest", None, "fig4", MANIFEST_OVERRIDES),
+            (None, "manifest", "params.k0_rho=1.5", "fig4", MANIFEST_OVERRIDES),
+            (None, "manifest", "evolve.phi_band=5", "fig4", MANIFEST_OVERRIDES),
             ("fig2", None, None, "fig2", ()),
             ("fig2", None, "params.k0_rho=1.5", "fig2", ("params.k0_rho",)),
             ("fig2", None, "evolve.phi_band=5", "fig2", ()),
@@ -190,6 +193,7 @@ class TestParseConfig:
              ("params.epsilon", "params.gamma", "params.k0_rho")),
             ("fig2", "manifest", "evolve.phi_band=5", "fig2",
              ("params.epsilon", "params.gamma")),
+            ("fig2", None, "params.gamma=0.05", "fig2", ()),  # restates fig2
         ],
     )
     def test_preset_provenance_table(
@@ -556,6 +560,31 @@ class TestReproducibility:
         assert a["manifest_hash"] == b["manifest_hash"]
         assert b["reproducible"]["config"]["evolve.rng_seed"] == seed
 
+    def test_rerun_records_the_same_overrides(self, tmp_path):
+        # Named again or inherited, the preset is compared with the same values.
+        first = tmp_path / "first"
+        args = ["evolve", "--preset", "fig2", "--set", "evolve.tau_end=2"]
+        assert main(args + ["--out", str(first)]) == 0
+        block = read_manifest(first)["reproducible"]
+        assert block["overridden_preset_keys"] == ["evolve.tau_end"]
+        for name, preset in (("named", ["--preset", "fig2"]), ("inherited", [])):
+            rerun = ["evolve", *preset, "--config", str(first / "manifest.json")]
+            assert main(rerun + ["--out", str(tmp_path / name)]) == 0
+            assert read_manifest(tmp_path / name)["reproducible"] == block, name
+
+    def test_recorded_override_list_is_not_read(self, tmp_path):
+        # The list is derived from the values, so a malformed one re-runs.
+        fresh = tmp_path / "fresh"
+        args = ["potential", "--preset", "fig2", "--set", "params.gamma=0.07"]
+        assert main(args + ["--out", str(fresh)]) == 0
+        manifest = read_manifest(fresh)
+        manifest["reproducible"]["overridden_preset_keys"] = 5
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["potential", "--config", str(old), "--out", str(rerun)]) == 0
+        assert read_manifest(rerun)["reproducible"]["overridden_preset_keys"] == ["params.gamma"]
+
     def test_manifest_with_the_removed_band_keys(self, tmp_path, capsys):
         # Manifests written while rate.m_max and radiate.m_band existed echo
         # both as null, "left at default"; a set value names the gone key.
@@ -741,16 +770,13 @@ class TestExitCodes:
             lambda path: path.write_bytes(b"[params]\ngamma = 0.3 \xff\n"),
             lambda path: path.write_text(json.dumps({"reproducible": {"config": [1]}})),
             lambda path: path.write_text(
-                json.dumps({"reproducible": {"config": {}, "overridden_preset_keys": 5}})
-            ),
-            lambda path: path.write_text(
                 json.dumps({"reproducible": {"config": {}, "preset": ["fig2"]}})
             ),
             lambda path: path.write_text("gamma = 0.3\n"),
             lambda path: path.write_text("[nosuch]\ngamma = 0.3\n"),
             lambda path: path.write_text('{"reproducible": ' + "[" * 100_000),
         ],
-        ids=["directory", "not-utf8", "list-config", "int-overrides", "list-preset",
+        ids=["directory", "not-utf8", "list-config", "list-preset",
              "no-section-header", "unknown-section", "deep-nesting"],
     )
     def test_unreadable_config_file_exits_two(self, tmp_path, capsys, write):

@@ -58,9 +58,9 @@ def far_field(spec, ell, k0_rho, theta_count=7, phi_count=8, m_band=None):
     return pattern_from_bunching(spec, params, theta_count, phi_count)
 
 
-def channels(pattern, i) -> dict:
+def channels(pattern, ell, i) -> dict:
     """Channel weight by ell' = ell + m at theta row i."""
-    ell_primes = (pattern.component_modes + pattern.ell).tolist()
+    ell_primes = (pattern.component_modes + ell).tolist()
     return dict(zip(ell_primes, pattern.components[i].tolist()))
 
 
@@ -137,7 +137,7 @@ class TestAveragedIntensity:
         pattern = far_field(bunching(two_mode_state(6, 0, 1)), ell=1, k0_rho=1.0)
         j = bessel_j_orders(2, np.sin(pattern.theta_grid)) ** 2
         for i, total in enumerate(pattern.avg_intensity):
-            square = channels(pattern, i)
+            square = channels(pattern, 1, i)
             # exact three-channel sum, and the quoted two-term reduction
             exact = j[1, i] + 0.25 * j[0, i] + 0.25 * j[2, i]
             assert total == pytest.approx(exact, abs=1e-12)
@@ -152,7 +152,7 @@ class TestAveragedIntensity:
         spec = bunching(two_mode_state(10, 0, 5))
         pattern = far_field(spec, ell=2, k0_rho=5.0, theta_count=3)
         assert pattern.theta_grid[1] == math.pi / 2
-        weights = channels(pattern, 1)
+        weights = channels(pattern, 2, 1)
         bare_ratio = (weights[-3] / abs(spec.coefficients[spec.band - 5]) ** 2) / (
             weights[2] / abs(spec.coefficients[spec.band]) ** 2
         )
@@ -163,14 +163,15 @@ class TestAveragedIntensity:
         spec = bunching(random_interior_state(6))
         pattern = far_field(spec, ell=1, k0_rho=2.0, theta_count=5, phi_count=512)
         i = 1  # theta = pi/4
-        assert abs(pattern.intensity[i].mean() - pattern.avg_intensity[i]) < 1e-9
+        intensity = np.abs(pattern.field[i]) ** 2
+        assert abs(intensity.mean() - pattern.avg_intensity[i]) < 1e-9
 
     def test_forward_axis_selects_zero_channel(self):
         for _ in range(5):
             spec = bunching(random_interior_state(5))
             ell = 3
             pattern = far_field(spec, ell, 2.7)
-            for ell_prime, weight in channels(pattern, 0).items():
+            for ell_prime, weight in channels(pattern, ell, 0).items():
                 if ell_prime != 0:
                     assert weight == 0.0
             # the surviving channel is m = -ell
@@ -237,7 +238,7 @@ class TestPatternGrid:
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=6)
         spec = bunching(uniform_state(6))
         pattern = pattern_from_bunching(spec, params, theta_count=21, phi_count=32)
-        intens = pattern.intensity
+        intens = np.abs(pattern.field) ** 2
         assert np.max(intens.max(axis=1) - intens.min(axis=1)) < 1e-14
 
     def test_avg_intensity_column_consistency(self):
@@ -253,7 +254,7 @@ class TestPatternGrid:
             bunching(two_mode_state(10, 0, 5)), params, theta_count=33, phi_count=256
         )
         i_eq = int(np.argmin(np.abs(pattern.theta_grid - math.pi / 2)))
-        assert count_lobes(pattern.intensity[i_eq]) == 5
+        assert count_lobes(np.abs(pattern.field[i_eq]) ** 2) == 5
 
     def test_far_field_argument_bound(self):
         # The equator row reaches x = k0_rho exactly: 50 is the largest
