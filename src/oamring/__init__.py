@@ -30,7 +30,7 @@ from .potential import (
 )
 from .radiation import RadiationPattern, field_quadrature
 from .rate_model import RateState, evolve_rates, two_state_analytic
-from .stability import StabilitySpectrum, classify_regime, spectrum, spectrum_sweep
+from .stability import classify_regime, spectrum, spectrum_sweep
 
 __all__ = [
     "BunchingSpectrum",
@@ -38,7 +38,6 @@ __all__ = [
     "OdeControls",
     "RadiationPattern",
     "RateState",
-    "StabilitySpectrum",
     "StateVector",
     "SystemParams",
     "Trajectory",

@@ -160,15 +160,13 @@ def _g_table(fp: FourierPotential) -> dict:
 
 def _lambda_summary(fp: FourierPotential) -> dict:
     ms = np.arange(1, min(_TABLE_TOP, fp.k_max) + 1)
-    spec = spectrum(fp, ms)
-    imax = int(np.argmax(spec.growth_rates))
-    m_star = int(spec.modes[imax])
+    rates = np.abs(spectrum(fp, ms).real)
+    imax = int(np.argmax(rates))
+    m_star = int(ms[imax])
     return {
-        "growth_rates": {
-            str(int(m)): float(r) for m, r in zip(spec.modes, spec.growth_rates)
-        },
+        "growth_rates": {str(m): float(r) for m, r in zip(ms.tolist(), rates)},
         "argmax_m": m_star,
-        "max_rate": float(spec.growth_rates[imax]),
+        "max_rate": float(rates[imax]),
         "regime": classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star)),
         "regime_thresholds": (
             f"classical if gamma|V_m| > {CLASSICAL_FACTOR:g} m^2, "
@@ -205,18 +203,19 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
             f"does not have 1 to {_MAX_RADII} radii"
         )
     grid = np.arange(start, stop, step)
-    sweep = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
+    rates = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
+    ms = np.arange(opts["m_lo"], opts["m_hi"] + 1)
 
     rows = [
         {
             "k0_rho": float(kr),
-            "argmax_m": int(sweep.argmax_m[i]),
-            "max_rate": float(sweep.max_rate[i]),
+            "argmax_m": int(ms[np.argmax(row)]),
+            "max_rate": float(row.max()),
         }
-        for i, kr in enumerate(sweep.k0_rho_grid)
+        for kr, row in zip(grid, rates)
     ]
-    growth = {"k0_rho": sweep.k0_rho_grid}
-    growth |= {f"m_{m}": rates for m, rates in zip(sweep.modes.tolist(), sweep.rates.T)}
+    growth = {"k0_rho": grid}
+    growth |= {f"m_{m}": column for m, column in zip(ms.tolist(), rates.T)}
     files = {"growth_rates.csv": growth, "summary.json": {"rows": rows}}
     derived = {"argmax_by_radius": {repr(row["k0_rho"]): row["argmax_m"] for row in rows}}
     return files, derived, {}
@@ -431,9 +430,10 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
     field = pattern.field.ravel()
 
-    keep = np.abs(pattern.component_modes) <= COMPONENT_BAND
-    comp_modes = pattern.component_modes[keep]
-    averaged = {"theta": pattern.theta_grid, "total": pattern.avg_intensity}
+    ms = modes(bunch.band)
+    keep = np.abs(ms) <= COMPONENT_BAND
+    comp_modes = ms[keep]
+    averaged = {"theta": pattern.theta_grid, "total": pattern.components.sum(axis=1)}
     averaged |= {f"I_ellp_{params.ell + m}": weights
                  for m, weights in zip(comp_modes.tolist(), pattern.components[:, keep].T)}
 

@@ -29,8 +29,9 @@ _OVERFLOW_GUARD = 1e250
 # Most entries of any one table sized by an input: 256 MiB of complex values.
 # The largest preset table, rate fig3's sample store, holds 50,442.
 MAX_ENTRIES = 1 << 24
-# Most steps of max_step a span may need (every preset needs at most 120); at
-# about 100 us a fig2 step, that many take under two minutes.
+# Most steps of max_step a span may hold.  This bounds the span (t1 - t0 at
+# most 10 * 2**20 at the default max_step; every preset's holds at most 120),
+# not the steps a run takes: fig2 takes 118,757 adaptive steps over its 1200.
 _MAX_STEPS = 1 << 20
 
 

@@ -44,6 +44,10 @@ _MAX_PATTERN_POINTS = 1 << 20
 # up to |x| = 50, and its recurrence runs about |x| steps.
 _MAX_BESSEL_ARG = 50.0
 
+# Relative spread up to which an intensity cut counts as flat: an azimuthally
+# uniform far field varies along phi by rounding alone.
+_FLAT_CUT = 1e-12
+
 
 def _channel_weights(
     bunch: BunchingSpectrum, ell: int, x: np.ndarray
@@ -54,7 +58,7 @@ def _channel_weights(
     Every Bessel order comes from a single bessel_j_orders pass; negative
     orders use J_{-n} = (-1)^n J_n.
     """
-    ms = np.arange(-bunch.band, bunch.band + 1)
+    ms = modes(bunch.band)
     ns = ell + ms
     top = int(np.abs(ns).max())
     check_entries((top + 1) * x.size, f"ell={ell}, band={bunch.band}: Bessel table")
@@ -127,24 +131,22 @@ class RadiationPattern:
     """Field on a (theta, phi) product grid; its intensity is |field|**2.
 
     components[i, j] holds the channel weight J_{ell+m}^2 |Phi_m|^2 at
-    theta_grid[i] for m = component_modes[j]; avg_intensity is their sum,
-    never a numerical phi average.
+    theta_grid[i] for the j-th mode m of the bunching band,
+    dynamics.modes(band); their sum over j is the phi-averaged intensity.
     """
 
     theta_grid: np.ndarray
     phi_grid: np.ndarray
     field: np.ndarray  # (n_theta, n_phi) complex
-    avg_intensity: np.ndarray  # (n_theta,)
-    component_modes: np.ndarray  # (n_m,) int
-    components: np.ndarray  # (n_theta, n_m)
+    components: np.ndarray  # (n_theta, 2 band + 1)
     tail_bound: float
 
 
 def pattern_from_bunching(
     bunch: BunchingSpectrum,
     params: SystemParams,
-    theta_count: int = 181,
-    phi_count: int = 256,
+    theta_count: int,
+    phi_count: int,
 ) -> RadiationPattern:
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
@@ -179,8 +181,6 @@ def pattern_from_bunching(
         theta_grid=theta_grid,
         phi_grid=phi_grid,
         field=field,
-        avg_intensity=components.sum(axis=1),
-        component_modes=ms,
         components=components,
         tail_bound=tail,
     )
@@ -191,10 +191,11 @@ def count_lobes(values) -> int:
 
     A lobe is a cyclically connected region above the half-way level between
     the minimum and the maximum of the cut, so a twin peak separated by a
-    shallow notch counts once."""
+    shallow notch counts once.  A cut flat to rounding, with max - min at
+    most 1e-12 max, has no lobes."""
     v = np.asarray(values, dtype=float)
-    threshold = 0.5 * (v.max() + v.min())
-    above = v > threshold
-    if bool(above.all()) or not bool(above.any()):
+    lo, hi = v.min(), v.max()
+    if hi - lo <= _FLAT_CUT * hi:
         return 0
+    above = v > 0.5 * (hi + lo)
     return int(np.sum(above & ~np.roll(above, 1)))

@@ -39,18 +39,18 @@ DEFAULT_SEED_POPULATION = 1e-6
 
 @dataclass(frozen=True)
 class RateState:
-    """Populations and phases over the ladder m = 0 .. m_max at time tau."""
+    """Starting populations over the ladder m = 0 .. m_max.
 
-    tau: float
+    The ladder equations are autonomous and the phases never feed back, so a
+    cascade starts at tau = 0 with every phase zero: another start would only
+    shift the output."""
+
     populations: np.ndarray  # (m_max + 1,) real, nonnegative, sums to 1
-    phases: np.ndarray  # (m_max + 1,) radians
 
     def __post_init__(self):
-        if self.populations.shape != self.phases.shape:
-            raise ConfigurationError("populations and phases must align")
         check_entries(2 * self.populations.size**2, f"m_max={self.m_max}: rate ladder")
-        if not np.isfinite([self.populations, self.phases]).all():
-            raise ConfigurationError("populations and phases must be finite")
+        if not np.isfinite(self.populations).all():
+            raise ConfigurationError("populations must be finite")
         if np.any(self.populations < -NEGATIVE_TOL):
             raise ConfigurationError("populations must be nonnegative")
         if abs(float(self.populations.sum()) - 1.0) > CONSERVATION_TOL:
@@ -75,7 +75,7 @@ def seeded_rate_state(
         raise ConfigurationError(f"seed population {seed_population} out of range")
     pops = np.full(m_max + 1, seed_population)
     pops[0] = 1.0 - m_max * seed_population
-    return RateState(tau=0.0, populations=pops, phases=np.zeros(m_max + 1))
+    return RateState(pops)
 
 
 def _ladder(n: int, coeff: np.ndarray, antisymmetric: bool) -> np.ndarray:
@@ -134,7 +134,8 @@ def evolve_rates(
     controls: OdeControls | None = None,
     stride: float = 1.0,
 ) -> RateTrajectory:
-    """Integrate populations and phases together.
+    """Integrate populations and phases together over (0, tau_end), the
+    phases starting at zero.
 
     Seeds must be positive in any state meant to grow; the equations are
     multiplicative in N_m, so an exactly empty state stays empty forever.
@@ -159,10 +160,9 @@ def evolve_rates(
                 f"at tau={tau:.6g}"
             )
 
-    y0 = np.concatenate([initial.populations, initial.phases]).astype(complex)
+    y0 = np.concatenate([initial.populations, np.zeros(n)]).astype(complex)
     raw = integrate_ode(
-        _rate_rhs(n, g, alpha), y0, (initial.tau, tau_end), controls, stride,
-        check=check,
+        _rate_rhs(n, g, alpha), y0, (0.0, tau_end), controls, stride, check=check
     )
     pops, phases = raw.states[:, :n].real, raw.states[:, n:].real
     return RateTrajectory(raw.times, np.where(pops < 0.0, 0.0, pops), phases)

@@ -12,7 +12,7 @@ actually fills is left to the full dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .numerics import check_entries
 from .potential import FourierPotential, SystemParams, fourier_coefficients
 
 __all__ = [
-    "StabilitySpectrum",
-    "SweepResult",
     "classify_regime",
     "spectrum",
     "spectrum_sweep",
@@ -34,48 +32,25 @@ CLASSICAL_FACTOR = 10.0
 QUANTUM_FACTOR = 0.1
 
 
-@dataclass(frozen=True)
-class StabilitySpectrum:
-    """Eigenvalue pairs and growth rates over a set of modes at fixed params."""
-
-    modes: np.ndarray  # (n_m,) int
-    eigenvalue_pairs: np.ndarray  # (n_m, 2) complex
-    growth_rates: np.ndarray  # (n_m,) float
-
-
-def spectrum(fp: FourierPotential, modes: np.ndarray) -> StabilitySpectrum:
-    """The eigenvalue pair +/- i m sqrt(m^2 + gamma V_m) and the growth rate
-    |Re lambda_m| of every mode, with the principal square root (Re >= 0,
-    and Im >= 0 on the imaginary axis) in the first entry of each pair."""
+def spectrum(fp: FourierPotential, modes: np.ndarray) -> np.ndarray:
+    """lambda_m = i m sqrt(m^2 + gamma V_m) of every mode, as a complex array,
+    with the principal square root (Re >= 0, and Im >= 0 on the imaginary
+    axis); -lambda_m is the pair's other root and |Re lambda_m| the growth
+    rate."""
     modes = np.asarray(modes, dtype=int)
     m = modes.astype(float)
     root = np.sqrt(m * m + fp.params.gamma * fp.coefficient(modes))
     root = np.where((root.real == 0.0) & (root.imag < 0.0), -root, root)
-    lam = 1j * m * root
-    return StabilitySpectrum(
-        modes=modes,
-        eigenvalue_pairs=np.stack([lam, -lam], axis=-1),
-        growth_rates=np.abs(lam.real),
-    )
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Growth-rate map over (k0_rho, m), rows ordered like the input grid."""
-
-    k0_rho_grid: np.ndarray  # (n_r,)
-    modes: np.ndarray  # (n_m,)
-    rates: np.ndarray  # (n_r, n_m)
-    argmax_m: np.ndarray  # (n_r,) int, mode with the strongest rate per radius
-    max_rate: np.ndarray  # (n_r,)
+    return 1j * m * root
 
 
 def spectrum_sweep(
     params_template: SystemParams,
     k0_rho_grid,
     m_range: tuple[int, int],
-) -> SweepResult:
-    """Growth rates over a grid of ring radii.
+) -> np.ndarray:
+    """Growth rates |Re lambda_m| over a grid of ring radii: one row per
+    radius, in the grid's order, and one column per mode m_lo..m_hi.
 
     Each sweep point rebuilds the Fourier potential at its own radius for
     the harmonics V_1..V_m_hi the rates read; the template's m_max and k_max
@@ -101,15 +76,8 @@ def spectrum_sweep(
         except OamringError as exc:
             exc.args = (f"sweep point k0_rho={kr}: {exc}",)
             raise
-        rates[i] = spectrum(fp, modes).growth_rates
-    imax = np.argmax(rates, axis=1)
-    return SweepResult(
-        k0_rho_grid=k0_rho_grid,
-        modes=modes,
-        rates=rates,
-        argmax_m=modes[imax],
-        max_rate=rates[np.arange(rates.shape[0]), imax],
-    )
+        rates[i] = np.abs(spectrum(fp, modes).real)
+    return rates
 
 
 def classify_regime(m: int, gamma: float, v_m: complex) -> str:

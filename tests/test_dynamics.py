@@ -26,6 +26,7 @@ from oamring.dynamics import (
 from oamring.errors import ConfigurationError, ToleranceError, TruncationError
 from oamring.potential import SystemParams, fourier_coefficients
 from oamring.rate_model import RateTrajectory, ladder_transitions
+from oamring.stability import spectrum
 
 RNG = np.random.default_rng(2024)
 
@@ -44,6 +45,25 @@ def system_rhs(name: str):
     else:
         params = parse_config("rate" if name == "fig3" else "evolve", preset=name).params
     return params.m_max, dynamics._nonlinear_rhs(fourier_coefficients(params))
+
+
+def pure_mode_jacobian(fp, d: int) -> np.ndarray:
+    """The real 2n x 2n Jacobian of the coupled-mode equations about the pure
+    mode c = e_d, in the frame rotating at m^2 - d^2 - gamma V_0 / 2, on
+    (Re c, Im c).  The nonlinear term N is a cubic form, so polarization
+    gives each column exactly: DN(b)[v] = (N(b + v) - N(b - v)) / 2 - N(v)."""
+    m_max = fp.params.m_max
+    n = 2 * m_max + 1
+    rhs = dynamics._nonlinear_rhs(fp)
+    m = modes(m_max)
+    omega = m * m - d * d - 0.5 * fp.params.gamma * fp.coefficient(0)
+    b = np.zeros(n, dtype=complex)
+    b[m_max + d] = 1.0
+    columns = []
+    for v in np.vstack([np.eye(n), 1j * np.eye(n)]):
+        dv = 0.5 * (rhs(0.0, b + v) - rhs(0.0, b - v)) - rhs(0.0, v) - 1j * omega * v
+        columns.append(np.concatenate([dv.real, dv.imag]))
+    return np.array(columns).T
 
 
 def random_state(m_max: int, rng=RNG) -> StateVector:
@@ -231,6 +251,31 @@ class TestDerivative:
         c = amps / norm
         n = rhs(0.0, c)
         assert abs(np.vdot(c, n).real) <= 1e-14 * np.linalg.norm(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(0.0, 2.0),
+        epsilon=st.floats(0.05, 0.5),
+        k0_rho=st.floats(0.5, 6.0),
+        ell=st.integers(-3, 3),
+        d=st.integers(-3, 3),
+    )
+    def test_jacobian_about_a_pure_mode_is_the_stability_spectrum(
+        self, gamma, epsilon, k0_rho, ell, d
+    ):
+        # In the frame rotating with the pure mode c = e_d, at frequencies
+        # m^2 - d^2 - gamma V_0 / 2, the linearized coupled-mode equations
+        # pair modes d + k and d - k.  Each pair carries the eigenvalues
+        # -2i d k +/- lambda_k of stability.spectrum and their conjugates.
+        params = SystemParams(gamma=gamma, epsilon=epsilon, k0_rho=k0_rho, ell=ell)
+        fp = fourier_coefficients(params)
+        eigenvalues = list(np.linalg.eigvals(pure_mode_jacobian(fp, d)))
+        ks = np.arange(1, min(fp.k_max, params.m_max - abs(d)) + 1)
+        lam = spectrum(fp, ks)
+        shifted = np.concatenate([-2j * d * ks + lam, -2j * d * ks - lam])
+        for want in np.concatenate([shifted, shifted.conj()]):
+            got = eigenvalues.pop(int(np.argmin(np.abs(np.array(eigenvalues) - want))))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
 class TestBunchingSpectrum:

@@ -1,10 +1,13 @@
 """Every exported name resolves, so a deleted definition cannot leave a stale
-entry that breaks ``from oamring.<module> import *``; and every name the
-benchmark's tracer rebinds is still called through its module binding."""
+entry that breaks ``from oamring.<module> import *``; every name the
+benchmark's tracer rebinds is still called through its module binding; and
+every run still writes the columns and keys the benchmark's checks read."""
 
 import importlib
+import json
 import pkgutil
 
+import numpy as np
 import pytest
 
 import oamring
@@ -73,3 +76,67 @@ def test_runs_call_through_the_traced_bindings(tmp_path, monkeypatch):
     for name, args, _ in calls:
         if name.endswith("integrate_ode"):
             assert args and callable(args[0]), name
+
+
+# What the benchmark's output checks (perfbench/workloads.py and run.py) read
+# back from each run, kept here so that a library change breaking one fails a
+# test rather than only lowering the benchmark's ok_ratio.
+BENCHMARK_COLUMNS = {
+    "evolve": ("timeseries.csv", ("N_1", "N_2", "mean_omega", "re_phi_1", "im_phi_1")),
+    "rate": ("rates.csv", ("N_0", "N_5", "N_6")),
+}
+
+
+def read_csv(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# manifest: ")
+    header = lines[1].split(",")
+    return header, np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+
+
+def test_runs_write_what_the_benchmark_reads(tmp_path):
+    from oamring import cli
+    from oamring.config import parse_config
+    from oamring.dynamics import StateVector
+    from oamring.radiation import field_quadrature
+
+    fig4 = parse_config("radiate", preset="fig4").params
+    rng = np.random.default_rng(7)
+    size = 2 * fig4.m_max + 1
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps /= np.linalg.norm(amps)
+    snapshot = {"tau": 3.5, "m_max": fig4.m_max, "re": amps.real.tolist(),
+                "im": amps.imag.tolist()}  # no "params", as the benchmark writes it
+    state_path = tmp_path / "snapshot.json"
+    state_path.write_text(json.dumps(snapshot), encoding="utf-8")
+    runs = {
+        "spectrum": ["--preset", "fig1b", "--set", "spectrum.k0_rho_max=2.0"],
+        "evolve": ["--preset", "fig2", "--set", "evolve.tau_end=2"],
+        "rate": ["--preset", "fig3", "--set", "rate.tau_end=1"],
+        "radiate": ["--preset", "fig4", "--set", f"radiate.state={state_path}",
+                    "--set", "radiate.theta_count=5", "--set", "radiate.phi_count=8"],
+    }
+    out = {scenario: tmp_path / scenario for scenario in runs}
+    for scenario, args in runs.items():
+        assert cli.main([scenario, *args, "--out", str(out[scenario])]) == 0
+        manifest = json.loads((out[scenario] / "manifest.json").read_text(encoding="utf-8"))
+        assert isinstance(manifest["reproducible"]["diagnostics"], dict)
+
+    for scenario, (name, columns) in BENCHMARK_COLUMNS.items():
+        header, _ = read_csv(out[scenario] / name)
+        assert set(columns) <= set(header), (name, header)
+
+    rows = json.loads((out["spectrum"] / "summary.json").read_text(encoding="utf-8"))["rows"]
+    assert [row["k0_rho"] for row in rows] == [0.25 * i for i in range(1, 9)]
+    assert all(isinstance(row["argmax_m"], int) for row in rows)
+
+    components = json.loads((out["radiate"] / "components.json").read_text(encoding="utf-8"))
+    assert isinstance(components["equator_lobes"], int)
+    assert isinstance(components["dominant_ell_prime"], int)
+    header, data = read_csv(out["radiate"] / "pattern.csv")
+    assert header[:4] == ["theta", "phi", "re_M", "im_M"]
+    assert data.shape == (5 * 8, len(header))
+    state = StateVector(tau=snapshot["tau"], amplitudes=amps)
+    for theta, phi, re_m, im_m in data[:, :4]:
+        oracle = field_quadrature(state, fig4.ell, fig4.k0_rho, theta, phi)
+        assert abs(complex(re_m, im_m) - oracle) <= 1e-8

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamring.radiation as radiation
-from oamring.dynamics import BunchingSpectrum, StateVector, bunching
+from oamring.dynamics import BunchingSpectrum, StateVector, bunching, modes
 from oamring.errors import ConfigurationError
 from oamring.numerics import bessel_j_orders
 from oamring.potential import SystemParams
@@ -60,7 +60,8 @@ def far_field(spec, ell, k0_rho, theta_count=7, phi_count=8, m_band=None):
 
 def channels(pattern, ell, i) -> dict:
     """Channel weight by ell' = ell + m at theta row i."""
-    ell_primes = (pattern.component_modes + ell).tolist()
+    band = (pattern.components.shape[1] - 1) // 2
+    ell_primes = (modes(band) + ell).tolist()
     return dict(zip(ell_primes, pattern.components[i].tolist()))
 
 
@@ -131,12 +132,12 @@ class TestAveragedIntensity:
     def test_uniform_state(self):
         pattern = far_field(bunching(uniform_state()), ell=2, k0_rho=3.0)
         j2 = bessel_j_orders(2, 3.0 * np.sin(pattern.theta_grid))[2]
-        assert pattern.avg_intensity == pytest.approx(j2**2, abs=1e-14)
+        assert pattern.components.sum(axis=1) == pytest.approx(j2**2, abs=1e-14)
 
     def test_two_state_small_ring_decomposition(self):
         pattern = far_field(bunching(two_mode_state(6, 0, 1)), ell=1, k0_rho=1.0)
         j = bessel_j_orders(2, np.sin(pattern.theta_grid)) ** 2
-        for i, total in enumerate(pattern.avg_intensity):
+        for i, total in enumerate(pattern.components.sum(axis=1)):
             square = channels(pattern, 1, i)
             # exact three-channel sum, and the quoted two-term reduction
             exact = j[1, i] + 0.25 * j[0, i] + 0.25 * j[2, i]
@@ -164,7 +165,7 @@ class TestAveragedIntensity:
         pattern = far_field(spec, ell=1, k0_rho=2.0, theta_count=5, phi_count=512)
         i = 1  # theta = pi/4
         intensity = np.abs(pattern.field[i]) ** 2
-        assert abs(intensity.mean() - pattern.avg_intensity[i]) < 1e-9
+        assert abs(intensity.mean() - pattern.components[i].sum()) < 1e-9
 
     def test_forward_axis_selects_zero_channel(self):
         for _ in range(5):
@@ -175,7 +176,7 @@ class TestAveragedIntensity:
                 if ell_prime != 0:
                     assert weight == 0.0
             # the surviving channel is m = -ell
-            assert pattern.avg_intensity[0] == pytest.approx(
+            assert pattern.components[0].sum() == pytest.approx(
                 abs(spec.coefficients[spec.band - ell]) ** 2, abs=1e-14
             )
 
@@ -241,13 +242,6 @@ class TestPatternGrid:
         intens = np.abs(pattern.field) ** 2
         assert np.max(intens.max(axis=1) - intens.min(axis=1)) < 1e-14
 
-    def test_avg_intensity_column_consistency(self):
-        params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=2.0, ell=1, m_max=5)
-        pattern = pattern_from_bunching(bunching(random_interior_state(5)), params, 11, 16)
-        assert np.allclose(
-            pattern.avg_intensity, pattern.components.sum(axis=1), atol=1e-15
-        )
-
     def test_five_lobes_from_dominant_fifth_harmonic(self):
         params = SystemParams(gamma=0.2, epsilon=0.1, k0_rho=5.0, ell=2, m_max=10)
         pattern = pattern_from_bunching(
@@ -270,7 +264,9 @@ class TestPatternGrid:
     def test_tiny_grid_rejected(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=5)
         with pytest.raises(ConfigurationError):
-            pattern_from_bunching(bunching(uniform_state(5)), params, theta_count=1)
+            pattern_from_bunching(
+                bunching(uniform_state(5)), params, theta_count=1, phi_count=256
+            )
 
 
 class TestCountLobes:
@@ -286,3 +282,12 @@ class TestCountLobes:
 
     def test_flat_input_has_no_lobes(self):
         assert count_lobes(np.ones(64)) == 0
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_uniform_far_field_equator_has_no_lobes(self, ell):
+        # Only Phi_0: the equator intensity J_ell(5)^2 is flat along phi up
+        # to rounding, and rounding noise is not a lobe.
+        spec = BunchingSpectrum(np.array([1.0 + 0.0j]))
+        pattern = far_field(spec, ell, 5.0, theta_count=181, phi_count=256)
+        assert pattern.theta_grid[90] == math.pi / 2
+        assert count_lobes(np.abs(pattern.field[90]) ** 2) == 0

@@ -26,15 +26,15 @@ RNG = np.random.default_rng(99)
 def random_rate_state(m_max: int) -> RateState:
     pops = RNG.uniform(0.01, 1.0, m_max + 1)
     pops /= pops.sum()
-    return RateState(tau=0.0, populations=pops, phases=np.zeros(m_max + 1))
+    return RateState(pops)
 
 
 def stacked_rhs(state, g, alpha):
-    """The rhs evolve_rates integrates, at the state: its first n rows are
-    the population rates, its last n rows the phase rates."""
+    """The rhs evolve_rates integrates, at the state with zero phases: its
+    first n rows are the population rates, its last n rows the phase rates."""
     n = state.populations.size
-    y = np.concatenate([state.populations, state.phases]).astype(complex)
-    out = _rate_rhs(n, g, alpha)(state.tau, y)
+    y = np.concatenate([state.populations, np.zeros(n)]).astype(complex)
+    out = _rate_rhs(n, g, alpha)(0.0, y)
     return out[:n], out[n:]
 
 
@@ -84,7 +84,7 @@ class TestRateDerivative:
     def test_two_level_reduction(self):
         g = np.array([0.0, 0.3])
         pops = np.array([0.7, 0.3, 0.0, 0.0])
-        state = RateState(0.0, pops, np.zeros(4))
+        state = RateState(pops)
         d = rate_rows(state, g)
         assert d[1] == pytest.approx(0.3 * 0.7 * 0.3, abs=1e-15)
         assert d[0] == pytest.approx(-0.3 * 0.7 * 0.3, abs=1e-15)
@@ -120,7 +120,7 @@ def random_ladder(n_rungs, excess, seed):
     rng = np.random.default_rng(seed)
     pops = rng.uniform(0.01, 1.0, n_rungs)
     pops /= pops.sum()
-    state = RateState(0.0, pops, np.zeros(n_rungs))
+    state = RateState(pops)
     return rng, state, n_rungs - excess
 
 
@@ -158,7 +158,7 @@ class TestPhaseDerivative:
     def test_mean_field_offset_alone(self):
         pops = np.zeros(4)
         pops[0] = 1.0
-        state = RateState(0.0, pops, np.zeros(4))
+        state = RateState(pops)
         d = phase_rows(state, np.array([0.37 / 2, 0.0, 0.0]))
         assert d[0] == -0.37
 
@@ -218,7 +218,7 @@ class TestEvolveRates:
             return Trajectory(times=np.arange(5.0), states=states)
 
         monkeypatch.setattr(rate_model, "integrate_ode", fake)
-        initial = RateState(0.0, pops[0], np.zeros(3))
+        initial = RateState(pops[0])
         with pytest.raises(ToleranceError, match=named):
             evolve_rates(initial, np.zeros(3), np.zeros(3), tau_end=4.0)
 
@@ -232,7 +232,7 @@ class TestEvolveRates:
     def test_all_population_in_ground_is_fixed_point(self):
         pops = np.zeros(6)
         pops[0] = 1.0
-        initial = RateState(0.0, pops, np.zeros(6))
+        initial = RateState(pops)
         g = np.array([0.0, 0.5, 0.2])
         alpha = np.array([0.1 / 2, 0.0, 0.0])
         traj = evolve_rates(initial, g, alpha, tau_end=30.0)
@@ -256,7 +256,7 @@ class TestEvolveRates:
         g[k] = g_k
         pops = np.zeros(8)
         pops[0], pops[k] = 1.0 - seed, seed
-        initial = RateState(0.0, pops, np.zeros(8))
+        initial = RateState(pops)
         traj = evolve_rates(
             initial, g, np.zeros(6), tau_end=150.0,
             controls=OdeControls(rel_tol=1e-11, abs_tol=1e-14), stride=0.5,
@@ -316,22 +316,14 @@ class TestTwoStateAnalytic:
 class TestRateState:
     def test_invariants(self):
         with pytest.raises(ConfigurationError):
-            RateState(0.0, np.array([0.5, 0.4]), np.zeros(2))
+            RateState(np.array([0.5, 0.4]))
         with pytest.raises(ConfigurationError):
-            RateState(0.0, np.array([1.2, -0.2]), np.zeros(2))
+            RateState(np.array([1.2, -0.2]))
 
-    @pytest.mark.parametrize(
-        "pops, phases",
-        [
-            ([np.nan, 0.5, 0.5], [0.0, 0.0, 0.0]),
-            ([0.5, np.inf, 0.5], [0.0, 0.0, 0.0]),
-            ([0.5, 0.25, 0.25], [0.0, np.inf, 0.0]),
-            ([0.5, 0.25, 0.25], [np.nan, 0.0, 0.0]),
-        ],
-    )
-    def test_non_finite_entries_rejected(self, pops, phases):
+    @pytest.mark.parametrize("pops", [[np.nan, 0.5, 0.5], [0.5, np.inf, 0.5]])
+    def test_non_finite_entries_rejected(self, pops):
         with pytest.raises(ConfigurationError, match="finite"):
-            RateState(0.0, np.array(pops), np.array(phases))
+            RateState(np.array(pops))
 
     def test_seeding_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -349,4 +341,4 @@ class TestRateState:
             seeded_rate_state(top + 1, 1e-6)
         pops = np.full(top + 2, 1.0 / (top + 2))
         with pytest.raises(ConfigurationError, match="m_max=2896"):
-            RateState(0.0, pops, np.zeros(top + 2))
+            RateState(pops)

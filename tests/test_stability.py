@@ -24,14 +24,13 @@ def build(gamma, k0_rho=1.0, ell=1, epsilon=0.1, **kw):
     return params, fourier_coefficients(params)
 
 
-def reference_pair(fp, m):
-    """Eigenvalues of one mode from the scalar cmath root, with the branch
-    fix: Re(root) >= 0, and Im(root) >= 0 when Re(root) = 0."""
+def reference_root(fp, m):
+    """lambda_m of one mode from the scalar cmath root, with the branch fix:
+    Re(root) >= 0, and Im(root) >= 0 when Re(root) = 0."""
     root = cmath.sqrt(complex(m * m) + fp.params.gamma * fp.coefficient(m))
     if root.real == 0.0 and root.imag < 0.0:
         root = -root
-    lam = 1j * m * root
-    return lam, -lam
+    return 1j * m * root
 
 
 def with_v1(v1):
@@ -44,31 +43,31 @@ def with_v1(v1):
 
 def mode_one_root(z):
     """The root spectrum takes of 1 + V_1 = z, read off lambda_1 = i * root."""
-    lam = spectrum(with_v1(z - 1.0), [1]).eigenvalue_pairs[0, 0]
+    lam = spectrum(with_v1(z - 1.0), [1])[0]
     return complex(lam.imag, -lam.real)
 
 
 class TestEigenvalues:
     def test_free_rotor_is_marginal(self):
         params, fp = build(gamma=0.0)
-        spec = spectrum(fp, [1, 2, 5])
-        m = spec.modes
-        assert np.array_equal(spec.eigenvalue_pairs[:, 0], 1j * m * m)
-        assert np.array_equal(spec.eigenvalue_pairs[:, 1], -1j * m * m)
-        assert np.all(spec.growth_rates == 0.0)
+        m = np.array([1, 2, 5])
+        assert np.array_equal(spectrum(fp, m), 1j * m * m)
 
     def test_roots_come_in_opposite_pairs(self):
+        # lambda solves lambda^2 = -m^2 (m^2 + gamma V_m), whose other root
+        # is -lambda.
         params, fp = build(gamma=0.7, k0_rho=3.0, ell=2)
-        pairs = spectrum(fp, np.arange(1, 8)).eigenvalue_pairs
-        assert np.array_equal(pairs[:, 0], -pairs[:, 1])
+        m = np.arange(1, 8)
+        want = -(m * m) * (m * m + params.gamma * fp.coefficient(m))
+        assert np.allclose(spectrum(fp, m) ** 2, want, rtol=1e-13, atol=0.0)
 
     def test_zero_winding_is_stable(self):
         params, fp = build(gamma=0.3, k0_rho=2.0, ell=0)
-        assert np.max(spectrum(fp, np.arange(1, 10)).growth_rates) < 1e-14
+        assert np.max(np.abs(spectrum(fp, np.arange(1, 10)).real)) < 1e-14
 
     def test_mode_zero_growth_exactly_zero(self):
         params, fp = build(gamma=0.5)
-        assert spectrum(fp, [0]).growth_rates[0] == 0.0
+        assert spectrum(fp, [0])[0].real == 0.0
 
     def test_quantum_asymptote(self):
         # gamma |V_m| <= 1e-3 m^2: growth approaches gamma |Im V_m| / 2.
@@ -77,7 +76,7 @@ class TestEigenvalues:
             coupling = params.gamma * abs(fp.coefficient(m))
             assert coupling <= 1e-3 * m * m
             expected = 0.5 * params.gamma * abs(fp.coefficient(m).imag)
-            rate = spectrum(fp, [m]).growth_rates[0]
+            rate = abs(spectrum(fp, [m])[0].real)
             assert rate == pytest.approx(expected, rel=0.01)
 
     def test_classical_asymptote(self):
@@ -86,15 +85,15 @@ class TestEigenvalues:
         m = 1
         coupling = params.gamma * abs(fp.coefficient(m))
         assert coupling >= 1e3 * m * m
-        lam = spectrum(fp, [m]).eigenvalue_pairs[0, 0]
+        lam = spectrum(fp, [m])[0]
         assert abs(lam) == pytest.approx(m * np.sqrt(coupling), rel=0.01)
 
     def test_growth_symmetric_under_mode_sign(self):
         params, fp = build(gamma=0.4, k0_rho=4.0, ell=1)
         modes = np.arange(1, 10)
         assert np.allclose(
-            spectrum(fp, modes).growth_rates,
-            spectrum(fp, -modes).growth_rates,
+            np.abs(spectrum(fp, modes).real),
+            np.abs(spectrum(fp, -modes).real),
             rtol=0.0,
             atol=1e-14,
         )
@@ -132,8 +131,7 @@ class TestPrincipalBranch:
         # the principal branch is +2j, so lambda_1 = i * 2i.
         fp = with_v1(complex(-5.0, -5e-324))
         assert np.sqrt(1.0 + fp.coefficients[fp.k_max + 1]) == -2j
-        lam, minus = spectrum(fp, [1]).eigenvalue_pairs[0]
-        assert lam == 1j * 2j and minus == -lam
+        assert spectrum(fp, [1])[0] == 1j * 2j
 
 
 class TestMatchesScalarRoots:
@@ -147,10 +145,8 @@ class TestMatchesScalarRoots:
     def test_bitwise_over_the_whole_band(self, gamma, epsilon, k0_rho, ell):
         params, fp = build(gamma=gamma, k0_rho=k0_rho, ell=ell, epsilon=epsilon)
         modes = np.arange(-fp.k_max, fp.k_max + 1)
-        spec = spectrum(fp, modes)
-        want = np.array([reference_pair(fp, int(m)) for m in modes])
-        assert spec.eigenvalue_pairs.tobytes() == want.tobytes()
-        assert spec.growth_rates.tobytes() == np.abs(want[:, 0].real).tobytes()
+        want = np.array([reference_root(fp, int(m)) for m in modes])
+        assert spectrum(fp, modes).tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(gamma=st.floats(0.0, 1e-280), ell=st.integers(-3, 3))
@@ -159,37 +155,39 @@ class TestMatchesScalarRoots:
         # round the subnormal digits differently; nothing else moves.
         params, fp = build(gamma=gamma, ell=ell)
         modes = np.arange(-fp.k_max, fp.k_max + 1)
-        got = spectrum(fp, modes).eigenvalue_pairs
-        want = np.array([reference_pair(fp, int(m)) for m in modes])
+        got = spectrum(fp, modes)
+        want = np.array([reference_root(fp, int(m)) for m in modes])
         assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=1e-300)
 
 
 class TestSweep:
     def test_zero_coupling_gives_zero_matrix(self):
         template = SystemParams(gamma=0.0, epsilon=0.1, ell=1)
-        sweep = spectrum_sweep(template, [1.0, 2.0, 3.0], (1, 6))
-        assert np.max(sweep.rates) < 1e-14
+        rates = spectrum_sweep(template, [1.0, 2.0, 3.0], (1, 6))
+        assert np.max(rates) < 1e-14
 
     def test_strongest_mode_tracks_ring_radius(self):
         template = SystemParams(gamma=0.2, epsilon=0.1, ell=1)
-        sweep = spectrum_sweep(template, [2.0, 4.0, 6.0, 8.0], (1, 12))
-        for k0_rho, m_star in zip(sweep.k0_rho_grid, sweep.argmax_m):
-            assert abs(int(m_star) - round(k0_rho)) <= 1
+        grid = [2.0, 4.0, 6.0, 8.0]
+        rates = spectrum_sweep(template, grid, (1, 12))
+        assert rates.shape == (4, 12)
+        for k0_rho, row in zip(grid, rates):
+            assert abs(int(np.argmax(row)) + 1 - round(k0_rho)) <= 1
 
     def test_single_point_sweep_matches_direct_call(self):
         template = SystemParams(gamma=0.2, epsilon=0.1, ell=1)
-        sweep = spectrum_sweep(template, [3.0], (1, 8))
+        rates = spectrum_sweep(template, [3.0], (1, 8))
         params, fp = build(gamma=0.2, k0_rho=3.0)
-        direct = spectrum(fp, np.arange(1, 9))
-        assert np.allclose(sweep.rates[0], direct.growth_rates, atol=1e-15)
+        direct = np.abs(spectrum(fp, np.arange(1, 9)).real)
+        assert np.allclose(rates[0], direct, atol=1e-15)
 
     def test_band_raised_to_the_top_mode(self):
         # At k0_rho 0.5 the default k_max is 28, short of m_hi = 40.
         assert SystemParams(gamma=0.2, k0_rho=0.5, ell=1).k_max == 28
-        sweep = spectrum_sweep(SystemParams(gamma=0.2, ell=1), [0.5], (1, 40))
+        rates = spectrum_sweep(SystemParams(gamma=0.2, ell=1), [0.5], (1, 40))
         _, fp = build(gamma=0.2, k0_rho=0.5, m_max=40)
-        direct = spectrum(fp, np.arange(1, 41))
-        assert sweep.rates[0].tobytes() == direct.growth_rates.tobytes()
+        direct = np.abs(spectrum(fp, np.arange(1, 41)).real)
+        assert rates[0].tobytes() == direct.tobytes()
 
     def test_point_error_names_its_radius(self):
         # epsilon 1e-5 needs a 6.4e6-point quadrature grid at any radius.
