@@ -24,7 +24,8 @@ class ToleranceError(OamringError):
 
 
 class IntegrationError(ToleranceError):
-    """Adaptive step-size underflow; carries the last good time reached."""
+    """Adaptive step-size underflow or a spent step budget; carries the last
+    good time reached."""
 
     def __init__(self, message: str, tau_last: float):
         super().__init__(f"{message} (last good tau = {tau_last:.6g})")

@@ -1,5 +1,6 @@
-"""Foundation kernels: Bessel J_n, periodic Fourier coefficients and an
-adaptive embedded Runge-Kutta 5(4) integrator.
+"""Foundation kernels: the table-size budget, Bessel J_n and an adaptive
+embedded Runge-Kutta 5(4) integrator.  The pair potential's Fourier spectrum,
+its one FFT and its grid-doubling check live in ``potential``.
 
 Everything here is a pure function of its inputs; there is no shared mutable
 state, so concurrent calls are safe.
@@ -22,7 +23,6 @@ __all__ = [
     "bessel_j_orders",
     "check_entries",
     "integrate_ode",
-    "periodic_fourier_coefficients",
 ]
 
 _OVERFLOW_GUARD = 1e250
@@ -33,6 +33,10 @@ MAX_ENTRIES = 1 << 24
 # most 10 * 2**20 at the default max_step; every preset's holds at most 120),
 # not the steps a run takes: fig2 takes 118,757 adaptive steps over its 1200.
 _MAX_STEPS = 1 << 20
+# Most steps one run may attempt, accepted or rejected.  The largest documented
+# run, README's fig2 reference at rel_tol 1e-11, attempts 158,936 (fig4
+# 128,261): a 13x margin.
+_MAX_ATTEMPTS = 1 << 21
 
 
 def check_entries(entries, what: str) -> None:
@@ -92,27 +96,6 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     out[:, zero] = 0.0
     out[0, zero] = 1.0
     return out.reshape((n_max + 1,) + x.shape)
-
-
-def periodic_fourier_coefficients(samples: np.ndarray, k_max: int) -> np.ndarray:
-    """Fourier coefficients V_k = (1/2pi) int f(phi) exp(-ik phi) dphi of a
-    function sampled on the uniform grid phi_j = 2 pi j / G over [0, 2 pi).
-
-    Returns the coefficients for k = -k_max .. k_max (index k + k_max).
-    The grid size must be a power of two and at least 4 * (2 k_max + 1).
-    """
-    samples = np.asarray(samples)
-    grid = samples.shape[0]
-    if grid & (grid - 1) or grid == 0:
-        raise ConfigurationError(f"grid size {grid} is not a power of two")
-    if grid < 4 * (2 * k_max + 1):
-        raise ConfigurationError(
-            f"grid size {grid} too small for k_max={k_max}; "
-            f"need at least {4 * (2 * k_max + 1)}"
-        )
-    spec = np.fft.fft(samples) / grid
-    ks = np.arange(-k_max, k_max + 1)
-    return spec[np.mod(ks, grid)].astype(complex)
 
 
 @dataclass(frozen=True)
@@ -207,7 +190,7 @@ def integrate_ode(
     bitwise reproducible.  A step whose error norm is not finite is rejected
     at the largest shrink, so a derivative that stays NaN or inf ends, like
     any other step-size underflow, in IntegrationError reporting the last
-    time reached.
+    time reached.  So does a run that would attempt more than 2**21 steps.
     """
     controls = controls or OdeControls()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
@@ -268,8 +251,12 @@ def integrate_ode(
     h = min(controls.initial_step, controls.max_step, t1 - t0)
     fac_old = 1e-4
     next_sample = 0
+    attempts = 0
 
     while t < t1:
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS:
+            raise IntegrationError(f"step budget of {_MAX_ATTEMPTS} attempts spent", t)
         target = t1 if next_sample == last else t0 + (next_sample + 1) * sample_stride
         h = min(h, controls.max_step, target - t)
         if h < underflow:

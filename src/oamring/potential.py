@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ResolutionError
-from .numerics import periodic_fourier_coefficients
 
 __all__ = [
     "FourierPotential",
@@ -157,22 +156,34 @@ def _quadrature_grid(params: SystemParams) -> int:
     return 1 << (math.ceil(need) - 1).bit_length()
 
 
+def _harmonics(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    # One transform on the doubled grid of 2G points: F_k = (1/2G) sum_j
+    # V(phi_j) exp(-ik phi_j), phi_j = 2 pi j / 2G.  Returns V_k = F_k and
+    # |F_{k+G}| for k = -k_max .. k_max.  The base grid is the even samples,
+    # which fold harmonic k + G onto k, so its coefficients are F_k + F_{k+G}:
+    # |F_{k+G}| is how far V_k moves under grid doubling.
+    grid = _quadrature_grid(params)
+    fine_grid = 2 * grid
+    samples = pair_potential(2.0 * np.pi * np.arange(fine_grid) / fine_grid, params)
+    spec = np.fft.fft(samples) / fine_grid
+    ks = np.arange(-params.k_max, params.k_max + 1)
+    return spec[ks], np.abs(spec[ks + grid])
+
+
 def fourier_coefficients(params: SystemParams) -> FourierPotential:
     """Fourier spectrum of the pair potential, verified by grid doubling.
 
-    V(phi) is sampled once, on the doubled grid; its even samples are the
-    base grid.  Raises ResolutionError naming the first harmonic whose value
-    moves by more than GRID_DOUBLING_TOL between the two grids.
+    V_k = (1/2pi) int V(phi) exp(-ik phi) dphi for k = -k_max .. k_max
+    (index k + k_max), from one FFT of V(phi) sampled on the doubled grid.
+    Raises ResolutionError if any V_k moves by more than GRID_DOUBLING_TOL
+    between the base and the doubled grid, naming the harmonic that moves
+    most and its change.
     """
-    fine_grid = 2 * _quadrature_grid(params)
-    samples = pair_potential(2.0 * np.pi * np.arange(fine_grid) / fine_grid, params)
-    coarse = periodic_fourier_coefficients(samples[::2], params.k_max)
-    fine = periodic_fourier_coefficients(samples, params.k_max)
-    delta = np.abs(fine - coarse)
+    coefficients, delta = _harmonics(params)
     if np.any(delta > GRID_DOUBLING_TOL):
         k_bad = int(np.argmax(delta)) - params.k_max
         raise ResolutionError(k_bad, float(delta.max()), GRID_DOUBLING_TOL)
-    return FourierPotential(coefficients=fine, params=params)
+    return FourierPotential(coefficients=coefficients, params=params)
 
 
 def rate_coefficients(fp: FourierPotential) -> np.ndarray:

@@ -865,6 +865,19 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "IntegrationError"
 
+    @pytest.mark.parametrize("scenario, preset", [("evolve", "fig2"), ("rate", "fig3")])
+    def test_spent_step_budget_exits_three(
+        self, tmp_path, capsys, monkeypatch, scenario, preset
+    ):
+        # evolve steps the Lawson path, rate the plain one.
+        monkeypatch.setattr("oamring.numerics._MAX_ATTEMPTS", 20)
+        out = tmp_path / "out"
+        assert main([scenario, "--preset", preset, "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "IntegrationError" and record["exit_code"] == 3
+        assert "step budget of 20 attempts spent (last good tau = " in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind, payload",
         [

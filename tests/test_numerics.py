@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamring.dynamics as dynamics
+import oamring.numerics as numerics
 from oamring.config import parse_config
 from oamring.errors import ConfigurationError, IntegrationError
 from oamring.numerics import (
@@ -19,7 +20,6 @@ from oamring.numerics import (
     bessel_j_orders,
     check_entries,
     integrate_ode,
-    periodic_fourier_coefficients,
 )
 from oamring.potential import fourier_coefficients
 
@@ -107,40 +107,6 @@ class TestBessel:
             bessel_j_orders(0, math.nan)
         with pytest.raises(ValueError):
             bessel_j_orders(2, [1.0, math.inf])
-
-
-class TestFourierCoefficients:
-    def grid(self, size=256):
-        return 2.0 * np.pi * np.arange(size) / size
-
-    def test_cosine(self):
-        coeffs = periodic_fourier_coefficients(np.cos(self.grid()), 4)
-        assert abs(coeffs[4 + 1] - 0.5) < 1e-14
-        assert abs(coeffs[4 - 1] - 0.5) < 1e-14
-        others = [k for k in range(-4, 5) if abs(k) != 1]
-        assert max(abs(coeffs[4 + k]) for k in others) < 1e-14
-
-    def test_single_positive_harmonic(self):
-        coeffs = periodic_fourier_coefficients(np.exp(2j * self.grid()), 4)
-        assert abs(coeffs[4 + 2] - 1.0) < 1e-14
-        assert max(abs(coeffs[4 + k]) for k in range(-4, 5) if k != 2) < 1e-14
-
-    def test_round_trip_band_limited(self):
-        k_max = 6
-        true = RNG.normal(size=2 * k_max + 1) + 1j * RNG.normal(size=2 * k_max + 1)
-        phi = self.grid(128)
-        ks = np.arange(-k_max, k_max + 1)
-        samples = (true[None, :] * np.exp(1j * np.outer(phi, ks))).sum(axis=1)
-        back = periodic_fourier_coefficients(samples, k_max)
-        assert np.max(np.abs(back - true)) < 1e-12
-
-    def test_grid_too_small_rejected(self):
-        with pytest.raises(ConfigurationError):
-            periodic_fourier_coefficients(np.zeros(64), 16)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ConfigurationError):
-            periodic_fourier_coefficients(np.zeros(100), 2)
 
 
 def _rotation(t, y):
@@ -242,6 +208,27 @@ class TestIntegrator:
         with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as info:
             integrate_ode(lambda t, y: np.full_like(y, value), np.ones(2), (0.0, 1.0))
         assert info.value.tau_last == 0.0
+
+    @pytest.mark.parametrize("frequencies", [None, np.array([3.0, -1.0])],
+                             ids=["plain", "lawson"])
+    def test_step_budget_counts_attempted_steps(self, monkeypatch, frequencies):
+        # initial_step 10 makes the first attempts fail, so accepted steps
+        # alone would undercount.  A budget of exactly the attempts the run
+        # needs lets it finish; one fewer ends it at the last good tau.
+        y0 = np.array([1.0 + 0j, 0.5])
+        args = (y0, (0.0, 20.0), OdeControls(initial_step=10.0), 1.0, frequencies)
+        wrapped, calls = recorded(_rotation)
+        full = integrate_ode(wrapped, *args)
+        attempts = (len(calls) - 1) // 6
+        monkeypatch.setattr(numerics, "_MAX_ATTEMPTS", attempts)
+        assert np.array_equal(integrate_ode(_rotation, *args).states, full.states)
+        monkeypatch.setattr(numerics, "_MAX_ATTEMPTS", attempts - 1)
+        wrapped, calls = recorded(_rotation)
+        with pytest.raises(IntegrationError, match=f"budget of {attempts - 1} attempts"
+                           ) as info:
+            integrate_ode(wrapped, *args)
+        assert len(calls) == 1 + 6 * (attempts - 1)
+        assert 0.0 < info.value.tau_last < 20.0
 
     def test_frequencies_solve_the_linear_part(self):
         omega = np.array([0.0, 1.0, -2.5, 40.0])

@@ -5,7 +5,6 @@ trapezoid quadrature with direct exponential sums on a grid four times the
 production size; see the JSON's "oracle" field.
 """
 
-import contextlib
 import json
 import math
 from pathlib import Path
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 import oamring.potential as potential
 from oamring.errors import ConfigurationError, ResolutionError
-from oamring.numerics import periodic_fourier_coefficients
 from oamring.potential import (
     FourierPotential,
     SystemParams,
@@ -37,9 +35,11 @@ def golden_table():
 
 
 def coefficients_on_grid(params, grid):
-    """V_k from V(phi) sampled on its own uniform grid of ``grid`` points."""
+    """V_k for k = -k_max .. k_max from V(phi) sampled on its own uniform grid
+    of ``grid`` points, by one plain FFT."""
     phi = 2.0 * np.pi * np.arange(grid) / grid
-    return periodic_fourier_coefficients(pair_potential(phi, params), params.k_max)
+    spec = np.fft.fft(pair_potential(phi, params)) / grid
+    return spec[np.mod(np.arange(-params.k_max, params.k_max + 1), grid)]
 
 
 def fig2_params(**kw):
@@ -151,30 +151,44 @@ class TestFourierSpectrum:
         fourier_coefficients(params)
         assert calls == [(2 * potential._quadrature_grid(params),)]
 
-    @settings(max_examples=25, deadline=None)
+    def test_spectrum_is_one_transform(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        params = fig2_params()
+        fourier_coefficients(params)
+        assert calls == [(2 * potential._quadrature_grid(params),)]
+
+    @settings(max_examples=40, deadline=None)
     @given(
         epsilon=st.floats(0.01, 1.0),
         k0_rho=st.floats(0.1, 12.0),
         ell=st.integers(-5, 5),
+        small_grid=st.sampled_from([64, 128, 256]),
     )
-    def test_one_sampling_equals_two_grids_bitwise(self, epsilon, k0_rho, ell):
-        # The reference samples V(phi) on each grid separately; the even
-        # samples of the doubled grid must give the base grid's, bit for bit.
+    def test_doubling_check_reads_the_folded_harmonic(
+        self, epsilon, k0_rho, ell, small_grid
+    ):
+        # The references transform V(phi) sampled on each grid on its own.  On
+        # the production grid the check reads rounding; on ``small_grid`` (still
+        # above k_max) the folded harmonics stand far above it.
         params = SystemParams(gamma=1.0, epsilon=epsilon, k0_rho=k0_rho, ell=ell)
-        base = potential._quadrature_grid(params)
-        want = [coefficients_on_grid(params, grid) for grid in (base, 2 * base)]
-        got = []
-
-        def recorded(samples, k_max):
-            got.append(periodic_fourier_coefficients(samples, k_max))
-            return got[-1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(potential, "periodic_fourier_coefficients", recorded)
-            with contextlib.suppress(ResolutionError):  # raised from got, too
-                fourier_coefficients(params)
-        assert len(got) == 2
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        grid = potential._quadrature_grid(params)
+        fine = coefficients_on_grid(params, 2 * grid)
+        assert np.array_equal(fourier_coefficients(params).coefficients, fine)
+        for base in (grid, small_grid):
+            fine = coefficients_on_grid(params, 2 * base)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(potential, "_quadrature_grid", lambda params, g=base: g)
+                values, delta = potential._harmonics(params)
+            moved = np.abs(coefficients_on_grid(params, base) - fine)
+            assert np.array_equal(values, fine)
+            assert np.max(np.abs(delta - moved)) <= 1e-15 * max(1.0, np.abs(fine).max())
 
     @pytest.mark.parametrize(
         "overrides", [{"epsilon": 1e-9}, {"k0_rho": 1e6}], ids=["epsilon", "k_max"]
