@@ -294,7 +294,8 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         "snapshot_tau": snap_tau,
         "transitions": record,
     }
-    diagnostics = {"max_norm_drift": drift_max, "max_band_edge": edge_max}
+    diagnostics = {"max_norm_drift": drift_max, "max_band_edge": edge_max,
+                   "attempts": traj.attempts, "rejected": traj.rejected}
     return files, derived, diagnostics
 
 
@@ -349,6 +350,8 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
         "final_mean_m": float(
             np.sum(np.arange(params.m_max + 1) * traj.populations[-1])
         ),
+        "attempts": traj.attempts,
+        "rejected": traj.rejected,
     }
     return {"rates.csv": columns}, derived, diagnostics
 

@@ -29,13 +29,10 @@ _OVERFLOW_GUARD = 1e250
 # Most entries of any one table sized by an input: 256 MiB of complex values.
 # The largest preset table, rate fig3's sample store, holds 50,442.
 MAX_ENTRIES = 1 << 24
-# Most steps of max_step a span may hold.  This bounds the span (t1 - t0 at
-# most 10 * 2**20 at the default max_step; every preset's holds at most 120),
-# not the steps a run takes: fig2 takes 118,757 adaptive steps over its 1200.
-_MAX_STEPS = 1 << 20
 # Most steps one run may attempt, accepted or rejected.  The largest documented
-# run, README's fig2 reference at rel_tol 1e-11, attempts 158,936 (fig4
-# 128,261): a 13x margin.
+# run, README's fig4 reference at rel_tol 1e-11, attempts 329,733: a 6x
+# margin.  A span that steps of max_step could not cover within it is
+# refused up front.
 _MAX_ATTEMPTS = 1 << 21
 
 
@@ -115,10 +112,14 @@ class OdeControls:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled ODE solution: times[i] goes with states[i]."""
+    """Sampled ODE solution: times[i] goes with states[i].  ``attempts``
+    counts every step tried, ``rejected`` the ones among them that were
+    retried shorter; the rhs was called 1 + 6 attempts times."""
 
     times: np.ndarray  # (T,) float, strictly increasing
     states: np.ndarray  # (T, dim) complex
+    attempts: int
+    rejected: int
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -165,12 +166,14 @@ def integrate_ode(
     """Integrate dy/dtau = -i diag(frequencies) y + rhs(tau, y) with an
     adaptive Dormand-Prince 5(4) pair and PI step-size control, sampling the
     solution every ``sample_stride`` time units (the final time is always
-    sampled).  A sample store past MAX_ENTRIES entries (samples times state
-    size), a span of more than 2**20 steps of ``max_step``, or one shorter
-    than the smallest step 1e-14 max(1, |t1|), is a ConfigurationError,
-    raised before any ``rhs`` call.  ``check(tau, y)``, if given, sees each
-    sample as it is recorded, sample 0 before the first ``rhs`` call; an
-    exception it raises ends the run there.
+    sampled).  A span not at least the smallest step 1e-14 max(1, |t1|) long
+    (empty, reversed and NaN spans among them), a sample store past
+    MAX_ENTRIES entries (samples times state size), or a span that steps of
+    ``max_step`` could not cover within the step budget of 2**21 attempts,
+    is a ConfigurationError naming the span, raised before any ``rhs`` call.
+    ``check(tau, y)``, if given, sees each sample as it is recorded, sample 0
+    before the first ``rhs`` call; an exception it raises ends the run there.
+    The returned Trajectory counts the steps attempted and rejected.
 
     Without ``frequencies`` the equation is dy/dtau = rhs(tau, y) and no phase
     work is done.  With real ``frequencies`` w the linear part is solved
@@ -190,12 +193,16 @@ def integrate_ode(
     bitwise reproducible.  A step whose error norm is not finite is rejected
     at the largest shrink, so a derivative that stays NaN or inf ends, like
     any other step-size underflow, in IntegrationError reporting the last
-    time reached.  So does a run that would attempt more than 2**21 steps.
+    time reached.  So does a run that would attempt more steps than the
+    budget.
     """
     controls = controls or OdeControls()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
-    if not t1 > t0:
-        raise ConfigurationError(f"empty integration span ({t0}, {t1})")
+    underflow = 1e-14 * max(1.0, abs(t1))
+    if not t1 - t0 >= underflow:  # empty, reversed and NaN spans too
+        raise ConfigurationError(
+            f"span ({t0}, {t1}) is shorter than the smallest step {underflow:.3g}"
+        )
     if not sample_stride > 0.0:
         raise ConfigurationError("sample_stride must be positive")
 
@@ -206,15 +213,10 @@ def integrate_ode(
         (max(n_inner, 0.0) + 2) * y.size,
         f"span ({t0}, {t1}) at stride {sample_stride}: sample store",
     )
-    if not (t1 - t0) / controls.max_step <= _MAX_STEPS:
+    if not (t1 - t0) / controls.max_step <= _MAX_ATTEMPTS:
         raise ConfigurationError(
-            f"span ({t0}, {t1}) at max_step {controls.max_step} needs more than "
-            f"{_MAX_STEPS} steps"
-        )
-    underflow = 1e-14 * max(1.0, abs(t1))
-    if t1 - t0 < underflow:
-        raise ConfigurationError(
-            f"span ({t0}, {t1}) is shorter than the smallest step {underflow:.3g}"
+            f"span ({t0}, {t1}) at max_step {controls.max_step} needs more steps "
+            f"than the step budget of {_MAX_ATTEMPTS} attempts"
         )
     last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
     if last and t1 - (t0 + last * sample_stride) < underflow:
@@ -251,7 +253,7 @@ def integrate_ode(
     h = min(controls.initial_step, controls.max_step, t1 - t0)
     fac_old = 1e-4
     next_sample = 0
-    attempts = 0
+    attempts = rejected = 0
 
     while t < t1:
         attempts += 1
@@ -299,6 +301,7 @@ def integrate_ode(
                 if next_sample > last:
                     break
         else:
+            rejected += 1
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
 
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(np.array(times), np.array(states), attempts, rejected)

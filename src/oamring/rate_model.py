@@ -119,11 +119,14 @@ def _rate_rhs(n: int, g: np.ndarray, alpha: np.ndarray) -> Callable:
 
 @dataclass(frozen=True)
 class RateTrajectory:
-    """Sampled cascade: populations[i], phases[i] at times[i]."""
+    """Sampled cascade: populations[i], phases[i] at times[i], with the
+    integrator's step counts (see numerics.Trajectory)."""
 
     times: np.ndarray
     populations: np.ndarray  # (T, m_max + 1)
     phases: np.ndarray  # (T, m_max + 1)
+    attempts: int
+    rejected: int
 
 
 def evolve_rates(
@@ -165,7 +168,8 @@ def evolve_rates(
         _rate_rhs(n, g, alpha), y0, (0.0, tau_end), controls, stride, check=check
     )
     pops, phases = raw.states[:, :n].real, raw.states[:, n:].real
-    return RateTrajectory(raw.times, np.where(pops < 0.0, 0.0, pops), phases)
+    return RateTrajectory(raw.times, np.where(pops < 0.0, 0.0, pops), phases,
+                          raw.attempts, raw.rejected)
 
 
 def ladder_transitions(traj: RateTrajectory) -> dict[int, dict]:

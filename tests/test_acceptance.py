@@ -365,20 +365,41 @@ def test_criterion_6_conservation(fig2_run, fig3_run):
 # and copy DIR/timeseries.csv here.  Past tau 600 (the second transition,
 # tau 930) no run is a reference: small differences grow about 14x there.
 FIG2_REFERENCE = Path(__file__).parent / "data" / "fig2_reference_timeseries.csv"
+# The same for fig4 at tau = 0, 25, ..., 900, from
+#   oamring evolve --preset fig4 --set evolve.tau_end=900 --set evolve.stride=25 \
+#     --set evolve.rel_tol=1e-11 --set evolve.abs_tol=1e-14 \
+#     --set evolve.phi_band=0 --out DIR
+FIG4_REFERENCE = Path(__file__).parent / "data" / "fig4_reference_timeseries.csv"
+
+
+def reference_errors(run, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The reference's sample times, and at each the largest difference
+    between the run's populations and the reference's."""
+    header = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=2)
+    names = [f"N_{m}" for m in modes(run["params"].m_max)]
+    reference = table[:, [header.index(name) for name in names]]
+    times = run["traj"].times
+    at = np.searchsorted(times, table[:, 0])
+    assert np.array_equal(times[at], table[:, 0])
+    return table[:, 0], np.abs(run["pops"][at] - reference).max(axis=1)
 
 
 def test_fig2_populations_match_the_reference(fig2_run):
     # The default controls sit 2e-13 from the reference; abs_tol 1e-11 sits
     # 2.4e-10 from it and fails.
-    header = FIG2_REFERENCE.read_text(encoding="utf-8").splitlines()[1].split(",")
-    table = np.loadtxt(FIG2_REFERENCE, delimiter=",", skiprows=2)
-    names = [f"N_{m}" for m in modes(fig2_run["params"].m_max)]
-    reference = table[:, [header.index(name) for name in names]]
-    times = fig2_run["traj"].times
-    at = np.searchsorted(times, table[:, 0])
-    assert np.array_equal(times[at], table[:, 0])
-    error = float(np.abs(fig2_run["pops"][at] - reference).max())
+    error = float(reference_errors(fig2_run, FIG2_REFERENCE)[1].max())
     assert error < 1e-11, f"populations {error:.2e} off the reference"
+
+
+def test_fig4_populations_match_the_reference(fig4_run):
+    # The default controls sit 1.5e-12 from the reference before tau 600 and
+    # 5.5e-11 from it after, through the 0 -> 5 transfer (tau 790); abs_tol
+    # 1e-11 sits 1.4e-11 and 4.7e-10 from it and fails both bounds.
+    tau, errors = reference_errors(fig4_run, FIG4_REFERENCE)
+    early, late = float(errors[tau < 600].max()), float(errors[tau >= 600].max())
+    assert early < 1e-11, f"populations {early:.2e} off the reference before tau 600"
+    assert late < 2e-10, f"populations {late:.2e} off the reference from tau 600 on"
 
 
 def test_criterion_7_manifest_determinism(tmp_path):

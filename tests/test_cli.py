@@ -544,6 +544,28 @@ class TestTimeseries:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("scenario, module, args", [
+        ("evolve", "dynamics", ["--preset", "fig2", *QUICK_EVOLVE]),
+        ("rate", "rate_model", ["--preset", "fig3", "--set", "rate.tau_end=20"]),
+    ])
+    def test_manifest_records_the_step_counts(self, tmp_path, monkeypatch, scenario,
+                                              module, args):
+        from oamring.numerics import integrate_ode
+
+        returned = []
+
+        def counted(*a, **kw):
+            returned.append(integrate_ode(*a, **kw))
+            return returned[-1]
+
+        monkeypatch.setattr(f"oamring.{module}.integrate_ode", counted)
+        assert main([scenario, *args, "--out", str(tmp_path / "out")]) == 0
+        (traj,) = returned
+        diagnostics = read_manifest(tmp_path / "out")["reproducible"]["diagnostics"]
+        assert traj.attempts > 0
+        assert (diagnostics["attempts"], diagnostics["rejected"]) == (
+            traj.attempts, traj.rejected)
+
     def test_large_seed_survives_manifest_rerun(self, tmp_path):
         seed = 2**53 + 1
         first, second = tmp_path / "first", tmp_path / "second"
@@ -722,7 +744,8 @@ class TestExitCodes:
             (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
             (["evolve", "--preset", "fig2", "--set", "evolve.stride=0.002"], "stride"),
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
-            (["evolve", "--set", "evolve.stride=1e7", "--set", "evolve.tau_end=2e7"], "steps"),
+            # 3e6 steps of 10, past the step budget of 2**21 attempts
+            (["evolve", "--set", "evolve.stride=1e7", "--set", "evolve.tau_end=3e7"], "steps"),
             (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
               "--set", "radiate.phi_count=100000"], "100000 x 100000"),
             (["rate", "--preset", "fig3", "--set", "params.m_max=100000",
@@ -869,13 +892,15 @@ class TestExitCodes:
     def test_spent_step_budget_exits_three(
         self, tmp_path, capsys, monkeypatch, scenario, preset
     ):
-        # evolve steps the Lawson path, rate the plain one.
-        monkeypatch.setattr("oamring.numerics._MAX_ATTEMPTS", 20)
+        # evolve steps the Lawson path, rate the plain one.  The budget
+        # leaves room for each span at max_step (120 and 30 steps), so the
+        # pre-flight passes and the run spends it.
+        monkeypatch.setattr("oamring.numerics._MAX_ATTEMPTS", 200)
         out = tmp_path / "out"
         assert main([scenario, "--preset", preset, "--out", str(out)]) == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "IntegrationError" and record["exit_code"] == 3
-        assert "step budget of 20 attempts spent (last good tau = " in record["message"]
+        assert "step budget of 200 attempts spent (last good tau = " in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -397,7 +397,7 @@ def test_transitions_record(rows, ladder, want):
     times, obs = pass_of(rows)
     if ladder:
         rungs = obs.populations[:, 2:]  # N_0, N_1, N_2
-        record = ladder_transitions(RateTrajectory(times, rungs, 0 * rungs))
+        record = ladder_transitions(RateTrajectory(times, rungs, 0 * rungs, 0, 0))
     else:
         record = transitions(times, obs)
     assert set(record) == set(want)

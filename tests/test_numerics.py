@@ -299,21 +299,32 @@ class TestIntegrator:
         with pytest.raises(ConfigurationError, match=r"max_step 1e-06 .* steps"):
             integrate_ode(self.never, np.ones(1), (0.0, 5.0), controls)
 
+    def test_step_bound_is_the_attempt_budget(self, monkeypatch):
+        # A span of exactly the budget's steps of max_step passes the
+        # pre-flight (and, stepping max_step from the start, runs in that
+        # many attempts); a little longer is refused before any rhs call.
+        monkeypatch.setattr(numerics, "_MAX_ATTEMPTS", 4)
+        fixed = OdeControls(max_step=0.5, initial_step=0.5)
+        traj = integrate_ode(lambda t, y: np.zeros_like(y), np.ones(1), (0.0, 2.0), fixed, 2.0)
+        assert (traj.attempts, traj.rejected) == (4, 0)
+        with pytest.raises(ConfigurationError,
+                           match=r"span \(0\.0, 2\.0000001\) .* step budget of 4 attempts"):
+            integrate_ode(self.never, np.ones(1), (0.0, 2.0000001), fixed, 2.0)
+
     def test_sample_store_counted_in_entries(self):
         # 10,001 samples of 5,000 entries: 50M entries in a few samples.
         with pytest.raises(ConfigurationError, match=r"stride 1\.0: sample store"):
             integrate_ode(self.never, np.ones(5000), (0.0, 10000.0), sample_stride=1.0)
 
     @pytest.mark.parametrize(
-        "span", [(0.0, 5e-324), (0.0, 1e-30), (1e3, 1e3 + 1e-12), (-5.0, -5.0 + 1e-15)]
+        "span",
+        [(0.0, 5e-324), (0.0, 1e-30), (1e3, 1e3 + 1e-12), (-5.0, -5.0 + 1e-15),
+         (1.0, 1.0), (2.0, 1.0), (0.0, math.nan)],
     )
     def test_span_shorter_than_a_step_rejected(self, span):
+        # Empty, reversed and NaN spans are caught by the same check.
         with pytest.raises(ConfigurationError, match=r"span .* shorter than"):
             integrate_ode(self.never, np.ones(1), span)
-
-    def test_empty_span_rejected(self):
-        with pytest.raises(ConfigurationError):
-            integrate_ode(_rotation, np.array([1.0 + 0j]), (1.0, 1.0))
 
     def test_bad_controls_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -323,7 +334,7 @@ class TestIntegrator:
 
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1), complex))
+            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1), complex), 1, 0)
 
 
 def test_check_entries_boundary():
@@ -371,8 +382,10 @@ def reference_dp5(rhs, y0, tau_span, controls=None, sample_stride=1.0):
     stages = [k1] + [np.empty_like(y) for _ in range(6)]
     underflow = 1e-14 * max(1.0, abs(t1))
     next_sample = 0
+    attempts = rejected = 0
 
     while t < t1:
+        attempts += 1
         target = sample_times[next_sample]
         h = min(h, controls.max_step, target - t)
         if h < underflow:
@@ -408,9 +421,10 @@ def reference_dp5(rhs, y0, tau_span, controls=None, sample_stride=1.0):
                 if next_sample >= len(sample_times):
                     break
         else:
+            rejected += 1
             h = h / min(1.0 / _REF_FAC_MIN, fac11 / _REF_SAFETY)
 
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(np.array(times), np.array(states), attempts, rejected)
 
 
 def recorded(rhs):
@@ -532,6 +546,7 @@ class TestStackedStagesMatchLoopForm:
         new_rhs, new_calls = recorded(rhs)
         new = integrate_ode(new_rhs, y0, span, controls, stride, omega)
         assert len(new_calls) == len(ref_calls) == 12499
+        assert (new.attempts, new.rejected) == (ref.attempts, ref.rejected)
         assert np.max(np.abs(np.array(new_calls) - np.array(ref_calls))) < 1e-9
         assert np.array_equal(new.times, ref.times)
         ref_lab = ref.states * np.exp(-1j * omega[None, :] * ref.times[:, None])
@@ -543,6 +558,7 @@ class TestStackedStagesMatchLoopForm:
         (ref, ref_calls), (new, new_calls) = self.both(args)
         t0 = args[2][0]
         assert step_counts(new_calls, t0) == step_counts(ref_calls, t0)
+        assert (new.attempts, new.rejected) == (ref.attempts, ref.rejected)
         assert np.array_equal(new.times, ref.times)
         assert np.max(np.abs(new.states - ref.states)) < 1e-12
 
@@ -586,33 +602,50 @@ class TestLawsonMatchesReference:
 
 
 class TestCallPattern:
-    """The FSAL pattern step accounting reads from rhs call times alone."""
+    """The FSAL pattern of rhs call times, and the step counts a Trajectory
+    reports against the ones read from those times alone."""
+
+    @staticmethod
+    def assert_counts(traj, calls, t0):
+        accepted, rejected = step_counts(calls, t0)
+        assert (traj.attempts, traj.rejected) == (accepted + rejected, rejected)
 
     def test_fixed_steps(self):
         wrapped, calls = recorded(lambda t, y: -y)
         fixed = OdeControls(rel_tol=1.0, abs_tol=1.0, max_step=0.125, initial_step=0.125)
-        integrate_ode(wrapped, np.ones(1), (0.0, 1.0), fixed, 1.0)
+        traj = integrate_ode(wrapped, np.ones(1), (0.0, 1.0), fixed, 1.0)
         start, h = attempts(calls, 0.0)
         assert np.allclose(h, 0.125, rtol=0, atol=1e-15)
         assert step_counts(calls, 0.0) == (8, 0)
+        self.assert_counts(traj, calls, 0.0)
 
     def test_with_rejections(self):
         rhs, y0, span, controls, stride = stiff_problem()
         wrapped, calls = recorded(rhs)
-        integrate_ode(wrapped, y0, span, controls, stride)
+        traj = integrate_ode(wrapped, y0, span, controls, stride)
         accepted, rejected = step_counts(calls, span[0])
         assert rejected >= 1 and accepted > rejected
         start, h = attempts(calls, span[0])
         assert start[-1] + h[-1] == pytest.approx(span[1], abs=1e-13)
+        self.assert_counts(traj, calls, span[0])
 
     def test_with_frequencies(self):
         rhs, y0, span, controls, stride = stiff_problem()
         wrapped, calls = recorded(rhs)
-        integrate_ode(wrapped, y0, span, controls, stride, frequencies=np.array([50.0]))
+        traj = integrate_ode(wrapped, y0, span, controls, stride,
+                             frequencies=np.array([50.0]))
         accepted, rejected = step_counts(calls, span[0])
         assert rejected >= 1 and accepted > rejected
         start, h = attempts(calls, span[0])
         assert start[-1] + h[-1] == pytest.approx(span[1], abs=1e-13)
+        self.assert_counts(traj, calls, span[0])
+
+    def test_fig2_counts(self, monkeypatch):
+        rhs, y0, span, controls, stride, omega = fig2_rotated_problem(monkeypatch, 50.0)
+        wrapped, calls = recorded(rhs)
+        traj = integrate_ode(wrapped, y0, span, controls, stride, omega)
+        assert traj.attempts > 1000
+        self.assert_counts(traj, calls, span[0])
 
 
 class TestRhsArguments:
