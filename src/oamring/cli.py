@@ -147,27 +147,39 @@ def _manifest_hash(config: RunConfig) -> str:
 _TABLE_TOP = 12
 
 
+def _gain_floor(params: SystemParams) -> float:
+    """V_k is verified only to GRID_DOUBLING_TOL, so a gain g_k at or below
+    this floor is not told apart from none."""
+    return params.gamma * GRID_DOUBLING_TOL
+
+
 def _g_table(fp: FourierPotential) -> dict:
+    """The g_k table and its largest gain; with no gain above the floor the
+    run has no dominant channel, and both are None."""
     g = rate_coefficients(fp)
     top = min(_TABLE_TOP, fp.k_max)
     dominant = int(np.argmax(g[1:])) + 1
+    resolved = bool(g[dominant] > _gain_floor(fp.params))
     return {
         "g_k": {str(k): float(g[k]) for k in range(1, top + 1)},
-        "dominant_k": dominant,
-        "g_dominant": float(g[dominant]),
+        "dominant_k": dominant if resolved else None,
+        "g_dominant": float(g[dominant]) if resolved else None,
     }
 
 
 def _lambda_summary(fp: FourierPotential) -> dict:
+    """Growth rates of the tabled modes and the fastest of them; with no g_m
+    above the floor every rate is rounding noise, and it is None."""
     ms = np.arange(1, min(_TABLE_TOP, fp.k_max) + 1)
     rates = np.abs(spectrum(fp, ms).real)
-    imax = int(np.argmax(rates))
-    m_star = int(ms[imax])
+    resolved = bool(np.any(rate_coefficients(fp)[ms] > _gain_floor(fp.params)))
+    m_star = int(ms[np.argmax(rates)]) if resolved else None
     return {
         "growth_rates": {str(m): float(r) for m, r in zip(ms.tolist(), rates)},
         "argmax_m": m_star,
-        "max_rate": float(rates[imax]),
-        "regime": classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star)),
+        "max_rate": float(rates.max()) if resolved else None,
+        "regime": (classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star))
+                   if resolved else None),
         "regime_thresholds": (
             f"classical if gamma|V_m| > {CLASSICAL_FACTOR:g} m^2, "
             f"quantum if < {QUANTUM_FACTOR:g} m^2"
@@ -216,9 +228,7 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
     ]
     growth = {"k0_rho": grid}
     growth |= {f"m_{m}": column for m, column in zip(ms.tolist(), rates.T)}
-    files = {"growth_rates.csv": growth, "summary.json": {"rows": rows}}
-    derived = {"argmax_by_radius": {repr(row["k0_rho"]): row["argmax_m"] for row in rows}}
-    return files, derived, {}
+    return {"growth_rates.csv": growth, "summary.json": {"rows": rows}}, {}, {}
 
 
 def _timeseries(
@@ -276,12 +286,11 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
     columns, drift_max, edge_max, snap_index, record = _timeseries(traj, phi_band, snapshot_k)
 
-    snap_tau = float(traj.times[snap_index])
     snap_amps = traj.states[snap_index]
     files = {
         "timeseries.csv": columns,
         "snapshot.json": {
-            "tau": snap_tau,
+            "tau": float(traj.times[snap_index]),
             "m_max": params.m_max,
             "params": asdict(params),
             "re": snap_amps.real.tolist(),
@@ -291,7 +300,6 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
     derived = {
         **_g_table(fp),
         "lambda": _lambda_summary(fp),
-        "snapshot_tau": snap_tau,
         "transitions": record,
     }
     diagnostics = {"max_norm_drift": drift_max, "max_band_edge": edge_max,
@@ -306,9 +314,7 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     g = rate_coefficients(fp)
     alpha = dispersion_coefficients(fp)
 
-    # V_k is verified only to GRID_DOUBLING_TOL, so a gain at or below this
-    # floor is not told apart from none.
-    floor = params.gamma * GRID_DOUBLING_TOL
+    floor = _gain_floor(params)
     channel = opts["channel"]
     if channel:
         if not 1 <= channel <= min(fp.k_max, params.m_max):
@@ -344,6 +350,18 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
         derived["single_channel"] = {"k": int(overlay),
                                      "tau_logistic": float(np.log((1.0 - seed) / seed) / g_k)}
 
+    # The rate model is leading order in gamma|V_k|/k^2: each channel's
+    # residual is how far its gain, corrected by alpha_k, misses the
+    # linear-stability rate 2|Re lambda_k|.
+    ks = active[active <= params.m_max]
+    exact = 2.0 * np.abs(spectrum(fp, ks).real)
+    residuals = np.abs(exact - g[ks] * (1.0 - alpha[ks] / ks**2)) / exact
+    derived["validity"] = {
+        str(k): {"regime": classify_regime(k, params.gamma, fp.coefficient(k)),
+                 "residual": float(r)}
+        for k, r in zip(ks.tolist(), residuals)
+    }
+
     totals = traj.populations.sum(axis=1)
     diagnostics = {
         "max_population_drift": float(np.max(np.abs(totals - 1.0))),
@@ -352,6 +370,7 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
         ),
         "attempts": traj.attempts,
         "rejected": traj.rejected,
+        "max_validity_residual": float(residuals.max()) if ks.size else None,
     }
     return {"rates.csv": columns}, derived, diagnostics
 
@@ -441,30 +460,25 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
                  for m, weights in zip(comp_modes.tolist(), pattern.components[:, keep].T)}
 
     tail = float(pattern.tail_bound)
-    tail_out = tail if np.isfinite(tail) else None
     i_eq = int(np.argmin(np.abs(pattern.theta_grid - np.pi / 2)))
     eq_weights = {
         str(params.ell + int(m)): float(w)
         for m, w in zip(comp_modes, pattern.components[i_eq, keep])
-    }
-    lobes = count_lobes(np.abs(pattern.field[i_eq]) ** 2)
-    dominant = max(eq_weights, key=eq_weights.get)
-    components = {
-        "theta_equator": float(pattern.theta_grid[i_eq]),
-        "equator_components": eq_weights,
-        "dominant_ell_prime": int(dominant),
-        "equator_lobes": lobes,
-        "tail_bound": tail_out,
     }
     files = {
         # The intensity is re_M**2 + im_M**2, so the file does not repeat it.
         "pattern.csv": {"theta": thetas.ravel(), "phi": phis.ravel(), "re_M": field.real,
                         "im_M": field.imag},
         "avg_intensity.csv": averaged,
-        "components.json": components,
+        "components.json": {
+            "theta_equator": float(pattern.theta_grid[i_eq]),
+            "equator_components": eq_weights,
+            "dominant_ell_prime": int(max(eq_weights, key=eq_weights.get)),
+            "equator_lobes": count_lobes(np.abs(pattern.field[i_eq]) ** 2),
+            "tail_bound": tail if np.isfinite(tail) else None,
+        },
     }
-    derived = {key: components[key] for key in ("dominant_ell_prime", "equator_lobes")}
-    return files, derived, {"tail_bound": tail_out}
+    return files, {}, {}
 
 
 _RUNNERS = {

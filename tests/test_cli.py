@@ -672,6 +672,108 @@ class TestReproducibility:
         assert config["params.k_max"] == 28
 
 
+PHI_LIST = {"band": 1, "coefficients": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}
+G_TABLE = {"g_k", "dominant_k", "g_dominant"}
+RATE_DERIVED = G_TABLE | {"gamma_v0", "transitions", "validity"}
+RATE_DIAGNOSTICS = {"max_population_drift", "final_mean_m", "attempts", "rejected",
+                    "max_validity_residual"}
+
+
+class TestManifestContent:
+    # derived and diagnostics hold only what the run computed and none of its
+    # JSON artifacts already holds.
+    @pytest.mark.parametrize("args, derived, diagnostics", [
+        (["potential", "--preset", "fig2"], G_TABLE, set()),
+        (["spectrum", "--preset", "fig1b", "--set", "spectrum.k0_rho_max=1.0"],
+         set(), set()),
+        (["evolve", "--preset", "fig2", *QUICK_EVOLVE],
+         G_TABLE | {"lambda", "transitions"},
+         {"max_norm_drift", "max_band_edge", "attempts", "rejected"}),
+        (["rate", "--preset", "fig3", "--set", "rate.tau_end=1"],
+         RATE_DERIVED, RATE_DIAGNOSTICS),
+        (["rate", "--preset", "fig3", "--set", "rate.tau_end=1", "--set", "rate.channel=6"],
+         RATE_DERIVED | {"single_channel"}, RATE_DIAGNOSTICS),
+        (["radiate", "--set", "radiate.phi_json={phi}",
+          "--set", "radiate.theta_count=5", "--set", "radiate.phi_count=8"],
+         set(), set()),
+    ], ids=["potential", "spectrum", "evolve", "rate", "rate-channel", "radiate"])
+    def test_manifest_keys(self, tmp_path, args, derived, diagnostics):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(PHI_LIST))
+        out = tmp_path / "out"
+        assert main([arg.format(phi=phi) for arg in args] + ["--out", str(out)]) == 0
+        block = read_manifest(out)["reproducible"]
+        assert set(block["derived"]) == derived
+        assert set(block["diagnostics"]) == diagnostics
+
+    @pytest.mark.parametrize("setting", ["params.ell=0", "params.gamma=0"])
+    @pytest.mark.parametrize("args", [
+        ["potential", "--preset", "fig2"],
+        ["evolve", "--preset", "fig2", *QUICK_EVOLVE],
+        ["rate", "--preset", "fig3", "--set", "rate.tau_end=1"],
+    ], ids=["potential", "evolve", "rate"])
+    def test_unresolved_gain_names_no_dominant_channel(self, tmp_path, args, setting):
+        # With no pump winding or no coupling every g_k is rounding noise at
+        # most, so no channel, mode or regime is named.
+        assert main(args + ["--set", setting, "--out", str(tmp_path)]) == 0
+        block = read_manifest(tmp_path)["reproducible"]
+        derived = block["derived"]
+        assert derived["dominant_k"] is None and derived["g_dominant"] is None
+        if "lambda" in derived:
+            assert [derived["lambda"][key] for key in ("argmax_m", "max_rate", "regime")] == [
+                None, None, None]
+        if "validity" in derived:
+            assert derived["validity"] == {}
+            assert block["diagnostics"]["max_validity_residual"] is None
+
+    @pytest.mark.parametrize("extra, channels, worst_k, worst, regime", [
+        ([], 15, "1", 4.36e-4, "quantum"),
+        (["params.gamma=3"], 15, "1", 3.84e-3, "intermediate"),
+        (["rate.channel=6"], 1, "6", 1.41e-7, "quantum"),
+    ], ids=["fig3", "gamma3", "channel6"])
+    def test_rate_reports_where_it_holds(self, tmp_path, extra, channels, worst_k, worst,
+                                         regime):
+        # Checked per channel against lambda_k, g_k and alpha_k taken afresh.
+        from oamring.potential import dispersion_coefficients, rate_coefficients
+        from oamring.stability import classify_regime, spectrum
+
+        sets = [arg for setting in extra for arg in ("--set", setting)]
+        args = ["rate", "--preset", "fig3", "--set", "rate.tau_end=1", *sets]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        block = read_manifest(tmp_path)["reproducible"]
+        params = parse_config("rate", preset="fig3", overrides=extra).params
+        fp = fourier_coefficients(params)
+        g, alpha = rate_coefficients(fp), dispersion_coefficients(fp)
+        ks = [6] if extra == ["rate.channel=6"] else range(1, params.m_max + 1)
+        expected = {}
+        for k in (k for k in ks if g[k] > params.gamma * 1e-10):
+            rate = 2.0 * abs(spectrum(fp, np.array([k]))[0].real)
+            residual = abs(rate - g[k] * (1.0 - alpha[k] / k**2)) / rate
+            expected[str(k)] = {
+                "regime": classify_regime(k, params.gamma, complex(fp.coefficient(k))),
+                "residual": pytest.approx(residual, rel=1e-12),
+            }
+        validity = block["derived"]["validity"]
+        assert validity == expected and len(validity) == channels
+        top = max(validity, key=lambda k: validity[k]["residual"])
+        assert top == worst_k and validity[top]["regime"] == regime
+        assert block["diagnostics"]["max_validity_residual"] == validity[top]["residual"]
+        assert validity[top]["residual"] == pytest.approx(worst, rel=5e-3)
+        if not extra:
+            assert validity["6"]["residual"] == pytest.approx(1.41e-7, rel=5e-3)
+            assert {entry["regime"] for entry in validity.values()} == {"quantum"}
+
+
+def test_python_m_oamring_runs():
+    src = str(Path(oamring.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "oamring", "--version"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == f"oamring {oamring.__version__}"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "scenario, override",
