@@ -154,17 +154,15 @@ def _gain_floor(params: SystemParams) -> float:
 
 
 def _g_table(fp: FourierPotential) -> dict:
-    """The g_k table and its largest gain; with no gain above the floor the
-    run has no dominant channel, and both are None."""
+    """The g_k table and its dominant channel, None when no gain is above the
+    floor.  The table runs through k = 12, or through the dominant channel
+    when that lies further out, so its gain is written once."""
     g = rate_coefficients(fp)
-    top = min(_TABLE_TOP, fp.k_max)
     dominant = int(np.argmax(g[1:])) + 1
-    resolved = bool(g[dominant] > _gain_floor(fp.params))
-    return {
-        "g_k": {str(k): float(g[k]) for k in range(1, top + 1)},
-        "dominant_k": dominant if resolved else None,
-        "g_dominant": float(g[dominant]) if resolved else None,
-    }
+    if not g[dominant] > _gain_floor(fp.params):
+        dominant = None
+    top = min(fp.k_max, max(_TABLE_TOP, dominant or 0))
+    return {"g_k": {str(k): float(g[k]) for k in range(1, top + 1)}, "dominant_k": dominant}
 
 
 def _lambda_summary(fp: FourierPotential) -> dict:
@@ -177,7 +175,6 @@ def _lambda_summary(fp: FourierPotential) -> dict:
     return {
         "growth_rates": {str(m): float(r) for m, r in zip(ms.tolist(), rates)},
         "argmax_m": m_star,
-        "max_rate": float(rates.max()) if resolved else None,
         "regime": (classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star))
                    if resolved else None),
         "regime_thresholds": (
@@ -200,7 +197,8 @@ def _run_potential(config: RunConfig) -> tuple[dict, dict, dict]:
         "coefficients.csv": {"k": np.arange(fp.k_max + 1), "re_Vk": v.real,
                              "im_Vk": v.imag, "g_k": g, "alpha_k": alpha},
     }
-    return files, _g_table(fp), {}
+    # coefficients.csv holds every g_k, so the manifest names only the channel.
+    return files, {"dominant_k": _g_table(fp)["dominant_k"]}, {}
 
 
 def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
@@ -218,14 +216,8 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
     rates = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
     ms = np.arange(opts["m_lo"], opts["m_hi"] + 1)
 
-    rows = [
-        {
-            "k0_rho": float(kr),
-            "argmax_m": int(ms[np.argmax(row)]),
-            "max_rate": float(row.max()),
-        }
-        for kr, row in zip(grid, rates)
-    ]
+    rows = [{"k0_rho": float(kr), "argmax_m": int(ms[np.argmax(row)])}
+            for kr, row in zip(grid, rates)]
     growth = {"k0_rho": grid}
     growth |= {f"m_{m}": column for m, column in zip(ms.tolist(), rates.T)}
     return {"growth_rates.csv": growth, "summary.json": {"rows": rows}}, {}, {}
@@ -460,20 +452,16 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
                  for m, weights in zip(comp_modes.tolist(), pattern.components[:, keep].T)}
 
     tail = float(pattern.tail_bound)
+    # The equator's ell' weights are avg_intensity.csv's row at theta = pi/2.
     i_eq = int(np.argmin(np.abs(pattern.theta_grid - np.pi / 2)))
-    eq_weights = {
-        str(params.ell + int(m)): float(w)
-        for m, w in zip(comp_modes, pattern.components[i_eq, keep])
-    }
+    m_eq = int(comp_modes[np.argmax(pattern.components[i_eq, keep])])
     files = {
         # The intensity is re_M**2 + im_M**2, so the file does not repeat it.
         "pattern.csv": {"theta": thetas.ravel(), "phi": phis.ravel(), "re_M": field.real,
                         "im_M": field.imag},
         "avg_intensity.csv": averaged,
         "components.json": {
-            "theta_equator": float(pattern.theta_grid[i_eq]),
-            "equator_components": eq_weights,
-            "dominant_ell_prime": int(max(eq_weights, key=eq_weights.get)),
+            "dominant_ell_prime": params.ell + m_eq,
             "equator_lobes": count_lobes(np.abs(pattern.field[i_eq]) ** 2),
             "tail_bound": tail if np.isfinite(tail) else None,
         },

@@ -80,6 +80,12 @@ class SystemParams:
             )
         if not self.k0_rho > 0.0:
             raise ConfigurationError(f"k0_rho must be > 0, got {self.k0_rho}")
+        # pair_potential's phase 2 k0_rho q, at its largest q = sqrt(1 + eps^2).
+        if not math.isfinite(2.0 * self.k0_rho * math.sqrt(1.0 + self.epsilon**2)):
+            raise ConfigurationError(
+                f"k0_rho={self.k0_rho} with epsilon={self.epsilon} overflows the "
+                "phase 2 k0_rho q of the pair potential"
+            )
         if self.ell != int(self.ell):
             raise ConfigurationError(f"ell must be an integer, got {self.ell}")
         object.__setattr__(self, "ell", int(self.ell))
@@ -149,9 +155,11 @@ def _quadrature_grid(params: SystemParams) -> int:
     # grid must resolve; aliasing there is the dominant silent failure mode.
     need = max(8192, 32 * params.k_max, 64.0 / params.epsilon)
     if need > _MAX_GRID:
+        # 32 k_max is an int that may not fit a float.
+        size = need if isinstance(need, int) else f"{need:.0f}"
         raise ConfigurationError(
             f"epsilon={params.epsilon} and k_max={params.k_max} need a quadrature "
-            f"grid of {need:.0f} points, past the limit of {_MAX_GRID}"
+            f"grid of {size} points, past the limit of {_MAX_GRID}"
         )
     return 1 << (math.ceil(need) - 1).bit_length()
 
@@ -180,7 +188,7 @@ def fourier_coefficients(params: SystemParams) -> FourierPotential:
     most and its change.
     """
     coefficients, delta = _harmonics(params)
-    if np.any(delta > GRID_DOUBLING_TOL):
+    if not np.all(delta <= GRID_DOUBLING_TOL):
         k_bad = int(np.argmax(delta)) - params.k_max
         raise ResolutionError(k_bad, float(delta.max()), GRID_DOUBLING_TOL)
     return FourierPotential(coefficients=coefficients, params=params)

@@ -371,7 +371,7 @@ class TestArtifacts:
         assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi, 19))
         assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
         i_eq = 9
-        assert summary["theta_equator"] == theta[i_eq, 0]
+        assert i_eq == np.argmin(np.abs(theta[:, 0] - np.pi / 2))
         lobes = count_lobes(re_m[i_eq] ** 2 + im_m[i_eq] ** 2)
         assert lobes == summary["equator_lobes"] == 5
 
@@ -673,7 +673,7 @@ class TestReproducibility:
 
 
 PHI_LIST = {"band": 1, "coefficients": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}
-G_TABLE = {"g_k", "dominant_k", "g_dominant"}
+G_TABLE = {"g_k", "dominant_k"}
 RATE_DERIVED = G_TABLE | {"gamma_v0", "transitions", "validity"}
 RATE_DIAGNOSTICS = {"max_population_drift", "final_mean_m", "attempts", "rejected",
                     "max_validity_residual"}
@@ -681,9 +681,9 @@ RATE_DIAGNOSTICS = {"max_population_drift", "final_mean_m", "attempts", "rejecte
 
 class TestManifestContent:
     # derived and diagnostics hold only what the run computed and none of its
-    # JSON artifacts already holds.
+    # artifacts, CSV or JSON, already holds.
     @pytest.mark.parametrize("args, derived, diagnostics", [
-        (["potential", "--preset", "fig2"], G_TABLE, set()),
+        (["potential", "--preset", "fig2"], {"dominant_k"}, set()),
         (["spectrum", "--preset", "fig1b", "--set", "spectrum.k0_rho_max=1.0"],
          set(), set()),
         (["evolve", "--preset", "fig2", *QUICK_EVOLVE],
@@ -718,13 +718,23 @@ class TestManifestContent:
         assert main(args + ["--set", setting, "--out", str(tmp_path)]) == 0
         block = read_manifest(tmp_path)["reproducible"]
         derived = block["derived"]
-        assert derived["dominant_k"] is None and derived["g_dominant"] is None
+        assert derived["dominant_k"] is None
         if "lambda" in derived:
-            assert [derived["lambda"][key] for key in ("argmax_m", "max_rate", "regime")] == [
-                None, None, None]
+            assert [derived["lambda"][key] for key in ("argmax_m", "regime")] == [None, None]
         if "validity" in derived:
             assert derived["validity"] == {}
             assert block["diagnostics"]["max_validity_residual"] is None
+
+    @pytest.mark.parametrize("k0_rho, dominant, top", [("5.605", 6, 12), ("20", 16, 16)])
+    def test_g_table_reaches_the_dominant_channel(self, tmp_path, k0_rho, dominant, top):
+        # The table stops at k = 12 unless the dominant gain lies further out,
+        # so that gain is always written.
+        args = ["rate", "--preset", "fig3", "--set", "rate.tau_end=1",
+                "--set", f"params.k0_rho={k0_rho}", "--out", str(tmp_path)]
+        assert main(args) == 0
+        derived = read_manifest(tmp_path)["reproducible"]["derived"]
+        assert derived["dominant_k"] == dominant
+        assert sorted(map(int, derived["g_k"])) == list(range(1, top + 1))
 
     @pytest.mark.parametrize("extra, channels, worst_k, worst, regime", [
         ([], 15, "1", 4.36e-4, "quantum"),
@@ -936,6 +946,36 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert "snapshot_k" in record["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["potential", "--set", "params.m_max=10", "--set", "params.k0_rho=1e308"],
+        ["spectrum", "--set", "spectrum.k0_rho_min=1e308",
+         "--set", "spectrum.k0_rho_max=1e308", "--set", "spectrum.k0_rho_step=1e308"],
+        ["evolve", "--set", "params.m_max=10", "--set", "params.k0_rho=1e308"],
+        ["rate", "--set", "params.m_max=10", "--set", "params.k0_rho=1e160",
+         "--set", "params.epsilon=1e150"],
+    ], ids=["potential", "spectrum", "evolve", "rate"])
+    def test_overflowing_phase_exits_two(self, tmp_path, capsys, args):
+        # 2 k0_rho q past the largest double samples V(phi) as NaN, which no
+        # check downstream of SystemParams names.
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and "k0_rho=" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, named", [
+        ("params.k0_rho=1.7e308", "k0_rho=1.7e+308"),
+        ("params.m_max=" + "9" * 400, f"grid of {64 * int('9' * 400)} points"),
+    ], ids=["k0_rho", "m_max"])
+    def test_grid_past_a_double_exits_two(self, tmp_path, capsys, setting, named):
+        # 32 k_max past the largest double once made the grid-limit message
+        # raise OverflowError.
+        out = tmp_path / "out"
+        assert main(["potential", "--out", str(out), "--set", setting]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError" and named in record["message"]
+        assert not out.exists()
 
     def test_configuration_error_is_two(self, tmp_path, capsys):
         rc = main(["evolve", "--out", str(tmp_path),

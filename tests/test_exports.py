@@ -140,3 +140,36 @@ def test_runs_write_what_the_benchmark_reads(tmp_path):
     for theta, phi, re_m, im_m in data[:, :4]:
         oracle = field_quadrature(state, fig4.ell, fig4.k0_rho, theta, phi)
         assert abs(complex(re_m, im_m) - oracle) <= 1e-8
+
+
+def test_derived_keys_agree_with_their_one_source(tmp_path):
+    # summary.json and components.json name the argmax of a CSV row, and that
+    # row is the one home of the values it is taken over.
+    from oamring import cli
+
+    phi = tmp_path / "phi.json"
+    coefficients = [[0.0, 0.0]] * 13
+    coefficients[6], coefficients[11], coefficients[1] = [1.0, 0.0], [0.25, 0.25], [0.25, -0.25]
+    phi.write_text(json.dumps({"band": 6, "coefficients": coefficients}), encoding="utf-8")
+    runs = {
+        "spectrum": ["--preset", "fig1b"],
+        "radiate": ["--preset", "fig4", "--set", f"radiate.phi_json={phi}",
+                    "--set", "radiate.theta_count=19", "--set", "radiate.phi_count=16"],
+    }
+    for scenario, args in runs.items():
+        assert cli.main([scenario, *args, "--out", str(tmp_path / scenario)]) == 0
+
+    header, data = read_csv(tmp_path / "spectrum" / "growth_rates.csv")
+    summary = json.loads((tmp_path / "spectrum" / "summary.json").read_text(encoding="utf-8"))
+    assert len(summary["rows"]) == len(data) == 32
+    for row, rates in zip(summary["rows"], data):
+        assert set(row) == {"k0_rho", "argmax_m"} and row["k0_rho"] == rates[0]
+        assert f"m_{row['argmax_m']}" == header[1 + np.argmax(rates[1:])]
+
+    header, data = read_csv(tmp_path / "radiate" / "avg_intensity.csv")
+    components = json.loads((tmp_path / "radiate" / "components.json").read_text(encoding="utf-8"))
+    equator = data[np.argmin(np.abs(data[:, 0] - np.pi / 2))]
+    assert header[:2] == ["theta", "total"]
+    assert f"I_ellp_{components['dominant_ell_prime']}" == header[2 + np.argmax(equator[2:])]
+    assert set(components) == {"dominant_ell_prime", "equator_lobes", "tail_bound",
+                               "manifest_hash"}

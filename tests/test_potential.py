@@ -139,6 +139,13 @@ class TestFourierSpectrum:
             )
         assert "k=" in str(info.value)
 
+    def test_non_finite_spectrum_fails_the_doubling_check(self):
+        # 1 / (k0_rho q) overflows at phi = 0, so every harmonic is NaN, and
+        # NaN is not above the tolerance either.
+        params = SystemParams(gamma=1.0, epsilon=1e-3, k0_rho=1e-307)
+        with pytest.raises(ResolutionError, match="by nan"), pytest.warns(RuntimeWarning):
+            fourier_coefficients(params)
+
     def test_potential_is_sampled_once(self, monkeypatch):
         calls = []
 
@@ -260,6 +267,13 @@ class TestSystemParams:
             SystemParams(gamma=0.1, ell=3, m_max=4)
         with pytest.raises(ConfigurationError):
             SystemParams(gamma=0.1, m_max=10, k_max=21)
+
+    @pytest.mark.parametrize("k0_rho, epsilon", [(1e308, 0.1), (1e160, 1e150)])
+    def test_phase_must_stay_finite(self, k0_rho, epsilon):
+        with pytest.raises(ConfigurationError, match="k0_rho="):
+            SystemParams(gamma=0.1, epsilon=epsilon, k0_rho=k0_rho, m_max=10)
+        # The largest q is sqrt(1 + epsilon^2), so 2 k0_rho q = 2e300 passes.
+        SystemParams(gamma=0.1, epsilon=1e150, k0_rho=1e150, m_max=10)
 
     def test_defaults_follow_radius_and_winding(self):
         p = SystemParams(gamma=0.1, k0_rho=5.0, ell=2)
