@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import COMPONENT_BAND, POTENTIAL_SAMPLES, PRESETS, RunConfig, SCENARIOS
-from .config import parse_config
+from .config import COMPONENT_BAND, PHI_COUNT, POTENTIAL_SAMPLES, PRESETS, THETA_COUNT
+from .config import RunConfig, SCENARIOS, parse_config
 from .dynamics import (
     NORM_TOL,
     BunchingSpectrum,
@@ -377,69 +377,47 @@ def _json_array(value, key: str, ndim: int, types=(int, float)) -> np.ndarray:
     return values.astype(float)
 
 
-def _load_bunching(path: Path, params: SystemParams, snapshot: bool) -> BunchingSpectrum:
-    """The bunching spectrum of a radiate input file: a state snapshot (m_max,
-    re, im, optional tau and params) or a Phi list (band, [re, im] pairs).
-    The far-field tail bound assumes a normalized state, so the norm is
-    checked too, and a snapshot's own ell and k0_rho, which set its far
-    field, must be the run's."""
+def _load_bunching(path: Path, params: SystemParams) -> BunchingSpectrum:
+    """The bunching spectrum of a state snapshot (m_max, re, im, optional tau
+    and params).  The far-field tail bound assumes a normalized state, so the
+    norm is checked too, and a snapshot's own ell and k0_rho, which set its
+    far field, must be the run's."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        if snapshot:
-            re, im = (_json_array(payload[key], key, 1) for key in ("re", "im"))
-        else:
-            re, im = _json_array(payload["coefficients"], "coefficients", 2).T
+        re, im = (_json_array(payload[key], key, 1) for key in ("re", "im"))
         # Stacked, not re + 1j * im: an inf there would warn before any check.
         values = np.stack([re, im], axis=-1).view(complex)[:, 0]
-        if snapshot:
-            m_max = int(_json_array(payload["m_max"], "m_max", 0, (int,)))
-            tau = float(_json_array(payload.get("tau", 0.0), "tau", 0))
-            state = StateVector(tau=tau, amplitudes=values)
-            if not m_max == state.m_max == params.m_max:
-                raise ValueError(f"m_max={m_max} over {values.size} amplitudes, "
-                                 f"params.m_max={params.m_max}")
-            for key in ("ell", "k0_rho") if "params" in payload else ():
-                own, run = payload["params"][key], getattr(params, key)
-                if float(_json_array(own, f"params.{key}", 0)) != run:
-                    raise ValueError(f"its params.{key}={own!r} is not the run's "
-                                     f"params.{key}={run!r}")
-        else:
-            band = int(_json_array(payload["band"], "band", 0, (int,)))
-            bunch = BunchingSpectrum(values)
-            if bunch.band != band:
-                raise ValueError(f"band={band} needs {2 * band + 1} coefficients")
-        # Every |c_m| and |Phi_m| of a normalized state is at most 1.
+        m_max = int(_json_array(payload["m_max"], "m_max", 0, (int,)))
+        tau = float(_json_array(payload.get("tau", 0.0), "tau", 0))
+        state = StateVector(tau=tau, amplitudes=values)
+        if not m_max == state.m_max == params.m_max:
+            raise ValueError(f"m_max={m_max} over {values.size} amplitudes, "
+                             f"params.m_max={params.m_max}")
+        for key in ("ell", "k0_rho") if "params" in payload else ():
+            own, run = payload["params"][key], getattr(params, key)
+            if float(_json_array(own, f"params.{key}", 0)) != run:
+                raise ValueError(f"its params.{key}={own!r} is not the run's "
+                                 f"params.{key}={run!r}")
+        # Every |c_m| of a normalized state is at most 1; checked first, it
+        # keeps |c_m|**2 from overflowing in the norm.
         top = float(np.abs(values).max())
         if top > 1.0 + NORM_TOL:
             raise ValueError(f"an entry has modulus {top:.6g} > 1 + {NORM_TOL:.0e}")
-        if not snapshot:
-            return bunch
         drift = float(observables(values, 0).drift)
         if drift > NORM_TOL:
             raise ValueError(f"norm is off by {drift:.3e}, past {NORM_TOL:.0e}")
         return bunching(state)
     except (OSError, ValueError, KeyError, TypeError, OverflowError,
             RecursionError, ConfigurationError) as exc:
-        kind = "state snapshot" if snapshot else "phi list"
-        raise ConfigurationError(f"cannot read {kind} {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read state snapshot {path}: {exc}") from exc
 
 
 def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     params = config.params
-    opts = config.options
-    if bool(opts["state"]) == bool(opts["phi_json"]):
-        raise ConfigurationError(
-            "radiate needs exactly one input: radiate.state or radiate.phi_json"
-        )
-    path = Path(opts["state"] or opts["phi_json"])
-    bunch = _load_bunching(path, params, snapshot=bool(opts["state"]))
-
-    pattern = pattern_from_bunching(
-        bunch,
-        params,
-        theta_count=opts["theta_count"],
-        phi_count=opts["phi_count"],
-    )
+    if not config.options["state"]:
+        raise ConfigurationError("radiate needs radiate.state, a state snapshot to radiate")
+    bunch = _load_bunching(Path(config.options["state"]), params)
+    pattern = pattern_from_bunching(bunch, params, theta_count=THETA_COUNT, phi_count=PHI_COUNT)
 
     thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
     field = pattern.field.ravel()

@@ -66,9 +66,12 @@ def _at_least(converter, low, *, above: bool = False):
 
 _positive = _at_least(float, 0.0, above=True)
 
-# Points of V(phi) in samples.csv; the largest |m| of avg_intensity.csv's components.
+# Points of V(phi) in samples.csv; the largest |m| of avg_intensity.csv's
+# components; the far field's theta rows (1 degree apart) and phi columns.
 POTENTIAL_SAMPLES = 512
 COMPONENT_BAND = 8
+THETA_COUNT = 181
+PHI_COUNT = 256
 
 # (converter, default) per key; this is the whole configuration surface.  A
 # converter rejects a value outside the key's accepted range with ValueError.
@@ -109,15 +112,15 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "radiate": {
         "state": (str.strip, ""),
-        "phi_json": (str.strip, ""),
-        "theta_count": (_as_int, 181),
-        "phi_count": (_as_int, 256),
     },
 }
 
 # Former keys at the constants they became; every earlier manifest echoes them.
-# An integrating scenario takes each step control it has no key for from OdeControls().
-_RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND}
+# An integrating scenario takes each step control it has no key for from OdeControls(),
+# and radiate reads no input but radiate.state, so a Phi list path is "" (none).
+_RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND,
+            "radiate.phi_json": "", "radiate.theta_count": THETA_COUNT,
+            "radiate.phi_count": PHI_COUNT}
 _RETIRED |= {f"{section}.{f.name}": f.default for section in ("evolve", "rate")
              for f in fields(OdeControls) if f.name not in _SCHEMA[section]}
 
@@ -165,8 +168,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "evolve.seed_amplitude": "1e-4",
         "evolve.snapshot": "max_bunching",
         "evolve.snapshot_k": "5",
-        "radiate.theta_count": "181",
-        "radiate.phi_count": "256",
     },
 }
 

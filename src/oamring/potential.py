@@ -86,6 +86,13 @@ class SystemParams:
                 f"k0_rho={self.k0_rho} with epsilon={self.epsilon} overflows the "
                 "phase 2 k0_rho q of the pair potential"
             )
+        # ... and its amplitude 1 / (k0_rho q), at its smallest q = epsilon.
+        scale = self.k0_rho * self.epsilon
+        if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+            raise ConfigurationError(
+                f"k0_rho={self.k0_rho} with epsilon={self.epsilon} overflows the "
+                "amplitude 1 / (k0_rho q) of the pair potential"
+            )
         if self.ell != int(self.ell):
             raise ConfigurationError(f"ell must be an integer, got {self.ell}")
         object.__setattr__(self, "ell", int(self.ell))

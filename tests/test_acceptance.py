@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oamring.cli import main
-from oamring.config import parse_config
+from oamring.config import PHI_COUNT, THETA_COUNT, parse_config
 from oamring.dynamics import (
     StateVector,
     _derivative,
@@ -112,12 +112,7 @@ def fig4_run():
     phi5 = np.abs(obs.phi[:, 5])
     snap = int(np.argmax(phi5))
     state = StateVector(float(traj.times[snap]), traj.states[snap])
-    rad_options = parse_config("radiate", preset="fig4").options
-    pattern = pattern_from_bunching(
-        bunching(state), params,
-        theta_count=rad_options["theta_count"],
-        phi_count=rad_options["phi_count"],
-    )
+    pattern = pattern_from_bunching(bunching(state), params, THETA_COUNT, PHI_COUNT)
     elapsed = time.perf_counter() - start
     return {
         "params": params,
@@ -430,8 +425,7 @@ def test_criterion_7_manifest_determinism(tmp_path):
 
     # radiate, fed from the evolve snapshot above
     snap = tmp_path / "evolve_first" / "snapshot.json"
-    args = ["--preset", "fig2", "--set", f"radiate.state={snap}",
-            "--set", "radiate.theta_count=19", "--set", "radiate.phi_count=32"]
+    args = ["--preset", "fig2", "--set", f"radiate.state={snap}"]
     first = tmp_path / "radiate_first"
     again = tmp_path / "radiate_again"
     assert main(["radiate", "--out", str(first)] + args) == 0

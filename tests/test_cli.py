@@ -35,10 +35,19 @@ QUICK_EVOLVE = [
 # Former keys, each at the value every manifest written while it was a key echoes.
 RETIRED_KEYS = {
     "potential.samples": 512, "radiate.component_band": 8,
+    "radiate.phi_json": "", "radiate.theta_count": 181, "radiate.phi_count": 256,
     "evolve.initial_step": 0.0001, "evolve.max_step": 10.0,
     "rate.rel_tol": 1e-09, "rate.abs_tol": 1e-12,
     "rate.initial_step": 0.0001, "rate.max_step": 10.0,
 }
+
+# A unit amplitude at m = 0 for the default band, m_max = 14.
+SNAPSHOT = {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29}
+
+
+def write_snapshot(path: Path, payload: dict = SNAPSHOT) -> Path:
+    path.write_text(json.dumps(payload))
+    return path
 
 
 def read_manifest(out: Path) -> dict:
@@ -337,50 +346,45 @@ class TestArtifacts:
         rc = main([
             "radiate", "--preset", "fig2", "--out", str(rad),
             "--set", f"radiate.state={snapshot}",
-            "--set", "radiate.theta_count=19", "--set", "radiate.phi_count=32",
         ])
         assert rc == 0
         summary = json.loads((rad / "components.json").read_text())
         assert summary["dominant_ell_prime"] == 1  # essentially uniform ring
 
-    def test_radiate_from_phi_list(self, tmp_path):
-        phi_file = tmp_path / "phi.json"
-        band = 6
-        coeffs = [[0.0, 0.0]] * (2 * band + 1)
-        coeffs[band] = [1.0, 0.0]
-        coeffs[band + 5] = [0.25, 0.25]
-        coeffs[band - 5] = [0.25, -0.25]
-        phi_file.write_text(json.dumps({"band": band, "coefficients": coeffs}))
+    def test_radiate_writes_the_fixed_grid(self, tmp_path):
+        # c_0 and c_5 at equal weight, the fig4 ring's bunched state.
+        amps = np.zeros(39)
+        amps[[19, 24]] = np.sqrt(0.5)
+        state = write_snapshot(tmp_path / "state.json", {
+            "m_max": 19, "re": amps.tolist(), "im": [0.0] * 39})
         out = tmp_path / "rad"
-        rc = main([
-            "radiate", "--out", str(out),
-            "--set", f"radiate.phi_json={phi_file}",
-            "--set", "params.k0_rho=5.0", "--set", "params.ell=2",
-            "--set", "radiate.theta_count=19", "--set", "radiate.phi_count=64",
-        ])
+        rc = main(["radiate", "--preset", "fig4", "--out", str(out),
+                   "--set", f"radiate.state={state}"])
         assert rc == 0
         summary = json.loads((out / "components.json").read_text())
         assert summary["dominant_ell_prime"] == -3
-        # theta, phi, re_M and im_M per grid point, theta-major; the intensity
-        # is re_M**2 + im_M**2 and is not written.
+        # theta, phi, re_M and im_M per point of the 181 x 256 grid,
+        # theta-major; the intensity is re_M**2 + im_M**2 and is not written.
         lines = (out / "pattern.csv").read_text().splitlines()
         assert lines[1] == "theta,phi,re_M,im_M"
         table = np.array([line.split(",") for line in lines[2:]], dtype=float)
-        assert table.shape == (19 * 64, 4)
-        theta, phi, re_m, im_m = table.T.reshape(4, 19, 64)
-        assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi, 19))
-        assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
-        i_eq = 9
-        assert i_eq == np.argmin(np.abs(theta[:, 0] - np.pi / 2))
-        lobes = count_lobes(re_m[i_eq] ** 2 + im_m[i_eq] ** 2)
+        assert table.shape == (181 * 256, 4)
+        theta, phi, re_m, im_m = table.T.reshape(4, 181, 256)
+        assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi, 181))
+        assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+        assert theta[90, 0] == np.pi / 2
+        lobes = count_lobes(re_m[90] ** 2 + im_m[90] ** 2)
         assert lobes == summary["equator_lobes"] == 5
 
-    def test_radiate_requires_exactly_one_input(self, tmp_path):
-        assert main(["radiate", "--out", str(tmp_path)]) == 2
-        assert main([
-            "radiate", "--out", str(tmp_path),
-            "--set", "radiate.state=a", "--set", "radiate.phi_json=b",
-        ]) == 2
+    def test_radiate_requires_exactly_one_input(self, tmp_path, capsys):
+        # The one input is a state snapshot; the retired Phi list key is unknown.
+        out = tmp_path / "out"
+        for args, named in (([], "radiate.state"),
+                            (["--set", "radiate.phi_json=b"], "'radiate.phi_json'")):
+            assert main(["radiate", "--out", str(out), *args]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "ConfigurationError" and named in record["message"]
+            assert not out.exists()
 
     def test_all_columns_finite_guard(self, tmp_path):
         # A JSON file and a finite CSV come first: nothing may be written
@@ -639,30 +643,38 @@ class TestReproducibility:
     def test_manifest_with_the_retired_keys(self, tmp_path, capsys):
         # Every manifest written while the retired keys existed echoes them at
         # their constants: the same run.  Any other value names the key.
-        fresh = tmp_path / "fresh"
-        assert main(["evolve", "--out", str(fresh)] + QUICK_EVOLVE) == 0
-        manifest = read_manifest(fresh)
-        config = manifest["reproducible"]["config"]
-        config |= RETIRED_KEYS
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(manifest))
-        rerun = tmp_path / "rerun"
-        assert main(["evolve", "--config", str(old), "--out", str(rerun)]) == 0
-        for artifact in fresh.iterdir():
-            if artifact.name != "manifest.json":
-                assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
-        a, b = read_manifest(fresh), read_manifest(rerun)
-        assert a["reproducible"] == b["reproducible"]
-        assert a["manifest_hash"] == b["manifest_hash"]
+        state = write_snapshot(tmp_path / "state.json")
+        runs = {
+            "evolve": (QUICK_EVOLVE, {"evolve.max_step": 5.0}),
+            "radiate": (["--set", f"radiate.state={state}"],
+                        {"radiate.phi_json": str(state), "radiate.theta_count": 19}),
+        }
+        for scenario, (args, refusals) in runs.items():
+            fresh = tmp_path / scenario
+            assert main([scenario, "--out", str(fresh)] + args) == 0
+            manifest = read_manifest(fresh)
+            config = manifest["reproducible"]["config"]
+            config |= RETIRED_KEYS
+            old = tmp_path / "old.json"
+            old.write_text(json.dumps(manifest))
+            rerun = tmp_path / f"{scenario}-rerun"
+            assert main([scenario, "--config", str(old), "--out", str(rerun)]) == 0
+            for artifact in fresh.iterdir():
+                if artifact.name != "manifest.json":
+                    assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
+            a, b = read_manifest(fresh), read_manifest(rerun)
+            assert a["reproducible"] == b["reproducible"]
+            assert a["manifest_hash"] == b["manifest_hash"]
 
-        config["evolve.max_step"] = 5.0
-        old.write_text(json.dumps(manifest))
-        refused = tmp_path / "refused"
-        capsys.readouterr()
-        assert main(["evolve", "--config", str(old), "--out", str(refused)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ConfigurationError" and "evolve.max_step" in record["message"]
-        assert not refused.exists()
+            for dotted, value in refusals.items():
+                old.write_text(json.dumps({**manifest, "reproducible": {
+                    **manifest["reproducible"], "config": {**config, dotted: value}}}))
+                refused = tmp_path / "refused"
+                capsys.readouterr()
+                assert main([scenario, "--config", str(old), "--out", str(refused)]) == 2
+                record = json.loads(capsys.readouterr().err.strip())
+                assert record["error"] == "ConfigurationError" and dotted in record["message"]
+                assert not refused.exists()
 
     def test_manifest_echoes_resolved_truncations(self, tmp_path):
         rc = main(["potential", "--preset", "fig2", "--out", str(tmp_path)])
@@ -672,7 +684,6 @@ class TestReproducibility:
         assert config["params.k_max"] == 28
 
 
-PHI_LIST = {"band": 1, "coefficients": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}
 G_TABLE = {"g_k", "dominant_k"}
 RATE_DERIVED = G_TABLE | {"gamma_v0", "transitions", "validity"}
 RATE_DIAGNOSTICS = {"max_population_drift", "final_mean_m", "attempts", "rejected",
@@ -693,15 +704,12 @@ class TestManifestContent:
          RATE_DERIVED, RATE_DIAGNOSTICS),
         (["rate", "--preset", "fig3", "--set", "rate.tau_end=1", "--set", "rate.channel=6"],
          RATE_DERIVED | {"single_channel"}, RATE_DIAGNOSTICS),
-        (["radiate", "--set", "radiate.phi_json={phi}",
-          "--set", "radiate.theta_count=5", "--set", "radiate.phi_count=8"],
-         set(), set()),
+        (["radiate", "--set", "radiate.state={state}"], set(), set()),
     ], ids=["potential", "spectrum", "evolve", "rate", "rate-channel", "radiate"])
     def test_manifest_keys(self, tmp_path, args, derived, diagnostics):
-        phi = tmp_path / "phi.json"
-        phi.write_text(json.dumps(PHI_LIST))
+        state = write_snapshot(tmp_path / "state.json")
         out = tmp_path / "out"
-        assert main([arg.format(phi=phi) for arg in args] + ["--out", str(out)]) == 0
+        assert main([arg.format(state=state) for arg in args] + ["--out", str(out)]) == 0
         block = read_manifest(out)["reproducible"]
         assert set(block["derived"]) == derived
         assert set(block["diagnostics"]) == diagnostics
@@ -793,7 +801,7 @@ class TestExitCodes:
             ("evolve", "evolve.tau_end=inf"),
             ("evolve", "evolve.phi_band=-1"),
             ("evolve", "evolve.phi_band=-2"),
-            ("radiate", "radiate.theta_count=1"),
+            ("radiate", "radiate.theta_count=1"),  # a retired key is unknown
             ("potential", "params.m_max=-3"),
             ("potential", "params.epsilon=1e-9"),
             ("potential", "params.epsilon=1e300"),
@@ -810,13 +818,11 @@ class TestExitCodes:
         ],
     )
     def test_bad_value_exits_two_with_record(self, tmp_path, capsys, scenario, override):
-        phi_file = tmp_path / "phi.json"
-        phi_file.write_text(json.dumps({"band": 1, "coefficients": [[0, 0], [1, 0], [0, 0]]}))
         args = [scenario, "--out", str(tmp_path / "out")]
         for setting in override.split():
             args += ["--set", setting]
         if scenario == "radiate":
-            args += ["--set", f"radiate.phi_json={phi_file}"]
+            args += ["--set", f"radiate.state={write_snapshot(tmp_path / 'state.json')}"]
         assert main(args) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
@@ -858,8 +864,6 @@ class TestExitCodes:
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
             # 3e6 steps of 10, past the step budget of 2**21 attempts
             (["evolve", "--set", "evolve.stride=1e7", "--set", "evolve.tau_end=3e7"], "steps"),
-            (["radiate", "--preset", "fig4", "--set", "radiate.theta_count=100000",
-              "--set", "radiate.phi_count=100000"], "100000 x 100000"),
             (["rate", "--preset", "fig3", "--set", "params.m_max=100000",
               "--set", "params.k_max=1"], "m_max=100000: rate ladder"),
             (["rate", "--preset", "fig3", "--set", "params.m_max=1000000000000",
@@ -871,26 +875,26 @@ class TestExitCodes:
             (["evolve", "--set", "params.m_max=1000000000", "--set", "params.k_max=1",
               "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
              "m_max=1000000000: band"),
-            (["radiate", "--set", "params.ell=10000000"], "ell=10000000"),
-            (["radiate", "--set", "params.k0_rho=1e5"], "k0_rho"),
+            # J_0 .. J_92698 at 181 theta rows, past 2**24 entries; m_max is
+            # the least that allows this ell.
+            (["radiate", "--set", "params.ell=30898", "--set", "params.m_max=30900"],
+             "ell=30898"),
+            (["radiate", "--set", "params.k0_rho=1e5", "--set", "params.m_max=14"], "k0_rho"),
             (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
-            (["radiate", "--set", "radiate.theta_count=2",
-              "--set", "radiate.phi_count=524288"], "phi_count=524288"),
         ],
         ids=["potential-grid", "spectrum-radii", "evolve-samples", "evolve-store",
              "rate-samples",
-             "evolve-steps",
-             "radiate-grid", "rate-ladder", "rate-seeds", "evolve-coupling", "evolve-band",
-             "radiate-bessel", "radiate-argument", "spectrum-modes", "radiate-phases"],
+             "evolve-steps", "rate-ladder", "rate-seeds", "evolve-coupling", "evolve-band",
+             "radiate-bessel", "radiate-argument", "spectrum-modes"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":
-            # A unit Phi_0 list: band 4096 for the phase table, band 1 otherwise.
-            band = 4096 if "radiate.phi_count=524288" in args else 1
-            phi_file = tmp_path / "phi.json"
-            coefficients = [[0, 0]] * band + [[1, 0]] + [[0, 0]] * band
-            phi_file.write_text(json.dumps({"band": band, "coefficients": coefficients}))
-            args = args + ["--set", f"radiate.phi_json={phi_file}"]
+            # A unit c_0 over the band the run's m_max sets.
+            m_max = int(args[-1].partition("params.m_max=")[2])
+            state = {"m_max": m_max, "re": [0.0] * m_max + [1.0] + [0.0] * m_max,
+                     "im": [0.0] * (2 * m_max + 1)}
+            path = write_snapshot(tmp_path / "state.json", state)
+            args = args + ["--set", f"radiate.state={path}"]
         rc, err = run_capped(args + ["--out", str(tmp_path / "out")])
         assert rc == 2, err
         record = json.loads(err.strip().splitlines()[-1])
@@ -962,6 +966,20 @@ class TestExitCodes:
         assert main(args + ["--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError" and "k0_rho=" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["potential", "--set", "params.k0_rho=1e-305", "--set", "params.epsilon=1e-4"],
+        ["evolve", "--set", "params.k0_rho=1e-200", "--set", "params.epsilon=1e-200"],
+    ], ids=["subnormal", "zero"])
+    def test_overflowing_amplitude_exits_two(self, tmp_path, capsys, args):
+        # 1 / (k0_rho epsilon) past the largest double sampled V(0) as -inf,
+        # and the grid-doubling check then blamed the quadrature grid.
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert "k0_rho=" in record["message"] and "epsilon=" in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, named", [
@@ -1046,51 +1064,39 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "kind, payload",
+        "payload",
         [
-            ("state", {"m_max": 19, "re": [0.0] * 19 + [1.0] + [0.0] * 19, "im": [0.0]}),
-            ("state", {"m_max": 1, "re": [0.0, 1.0, float("nan")], "im": [0.0] * 3}),
-            ("state", {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0, float("inf"), 0.0]}),
-            ("state", {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0] * 3, "tau": "x"}),
-            ("phi_json", {"band": 1, "coefficients": [[0, 0], [1, 0], [float("nan"), 0]]}),
-            ("state", {"m_max": 14.5, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29}),
-            ("phi_json", {"band": 1.7, "coefficients": [[0, 0], [1, 0], [0, 0]]}),
-            ("state", {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14,
-                       "im": [0.0] * 29, "tau": True}),
-            ("state", {"m_max": 14, "re": [0.0] * 14 + [True] + [0.0] * 14,
-                       "im": [False] * 29}),
-            ("phi_json", {"band": 1, "coefficients": [[0, 0], [True, 0], [0, 0]]}),
-            ("state", {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 13 + [10**400],
-                       "im": [0.0] * 29}),
-            ("state", {"m_max": 14, "re": [0.0] * 14 + [2.0] + [0.0] * 14,
-                       "im": [0.0] * 29}),
-            ("phi_json", {"band": 1, "coefficients": [[0.75, 0.75], [1, 0], [0.75, -0.75]]}),
-            ("state", {"m_max": 14, "re": [0.0] * 14 + [1e200] + [0.0] * 14,
-                       "im": [0.0] * 29}),
-            ("phi_json", {"band": 1, "coefficients": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]}),
-            ("phi_json", {"band": 0, "coefficients": [1, 0]}),
-            ("phi_json", {"band": 1, "coefficients": [[[0, 0], [1, 0], [0, 0]]]}),
-            ("phi_json", '{"band": 1, "coefficients": ' + "[" * 100_000),
-            ("state", {"m_max": 14, "re": [0.0] * 13 + [1.0] + [0.0] * 13,
-                       "im": [0.0] * 27}),
-            ("phi_json", {"band": 2, "coefficients": [[0, 0], [1, 0], [0, 0]]}),
+            {"m_max": 19, "re": [0.0] * 19 + [1.0] + [0.0] * 19, "im": [0.0]},
+            {"m_max": 1, "re": [0.0, 1.0, float("nan")], "im": [0.0] * 3},
+            {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0, float("inf"), 0.0]},
+            {"m_max": 1, "re": [0.0, 1.0, 0.0], "im": [0.0] * 3, "tau": "x"},
+            {"m_max": 14.5, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29},
+            {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29,
+             "tau": True},
+            {"m_max": 14, "re": [0.0] * 14 + [True] + [0.0] * 14, "im": [False] * 29},
+            {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 13 + [10**400],
+             "im": [0.0] * 29},
+            {"m_max": 14, "re": [0.0] * 14 + [2.0] + [0.0] * 14, "im": [0.0] * 29},
+            {"m_max": 14, "re": [0.0] * 14 + [1e200] + [0.0] * 14, "im": [0.0] * 29},
+            {"m_max": 14, "re": [[0.0, 0.0]] * 14 + [[1.0, 0.0]] + [[0.0, 0.0]] * 14,
+             "im": [0.0] * 29},
+            {"m_max": 14, "re": 1.0, "im": 0.0},
+            '{"m_max": 14, "re": ' + "[" * 100_000,
+            {"m_max": 14, "re": [0.0] * 13 + [1.0] + [0.0] * 13, "im": [0.0] * 27},
             # Every modulus is at most 1, but the norm is off by 0.75.
-            ("state", {"m_max": 14, "re": [0.0] * 14 + [0.5] + [0.0] * 14,
-                       "im": [0.0] * 29}),
+            {"m_max": 14, "re": [0.0] * 14 + [0.5] + [0.0] * 14, "im": [0.0] * 29},
         ],
         ids=[
-            "short-im", "nan-re", "inf-im", "bad-tau", "nan-phi", "float-m_max", "float-band",
-            "bool-tau", "bool-re-im", "bool-phi", "huge-int-re", "norm-4-state",
-            "phi-above-one", "overflowing-norm", "phi-triples", "phi-flat-pair",
-            "phi-three-axes", "deep-nesting", "m_max-over-27", "band-over-3",
-            "norm-quarter-state",
+            "short-im", "nan-re", "inf-im", "bad-tau", "float-m_max", "bool-tau",
+            "bool-re-im", "huge-int-re", "norm-4-state", "overflowing-norm", "re-pairs",
+            "scalar-re-im", "deep-nesting", "m_max-over-27", "norm-quarter-state",
         ],
     )
-    def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, kind, payload):
+    def test_bad_radiate_input_file_exits_two(self, tmp_path, capsys, payload):
         path = tmp_path / "input.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         rc = main(["radiate", "--out", str(tmp_path / "out"),
-                   "--set", f"radiate.{kind}={path}"])
+                   "--set", f"radiate.state={path}"])
         assert rc == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
@@ -1159,21 +1165,11 @@ def raw_values(dotted: str, default) -> st.SearchStrategy:
     return st.sampled_from(fixed) | ints | edges | JUNK
 
 
-# A unit amplitude at m = 0 for the default band, m_max = 14.
-SNAPSHOT = {"m_max": 14, "re": [0.0] * 14 + [1.0] + [0.0] * 14, "im": [0.0] * 29}
-
-
 @st.composite
-def radiate_input(draw) -> tuple[str, str]:
-    """A radiate input key and file text: a phi list or a snapshot, often
-    broken by a junk value at one key or cut short."""
-    kind = draw(st.sampled_from(["phi_json", "state"]))
+def radiate_input(draw) -> str:
+    """The text of a radiate state snapshot, often broken by a junk value at
+    one key or cut short."""
     payload = dict(SNAPSHOT)
-    if kind == "phi_json":
-        band = draw(st.integers(0, 3))
-        pair = st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2)
-        pairs = draw(st.lists(pair, min_size=2 * band, max_size=2 * band))
-        payload = {"band": band, "coefficients": pairs[:band] + [[1.0, 0.0]] + pairs[band:]}
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(payload) + ["tau"]))
         junk = [None, "x", True, 1e999, [], {}, -1, 2.5, [[0, 0]], [1.0] * 29]
@@ -1181,7 +1177,7 @@ def radiate_input(draw) -> tuple[str, str]:
     text = json.dumps(payload)
     if draw(st.booleans()):
         text = text[: draw(st.integers(0, len(text) - 1))]
-    return kind, text
+    return text
 
 
 class TestExitContract:
@@ -1206,9 +1202,8 @@ class TestExitContract:
             args += ["--set", f"{dotted}={raw}"]
         with tempfile.TemporaryDirectory() as tmp:
             if scenario == "radiate":
-                kind, text = data.draw(radiate_input())
-                (Path(tmp) / "input.json").write_text(text)
-                args += ["--set", f"radiate.{kind}={Path(tmp) / 'input.json'}"]
+                (Path(tmp) / "input.json").write_text(data.draw(radiate_input()))
+                args += ["--set", f"radiate.state={Path(tmp) / 'input.json'}"]
             out = Path(tmp) / "out"
             rc, err = run_capped(args + ["--out", str(out)])
             assert rc in (0, 2, 3, 4), err

@@ -140,9 +140,10 @@ class TestFourierSpectrum:
         assert "k=" in str(info.value)
 
     def test_non_finite_spectrum_fails_the_doubling_check(self):
-        # 1 / (k0_rho q) overflows at phi = 0, so every harmonic is NaN, and
-        # NaN is not above the tolerance either.
-        params = SystemParams(gamma=1.0, epsilon=1e-3, k0_rho=1e-307)
+        # V(phi) reaches 1e308 near phi = 0, a finite amplitude whose FFT sums
+        # overflow, so the harmonics are NaN, and NaN is not above the
+        # tolerance either.
+        params = SystemParams(gamma=1.0, epsilon=1e-4, k0_rho=1e-304)
         with pytest.raises(ResolutionError, match="by nan"), pytest.warns(RuntimeWarning):
             fourier_coefficients(params)
 
@@ -274,6 +275,18 @@ class TestSystemParams:
             SystemParams(gamma=0.1, epsilon=epsilon, k0_rho=k0_rho, m_max=10)
         # The largest q is sqrt(1 + epsilon^2), so 2 k0_rho q = 2e300 passes.
         SystemParams(gamma=0.1, epsilon=1e150, k0_rho=1e150, m_max=10)
+
+    def test_amplitude_must_stay_finite(self):
+        # 1 / (k0_rho epsilon) is V's amplitude at phi = 0; a product of 1e-309
+        # makes it inf, and one of 1e-400 rounds to 0.
+        for k0_rho, epsilon in ((1e-305, 1e-4), (1e-200, 1e-200)):
+            with pytest.raises(ConfigurationError, match="k0_rho=.* with epsilon="):
+                SystemParams(gamma=0.1, epsilon=epsilon, k0_rho=k0_rho, m_max=10)
+        # An amplitude of 1e304 is finite: the ring is refused later, where
+        # its V_k miss the absolute grid-doubling tolerance.
+        params = SystemParams(gamma=0.1, epsilon=1e-4, k0_rho=1e-300, m_max=10)
+        with pytest.raises(ResolutionError):
+            fourier_coefficients(params)
 
     def test_defaults_follow_radius_and_winding(self):
         p = SystemParams(gamma=0.1, k0_rho=5.0, ell=2)

@@ -261,6 +261,20 @@ class TestPatternGrid:
         with pytest.raises(ConfigurationError, match="k0_rho"):
             far_field(spec, ell=2, k0_rho=50.001, theta_count=3)
 
+    def test_grid_point_limit(self):
+        # 2**20 points is the largest grid; the radiate command's is 181 x 256.
+        spec = BunchingSpectrum(np.array([1.0 + 0.0j]))
+        assert far_field(spec, 1, 1.0, 1024, 1024).field.shape == (1024, 1024)
+        with pytest.raises(ConfigurationError, match="a 1025 x 1024 grid"):
+            far_field(spec, 1, 1.0, 1025, 1024)
+
+    def test_phase_table_limit(self):
+        # 4097 channels at 4096 phi columns are just past 2**24 phase-table
+        # entries, a table the check keeps from being allocated.
+        spec = BunchingSpectrum(np.eye(1, 4097, 2048, dtype=complex)[0])
+        with pytest.raises(ConfigurationError, match="band=2048, phi_count=4096: phase table"):
+            far_field(spec, 1, 1.0, 2, 4096)
+
     def test_tiny_grid_rejected(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=5)
         with pytest.raises(ConfigurationError):
