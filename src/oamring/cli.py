@@ -34,7 +34,7 @@ from .dynamics import (
     transitions,
 )
 from .errors import ConfigurationError, OamringError, ToleranceError
-from .numerics import OdeControls, Trajectory
+from .numerics import OdeControls, Trajectory, check_entries
 from .potential import (
     GRID_DOUBLING_TOL,
     FourierPotential,
@@ -379,9 +379,12 @@ def _json_array(value, key: str, ndim: int, types=(int, float)) -> np.ndarray:
 
 def _load_bunching(path: Path, params: SystemParams) -> BunchingSpectrum:
     """The bunching spectrum of a state snapshot (m_max, re, im, optional tau
-    and params).  The far-field tail bound assumes a normalized state, so the
-    norm is checked too, and a snapshot's own ell and k0_rho, which set its
-    far field, must be the run's."""
+    and params).  A snapshot is a normalized state, so the norm is checked
+    too, and a snapshot's own ell and k0_rho, which set its far field, must be
+    the run's.  The far field's phase table, 2 band + 1 = 4 m_max + 1 channels
+    by PHI_COUNT, is sized first: bunching takes time quadratic in m_max."""
+    check_entries((4 * params.m_max + 1) * PHI_COUNT,
+                  f"params.m_max={params.m_max}: the far field's phase table")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         re, im = (_json_array(payload[key], key, 1) for key in ("re", "im"))
@@ -429,7 +432,6 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     averaged |= {f"I_ellp_{params.ell + m}": weights
                  for m, weights in zip(comp_modes.tolist(), pattern.components[:, keep].T)}
 
-    tail = float(pattern.tail_bound)
     # The equator's ell' weights are avg_intensity.csv's row at theta = pi/2.
     i_eq = int(np.argmin(np.abs(pattern.theta_grid - np.pi / 2)))
     m_eq = int(comp_modes[np.argmax(pattern.components[i_eq, keep])])
@@ -441,7 +443,6 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
         "components.json": {
             "dominant_ell_prime": params.ell + m_eq,
             "equator_lobes": count_lobes(np.abs(pattern.field[i_eq]) ** 2),
-            "tail_bound": tail if np.isfinite(tail) else None,
         },
     }
     return files, {}, {}

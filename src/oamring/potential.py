@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ResolutionError
+from .errors import ConfigurationError, ResolutionError, ToleranceError
 
 __all__ = [
     "FourierPotential",
@@ -190,11 +190,19 @@ def fourier_coefficients(params: SystemParams) -> FourierPotential:
 
     V_k = (1/2pi) int V(phi) exp(-ik phi) dphi for k = -k_max .. k_max
     (index k + k_max), from one FFT of V(phi) sampled on the doubled grid.
-    Raises ResolutionError if any V_k moves by more than GRID_DOUBLING_TOL
-    between the base and the doubled grid, naming the harmonic that moves
-    most and its change.
+    Raises ToleranceError naming k0_rho and epsilon if the transform
+    overflows, a finite amplitude 1 / (k0_rho epsilon) too large for its
+    sums, and ResolutionError if any V_k moves by more than
+    GRID_DOUBLING_TOL between the base and the doubled grid, naming the
+    harmonic that moves most and its change.
     """
     coefficients, delta = _harmonics(params)
+    if not (np.isfinite(coefficients).all() and np.isfinite(delta).all()):
+        raise ToleranceError(
+            f"the pair potential's spectrum overflowed at k0_rho={params.k0_rho}, "
+            f"epsilon={params.epsilon}: the amplitude 1 / (k0_rho epsilon) is too "
+            "large for its Fourier sums; raise k0_rho or epsilon"
+        )
     if not np.all(delta <= GRID_DOUBLING_TOL):
         k_bad = int(np.argmax(delta)) - params.k_max
         raise ResolutionError(k_bad, float(delta.max()), GRID_DOUBLING_TOL)

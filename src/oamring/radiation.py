@@ -28,7 +28,6 @@ from .potential import SystemParams
 __all__ = [
     "RadiationPattern",
     "count_lobes",
-    "expansion_tail_bound",
     "field_quadrature",
     "pattern_from_bunching",
 ]
@@ -61,7 +60,6 @@ def _channel_weights(
     ms = modes(bunch.band)
     ns = ell + ms
     top = int(np.abs(ns).max())
-    check_entries((top + 1) * x.size, f"ell={ell}, band={bunch.band}: Bessel table")
     x_top = float(np.abs(x).max())
     if x_top > _MAX_BESSEL_ARG:
         raise ConfigurationError(
@@ -71,34 +69,6 @@ def _channel_weights(
     sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
     jn = bessel_j_orders(top, x)[np.abs(ns)].T * sign
     return ms, _MINUS_I_POW[ns % 4] * jn * bunch.coefficients
-
-
-def _majorant_sum(n0: int, x: float) -> float:
-    """Bound on sum_{j >= n0} (x/2)^j / j!, which majorizes sum |J_j(x)|,
-    by its geometric remainder; inf where the terms still grow."""
-    if x >= 2.0 * (n0 + 1):
-        return math.inf
-    lead = math.exp(n0 * math.log(0.5 * x) - math.lgamma(n0 + 1))
-    return lead / (1.0 - 0.5 * x / (n0 + 1))
-
-
-def expansion_tail_bound(ell: int, k0_rho: float, theta: float, m_band: int) -> float:
-    """Upper bound on the magnitude of the neglected |m| > m_band terms.
-
-    Uses |Phi_m| <= 1 and |J_n(x)| <= (x/2)^|n| / |n|!.  Each tail starts at
-    order s0 counted outward (ell + m_band + 1 upward, ell - m_band - 1
-    downward); a tail with s0 <= 0 runs through n = 0 and covers every
-    |n| >= 0 once and every |n| >= 1 once more."""
-    x = abs(k0_rho * math.sin(theta))
-    if x == 0.0:
-        return 1.0 if abs(ell) > m_band else 0.0  # only J_0(0) = 1 survives
-    bound = 0.0
-    for s0 in (m_band + 1 + ell, m_band + 1 - ell):
-        if s0 >= 1:
-            bound += _majorant_sum(s0, x)
-        else:
-            bound += _majorant_sum(0, x) + _majorant_sum(1, x)
-    return bound
 
 
 def field_quadrature(
@@ -139,7 +109,6 @@ class RadiationPattern:
     phi_grid: np.ndarray
     field: np.ndarray  # (n_theta, n_phi) complex
     components: np.ndarray  # (n_theta, 2 band + 1)
-    tail_bound: float
 
 
 def pattern_from_bunching(
@@ -150,12 +119,12 @@ def pattern_from_bunching(
 ) -> RadiationPattern:
     """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
 
-    The field sums every channel of the spectrum's band; a truncated far field
-    is the pattern of a narrower spectrum.  theta spans [0, pi] inclusive; phi
-    spans [0, 2pi) half-open, with at most 2**20 points in all, and k0_rho
-    sin(theta) stays at most 50.  The Bessel and phase tables share
-    numerics.check_entries' budget.  One channel-weight pass covers every
-    theta row.
+    The field sums every channel of the spectrum's band: a state's bunching
+    vanishes past lag 2 m_max, so nothing is truncated.  theta spans [0, pi]
+    inclusive; phi spans [0, 2pi) half-open, with at most 2**20 points in
+    all, and k0_rho sin(theta) stays at most 50.  The Bessel and phase tables
+    share numerics.check_entries' budget, and both are checked before either
+    is built.  One channel-weight pass covers every theta row.
     """
     if theta_count < 2 or phi_count < 2:
         raise ConfigurationError("grid needs at least 2 points per axis")
@@ -164,25 +133,21 @@ def pattern_from_bunching(
             f"a {theta_count} x {phi_count} grid is past the limit of "
             f"{_MAX_PATTERN_POINTS} points"
         )
+    check_entries((abs(params.ell) + bunch.band + 1) * theta_count,
+                  f"ell={params.ell}, band={bunch.band}: Bessel table")
+    check_entries((2 * bunch.band + 1) * phi_count,
+                  f"band={bunch.band}, phi_count={phi_count}: phase table")
     theta_grid = np.linspace(0.0, np.pi, theta_count)
     phi_grid = np.linspace(0.0, 2.0 * np.pi, phi_count, endpoint=False)
     x = params.k0_rho * np.sin(theta_grid)
     ms, weights = _channel_weights(bunch, params.ell, x)
-    check_entries(ms.size * phi_count,
-                  f"band={bunch.band}, phi_count={phi_count}: phase table")
     field = weights @ np.exp(1j * np.outer(params.ell + ms, phi_grid))
     components = np.abs(weights) ** 2
-    # The bound is nondecreasing in x, and the x = 0 rows reach no higher
-    # than the others, so the row of largest x carries the grid's bound.
-    tail = expansion_tail_bound(
-        params.ell, params.k0_rho, float(theta_grid[np.argmax(x)]), bunch.band
-    )
     return RadiationPattern(
         theta_grid=theta_grid,
         phi_grid=phi_grid,
         field=field,
         components=components,
-        tail_bound=tail,
     )
 
 

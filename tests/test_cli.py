@@ -875,10 +875,11 @@ class TestExitCodes:
             (["evolve", "--set", "params.m_max=1000000000", "--set", "params.k_max=1",
               "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
              "m_max=1000000000: band"),
-            # J_0 .. J_92698 at 181 theta rows, past 2**24 entries; m_max is
-            # the least that allows this ell.
+            # J_0 .. J_92698 at 181 theta rows would pass 2**24 entries, but
+            # the phase table, 123,601 channels by 256 columns, is refused
+            # first, before the snapshot's bunching.
             (["radiate", "--set", "params.ell=30898", "--set", "params.m_max=30900"],
-             "ell=30898"),
+             "params.m_max=30900: the far field's phase table"),
             (["radiate", "--set", "params.k0_rho=1e5", "--set", "params.m_max=14"], "k0_rho"),
             (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
         ],
@@ -901,6 +902,25 @@ class TestExitCodes:
         assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
         assert named in record["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_oversized_snapshot_exits_two_before_bunching(self, tmp_path, capsys, monkeypatch):
+        # 65,537 channels by 256 phi columns are just past 2**24 phase-table
+        # entries; bunching, quadratic in m_max, never runs.
+        def unreached(state):
+            raise AssertionError("bunching ran before the phase-table check")
+
+        monkeypatch.setattr("oamring.cli.bunching", unreached)
+        m_max = 16384
+        state = {"m_max": m_max, "re": [0.0] * m_max + [1.0] + [0.0] * m_max,
+                 "im": [0.0] * (2 * m_max + 1)}
+        path = write_snapshot(tmp_path / "state.json", state)
+        out = tmp_path / "out"
+        assert main(["radiate", "--out", str(out), "--set", f"params.m_max={m_max}",
+                     "--set", f"radiate.state={path}"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert "params.m_max=16384: the far field's phase table" in record["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "write",
@@ -1061,6 +1081,20 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "IntegrationError" and record["exit_code"] == 3
         assert "step budget of 200 attempts spent (last good tau = " in record["message"]
+        assert not out.exists()
+
+    def test_overflowing_spectrum_exits_three_naming_both_keys(self, tmp_path, capsys):
+        # V(0) = 1e308 is a finite amplitude whose FFT sums overflow: no
+        # quadrature grid would help.
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["potential", "--out", str(out), "--set", "params.k0_rho=1e-304",
+                       "--set", "params.epsilon=1e-4"])
+        assert rc == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ToleranceError" and record["exit_code"] == 3
+        assert "overflowed at k0_rho=1e-304, epsilon=0.0001" in record["message"]
+        assert "quadrature grid" not in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -177,5 +177,4 @@ def test_derived_keys_agree_with_their_one_source(tmp_path):
     equator = data[np.argmin(np.abs(data[:, 0] - np.pi / 2))]
     assert header[:2] == ["theta", "total"]
     assert f"I_ellp_{components['dominant_ell_prime']}" == header[2 + np.argmax(equator[2:])]
-    assert set(components) == {"dominant_ell_prime", "equator_lobes", "tail_bound",
-                               "manifest_hash"}
+    assert set(components) == {"dominant_ell_prime", "equator_lobes", "manifest_hash"}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamring.potential as potential
-from oamring.errors import ConfigurationError, ResolutionError
+from oamring.errors import ConfigurationError, ResolutionError, ToleranceError
 from oamring.potential import (
     FourierPotential,
     SystemParams,
@@ -141,10 +141,11 @@ class TestFourierSpectrum:
 
     def test_non_finite_spectrum_fails_the_doubling_check(self):
         # V(phi) reaches 1e308 near phi = 0, a finite amplitude whose FFT sums
-        # overflow, so the harmonics are NaN, and NaN is not above the
-        # tolerance either.
+        # overflow, so the harmonics are NaN: an overflow naming both keys,
+        # not a grid to enlarge.
         params = SystemParams(gamma=1.0, epsilon=1e-4, k0_rho=1e-304)
-        with pytest.raises(ResolutionError, match="by nan"), pytest.warns(RuntimeWarning):
+        with (pytest.raises(ToleranceError, match="overflowed at k0_rho=1e-304, epsilon=0.0001"),
+              pytest.warns(RuntimeWarning)):
             fourier_coefficients(params)
 
     def test_potential_is_sampled_once(self, monkeypatch):
