@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import COMPONENT_BAND, PHI_COUNT, POTENTIAL_SAMPLES, PRESETS, THETA_COUNT
+from .config import COMPONENT_BAND, POTENTIAL_SAMPLES, PRESETS
 from .config import RunConfig, SCENARIOS, parse_config
 from .dynamics import (
     NORM_TOL,
@@ -34,7 +34,7 @@ from .dynamics import (
     transitions,
 )
 from .errors import ConfigurationError, OamringError, ToleranceError
-from .numerics import OdeControls, Trajectory, check_entries
+from .numerics import OdeControls, Trajectory
 from .potential import (
     GRID_DOUBLING_TOL,
     FourierPotential,
@@ -44,7 +44,7 @@ from .potential import (
     pair_potential,
     rate_coefficients,
 )
-from .radiation import count_lobes, pattern_from_bunching
+from .radiation import PHI_GRID, THETA_GRID, check_tables, count_lobes, pattern_from_bunching
 from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
 from .rate_model import two_state_analytic
 from .stability import (
@@ -165,18 +165,25 @@ def _g_table(fp: FourierPotential) -> dict:
     return {"g_k": {str(k): float(g[k]) for k in range(1, top + 1)}, "dominant_k": dominant}
 
 
+def _fastest_mode(ms: np.ndarray, rates: np.ndarray, gamma: float) -> int | None:
+    """The mode of the fastest growth rate |Re lambda_m| that is resolved, or
+    None.  An error d in gamma V_m, at most gamma * GRID_DOUBLING_TOL, moves
+    m |Im sqrt(m^2 + gamma V_m)| by at most m sqrt(d), so a rate at or below
+    that is not told apart from none."""
+    counted = np.where(rates > ms * np.sqrt(gamma * GRID_DOUBLING_TOL), rates, 0.0)
+    return int(ms[np.argmax(counted)]) if counted.any() else None
+
+
 def _lambda_summary(fp: FourierPotential) -> dict:
-    """Growth rates of the tabled modes and the fastest of them; with no g_m
-    above the floor every rate is rounding noise, and it is None."""
+    """Growth rates of the tabled modes and the fastest resolved one."""
     ms = np.arange(1, min(_TABLE_TOP, fp.k_max) + 1)
     rates = np.abs(spectrum(fp, ms).real)
-    resolved = bool(np.any(rate_coefficients(fp)[ms] > _gain_floor(fp.params)))
-    m_star = int(ms[np.argmax(rates)]) if resolved else None
+    m_star = _fastest_mode(ms, rates, fp.params.gamma)
     return {
         "growth_rates": {str(m): float(r) for m, r in zip(ms.tolist(), rates)},
         "argmax_m": m_star,
-        "regime": (classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star))
-                   if resolved else None),
+        "regime": (None if m_star is None
+                   else classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star))),
         "regime_thresholds": (
             f"classical if gamma|V_m| > {CLASSICAL_FACTOR:g} m^2, "
             f"quantum if < {QUANTUM_FACTOR:g} m^2"
@@ -216,7 +223,7 @@ def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
     rates = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
     ms = np.arange(opts["m_lo"], opts["m_hi"] + 1)
 
-    rows = [{"k0_rho": float(kr), "argmax_m": int(ms[np.argmax(row)])}
+    rows = [{"k0_rho": float(kr), "argmax_m": _fastest_mode(ms, row, config.params.gamma)}
             for kr, row in zip(grid, rates)]
     growth = {"k0_rho": grid}
     growth |= {f"m_{m}": column for m, column in zip(ms.tolist(), rates.T)}
@@ -381,10 +388,9 @@ def _load_bunching(path: Path, params: SystemParams) -> BunchingSpectrum:
     """The bunching spectrum of a state snapshot (m_max, re, im, optional tau
     and params).  A snapshot is a normalized state, so the norm is checked
     too, and a snapshot's own ell and k0_rho, which set its far field, must be
-    the run's.  The far field's phase table, 2 band + 1 = 4 m_max + 1 channels
-    by PHI_COUNT, is sized first: bunching takes time quadratic in m_max."""
-    check_entries((4 * params.m_max + 1) * PHI_COUNT,
-                  f"params.m_max={params.m_max}: the far field's phase table")
+    the run's.  The far field of its band, 2 m_max, is checked first:
+    bunching takes time quadratic in m_max."""
+    check_tables(params, 2 * params.m_max, f"params.m_max={params.m_max}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         re, im = (_json_array(payload[key], key, 1) for key in ("re", "im"))
@@ -420,21 +426,20 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     if not config.options["state"]:
         raise ConfigurationError("radiate needs radiate.state, a state snapshot to radiate")
     bunch = _load_bunching(Path(config.options["state"]), params)
-    pattern = pattern_from_bunching(bunch, params, theta_count=THETA_COUNT, phi_count=PHI_COUNT)
+    pattern = pattern_from_bunching(bunch, params)
 
-    thetas, phis = np.meshgrid(pattern.theta_grid, pattern.phi_grid, indexing="ij")
+    thetas, phis = np.meshgrid(THETA_GRID, PHI_GRID, indexing="ij")
     field = pattern.field.ravel()
 
     ms = modes(bunch.band)
     keep = np.abs(ms) <= COMPONENT_BAND
-    comp_modes = ms[keep]
-    averaged = {"theta": pattern.theta_grid, "total": pattern.components.sum(axis=1)}
+    averaged = {"theta": THETA_GRID, "total": pattern.components.sum(axis=1)}
     averaged |= {f"I_ellp_{params.ell + m}": weights
-                 for m, weights in zip(comp_modes.tolist(), pattern.components[:, keep].T)}
+                 for m, weights in zip(ms[keep].tolist(), pattern.components[:, keep].T)}
 
-    # The equator's ell' weights are avg_intensity.csv's row at theta = pi/2.
-    i_eq = int(np.argmin(np.abs(pattern.theta_grid - np.pi / 2)))
-    m_eq = int(comp_modes[np.argmax(pattern.components[i_eq, keep])])
+    # The equator, theta = pi/2, and its strongest channel over the whole band.
+    i_eq = THETA_GRID.size // 2
+    m_eq = int(ms[np.argmax(pattern.components[i_eq])])
     files = {
         # The intensity is re_M**2 + im_M**2, so the file does not repeat it.
         "pattern.csv": {"theta": thetas.ravel(), "phi": phis.ravel(), "re_M": field.real,

@@ -20,6 +20,7 @@ from .dynamics import DEFAULT_SEED_AMPLITUDE
 from .errors import ConfigurationError
 from .numerics import OdeControls
 from .potential import DEFAULT_EPSILON, SystemParams
+from .radiation import PHI_GRID, THETA_GRID
 from .rate_model import DEFAULT_SEED_POPULATION
 
 __all__ = ["RunConfig", "parse_config", "PRESETS", "SCENARIOS"]
@@ -67,11 +68,9 @@ def _at_least(converter, low, *, above: bool = False):
 _positive = _at_least(float, 0.0, above=True)
 
 # Points of V(phi) in samples.csv; the largest |m| of avg_intensity.csv's
-# components; the far field's theta rows (1 degree apart) and phi columns.
+# components.
 POTENTIAL_SAMPLES = 512
 COMPONENT_BAND = 8
-THETA_COUNT = 181
-PHI_COUNT = 256
 
 # (converter, default) per key; this is the whole configuration surface.  A
 # converter rejects a value outside the key's accepted range with ValueError.
@@ -119,8 +118,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 # An integrating scenario takes each step control it has no key for from OdeControls(),
 # and radiate reads no input but radiate.state, so a Phi list path is "" (none).
 _RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND,
-            "radiate.phi_json": "", "radiate.theta_count": THETA_COUNT,
-            "radiate.phi_count": PHI_COUNT}
+            "radiate.phi_json": "", "radiate.theta_count": THETA_GRID.size,
+            "radiate.phi_count": PHI_GRID.size}
 _RETIRED |= {f"{section}.{f.name}": f.default for section in ("evolve", "rate")
              for f in fields(OdeControls) if f.name not in _SCHEMA[section]}
 

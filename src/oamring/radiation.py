@@ -26,7 +26,10 @@ from .numerics import bessel_j_orders, check_entries
 from .potential import SystemParams
 
 __all__ = [
+    "PHI_GRID",
+    "THETA_GRID",
     "RadiationPattern",
+    "check_tables",
     "count_lobes",
     "field_quadrature",
     "pattern_from_bunching",
@@ -35,12 +38,15 @@ __all__ = [
 # (-i)^n cycles with period four; table lookup keeps the factor exact.
 _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 
-# Most (theta, phi) points one pattern may have: a 1024 x 1024 grid, whose
-# complex field alone takes 16 MiB.
-_MAX_PATTERN_POINTS = 1 << 20
+# The far field's grid: theta rows 1 degree apart over [0, pi], so that row
+# 90 is pi/2 exactly, and phi columns over [0, 2pi).
+THETA_GRID = np.linspace(0.0, np.pi, 181)
+PHI_GRID = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+THETA_GRID.flags.writeable = PHI_GRID.flags.writeable = False
 
-# Largest far-field argument k0_rho sin(theta): bessel_j_orders is validated
-# up to |x| = 50, and its recurrence runs about |x| steps.
+# Largest far-field argument k0_rho sin(theta), reached at the equator:
+# bessel_j_orders is validated up to |x| = 50, and its recurrence runs about
+# |x| steps.
 _MAX_BESSEL_ARG = 50.0
 
 # Relative spread up to which an intensity cut counts as flat: an azimuthally
@@ -48,27 +54,22 @@ _MAX_BESSEL_ARG = 50.0
 _FLAT_CUT = 1e-12
 
 
-def _channel_weights(
-    bunch: BunchingSpectrum, ell: int, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modes m over the bunching band and the weights (-i)^n J_n(x) Phi_m of
-    the far-field channels n = ell + m, one row per argument x.
+def check_tables(params: SystemParams, band: int, source: str) -> None:
+    """Refuse the far field of a bunching band before any of it is built.
 
-    Every Bessel order comes from a single bessel_j_orders pass; negative
-    orders use J_{-n} = (-1)^n J_n.
+    Its phase table, 2 band + 1 channels by the PHI_GRID columns, and its
+    Bessel table, orders 0 .. |ell| + band at the THETA_GRID rows, must fit
+    numerics.check_entries' budget, and k0_rho must be at most 50.
+    ``source`` names what set the band.
     """
-    ms = modes(bunch.band)
-    ns = ell + ms
-    top = int(np.abs(ns).max())
-    x_top = float(np.abs(x).max())
-    if x_top > _MAX_BESSEL_ARG:
+    check_entries((2 * band + 1) * PHI_GRID.size, f"{source}: the far field's phase table")
+    check_entries((abs(params.ell) + band + 1) * THETA_GRID.size,
+                  f"ell={params.ell}, {source}: the far field's Bessel table")
+    if params.k0_rho > _MAX_BESSEL_ARG:
         raise ConfigurationError(
-            f"k0_rho sin(theta) reaches {x_top:.6g}, past the far field's "
-            f"Bessel argument limit of {_MAX_BESSEL_ARG:g}; lower params.k0_rho"
+            f"params.k0_rho={params.k0_rho:.6g} is past the far field's Bessel "
+            f"argument limit of {_MAX_BESSEL_ARG:g}"
         )
-    sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
-    jn = bessel_j_orders(top, x)[np.abs(ns)].T * sign
-    return ms, _MINUS_I_POW[ns % 4] * jn * bunch.coefficients
 
 
 def field_quadrature(
@@ -98,57 +99,34 @@ def field_quadrature(
 
 @dataclass(frozen=True)
 class RadiationPattern:
-    """Field on a (theta, phi) product grid; its intensity is |field|**2.
+    """Field on the THETA_GRID x PHI_GRID grid; its intensity is |field|**2.
 
     components[i, j] holds the channel weight J_{ell+m}^2 |Phi_m|^2 at
-    theta_grid[i] for the j-th mode m of the bunching band,
+    THETA_GRID[i] for the j-th mode m of the bunching band,
     dynamics.modes(band); their sum over j is the phi-averaged intensity.
     """
 
-    theta_grid: np.ndarray
-    phi_grid: np.ndarray
-    field: np.ndarray  # (n_theta, n_phi) complex
-    components: np.ndarray  # (n_theta, 2 band + 1)
+    field: np.ndarray  # (181, 256) complex
+    components: np.ndarray  # (181, 2 band + 1)
 
 
-def pattern_from_bunching(
-    bunch: BunchingSpectrum,
-    params: SystemParams,
-    theta_count: int,
-    phi_count: int,
-) -> RadiationPattern:
-    """Radiation pattern of a bunching spectrum on a uniform (theta, phi) grid.
+def pattern_from_bunching(bunch: BunchingSpectrum, params: SystemParams) -> RadiationPattern:
+    """Radiation pattern of a bunching spectrum on the far field's grid.
 
-    The field sums every channel of the spectrum's band: a state's bunching
-    vanishes past lag 2 m_max, so nothing is truncated.  theta spans [0, pi]
-    inclusive; phi spans [0, 2pi) half-open, with at most 2**20 points in
-    all, and k0_rho sin(theta) stays at most 50.  The Bessel and phase tables
-    share numerics.check_entries' budget, and both are checked before either
-    is built.  One channel-weight pass covers every theta row.
+    The field sums every channel n = ell + m of the spectrum's band: a
+    state's bunching vanishes past lag 2 m_max, so nothing is truncated.
+    check_tables runs first.  One bessel_j_orders pass gives every order at
+    every theta row; negative orders use J_{-n} = (-1)^n J_n.
     """
-    if theta_count < 2 or phi_count < 2:
-        raise ConfigurationError("grid needs at least 2 points per axis")
-    if theta_count * phi_count > _MAX_PATTERN_POINTS:
-        raise ConfigurationError(
-            f"a {theta_count} x {phi_count} grid is past the limit of "
-            f"{_MAX_PATTERN_POINTS} points"
-        )
-    check_entries((abs(params.ell) + bunch.band + 1) * theta_count,
-                  f"ell={params.ell}, band={bunch.band}: Bessel table")
-    check_entries((2 * bunch.band + 1) * phi_count,
-                  f"band={bunch.band}, phi_count={phi_count}: phase table")
-    theta_grid = np.linspace(0.0, np.pi, theta_count)
-    phi_grid = np.linspace(0.0, 2.0 * np.pi, phi_count, endpoint=False)
-    x = params.k0_rho * np.sin(theta_grid)
-    ms, weights = _channel_weights(bunch, params.ell, x)
-    field = weights @ np.exp(1j * np.outer(params.ell + ms, phi_grid))
-    components = np.abs(weights) ** 2
-    return RadiationPattern(
-        theta_grid=theta_grid,
-        phi_grid=phi_grid,
-        field=field,
-        components=components,
-    )
+    check_tables(params, bunch.band, f"band={bunch.band}")
+    ms = modes(bunch.band)
+    ns = params.ell + ms
+    sign = np.where((ns < 0) & (ns % 2 == 1), -1.0, 1.0)
+    x = params.k0_rho * np.sin(THETA_GRID)
+    jn = bessel_j_orders(int(np.abs(ns).max()), x)[np.abs(ns)].T * sign
+    weights = _MINUS_I_POW[ns % 4] * jn * bunch.coefficients
+    field = weights @ np.exp(1j * np.outer(ns, PHI_GRID))
+    return RadiationPattern(field=field, components=np.abs(weights) ** 2)
 
 
 def count_lobes(values) -> int:

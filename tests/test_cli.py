@@ -351,6 +351,20 @@ class TestArtifacts:
         summary = json.loads((rad / "components.json").read_text())
         assert summary["dominant_ell_prime"] == 1  # essentially uniform ring
 
+    def test_dominant_ell_prime_searches_the_whole_band(self, tmp_path):
+        # c_0 and c_12 at equal weight on a k0_rho 12 ring: at the equator
+        # the channel ell' = -10, at m = -12 outside avg_intensity.csv's
+        # |m| <= 8, carries 0.0226 and the pump channel ell' = 2 only 0.0072.
+        amps = np.zeros(53)
+        amps[[26, 38]] = np.sqrt(0.5)
+        state = write_snapshot(tmp_path / "state.json", {
+            "m_max": 26, "re": amps.tolist(), "im": [0.0] * 53})
+        out = tmp_path / "rad"
+        assert main(["radiate", "--set", "params.ell=2", "--set", "params.k0_rho=12",
+                     "--set", f"radiate.state={state}", "--out", str(out)]) == 0
+        summary = json.loads((out / "components.json").read_text())
+        assert summary["dominant_ell_prime"] == -10
+
     def test_radiate_writes_the_fixed_grid(self, tmp_path):
         # c_0 and c_5 at equal weight, the fig4 ring's bunched state.
         amps = np.zeros(39)
@@ -732,6 +746,23 @@ class TestManifestContent:
         if "validity" in derived:
             assert derived["validity"] == {}
             assert block["diagnostics"]["max_validity_residual"] is None
+
+    @pytest.mark.parametrize("gamma, argmax_m", [("5", 1), ("0.2", None)])
+    def test_evolve_and_spectrum_agree_on_the_fastest_mode(self, tmp_path, gamma, argmax_m):
+        # At ell 0 every V_m is real and no g_m is resolved.  At gamma 5 the
+        # mode m = 1 still grows, at |Re lambda_1| = 2.40, because
+        # 1 + gamma Re V_1 < 0; at gamma 0.2 every rate is rounding noise,
+        # about 2e-17, so no mode or regime is named.
+        setting = ["--set", "params.ell=0", "--set", f"params.gamma={gamma}"]
+        assert main(["evolve", *setting, "--set", "evolve.tau_end=1",
+                     "--out", str(tmp_path / "evolve")]) == 0
+        derived = read_manifest(tmp_path / "evolve")["reproducible"]["derived"]
+        assert derived["lambda"]["argmax_m"] == argmax_m
+        assert (derived["lambda"]["regime"] is None) == (argmax_m is None)
+        assert main(["spectrum", *setting, "--set", "spectrum.k0_rho_min=1",
+                     "--set", "spectrum.k0_rho_max=1", "--out", str(tmp_path / "spectrum")]) == 0
+        summary = json.loads((tmp_path / "spectrum" / "summary.json").read_text())
+        assert summary["rows"] == [{"k0_rho": 1.0, "argmax_m": argmax_m}]
 
     @pytest.mark.parametrize("k0_rho, dominant, top", [("5.605", 6, 12), ("20", 16, 16)])
     def test_g_table_reaches_the_dominant_channel(self, tmp_path, k0_rho, dominant, top):

@@ -51,6 +51,12 @@ RUNS = {
         "radiate", "--preset", "fig2",
         "--set", "radiate.state={evolve-fig2-random3}/snapshot.json",
     ],
+    # A second far field: ell 2, k0_rho 5 and a band of 38 lags.
+    "evolve-fig4-tau40": ["evolve", "--preset", "fig4", "--set", "evolve.tau_end=40"],
+    "radiate-fig4-tau40": [
+        "radiate", "--preset", "fig4",
+        "--set", "radiate.state={evolve-fig4-tau40}/snapshot.json",
+    ],
 }
 
 _HASH_LINE_PREFIXES = (b"# manifest: ", b'  "manifest_hash": ')

@@ -15,6 +15,8 @@ from oamring.errors import ConfigurationError
 from oamring.numerics import bessel_j_orders
 from oamring.potential import SystemParams
 from oamring.radiation import (
+    PHI_GRID,
+    THETA_GRID,
     count_lobes,
     field_quadrature,
     pattern_from_bunching,
@@ -46,11 +48,11 @@ def two_mode_state(m_max, lo, hi, weight=0.5) -> StateVector:
     return StateVector(0.0, amps)
 
 
-def far_field(spec, ell, k0_rho, theta_count=7, phi_count=8):
+def far_field(spec, ell, k0_rho):
     """The radiate command's pattern of the spectrum; only ell and k0_rho of
     the params enter."""
     params = SystemParams(gamma=0.0, k0_rho=k0_rho, ell=ell, m_max=abs(ell) + 2)
-    return pattern_from_bunching(spec, params, theta_count, phi_count)
+    return pattern_from_bunching(spec, params)
 
 
 def channels(pattern, ell, i) -> dict:
@@ -63,8 +65,8 @@ def channels(pattern, ell, i) -> dict:
 class TestFieldExpansion:
     def test_uniform_state_single_channel(self):
         pattern = far_field(bunching(uniform_state()), ell=1, k0_rho=1.0)
-        j1 = bessel_j_orders(1, np.sin(pattern.theta_grid))[1]
-        want = -1j * np.outer(j1, np.exp(1j * pattern.phi_grid))
+        j1 = bessel_j_orders(1, np.sin(THETA_GRID))[1]
+        want = -1j * np.outer(j1, np.exp(1j * PHI_GRID))
         assert np.max(np.abs(pattern.field - want)) < 1e-14
 
     def test_forward_axis_dark_for_wound_pump(self):
@@ -75,9 +77,9 @@ class TestFieldExpansion:
     def test_negative_order_reflection(self):
         # ell' = -3 needs J_{-3} = -J_3, so a uniform ring radiates
         # (-i)^(-3) J_{-3} e^(-3i phi) = i J_3 e^(-3i phi)
-        pattern = far_field(bunching(uniform_state()), -3, 2.0, 19, 16)
-        j3 = bessel_j_orders(3, 2.0 * np.sin(pattern.theta_grid))[3]
-        want = 1j * np.outer(j3, np.exp(-3j * pattern.phi_grid))
+        pattern = far_field(bunching(uniform_state()), -3, 2.0)
+        j3 = bessel_j_orders(3, 2.0 * np.sin(THETA_GRID))[3]
+        want = 1j * np.outer(j3, np.exp(-3j * PHI_GRID))
         assert np.max(np.abs(pattern.field - want)) < 1e-15
 
     def test_two_state_small_ring_matches_reduced_form(self):
@@ -87,15 +89,15 @@ class TestFieldExpansion:
         phi1 = spec.coefficients[spec.band + 1]
         assert abs(abs(phi1) - 0.5) < 1e-12
         pattern = far_field(spec, ell=1, k0_rho=1.0)
-        j = bessel_j_orders(2, np.sin(pattern.theta_grid))[:, :, None]
-        reduced = -1j * j[1] * np.exp(1j * pattern.phi_grid) + np.conj(phi1) * j[0]
+        j = bessel_j_orders(2, np.sin(THETA_GRID))[:, :, None]
+        reduced = -1j * j[1] * np.exp(1j * PHI_GRID) + np.conj(phi1) * j[0]
         assert np.all(np.abs(pattern.field - reduced) <= abs(phi1) * np.abs(j[2]) + 1e-12)
 
     def test_oversized_bessel_table_rejected(self):
-        # J_0 .. J_20002 at 1024 theta rows is past 2**24 table entries.
+        # J_0 .. J_100002 at 181 theta rows is past 2**24 table entries.
         spec = bunching(uniform_state(1))
-        with pytest.raises(ConfigurationError, match="ell=20000"):
-            far_field(spec, 20_000, 1.0, theta_count=1024, phi_count=2)
+        with pytest.raises(ConfigurationError, match="ell=100000, band=2: the far field's Bessel"):
+            far_field(spec, 100_000, 1.0)
 
 
 class TestQuadratureEquivalence:
@@ -105,16 +107,18 @@ class TestQuadratureEquivalence:
 
     def test_expansion_equals_quadrature_on_random_states(self):
         # The band's sum is the whole field: a state's Phi_m vanish past lag
-        # 2 m_max, small bands on large rings included.
+        # 2 m_max, small bands on large rings included.  56 seeded grid
+        # points per state.
         for ell, k0_rho, m_max in [(2, 2.3, 8), (1, 50.0, 3), (2, 30.0, 4), (0, 20.0, 2)]:
             worst = 0.0
             for _ in range(50):
                 state = random_interior_state(m_max)
                 pattern = far_field(bunching(state), ell, k0_rho)
-                for i, theta in enumerate(pattern.theta_grid.tolist()):
-                    for j, phi in enumerate(pattern.phi_grid.tolist()):
-                        b = field_quadrature(state, ell, k0_rho, theta, phi)
-                        worst = max(worst, abs(pattern.field[i, j] - b))
+                rows = RNG.integers(THETA_GRID.size, size=56)
+                columns = RNG.integers(PHI_GRID.size, size=56)
+                for i, j in zip(rows.tolist(), columns.tolist()):
+                    b = field_quadrature(state, ell, k0_rho, THETA_GRID[i], PHI_GRID[j])
+                    worst = max(worst, abs(pattern.field[i, j] - b))
             assert worst < 1e-8, (ell, k0_rho, m_max)
 
     def test_azimuthal_phase_structure_single_component(self):
@@ -129,12 +133,12 @@ class TestQuadratureEquivalence:
 class TestAveragedIntensity:
     def test_uniform_state(self):
         pattern = far_field(bunching(uniform_state()), ell=2, k0_rho=3.0)
-        j2 = bessel_j_orders(2, 3.0 * np.sin(pattern.theta_grid))[2]
+        j2 = bessel_j_orders(2, 3.0 * np.sin(THETA_GRID))[2]
         assert pattern.components.sum(axis=1) == pytest.approx(j2**2, abs=1e-14)
 
     def test_two_state_small_ring_decomposition(self):
         pattern = far_field(bunching(two_mode_state(6, 0, 1)), ell=1, k0_rho=1.0)
-        j = bessel_j_orders(2, np.sin(pattern.theta_grid)) ** 2
+        j = bessel_j_orders(2, np.sin(THETA_GRID)) ** 2
         for i, total in enumerate(pattern.components.sum(axis=1)):
             square = channels(pattern, 1, i)
             # exact three-channel sum, and the quoted two-term reduction
@@ -149,9 +153,9 @@ class TestAveragedIntensity:
         # ell' = -3 weight beats ell' = 2 by J_3(5)^2 / J_2(5)^2 ~ 61 before
         # the bunching factors
         spec = bunching(two_mode_state(10, 0, 5))
-        pattern = far_field(spec, ell=2, k0_rho=5.0, theta_count=3)
-        assert pattern.theta_grid[1] == math.pi / 2
-        weights = channels(pattern, 2, 1)
+        pattern = far_field(spec, ell=2, k0_rho=5.0)
+        assert THETA_GRID[90] == math.pi / 2
+        weights = channels(pattern, 2, 90)
         bare_ratio = (weights[-3] / abs(spec.coefficients[spec.band - 5]) ** 2) / (
             weights[2] / abs(spec.coefficients[spec.band]) ** 2
         )
@@ -160,8 +164,8 @@ class TestAveragedIntensity:
 
     def test_matches_numerical_phi_average(self):
         spec = bunching(random_interior_state(6))
-        pattern = far_field(spec, ell=1, k0_rho=2.0, theta_count=5, phi_count=512)
-        i = 1  # theta = pi/4
+        pattern = far_field(spec, ell=1, k0_rho=2.0)
+        i = 45  # theta = pi/4
         intensity = np.abs(pattern.field[i]) ** 2
         assert abs(intensity.mean() - pattern.components[i].sum()) < 1e-9
 
@@ -183,54 +187,43 @@ class TestPatternGrid:
     def test_uniform_state_is_azimuthally_flat(self):
         params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=6)
         spec = bunching(uniform_state(6))
-        pattern = pattern_from_bunching(spec, params, theta_count=21, phi_count=32)
+        pattern = pattern_from_bunching(spec, params)
         intens = np.abs(pattern.field) ** 2
         assert np.max(intens.max(axis=1) - intens.min(axis=1)) < 1e-14
 
     def test_five_lobes_from_dominant_fifth_harmonic(self):
         params = SystemParams(gamma=0.2, epsilon=0.1, k0_rho=5.0, ell=2, m_max=10)
-        pattern = pattern_from_bunching(
-            bunching(two_mode_state(10, 0, 5)), params, theta_count=33, phi_count=256
-        )
-        i_eq = int(np.argmin(np.abs(pattern.theta_grid - math.pi / 2)))
-        assert count_lobes(np.abs(pattern.field[i_eq]) ** 2) == 5
+        pattern = pattern_from_bunching(bunching(two_mode_state(10, 0, 5)), params)
+        assert count_lobes(np.abs(pattern.field[90]) ** 2) == 5
 
     def test_far_field_argument_bound(self):
         # The equator row reaches x = k0_rho exactly: 50 is the largest
         # argument bessel_j_orders is validated for, and still runs.
         state = random_interior_state(8)
         spec = bunching(state)
-        pattern = far_field(spec, ell=2, k0_rho=50.0, theta_count=3, phi_count=4)
-        want = field_quadrature(state, 2, 50.0, math.pi / 2, pattern.phi_grid[1])
-        assert abs(pattern.field[1, 1] - want) < 1e-12
+        pattern = far_field(spec, ell=2, k0_rho=50.0)
+        want = field_quadrature(state, 2, 50.0, math.pi / 2, PHI_GRID[1])
+        assert abs(pattern.field[90, 1] - want) < 1e-12
         with pytest.raises(ConfigurationError, match="k0_rho"):
-            far_field(spec, ell=2, k0_rho=50.001, theta_count=3)
+            far_field(spec, ell=2, k0_rho=50.001)
 
-    def test_grid_point_limit(self):
-        # 2**20 points is the largest grid; the radiate command's is 181 x 256.
-        spec = BunchingSpectrum(np.array([1.0 + 0.0j]))
-        assert far_field(spec, 1, 1.0, 1024, 1024).field.shape == (1024, 1024)
-        with pytest.raises(ConfigurationError, match="a 1025 x 1024 grid"):
-            far_field(spec, 1, 1.0, 1025, 1024)
+    def test_grid_is_fixed_and_read_only(self):
+        assert (THETA_GRID.size, THETA_GRID[-1], PHI_GRID.size) == (181, math.pi, 256)
+        for grid in (THETA_GRID, PHI_GRID):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 1.0
 
     def test_phase_table_limit(self, monkeypatch):
-        # 4097 channels at 4096 phi columns are just past 2**24 phase-table
+        # 65,537 channels at 256 phi columns are just past 2**24 phase-table
         # entries, a table the check keeps from being allocated, and it is
         # refused before the Bessel table is built.
         def unreached(*args):
             raise AssertionError("Bessel table built before the phase-table check")
 
         monkeypatch.setattr(radiation, "bessel_j_orders", unreached)
-        spec = BunchingSpectrum(np.eye(1, 4097, 2048, dtype=complex)[0])
-        with pytest.raises(ConfigurationError, match="band=2048, phi_count=4096: phase table"):
-            far_field(spec, 1, 1.0, 2, 4096)
-
-    def test_tiny_grid_rejected(self):
-        params = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=5)
-        with pytest.raises(ConfigurationError):
-            pattern_from_bunching(
-                bunching(uniform_state(5)), params, theta_count=1, phi_count=256
-            )
+        spec = BunchingSpectrum(np.eye(1, 65_537, 32_768, dtype=complex)[0])
+        with pytest.raises(ConfigurationError, match="band=32768: the far field's phase table"):
+            far_field(spec, 1, 1.0)
 
 
 class TestCountLobes:
@@ -252,6 +245,6 @@ class TestCountLobes:
         # Only Phi_0: the equator intensity J_ell(5)^2 is flat along phi up
         # to rounding, and rounding noise is not a lobe.
         spec = BunchingSpectrum(np.array([1.0 + 0.0j]))
-        pattern = far_field(spec, ell, 5.0, theta_count=181, phi_count=256)
-        assert pattern.theta_grid[90] == math.pi / 2
+        pattern = far_field(spec, ell, 5.0)
+        assert THETA_GRID[90] == math.pi / 2
         assert count_lobes(np.abs(pattern.field[90]) ** 2) == 0
