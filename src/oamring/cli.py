@@ -47,13 +47,7 @@ from .potential import (
 from .radiation import PHI_GRID, THETA_GRID, check_tables, count_lobes, pattern_from_bunching
 from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
 from .rate_model import two_state_analytic
-from .stability import (
-    CLASSICAL_FACTOR,
-    QUANTUM_FACTOR,
-    classify_regime,
-    spectrum,
-    spectrum_sweep,
-)
+from .stability import classify_regime, spectrum, spectrum_sweep
 
 SEED_POLICY = (
     "all seeds explicit in config: evolve.seed_amplitude with "
@@ -184,10 +178,6 @@ def _lambda_summary(fp: FourierPotential) -> dict:
         "argmax_m": m_star,
         "regime": (None if m_star is None
                    else classify_regime(m_star, fp.params.gamma, fp.coefficient(m_star))),
-        "regime_thresholds": (
-            f"classical if gamma|V_m| > {CLASSICAL_FACTOR:g} m^2, "
-            f"quantum if < {QUANTUM_FACTOR:g} m^2"
-        ),
     }
 
 
@@ -260,11 +250,11 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
     # |Phi_0| is the norm, equal at every sample up to rounding, so a lag of
     # 0 would pick the snapshot by noise.
     if opts["snapshot"] == "max_bunching" and not (
-        1 <= opts["snapshot_k"] <= 2 * params.m_max
+        1 <= opts["snapshot_k"] <= params.k_max
     ):
         raise ConfigurationError(
             f"evolve.snapshot_k={opts['snapshot_k']} outside the bunching lags "
-            f"1..{2 * params.m_max}"
+            f"1..{params.k_max}"
         )
     fp = fourier_coefficients(params)
     state0 = default_initial_state(
@@ -281,7 +271,7 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         stride=opts["stride"],
     )
 
-    phi_band = min(opts["phi_band"], 2 * params.m_max)
+    phi_band = min(opts["phi_band"], params.k_max)
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
     columns, drift_max, edge_max, snap_index, record = _timeseries(traj, phi_band, snapshot_k)
 
@@ -316,10 +306,9 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
     floor = _gain_floor(params)
     channel = opts["channel"]
     if channel:
-        if not 1 <= channel <= min(fp.k_max, params.m_max):
+        if not 1 <= channel <= params.m_max:
             raise ConfigurationError(
-                f"rate.channel={channel} outside 1..{min(fp.k_max, params.m_max)}: "
-                f"params.k_max={fp.k_max}, params.m_max={params.m_max}"
+                f"rate.channel={channel} outside 1..params.m_max={params.m_max}"
             )
         if not g[channel] > floor:
             raise ConfigurationError(
@@ -390,7 +379,7 @@ def _load_bunching(path: Path, params: SystemParams) -> BunchingSpectrum:
     too, and a snapshot's own ell and k0_rho, which set its far field, must be
     the run's.  The far field of its band, 2 m_max, is checked first:
     bunching takes time quadratic in m_max."""
-    check_tables(params, 2 * params.m_max, f"params.m_max={params.m_max}")
+    check_tables(params, params.k_max, f"params.m_max={params.m_max}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         re, im = (_json_array(payload[key], key, 1) for key in ("re", "im"))

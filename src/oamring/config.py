@@ -81,7 +81,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "k0_rho": (float, 1.0),
         "ell": (_as_int, 1),
         "m_max": (_as_int_or_auto, None),
-        "k_max": (_as_int_or_auto, None),
     },
     "potential": {},
     "spectrum": {
@@ -219,13 +218,17 @@ def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None]:
     except (OSError, ValueError, KeyError, TypeError, RecursionError,
             configparser.Error) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    for dotted, constant in _RETIRED.items():  # the same run only at the constant
+    # params.k_max was a key until the coupling band became 2 m_max, which
+    # every manifest echoes as an int.
+    m_max = flat.get("params.m_max")
+    retired = _RETIRED | {"params.k_max": 2 * m_max if type(m_max) is int else None}
+    for dotted, constant in retired.items():  # the same run only at the constant
         if flat.get(dotted) not in (None, constant):
             raise ConfigurationError(f"{path} sets {dotted}={flat[dotted]!r}, "
                                      f"but it is fixed at {constant!r}")
     # null entries mean "left at default"; omitting them reproduces that
     layer = {key: str(value) for key, value in flat.items()
-             if value is not None and key not in _RETIRED}
+             if value is not None and key not in retired}
     return layer, preset
 
 

@@ -36,7 +36,7 @@ DEFAULT_EPSILON = 0.1
 GRID_DOUBLING_TOL = 1e-10
 
 # Largest base quadrature grid (the doubled check grid holds twice this):
-# epsilon >= 64 / 2**20 ~ 6.1e-5 and k_max <= 2**15.
+# epsilon >= 64 / 2**20 ~ 6.1e-5 and m_max <= 2**14.
 _MAX_GRID = 1 << 20
 
 # Largest epsilon: pair_potential squares it, and the square must stay a
@@ -52,14 +52,13 @@ def default_m_max(ell: int, k0_rho: float) -> int:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Dimensionless physical configuration plus numerical truncations.
+    """Dimensionless physical configuration plus its one truncation.
 
     gamma   -- light-atom coupling (absorbs atom number, detuning, pump power)
     epsilon -- short-range cutoff of the pair potential, > 0
     k0_rho  -- ring radius in units of the optical wavenumber
     ell     -- pump winding number (integer, may be negative or zero)
     m_max   -- half-width of the retained OAM band; default ties to k0_rho
-    k_max   -- number of retained potential harmonics; default 2 * m_max
     """
 
     gamma: float
@@ -67,7 +66,6 @@ class SystemParams:
     k0_rho: float = 1.0
     ell: int = 1
     m_max: int | None = None
-    k_max: int | None = None
 
     def __post_init__(self):
         if not self.gamma >= 0.0:
@@ -103,21 +101,18 @@ class SystemParams:
                 f"m_max={self.m_max} too small; need at least |ell| + 2 = "
                 f"{abs(self.ell) + 2}"
             )
-        if self.k_max is None:
-            object.__setattr__(self, "k_max", 2 * self.m_max)
-        if self.k_max > 2 * self.m_max:
-            raise ConfigurationError(
-                f"k_max={self.k_max} exceeds 2*m_max={2 * self.m_max}; harmonics "
-                "beyond the band cannot act on retained modes"
-            )
-        if self.k_max < 1:
-            raise ConfigurationError("k_max must be >= 1")
+
+    @property
+    def k_max(self) -> int:
+        """The coupling band: V_k couples c_m to c_{m-k}, so within
+        |m| <= m_max exactly the harmonics |k| <= 2 m_max act."""
+        return 2 * self.m_max
 
 
 @dataclass(frozen=True)
 class FourierPotential:
     """The system: its parameters plus the complex coefficients V_k of their
-    pair potential for |k| <= params.k_max, index k + k_max.
+    pair potential for |k| <= k_max = 2 m_max, index k + k_max.
 
     Built by fourier_coefficients, so the spectrum always belongs to the
     parameters it travels with.  V_{-k} = conj(V_k) holds because V(phi) is
@@ -162,10 +157,10 @@ def _quadrature_grid(params: SystemParams) -> int:
     # grid must resolve; aliasing there is the dominant silent failure mode.
     need = max(8192, 32 * params.k_max, 64.0 / params.epsilon)
     if need > _MAX_GRID:
-        # 32 k_max is an int that may not fit a float.
+        # 32 k_max = 64 m_max is an int that may not fit a float.
         size = need if isinstance(need, int) else f"{need:.0f}"
         raise ConfigurationError(
-            f"epsilon={params.epsilon} and k_max={params.k_max} need a quadrature "
+            f"epsilon={params.epsilon} and m_max={params.m_max} need a quadrature "
             f"grid of {size} points, past the limit of {_MAX_GRID}"
         )
     return 1 << (math.ceil(need) - 1).bit_length()

@@ -81,11 +81,11 @@ def seeded_rate_state(
 def _ladder(n: int, coeff: np.ndarray, antisymmetric: bool) -> np.ndarray:
     """(n, n) Toeplitz matrix T[m, j] = coeff_|m-j| for 1 <= |m-j| < len(coeff).
 
-    Coefficients arrive indexed by harmonic k = 0..k_max; entry 0 is never
+    Coefficients arrive indexed by harmonic k = 0..2 m_max; entry 0 is never
     read (g_0 has no meaning, and alpha_0 enters only the rotor, as the
-    mean-field offset 2 alpha_0 = gamma V_0), and lags past the band or past
-    the ladder are zero.  ``antisymmetric`` negates the entries above the
-    diagonal, so T @ N is up - down rather than up + down, with
+    mean-field offset 2 alpha_0 = gamma V_0), and lags past the coefficients
+    or past the ladder are zero.  ``antisymmetric`` negates the entries above
+    the diagonal, so T @ N is up - down rather than up + down, with
     up[m] = sum_k coeff_k N_{m-k} and down[m] = sum_k coeff_k N_{m+k}.
     """
     padded = np.zeros(n)

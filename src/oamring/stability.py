@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 # The source regimes are stated as strong inequalities; a factor of ten on
-# each side is the conventional reading and is echoed in output metadata.
+# each side is the conventional reading.
 CLASSICAL_FACTOR = 10.0
 QUANTUM_FACTOR = 0.1
 
@@ -52,9 +52,9 @@ def spectrum_sweep(
     """Growth rates |Re lambda_m| over a grid of ring radii: one row per
     radius, in the grid's order, and one column per mode m_lo..m_hi.
 
-    Each sweep point rebuilds the Fourier potential at its own radius for
-    the harmonics V_1..V_m_hi the rates read; the template's m_max and k_max
-    are never read.
+    Each sweep point rebuilds the Fourier potential at its own radius, on
+    the smallest band m_max >= |ell| + 2 whose harmonics reach V_m_hi; the
+    template's m_max is never read.
     """
     k0_rho_grid = np.asarray(k0_rho_grid, dtype=float)
     if k0_rho_grid.size == 0:
@@ -68,9 +68,9 @@ def spectrum_sweep(
     )
     modes = np.arange(m_lo, m_hi + 1)
     rates = np.empty((k0_rho_grid.size, modes.size))
-    m_max = max(m_hi, abs(params_template.ell) + 2)
+    m_max = max((m_hi + 1) // 2, abs(params_template.ell) + 2)
     for i, kr in enumerate(k0_rho_grid):
-        point = replace(params_template, k0_rho=float(kr), m_max=m_max, k_max=m_hi)
+        point = replace(params_template, k0_rho=float(kr), m_max=m_max)
         try:
             fp = fourier_coefficients(point)
         except OamringError as exc:

@@ -252,8 +252,7 @@ def test_criterion_5_oracle_equivalences(fig2_run):
     start = time.perf_counter()
 
     # derivative against the naive double loop
-    params = SystemParams(gamma=0.05, epsilon=0.1, k0_rho=1.0, ell=1,
-                          m_max=8, k_max=16)
+    params = SystemParams(gamma=0.05, epsilon=0.1, k0_rho=1.0, ell=1, m_max=8)
     fp = fourier_coefficients(params)
     rng = np.random.default_rng(12345)
     worst_deriv = 0.0

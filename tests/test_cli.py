@@ -26,6 +26,7 @@ from oamring.radiation import count_lobes
 from oamring.rate_model import evolve_rates
 
 from test_dynamics import naive_bunching
+from test_golden import artifact_hash
 
 QUICK_EVOLVE = [
     "--set", "evolve.tau_end=20",
@@ -254,12 +255,13 @@ class TestParseConfig:
         assert main(["rate", "--set", "rate.tau_end=1", "--out", str(tmp_path)]) == 0
         assert used == [OdeControls()]
 
-    @pytest.mark.parametrize("dotted", RETIRED_KEYS)
+    @pytest.mark.parametrize("dotted", [*RETIRED_KEYS, "params.k_max"])
     def test_retired_keys_are_unknown(self, tmp_path, dotted):
         section, _, key = dotted.partition(".")
+        value = RETIRED_KEYS.get(dotted, 28)  # params.k_max was 2 m_max, 28 by default
         conf = tmp_path / "old.conf"
-        conf.write_text(f"[{section}]\n{key} = {RETIRED_KEYS[dotted]}\n")
-        for layer in ({"config_path": conf}, {"overrides": [f"{dotted}={RETIRED_KEYS[dotted]}"]}):
+        conf.write_text(f"[{section}]\n{key} = {value}\n")
+        for layer in ({"config_path": conf}, {"overrides": [f"{dotted}={value}"]}):
             with pytest.raises(ConfigurationError, match=f"unknown config key '{dotted}'"):
                 parse_config("evolve", **layer)
 
@@ -288,11 +290,11 @@ class TestArtifacts:
         assert manifest["reproducible"]["derived"]["dominant_k"] == 1
 
     def test_spectrum_sweep_sets_its_own_band(self, tmp_path):
-        # Every radius takes its default band, so a user band changes no row
-        # of the artifacts; the manifest still records what was set.
+        # Every radius takes its own band, so a user band changes no row of
+        # the artifacts; the manifest still records what was set.
         args = ["spectrum", "--preset", "fig1b",
                 "--set", "spectrum.k0_rho_max=2.0", "--set", "spectrum.m_hi=6"]
-        banded = ["--set", "params.m_max=40", "--set", "params.k_max=3"]
+        banded = ["--set", "params.m_max=40"]
         runs = {}
         for name, extra in (("plain", []), ("banded", banded)):
             out = tmp_path / name
@@ -302,7 +304,7 @@ class TestArtifacts:
             runs[name] = rows, summary["rows"]
         assert runs["plain"] == runs["banded"]
         config = read_manifest(tmp_path / "banded")["reproducible"]["config"]
-        assert (config["params.m_max"], config["params.k_max"]) == (40, 3)
+        assert config["params.m_max"] == 40
 
     def test_rate_single_channel_overlay(self, tmp_path):
         rc = main([
@@ -690,12 +692,56 @@ class TestReproducibility:
                 assert record["error"] == "ConfigurationError" and dotted in record["message"]
                 assert not refused.exists()
 
+    def test_manifest_with_the_coupling_band_key(self, tmp_path, capsys):
+        # Manifests written while params.k_max was a key echo it at 2 m_max:
+        # the same run.  Any other value names the key and writes nothing.
+        fresh = tmp_path / "fresh"
+        assert main(["evolve", "--preset", "fig2", *QUICK_EVOLVE, "--out", str(fresh)]) == 0
+        manifest = read_manifest(fresh)
+        config = manifest["reproducible"]["config"]
+        config["params.k_max"] = 2 * config["params.m_max"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["evolve", "--config", str(old), "--out", str(rerun)]) == 0
+        for artifact in fresh.iterdir():
+            if artifact.name != "manifest.json":
+                assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
+        a, b = read_manifest(fresh), read_manifest(rerun)
+        assert a["reproducible"] == b["reproducible"]
+        assert a["manifest_hash"] == b["manifest_hash"]
+
+        config["params.k_max"] = 20
+        old.write_text(json.dumps(manifest))
+        refused = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(["evolve", "--config", str(old), "--out", str(refused)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert "params.k_max=20" in record["message"] and "fixed at 28" in record["message"]
+        assert not refused.exists()
+
+    def test_snapshot_with_the_coupling_band_key_radiates(self, tmp_path):
+        # Snapshots written while params.k_max was a field carry it in params.
+        evolved = tmp_path / "evolved"
+        assert main(["evolve", "--preset", "fig2", *QUICK_EVOLVE, "--out", str(evolved)]) == 0
+        snapshot = json.loads((evolved / "snapshot.json").read_text())
+        assert "k_max" not in snapshot["params"]
+        old = write_snapshot(tmp_path / "old.json", {
+            **snapshot, "params": {**snapshot["params"], "k_max": 2 * snapshot["m_max"]}})
+        for name, state in (("new", evolved / "snapshot.json"), ("old", old)):
+            args = ["radiate", "--preset", "fig2", "--set", f"radiate.state={state}"]
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+        for name in ("pattern.csv", "avg_intensity.csv", "components.json"):
+            new, old = (artifact_hash(tmp_path / run / name) for run in ("new", "old"))
+            assert new == old, name
+
     def test_manifest_echoes_resolved_truncations(self, tmp_path):
         rc = main(["potential", "--preset", "fig2", "--out", str(tmp_path)])
         assert rc == 0
         config = read_manifest(tmp_path)["reproducible"]["config"]
         assert config["params.m_max"] == 14
-        assert config["params.k_max"] == 28
+        assert "params.k_max" not in config  # always 2 m_max, so not echoed
 
 
 G_TABLE = {"g_k", "dominant_k"}
@@ -727,6 +773,8 @@ class TestManifestContent:
         block = read_manifest(out)["reproducible"]
         assert set(block["derived"]) == derived
         assert set(block["diagnostics"]) == diagnostics
+        if "lambda" in derived:  # the regime's thresholds are constants, not results
+            assert set(block["derived"]["lambda"]) == {"growth_rates", "argmax_m", "regime"}
 
     @pytest.mark.parametrize("setting", ["params.ell=0", "params.gamma=0"])
     @pytest.mark.parametrize("args", [
@@ -887,25 +935,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, named",
         [
-            (["potential", "--set", "params.m_max=1000000000000",
-              "--set", "params.k_max=1000000000000"], "k_max=1000000000000"),
+            (["potential", "--set", "params.m_max=1000000000000"], "m_max=1000000000000"),
             (["spectrum", "--set", "spectrum.k0_rho_step=1e-12"], "radii"),
             (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
             (["evolve", "--preset", "fig2", "--set", "evolve.stride=0.002"], "stride"),
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
             # 3e6 steps of 10, past the step budget of 2**21 attempts
             (["evolve", "--set", "evolve.stride=1e7", "--set", "evolve.tau_end=3e7"], "steps"),
-            (["rate", "--preset", "fig3", "--set", "params.m_max=100000",
-              "--set", "params.k_max=1"], "m_max=100000: rate ladder"),
-            (["rate", "--preset", "fig3", "--set", "params.m_max=1000000000000",
-              "--set", "params.k_max=1", "--set", "rate.seed_population=1e-13"],
-             "m_max=1000000000000: rate ladder"),
+            # 2 * 3001**2 ladder entries pass 2**24; the 192,000-point
+            # quadrature grid of k_max = 6000 does not reach its limit.
+            (["rate", "--preset", "fig3", "--set", "params.m_max=3000"],
+             "m_max=3000: rate ladder"),
             (["evolve", "--preset", "fig2", "--set", "params.m_max=16000",
               "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
              "m_max=16000"),
-            (["evolve", "--set", "params.m_max=1000000000", "--set", "params.k_max=1",
-              "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
-             "m_max=1000000000: band"),
             # J_0 .. J_92698 at 181 theta rows would pass 2**24 entries, but
             # the phase table, 123,601 channels by 256 columns, is refused
             # first, before the snapshot's bunching.
@@ -916,7 +959,7 @@ class TestExitCodes:
         ],
         ids=["potential-grid", "spectrum-radii", "evolve-samples", "evolve-store",
              "rate-samples",
-             "evolve-steps", "rate-ladder", "rate-seeds", "evolve-coupling", "evolve-band",
+             "evolve-steps", "rate-ladder", "evolve-coupling",
              "radiate-bessel", "radiate-argument", "spectrum-modes"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):

@@ -160,6 +160,12 @@ class TestInitialState:
         with pytest.raises(ConfigurationError, match=r"seed_amplitude=0.01 on 2\*m_max=12000"):
             default_initial_state(params, seed_amplitude=0.01)
 
+    def test_oversized_band_rejected_before_allocating(self):
+        # 2 * 10**9 + 1 amplitudes, past 2**24 entries.
+        params = SystemParams(gamma=0.05, m_max=10**9)
+        with pytest.raises(ConfigurationError, match="m_max=1000000000: band"):
+            default_initial_state(params, seed_amplitude=1e-7)
+
     def test_negative_seed_rejected_in_random_mode(self):
         params, _ = fig2_setup()
         with pytest.raises(ConfigurationError, match="rng_seed=-1"):
@@ -187,8 +193,7 @@ class TestDerivative:
         assert np.max(np.abs(others)) < 1e-15
 
     def test_free_evolution_term(self):
-        zero_gamma = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1,
-                                  m_max=5, k_max=10)
+        zero_gamma = SystemParams(gamma=0.0, epsilon=0.1, k0_rho=1.0, ell=1, m_max=5)
         fp = fourier_coefficients(zero_gamma)
         state = random_state(5)
         dc = _derivative(state, fp)
@@ -196,7 +201,7 @@ class TestDerivative:
         assert np.max(np.abs(dc + 1j * m * m * state.amplitudes)) < 1e-15
 
     def test_matches_naive_double_loop(self):
-        params, fp = fig2_setup(m_max=8, k_max=16)
+        params, fp = fig2_setup(m_max=8)
         rng = np.random.default_rng(5)
         for _ in range(100):
             state = random_state(8, rng)
@@ -208,14 +213,13 @@ class TestDerivative:
     @given(data=st.data())
     def test_matches_naive_double_loop_on_any_band(self, data):
         m_max = data.draw(st.integers(3, 8), label="m_max")
-        k_max = data.draw(st.integers(1, 2 * m_max), label="k_max")
         parts = arrays(float, (2, 2 * m_max + 1), elements=st.floats(-1.0, 1.0))
         re, im = data.draw(parts, label="re, im")
         amps = re + 1j * im
         norm = np.linalg.norm(amps)
         assume(norm > 1e-3)
         state = StateVector(0.0, amps / norm)
-        params, fp = fig2_setup(m_max=m_max, k_max=k_max)
+        params, fp = fig2_setup(m_max=m_max)
         slow = naive_derivative(state, params, fp)
         assert np.max(np.abs(_derivative(state, fp) - slow)) < 1e-12
 
@@ -223,13 +227,12 @@ class TestDerivative:
     @given(data=st.data())
     def test_kernel_matches_the_strided_view_bitwise(self, data):
         m_max = data.draw(st.integers(3, 24), label="m_max")
-        k_max = data.draw(st.integers(1, 2 * m_max), label="k_max")
         parts = arrays(float, (3, 2, 2 * m_max + 1), elements=st.floats(-1.0, 1.0))
         re, im = data.draw(parts, label="re, im").transpose(1, 0, 2)
         amps = re + 1j * im
         norms = np.linalg.norm(amps, axis=1)
         assume(np.all(norms > 1e-3))
-        _, fp = fig2_setup(m_max=m_max, k_max=k_max)
+        _, fp = fig2_setup(m_max=m_max)
         fast, slow = dynamics._nonlinear_rhs(fp), reference_nonlinear_rhs(fp)
         for c in amps / norms[:, None]:  # three calls: each reuses the band buffer
             assert fast(0.0, c).tobytes() == slow(0.0, c).tobytes()
@@ -270,7 +273,7 @@ class TestDerivative:
         params = SystemParams(gamma=gamma, epsilon=epsilon, k0_rho=k0_rho, ell=ell)
         fp = fourier_coefficients(params)
         eigenvalues = list(np.linalg.eigvals(pure_mode_jacobian(fp, d)))
-        ks = np.arange(1, min(fp.k_max, params.m_max - abs(d)) + 1)
+        ks = np.arange(1, params.m_max - abs(d) + 1)
         lam = spectrum(fp, ks)
         shifted = np.concatenate([-2j * d * ks + lam, -2j * d * ks - lam])
         for want in np.concatenate([shifted, shifted.conj()]):
@@ -451,10 +454,10 @@ class TestEvolve:
         assert (plus.attempts, plus.rejected) == (minus.attempts, minus.rejected)
 
     def test_oversized_coupling_table_rejected(self):
-        # (2 k_max + 1) x (2 m_max + 1) = 2001 x 18001 entries, past 2**24.
-        params, fp = fig2_setup(m_max=9000, k_max=1000)
+        # (4 m_max + 1) x (2 m_max + 1) = 6001 x 3001 entries, past 2**24.
+        params, fp = fig2_setup(m_max=1500)
         state = default_initial_state(params, seed_amplitude=1e-6)
-        with pytest.raises(ConfigurationError, match="m_max=9000"):
+        with pytest.raises(ConfigurationError, match="m_max=1500: coupling table"):
             _derivative(state, fp)
 
     def test_band_mismatch_rejected(self):

@@ -7,6 +7,7 @@ production size; see the JSON's "oracle" field.
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -204,13 +205,14 @@ class TestFourierSpectrum:
     )
     def test_oversized_grid_rejected_before_allocation(self, overrides):
         # epsilon = 1e-9 would need a 2**36-point grid and k0_rho = 1e6 gives
-        # k_max ~ 2e6; both must stop before anything is sampled.
+        # m_max ~ 1e6, so k_max ~ 2e6; both must stop before anything is
+        # sampled, naming the inputs that set the grid.
         params = fig2_params(**overrides)
         with pytest.raises(ConfigurationError) as info:
             fourier_coefficients(params)
         message = str(info.value)
         assert f"epsilon={params.epsilon}" in message
-        assert f"k_max={params.k_max}" in message
+        assert f"m_max={params.m_max}" in message
 
     def test_grid_limit_admits_the_stated_domain(self):
         for params in (fig2_params(epsilon=6.2e-5), fig2_params(m_max=16384)):
@@ -267,8 +269,6 @@ class TestSystemParams:
             SystemParams(gamma=0.1, k0_rho=-1.0)
         with pytest.raises(ConfigurationError):
             SystemParams(gamma=0.1, ell=3, m_max=4)
-        with pytest.raises(ConfigurationError):
-            SystemParams(gamma=0.1, m_max=10, k_max=21)
 
     @pytest.mark.parametrize("k0_rho, epsilon", [(1e308, 0.1), (1e160, 1e150)])
     def test_phase_must_stay_finite(self, k0_rho, epsilon):
@@ -293,6 +293,13 @@ class TestSystemParams:
         p = SystemParams(gamma=0.1, k0_rho=5.0, ell=2)
         assert p.m_max == 2 + 5 + 12
         assert p.k_max == 2 * p.m_max
+
+    def test_coupling_band_is_not_a_setting(self):
+        # Within |m| <= m_max exactly the harmonics |k| <= 2 m_max act.
+        assert "k_max" not in {f.name for f in fields(SystemParams)}
+        with pytest.raises(TypeError):
+            SystemParams(gamma=0.1, m_max=10, k_max=3)
+        assert SystemParams(gamma=0.1, m_max=10).k_max == 20
 
     def test_potential_carries_params(self):
         params = fig2_params()

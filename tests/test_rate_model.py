@@ -330,7 +330,7 @@ def test_rate_model_holds_to_second_order_in_the_quantum_regime(gamma, k0_rho, e
     0.5 x^2 (0.39 x^2 was the largest over 4,098 such channels) plus rounding."""
     fp = fourier_coefficients(SystemParams(gamma=gamma, k0_rho=k0_rho, ell=ell))
     g, alpha = rate_coefficients(fp), dispersion_coefficients(fp)
-    ks = np.arange(1, min(fp.k_max, fp.params.m_max) + 1)
+    ks = np.arange(1, fp.params.m_max + 1)
     v = fp.coefficient(ks)
     two_re = 2.0 * np.abs(spectrum(fp, ks).real)
     for k, v_k, two_re_k in zip(ks.tolist(), v, two_re):
