@@ -47,18 +47,13 @@ from .potential import (
 from .radiation import PHI_GRID, THETA_GRID, check_tables, count_lobes, pattern_from_bunching
 from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
 from .rate_model import two_state_analytic
-from .stability import classify_regime, spectrum, spectrum_sweep
+from .stability import K0_RHO_GRID, TOP_MODE, classify_regime, spectrum, spectrum_sweep
 
 SEED_POLICY = (
     "all seeds explicit in config: evolve.seed_amplitude with "
     "evolve.seed_mode/evolve.rng_seed (random mode uses "
     "numpy.random.default_rng), rate.seed_population; no other entropy"
 )
-
-
-# Most radii one spectrum run may sweep (fig1b sweeps 32); every radius is a
-# row of growth_rates.csv, summary.json and the manifest.
-_MAX_RADII = 1 << 16
 
 # Values turned into text at a time.  The writer's memory is bounded by this
 # block, not by the table: formatting a 46k-row pattern by whole columns holds
@@ -137,10 +132,6 @@ def _manifest_hash(config: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# Harmonics k (and modes m) listed in the manifest's g_k and growth-rate tables.
-_TABLE_TOP = 12
-
-
 def _gain_floor(params: SystemParams) -> float:
     """V_k is verified only to GRID_DOUBLING_TOL, so a gain g_k at or below
     this floor is not told apart from none."""
@@ -155,7 +146,7 @@ def _g_table(fp: FourierPotential) -> dict:
     dominant = int(np.argmax(g[1:])) + 1
     if not g[dominant] > _gain_floor(fp.params):
         dominant = None
-    top = min(fp.k_max, max(_TABLE_TOP, dominant or 0))
+    top = min(fp.k_max, max(TOP_MODE, dominant or 0))
     return {"g_k": {str(k): float(g[k]) for k in range(1, top + 1)}, "dominant_k": dominant}
 
 
@@ -170,7 +161,7 @@ def _fastest_mode(ms: np.ndarray, rates: np.ndarray, gamma: float) -> int | None
 
 def _lambda_summary(fp: FourierPotential) -> dict:
     """Growth rates of the tabled modes and the fastest resolved one."""
-    ms = np.arange(1, min(_TABLE_TOP, fp.k_max) + 1)
+    ms = np.arange(1, min(TOP_MODE, fp.k_max) + 1)
     rates = np.abs(spectrum(fp, ms).real)
     m_star = _fastest_mode(ms, rates, fp.params.gamma)
     return {
@@ -199,36 +190,25 @@ def _run_potential(config: RunConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_spectrum(config: RunConfig) -> tuple[dict, dict, dict]:
-    opts = config.options
-    start, step = opts["k0_rho_min"], opts["k0_rho_step"]
-    stop = opts["k0_rho_max"] + 0.5 * step
-    # np.arange's length before its ceil; one that is not positive can make
-    # np.arange raise where it should return an empty grid.
-    if not 0.0 < (stop - start) / step <= _MAX_RADII:
-        raise ConfigurationError(
-            f"spectrum grid from {start} to {opts['k0_rho_max']} at step {step} "
-            f"does not have 1 to {_MAX_RADII} radii"
-        )
-    grid = np.arange(start, stop, step)
-    rates = spectrum_sweep(config.params, grid, (opts["m_lo"], opts["m_hi"]))
-    ms = np.arange(opts["m_lo"], opts["m_hi"] + 1)
-
-    rows = [{"k0_rho": float(kr), "argmax_m": _fastest_mode(ms, row, config.params.gamma)}
-            for kr, row in zip(grid, rates)]
-    growth = {"k0_rho": grid}
+    rates = spectrum_sweep(config.params)
+    ms = np.arange(1, TOP_MODE + 1)
+    rows = [{"k0_rho": kr, "argmax_m": _fastest_mode(ms, row, config.params.gamma)}
+            for kr, row in zip(K0_RHO_GRID.tolist(), rates)]
+    growth = {"k0_rho": K0_RHO_GRID}
     growth |= {f"m_{m}": column for m, column in zip(ms.tolist(), rates.T)}
     return {"growth_rates.csv": growth, "summary.json": {"rows": rows}}, {}, {}
 
 
 def _timeseries(
-    traj: Trajectory, phi_band: int, snapshot_k: int | None
+    traj: Trajectory, snapshot_k: int | None
 ) -> tuple[dict, float, float, int, dict]:
     """The timeseries.csv columns of a lab-frame trajectory (tau, norm error,
-    N_m, Re and Im of Phi_0..Phi_phi_band, <omega>), its largest norm drift
-    and band-edge occupancy, the index of the sample with the largest
-    |Phi_snapshot_k| (the last sample when snapshot_k is None) and its
-    transitions record."""
+    N_m, Re and Im of Phi_0..Phi_min(COMPONENT_BAND, 2 m_max), <omega>), its
+    largest norm drift and band-edge occupancy, the index of the sample with
+    the largest |Phi_snapshot_k| (the last sample when snapshot_k is None)
+    and its transitions record."""
     m_max = traj.states.shape[1] // 2
+    phi_band = min(COMPONENT_BAND, 2 * m_max)
     obs = observables(traj.states, max(phi_band, snapshot_k or 0, m_max))
     phis = obs.phi[:, : phi_band + 1].T
     columns = {"tau": traj.times, "norm_error": obs.drift}
@@ -271,9 +251,8 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict, dict]:
         stride=opts["stride"],
     )
 
-    phi_band = min(opts["phi_band"], params.k_max)
     snapshot_k = opts["snapshot_k"] if opts["snapshot"] == "max_bunching" else None
-    columns, drift_max, edge_max, snap_index, record = _timeseries(traj, phi_band, snapshot_k)
+    columns, drift_max, edge_max, snap_index, record = _timeseries(traj, snapshot_k)
 
     snap_amps = traj.states[snap_index]
     files = {
@@ -485,8 +464,16 @@ def run_scenario(config: RunConfig) -> dict:
     return manifest
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ConfigurationError, so it ends in the same
+    JSON record and exit code as every other error; subcommands inherit it."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oamring",
         description=(
             "Superradiant OAM transfer in a ring trap: pair-potential spectra, "
@@ -515,8 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = parse_config(
             scenario=args.scenario,
             config_path=args.config,

@@ -22,6 +22,7 @@ from .numerics import OdeControls
 from .potential import DEFAULT_EPSILON, SystemParams
 from .radiation import PHI_GRID, THETA_GRID
 from .rate_model import DEFAULT_SEED_POPULATION
+from .stability import TOP_MODE
 
 __all__ = ["RunConfig", "parse_config", "PRESETS", "SCENARIOS"]
 
@@ -53,21 +54,15 @@ def _choice(*allowed: str):
     return convert
 
 
-def _at_least(converter, low, *, above: bool = False):
-    """``converter``, then reject values below ``low``, or equal to it with ``above``."""
-
-    def convert(raw: str):
-        value = converter(raw)
-        if value < low or (above and value == low):
-            raise ValueError(f"must be {'>' if above else '>='} {low}")
-        return value
-
-    return convert
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if value <= 0.0:
+        raise ValueError("must be > 0.0")
+    return value
 
 
-_positive = _at_least(float, 0.0, above=True)
-
-# Points of V(phi) in samples.csv; the largest |m| of avg_intensity.csv's
+# Points of V(phi) in samples.csv; the largest bunching lag of
+# timeseries.csv's Phi columns and the largest |m| of avg_intensity.csv's
 # components.
 POTENTIAL_SAMPLES = 512
 COMPONENT_BAND = 8
@@ -83,13 +78,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "m_max": (_as_int_or_auto, None),
     },
     "potential": {},
-    "spectrum": {
-        "k0_rho_min": (float, 0.25),
-        "k0_rho_max": (float, 8.0),
-        "k0_rho_step": (_positive, 0.25),
-        "m_lo": (_as_int, 1),
-        "m_hi": (_as_int, 12),
-    },
+    "spectrum": {},
     "evolve": {
         "tau_end": (float, 200.0),
         "stride": (float, 1.0),
@@ -100,7 +89,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "snapshot_k": (_as_int, 1),
         "rel_tol": (_positive, OdeControls.rel_tol),
         "abs_tol": (_positive, OdeControls.abs_tol),
-        "phi_band": (_at_least(_as_int, 0), 8),
     },
     "rate": {
         "tau_end": (float, 300.0),
@@ -116,9 +104,12 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 # Former keys at the constants they became; every earlier manifest echoes them.
 # An integrating scenario takes each step control it has no key for from OdeControls(),
 # and radiate reads no input but radiate.state, so a Phi list path is "" (none).
+# The spectrum keys spanned stability.K0_RHO_GRID, 0.25 to 8.0 at step 0.25.
 _RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND,
             "radiate.phi_json": "", "radiate.theta_count": THETA_GRID.size,
-            "radiate.phi_count": PHI_GRID.size}
+            "radiate.phi_count": PHI_GRID.size, "spectrum.k0_rho_min": 0.25,
+            "spectrum.k0_rho_max": 8.0, "spectrum.k0_rho_step": 0.25, "spectrum.m_lo": 1,
+            "spectrum.m_hi": TOP_MODE, "evolve.phi_band": COMPONENT_BAND}
 _RETIRED |= {f"{section}.{f.name}": f.default for section in ("evolve", "rate")
              for f in fields(OdeControls) if f.name not in _SCHEMA[section]}
 
@@ -130,11 +121,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "params.gamma": "0.2",
         "params.epsilon": "0.1",
         "params.ell": "1",
-        "spectrum.k0_rho_min": "0.25",
-        "spectrum.k0_rho_max": "8.0",
-        "spectrum.k0_rho_step": "0.25",
-        "spectrum.m_lo": "1",
-        "spectrum.m_hi": "12",
     },
     "fig2": {
         "params.gamma": "0.05",

@@ -17,10 +17,11 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigurationError, OamringError
-from .numerics import check_entries
 from .potential import FourierPotential, SystemParams, fourier_coefficients
 
 __all__ = [
+    "K0_RHO_GRID",
+    "TOP_MODE",
     "classify_regime",
     "spectrum",
     "spectrum_sweep",
@@ -30,6 +31,12 @@ __all__ = [
 # each side is the conventional reading.
 CLASSICAL_FACTOR = 10.0
 QUANTUM_FACTOR = 0.1
+
+# The stability map's ring radii, 0.25 to 8 at step 0.25, and its top mode;
+# TOP_MODE also bounds the g_k and growth-rate tables of a run's manifest.
+K0_RHO_GRID = 0.25 * np.arange(1, 33)
+K0_RHO_GRID.flags.writeable = False
+TOP_MODE = 12
 
 
 def spectrum(fp: FourierPotential, modes: np.ndarray) -> np.ndarray:
@@ -44,33 +51,19 @@ def spectrum(fp: FourierPotential, modes: np.ndarray) -> np.ndarray:
     return 1j * m * root
 
 
-def spectrum_sweep(
-    params_template: SystemParams,
-    k0_rho_grid,
-    m_range: tuple[int, int],
-) -> np.ndarray:
-    """Growth rates |Re lambda_m| over a grid of ring radii: one row per
-    radius, in the grid's order, and one column per mode m_lo..m_hi.
+def spectrum_sweep(params_template: SystemParams) -> np.ndarray:
+    """Growth rates |Re lambda_m| of the stability map: one row per radius of
+    K0_RHO_GRID and one column per mode 1..TOP_MODE.
 
     Each sweep point rebuilds the Fourier potential at its own radius, on
-    the smallest band m_max >= |ell| + 2 whose harmonics reach V_m_hi; the
-    template's m_max is never read.
+    the band m_max = max(TOP_MODE / 2, |ell| + 2), whose harmonics reach
+    V_TOP_MODE; the template's m_max is never read.
     """
-    k0_rho_grid = np.asarray(k0_rho_grid, dtype=float)
-    if k0_rho_grid.size == 0:
-        raise ConfigurationError("empty k0_rho grid")
-    m_lo, m_hi = int(m_range[0]), int(m_range[1])
-    if m_lo < 1 or m_hi < m_lo:
-        raise ConfigurationError(f"bad mode range [{m_lo}, {m_hi}]")
-    check_entries(
-        k0_rho_grid.size * (m_hi - m_lo + 1),
-        f"{k0_rho_grid.size} radii x modes {m_lo}..{m_hi}: rate table",
-    )
-    modes = np.arange(m_lo, m_hi + 1)
-    rates = np.empty((k0_rho_grid.size, modes.size))
-    m_max = max((m_hi + 1) // 2, abs(params_template.ell) + 2)
-    for i, kr in enumerate(k0_rho_grid):
-        point = replace(params_template, k0_rho=float(kr), m_max=m_max)
+    modes = np.arange(1, TOP_MODE + 1)
+    rates = np.empty((K0_RHO_GRID.size, TOP_MODE))
+    m_max = max(TOP_MODE // 2, abs(params_template.ell) + 2)
+    for i, kr in enumerate(K0_RHO_GRID.tolist()):
+        point = replace(params_template, k0_rho=kr, m_max=m_max)
         try:
             fp = fourier_coefficients(point)
         except OamringError as exc:

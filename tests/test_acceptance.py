@@ -44,7 +44,7 @@ from oamring.rate_model import (
     seeded_rate_state,
     two_state_analytic,
 )
-from oamring.stability import spectrum, spectrum_sweep
+from oamring.stability import K0_RHO_GRID, spectrum, spectrum_sweep
 
 from test_dynamics import naive_derivative, random_state
 
@@ -140,7 +140,7 @@ def test_criterion_1_growth_rate_trend():
     template = SystemParams(gamma=0.2, epsilon=0.1, ell=1)
     start = time.perf_counter()
     grid = [2.0, 4.0, 6.0, 8.0]
-    rates = spectrum_sweep(template, grid, (1, 12))
+    rates = spectrum_sweep(template)[[K0_RHO_GRID.tolist().index(kr) for kr in grid]]
     elapsed = time.perf_counter() - start
     argmax_m = np.argmax(rates, axis=1) + 1
     for k0_rho, m_star in zip(grid, argmax_m.tolist()):
@@ -356,15 +356,13 @@ def test_criterion_6_conservation(fig2_run, fig3_run):
 # timeseries.csv of a deterministic fig2 run at rel_tol 1e-11 and abs_tol
 # 1e-14, sampled at tau = 0, 25, ..., 600; regenerate it with
 #   oamring evolve --preset fig2 --set evolve.tau_end=600 --set evolve.stride=25 \
-#     --set evolve.rel_tol=1e-11 --set evolve.abs_tol=1e-14 \
-#     --set evolve.phi_band=0 --out DIR
+#     --set evolve.rel_tol=1e-11 --set evolve.abs_tol=1e-14 --out DIR
 # and copy DIR/timeseries.csv here.  Past tau 600 (the second transition,
 # tau 930) no run is a reference: small differences grow about 14x there.
 FIG2_REFERENCE = Path(__file__).parent / "data" / "fig2_reference_timeseries.csv"
 # The same for fig4 at tau = 0, 25, ..., 900, from
 #   oamring evolve --preset fig4 --set evolve.tau_end=900 --set evolve.stride=25 \
-#     --set evolve.rel_tol=1e-11 --set evolve.abs_tol=1e-14 \
-#     --set evolve.phi_band=0 --out DIR
+#     --set evolve.rel_tol=1e-11 --set evolve.abs_tol=1e-14 --out DIR
 FIG4_REFERENCE = Path(__file__).parent / "data" / "fig4_reference_timeseries.csv"
 
 
@@ -401,7 +399,7 @@ def test_fig4_populations_match_the_reference(fig4_run):
 def test_criterion_7_manifest_determinism(tmp_path):
     jobs = [
         ("potential", ["--preset", "fig2"]),
-        ("spectrum", ["--preset", "fig1b", "--set", "spectrum.k0_rho_max=3.0"]),
+        ("spectrum", ["--preset", "fig1b"]),
         ("evolve", ["--preset", "fig2", "--set", "evolve.tau_end=20",
                     "--set", "evolve.stride=2.0"]),
         ("rate", ["--preset", "fig3", "--set", "rate.tau_end=20",

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oamring
 from oamring.cli import _VALUES_PER_WRITE, _timeseries, _write_artifacts, main
-from oamring.config import _SCHEMA, PRESETS, parse_config
+from oamring.config import _SCHEMA, COMPONENT_BAND, PRESETS, parse_config
 from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
@@ -40,6 +40,8 @@ RETIRED_KEYS = {
     "evolve.initial_step": 0.0001, "evolve.max_step": 10.0,
     "rate.rel_tol": 1e-09, "rate.abs_tol": 1e-12,
     "rate.initial_step": 0.0001, "rate.max_step": 10.0,
+    "spectrum.k0_rho_min": 0.25, "spectrum.k0_rho_max": 8.0, "spectrum.k0_rho_step": 0.25,
+    "spectrum.m_lo": 1, "spectrum.m_hi": 12, "evolve.phi_band": 8,
 }
 
 # A unit amplitude at m = 0 for the default band, m_max = 14.
@@ -164,11 +166,11 @@ class TestParseConfig:
             parse_config("evolve", config_path=conf)
         assert "nosuch" in str(info.value)
 
-    # The INI file sets a fig2 key (gamma) and a key of no preset (phi_band).
+    # The INI file sets a fig2 key (gamma) and a key of no preset (rng_seed).
     # The manifest names fig4 but holds two keys, so its run takes the rest
     # from the defaults, and every default that is not fig4's is overridden;
     # the list it records is not read.
-    PROVENANCE_INI = "[params]\ngamma = 0.07\n\n[evolve]\nphi_band = 6\n"
+    PROVENANCE_INI = "[params]\ngamma = 0.07\n\n[evolve]\nrng_seed = 6\n"
     PROVENANCE_MANIFEST = {
         "reproducible": {
             "config": {"params.epsilon": 0.2, "params.gamma": 0.2},
@@ -184,24 +186,24 @@ class TestParseConfig:
         [
             (None, None, None, None, ()),
             (None, None, "params.k0_rho=1.5", None, ()),
-            (None, None, "evolve.phi_band=5", None, ()),
+            (None, None, "evolve.rng_seed=5", None, ()),
             (None, "ini", None, None, ()),
             (None, "ini", "params.k0_rho=1.5", None, ()),
-            (None, "ini", "evolve.phi_band=5", None, ()),
+            (None, "ini", "evolve.rng_seed=5", None, ()),
             (None, "manifest", None, "fig4", MANIFEST_OVERRIDES),
             (None, "manifest", "params.k0_rho=1.5", "fig4", MANIFEST_OVERRIDES),
-            (None, "manifest", "evolve.phi_band=5", "fig4", MANIFEST_OVERRIDES),
+            (None, "manifest", "evolve.rng_seed=5", "fig4", MANIFEST_OVERRIDES),
             ("fig2", None, None, "fig2", ()),
             ("fig2", None, "params.k0_rho=1.5", "fig2", ("params.k0_rho",)),
-            ("fig2", None, "evolve.phi_band=5", "fig2", ()),
+            ("fig2", None, "evolve.rng_seed=5", "fig2", ()),
             ("fig2", "ini", None, "fig2", ("params.gamma",)),
             ("fig2", "ini", "params.k0_rho=1.5", "fig2",
              ("params.gamma", "params.k0_rho")),
-            ("fig2", "ini", "evolve.phi_band=5", "fig2", ("params.gamma",)),
+            ("fig2", "ini", "evolve.rng_seed=5", "fig2", ("params.gamma",)),
             ("fig2", "manifest", None, "fig2", ("params.epsilon", "params.gamma")),
             ("fig2", "manifest", "params.k0_rho=1.5", "fig2",
              ("params.epsilon", "params.gamma", "params.k0_rho")),
-            ("fig2", "manifest", "evolve.phi_band=5", "fig2",
+            ("fig2", "manifest", "evolve.rng_seed=5", "fig2",
              ("params.epsilon", "params.gamma")),
             ("fig2", None, "params.gamma=0.05", "fig2", ()),  # restates fig2
         ],
@@ -292,8 +294,7 @@ class TestArtifacts:
     def test_spectrum_sweep_sets_its_own_band(self, tmp_path):
         # Every radius takes its own band, so a user band changes no row of
         # the artifacts; the manifest still records what was set.
-        args = ["spectrum", "--preset", "fig1b",
-                "--set", "spectrum.k0_rho_max=2.0", "--set", "spectrum.m_hi=6"]
+        args = ["spectrum", "--preset", "fig1b"]
         banded = ["--set", "params.m_max=40"]
         runs = {}
         for name, extra in (("plain", []), ("banded", banded)):
@@ -521,8 +522,8 @@ class TestTimeseries:
         return evolve(initial, fourier_coefficients(cfg.params), tau_end=20.0, stride=0.5)
 
     def test_columns_match_per_sample_observables(self, traj):
-        phi_band = 8
-        columns, drift_max, edge_max, *_ = _timeseries(traj, phi_band, None)
+        phi_band = COMPONENT_BAND  # the fig2 band, 2 m_max = 28, is wider
+        columns, drift_max, edge_max, *_ = _timeseries(traj, None)
         band = modes((traj.states.shape[1] - 1) // 2)
         assert list(columns) == (
             ["tau", "norm_error"] + [f"N_{m}" for m in band]
@@ -547,7 +548,7 @@ class TestTimeseries:
 
     def test_snapshot_index_is_first_largest_bunching(self, traj):
         size = traj.states.shape[1]
-        assert _timeseries(traj, 8, None)[3] == len(traj.times) - 1
+        assert _timeseries(traj, None)[3] == len(traj.times) - 1
         slow = np.abs([naive_bunching(amps, size - 1) for amps in traj.states])
         for k in range(size):
             metrics = slow[:, k].tolist()
@@ -555,7 +556,7 @@ class TestTimeseries:
             for i, metric in enumerate(metrics):
                 if metric > best:
                     best, index = metric, i
-            got = _timeseries(traj, 8, k)[3]
+            got = _timeseries(traj, k)[3]
             if k == 0:
                 # |Phi_0| is the norm, equal at every sample up to rounding
                 assert metrics[got] >= best - 1e-15
@@ -661,7 +662,9 @@ class TestReproducibility:
         # their constants: the same run.  Any other value names the key.
         state = write_snapshot(tmp_path / "state.json")
         runs = {
-            "evolve": (QUICK_EVOLVE, {"evolve.max_step": 5.0}),
+            "evolve": (QUICK_EVOLVE, {"evolve.max_step": 5.0, "evolve.phi_band": 0}),
+            "spectrum": (["--preset", "fig1b"],
+                         {"spectrum.k0_rho_max": 2.0, "spectrum.m_hi": 6}),
             "radiate": (["--set", f"radiate.state={state}"],
                         {"radiate.phi_json": str(state), "radiate.theta_count": 19}),
         }
@@ -755,8 +758,7 @@ class TestManifestContent:
     # artifacts, CSV or JSON, already holds.
     @pytest.mark.parametrize("args, derived, diagnostics", [
         (["potential", "--preset", "fig2"], {"dominant_k"}, set()),
-        (["spectrum", "--preset", "fig1b", "--set", "spectrum.k0_rho_max=1.0"],
-         set(), set()),
+        (["spectrum", "--preset", "fig1b"], set(), set()),
         (["evolve", "--preset", "fig2", *QUICK_EVOLVE],
          G_TABLE | {"lambda", "transitions"},
          {"max_norm_drift", "max_band_edge", "attempts", "rejected"}),
@@ -807,10 +809,10 @@ class TestManifestContent:
         derived = read_manifest(tmp_path / "evolve")["reproducible"]["derived"]
         assert derived["lambda"]["argmax_m"] == argmax_m
         assert (derived["lambda"]["regime"] is None) == (argmax_m is None)
-        assert main(["spectrum", *setting, "--set", "spectrum.k0_rho_min=1",
-                     "--set", "spectrum.k0_rho_max=1", "--out", str(tmp_path / "spectrum")]) == 0
+        assert main(["spectrum", *setting, "--out", str(tmp_path / "spectrum")]) == 0
         summary = json.loads((tmp_path / "spectrum" / "summary.json").read_text())
-        assert summary["rows"] == [{"k0_rho": 1.0, "argmax_m": argmax_m}]
+        fastest = {row["k0_rho"]: row["argmax_m"] for row in summary["rows"]}
+        assert fastest[1.0] == argmax_m
 
     @pytest.mark.parametrize("k0_rho, dominant, top", [("5.605", 6, 12), ("20", 16, 16)])
     def test_g_table_reaches_the_dominant_channel(self, tmp_path, k0_rho, dominant, top):
@@ -878,13 +880,14 @@ class TestExitCodes:
             ("evolve", "evolve.rng_seed=inf"),
             ("evolve", "params.k0_rho=inf"),
             ("evolve", "evolve.tau_end=inf"),
+            # a retired key is unknown
             ("evolve", "evolve.phi_band=-1"),
             ("evolve", "evolve.phi_band=-2"),
-            ("radiate", "radiate.theta_count=1"),  # a retired key is unknown
+            ("radiate", "radiate.theta_count=1"),
+            ("spectrum", "spectrum.k0_rho_min=1e300"),
             ("potential", "params.m_max=-3"),
             ("potential", "params.epsilon=1e-9"),
             ("potential", "params.epsilon=1e300"),
-            ("spectrum", "spectrum.k0_rho_min=1e300"),
             ("potential", "params.k0_rho=1e6"),
             ("evolve", "evolve.seed_mode=random evolve.rng_seed=-1"),
             ("evolve", "evolve.tau_end=5e-324"),  # shorter than any step
@@ -907,17 +910,35 @@ class TestExitCodes:
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2
 
+    @pytest.mark.parametrize("args", [
+        ["evolve", "--bogus", "--out", "{out}"],
+        ["evolve", "--preset", "nosuch", "--out", "{out}"],
+        ["evolve", "--out", "{out}", "--set"],
+        ["--out", "{out}"],
+    ], ids=["unknown-option", "unknown-preset", "bare-set", "no-scenario"])
+    def test_argument_error_exits_two_with_record(self, tmp_path, capsys, args):
+        # argparse would print its usage text and exit 2 with no record.
+        out = tmp_path / "out"
+        assert main([arg.format(out=out) for arg in args]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(record) == {"error", "message", "exit_code"}
+        assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "scenario, override",
         [
-            ("spectrum", "spectrum.k0_rho_step=0"),
-            ("spectrum", "spectrum.k0_rho_step=-0.25"),
-            ("evolve", "evolve.phi_band=-1"),
             ("evolve", "evolve.rel_tol=0"),
             # another scenario's key
             ("potential", "evolve.rel_tol=0"),
-            ("evolve", "spectrum.k0_rho_step=0"),
+            ("spectrum", "evolve.rel_tol=0"),
             ("rate", "evolve.abs_tol=-1"),
+            ("radiate", "evolve.abs_tol=-1"),
+            # a retired key is unknown in every scenario, and refused as early
+            ("spectrum", "spectrum.k0_rho_step=0"),
+            ("spectrum", "spectrum.k0_rho_step=-0.25"),
+            ("evolve", "evolve.phi_band=-1"),
+            ("evolve", "spectrum.k0_rho_step=0"),
             ("rate", "spectrum.k0_rho_step=-0.25"),
             ("radiate", "evolve.phi_band=-1"),
         ],
@@ -936,7 +957,6 @@ class TestExitCodes:
         "args, named",
         [
             (["potential", "--set", "params.m_max=1000000000000"], "m_max=1000000000000"),
-            (["spectrum", "--set", "spectrum.k0_rho_step=1e-12"], "radii"),
             (["evolve", "--preset", "fig2", "--set", "evolve.tau_end=1e12"], "stride"),
             (["evolve", "--preset", "fig2", "--set", "evolve.stride=0.002"], "stride"),
             (["rate", "--preset", "fig3", "--set", "rate.stride=1e-12"], "stride"),
@@ -955,12 +975,10 @@ class TestExitCodes:
             (["radiate", "--set", "params.ell=30898", "--set", "params.m_max=30900"],
              "params.m_max=30900: the far field's phase table"),
             (["radiate", "--set", "params.k0_rho=1e5", "--set", "params.m_max=14"], "k0_rho"),
-            (["spectrum", "--set", "spectrum.m_hi=10000000"], "1..10000000"),
         ],
-        ids=["potential-grid", "spectrum-radii", "evolve-samples", "evolve-store",
-             "rate-samples",
+        ids=["potential-grid", "evolve-samples", "evolve-store", "rate-samples",
              "evolve-steps", "rate-ladder", "evolve-coupling",
-             "radiate-bessel", "radiate-argument", "spectrum-modes"],
+             "radiate-bessel", "radiate-argument"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":
@@ -1047,12 +1065,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["potential", "--set", "params.m_max=10", "--set", "params.k0_rho=1e308"],
-        ["spectrum", "--set", "spectrum.k0_rho_min=1e308",
-         "--set", "spectrum.k0_rho_max=1e308", "--set", "spectrum.k0_rho_step=1e308"],
         ["evolve", "--set", "params.m_max=10", "--set", "params.k0_rho=1e308"],
         ["rate", "--set", "params.m_max=10", "--set", "params.k0_rho=1e160",
          "--set", "params.epsilon=1e150"],
-    ], ids=["potential", "spectrum", "evolve", "rate"])
+    ], ids=["potential", "evolve", "rate"])
     def test_overflowing_phase_exits_two(self, tmp_path, capsys, args):
         # 2 k0_rho q past the largest double samples V(phi) as NaN, which no
         # check downstream of SystemParams names.

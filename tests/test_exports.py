@@ -60,7 +60,7 @@ def test_runs_call_through_the_traced_bindings(tmp_path, monkeypatch):
     snapshot = tmp_path / "evolve" / "snapshot.json"
     runs = {
         "potential": ["--preset", "fig2"],
-        "spectrum": ["--preset", "fig1b", "--set", "spectrum.k0_rho_max=0.5"],
+        "spectrum": ["--preset", "fig1b"],
         "evolve": ["--preset", "fig2", "--set", "evolve.tau_end=2"],
         "rate": ["--preset", "fig3", "--set", "rate.tau_end=1"],
         "radiate": ["--preset", "fig2", "--set", f"radiate.state={snapshot}"],
@@ -119,7 +119,7 @@ def test_runs_write_what_the_benchmark_reads(tmp_path):
     state_path = tmp_path / "snapshot.json"
     amps = fig4_snapshot(state_path, rng)
     runs = {
-        "spectrum": ["--preset", "fig1b", "--set", "spectrum.k0_rho_max=2.0"],
+        "spectrum": ["--preset", "fig1b"],
         "evolve": ["--preset", "fig2", "--set", "evolve.tau_end=2"],
         "rate": ["--preset", "fig3", "--set", "rate.tau_end=1"],
         "radiate": ["--preset", "fig4", "--set", f"radiate.state={state_path}"],
@@ -135,7 +135,7 @@ def test_runs_write_what_the_benchmark_reads(tmp_path):
         assert set(columns) <= set(header), (name, header)
 
     rows = json.loads((out["spectrum"] / "summary.json").read_text(encoding="utf-8"))["rows"]
-    assert [row["k0_rho"] for row in rows] == [0.25 * i for i in range(1, 9)]
+    assert [row["k0_rho"] for row in rows] == [0.25 * i for i in range(1, 33)]
     assert all(isinstance(row["argmax_m"], int) for row in rows)
 
     # The verdict the benchmark's radiate check needs, and seeded rows of the

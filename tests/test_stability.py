@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from oamring.errors import ConfigurationError
 from oamring.potential import FourierPotential, SystemParams, fourier_coefficients
 from oamring.stability import (
+    K0_RHO_GRID,
+    TOP_MODE,
     classify_regime,
     spectrum,
     spectrum_sweep,
@@ -160,48 +162,51 @@ class TestMatchesScalarRoots:
         assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=1e-300)
 
 
+def grid_row(k0_rho: float) -> int:
+    """The row of the sweep at ring radius k0_rho."""
+    return K0_RHO_GRID.tolist().index(k0_rho)
+
+
 class TestSweep:
+    def test_grid_is_the_stability_map(self):
+        assert K0_RHO_GRID.tobytes() == np.arange(0.25, 8.125, 0.25).tobytes()
+        assert not K0_RHO_GRID.flags.writeable
+        rates = spectrum_sweep(SystemParams(gamma=0.2, epsilon=0.1, ell=1))
+        assert rates.shape == (32, TOP_MODE) == (32, 12)
+
     def test_zero_coupling_gives_zero_matrix(self):
         template = SystemParams(gamma=0.0, epsilon=0.1, ell=1)
-        rates = spectrum_sweep(template, [1.0, 2.0, 3.0], (1, 6))
+        rates = spectrum_sweep(template)
         assert np.max(rates) < 1e-14
 
     def test_strongest_mode_tracks_ring_radius(self):
         template = SystemParams(gamma=0.2, epsilon=0.1, ell=1)
-        grid = [2.0, 4.0, 6.0, 8.0]
-        rates = spectrum_sweep(template, grid, (1, 12))
-        assert rates.shape == (4, 12)
-        for k0_rho, row in zip(grid, rates):
+        rates = spectrum_sweep(template)
+        for k0_rho in [2.0, 4.0, 6.0, 8.0]:
+            row = rates[grid_row(k0_rho)]
             assert abs(int(np.argmax(row)) + 1 - round(k0_rho)) <= 1
 
     def test_single_point_sweep_matches_direct_call(self):
         template = SystemParams(gamma=0.2, epsilon=0.1, ell=1)
-        rates = spectrum_sweep(template, [3.0], (1, 8))
+        rates = spectrum_sweep(template)
         params, fp = build(gamma=0.2, k0_rho=3.0)
-        direct = np.abs(spectrum(fp, np.arange(1, 9)).real)
-        assert np.allclose(rates[0], direct, atol=1e-15)
+        direct = np.abs(spectrum(fp, np.arange(1, 13)).real)
+        assert np.allclose(rates[grid_row(3.0)], direct, atol=1e-15)
 
     def test_band_raised_to_the_top_mode(self):
-        # At k0_rho 0.5 the default k_max is 28, short of m_hi = 40.
-        assert SystemParams(gamma=0.2, k0_rho=0.5, ell=1).k_max == 28
-        rates = spectrum_sweep(SystemParams(gamma=0.2, ell=1), [0.5], (1, 40))
-        _, fp = build(gamma=0.2, k0_rho=0.5, m_max=40)
-        direct = np.abs(spectrum(fp, np.arange(1, 41)).real)
-        assert rates[0].tobytes() == direct.tobytes()
+        # At ell 5 the band m_max = |ell| + 2 = 7 passes TOP_MODE / 2 = 6;
+        # the template's m_max is never read.
+        rates = spectrum_sweep(SystemParams(gamma=0.2, ell=5, m_max=40))
+        _, fp = build(gamma=0.2, k0_rho=0.5, ell=5, m_max=7)
+        direct = np.abs(spectrum(fp, np.arange(1, 13)).real)
+        assert rates[grid_row(0.5)].tobytes() == direct.tobytes()
 
     def test_point_error_names_its_radius(self):
-        # epsilon 1e-5 needs a 6.4e6-point quadrature grid at any radius.
+        # epsilon 1e-5 needs a 6.4e6-point quadrature grid at any radius, so
+        # the first radius of the grid fails.
         template = SystemParams(gamma=0.2, ell=1, epsilon=1e-5)
-        with pytest.raises(ConfigurationError, match=r"^sweep point k0_rho=2\.0: "):
-            spectrum_sweep(template, [2.0], (1, 4))
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            spectrum_sweep(SystemParams(gamma=0.1), [], (1, 4))
-
-    def test_bad_mode_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            spectrum_sweep(SystemParams(gamma=0.1), [1.0], (0, 4))
+        with pytest.raises(ConfigurationError, match=r"^sweep point k0_rho=0\.25: "):
+            spectrum_sweep(template)
 
 
 class TestRegimeClassification:
