@@ -406,7 +406,7 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
                  for m, weights in zip(ms[keep].tolist(), pattern.components[:, keep].T)}
 
     # The equator, theta = pi/2, and its strongest channel over the whole band.
-    i_eq = THETA_GRID.size // 2
+    i_eq = THETA_GRID.size - 1
     m_eq = int(ms[np.argmax(pattern.components[i_eq])])
     files = {
         # The intensity is re_M**2 + im_M**2, so the file does not repeat it.

@@ -20,7 +20,7 @@ from .dynamics import DEFAULT_SEED_AMPLITUDE
 from .errors import ConfigurationError
 from .numerics import OdeControls
 from .potential import DEFAULT_EPSILON, SystemParams
-from .radiation import PHI_GRID, THETA_GRID
+from .radiation import PHI_GRID
 from .rate_model import DEFAULT_SEED_POPULATION
 from .stability import TOP_MODE
 
@@ -103,10 +103,10 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 
 # Former keys at the constants they became; every earlier manifest echoes them.
 # An integrating scenario takes each step control it has no key for from OdeControls(),
-# and radiate reads no input but radiate.state, so a Phi list path is "" (none).
-# The spectrum keys spanned stability.K0_RHO_GRID, 0.25 to 8.0 at step 0.25.
+# radiate reads no input but radiate.state (a Phi list path is ""), theta_count counted
+# rows over [0, pi], and the spectrum keys spanned K0_RHO_GRID, 0.25 to 8.0 at step 0.25.
 _RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND,
-            "radiate.phi_json": "", "radiate.theta_count": THETA_GRID.size,
+            "radiate.phi_json": "", "radiate.theta_count": 181,
             "radiate.phi_count": PHI_GRID.size, "spectrum.k0_rho_min": 0.25,
             "spectrum.k0_rho_max": 8.0, "spectrum.k0_rho_step": 0.25, "spectrum.m_lo": 1,
             "spectrum.m_hi": TOP_MODE, "evolve.phi_band": COMPONENT_BAND}

@@ -6,11 +6,11 @@ Bessel expansion
     M(theta, phi) = sum_m (-i)^(ell+m) J_{ell+m}(k0_rho sin theta) Phi_m
                     exp(i (ell+m) phi),
 
-each term a photon channel carrying angular momentum ell' = ell + m.  The
-direct integral over the ring density (the definition the expansion is
-derived from via Jacobi-Anger) is kept alongside as a quadrature oracle; the
-normalization follows the expansion's convention, under which a uniform ring
-radiates the single-channel amplitude J_ell.
+each term a photon channel carrying angular momentum ell' = ell + m.  M depends
+on theta only through sin theta, so M(pi - theta, phi) = M(theta, phi) and it is
+computed on the upper hemisphere.  The direct integral over the ring density
+(the expansion's definition, via Jacobi-Anger) is kept as a quadrature oracle;
+under the expansion's normalization a uniform ring radiates J_ell alone.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ __all__ = [
 # (-i)^n cycles with period four; table lookup keeps the factor exact.
 _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 
-# The far field's grid: theta rows 1 degree apart over [0, pi], so that row
-# 90 is pi/2 exactly, and phi columns over [0, 2pi).
-THETA_GRID = np.linspace(0.0, np.pi, 181)
+# The far field's grid: theta rows 1 degree apart over [0, pi/2], so that the
+# last row, 90, is the equator exactly, and phi columns over [0, 2pi).
+THETA_GRID = np.linspace(0.0, np.pi / 2, 91)
 PHI_GRID = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
 THETA_GRID.flags.writeable = PHI_GRID.flags.writeable = False
 
@@ -106,8 +106,8 @@ class RadiationPattern:
     dynamics.modes(band); their sum over j is the phi-averaged intensity.
     """
 
-    field: np.ndarray  # (181, 256) complex
-    components: np.ndarray  # (181, 2 band + 1)
+    field: np.ndarray  # (91, 256) complex
+    components: np.ndarray  # (91, 2 band + 1)
 
 
 def pattern_from_bunching(bunch: BunchingSpectrum, params: SystemParams) -> RadiationPattern:

@@ -67,7 +67,8 @@ def spectrum_sweep(params_template: SystemParams) -> np.ndarray:
         try:
             fp = fourier_coefficients(point)
         except OamringError as exc:
-            exc.args = (f"sweep point k0_rho={kr}: {exc}",)
+            exc.args = (f"sweep point k0_rho={kr}: params.ell={params_template.ell} gives the "
+                        f"band m_max = max({TOP_MODE // 2}, |ell| + 2) = {m_max}; {exc}",)
             raise
         rates[i] = np.abs(spectrum(fp, modes).real)
     return rates

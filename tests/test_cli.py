@@ -380,14 +380,15 @@ class TestArtifacts:
         assert rc == 0
         summary = json.loads((out / "components.json").read_text())
         assert summary["dominant_ell_prime"] == -3
-        # theta, phi, re_M and im_M per point of the 181 x 256 grid,
-        # theta-major; the intensity is re_M**2 + im_M**2 and is not written.
+        # theta, phi, re_M and im_M per point of the 91 x 256 upper-hemisphere
+        # grid, theta-major; the intensity is re_M**2 + im_M**2 and is not
+        # written.
         lines = (out / "pattern.csv").read_text().splitlines()
         assert lines[1] == "theta,phi,re_M,im_M"
         table = np.array([line.split(",") for line in lines[2:]], dtype=float)
-        assert table.shape == (181 * 256, 4)
-        theta, phi, re_m, im_m = table.T.reshape(4, 181, 256)
-        assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi, 181))
+        assert table.shape == (91 * 256, 4)
+        theta, phi, re_m, im_m = table.T.reshape(4, 91, 256)
+        assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi / 2, 91))
         assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
         assert theta[90, 0] == np.pi / 2
         lobes = count_lobes(re_m[90] ** 2 + im_m[90] ** 2)
@@ -469,8 +470,8 @@ class TestArtifacts:
             assert (out / "t.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
 
     def test_writer_memory_is_bounded_by_the_block(self, tmp_path):
-        # A table shaped like radiate fig4's pattern.csv (181 x 256 rows, four
-        # float columns), a quarter of its values repeats.  The block writer
+        # A table twice the size of radiate fig4's pattern.csv (181 x 256 rows,
+        # four float columns), a quarter of its values repeats.  The block writer
         # peaks near 1.5 MiB here; formatting whole columns at once held
         # about 30 MiB.
         rng = np.random.default_rng(3)
@@ -969,16 +970,19 @@ class TestExitCodes:
             (["evolve", "--preset", "fig2", "--set", "params.m_max=16000",
               "--set", "evolve.seed_amplitude=1e-7", "--set", "evolve.tau_end=1"],
              "m_max=16000"),
-            # J_0 .. J_92698 at 181 theta rows would pass 2**24 entries, but
-            # the phase table, 123,601 channels by 256 columns, is refused
-            # first, before the snapshot's bunching.
+            # J_0 .. J_92698 at 91 theta rows stay under 2**24 entries, but
+            # the phase table, 123,601 channels by 256 columns, does not and
+            # is refused before the snapshot's bunching.
             (["radiate", "--set", "params.ell=30898", "--set", "params.m_max=30900"],
              "params.m_max=30900: the far field's phase table"),
             (["radiate", "--set", "params.k0_rho=1e5", "--set", "params.m_max=14"], "k0_rho"),
+            # Each sweep point's band is max(6, |ell| + 2): params.ell, not
+            # params.m_max, asks for the 6.4e6-point quadrature grid.
+            (["spectrum", "--set", "params.ell=100000"], "params.ell=100000 gives the band"),
         ],
         ids=["potential-grid", "evolve-samples", "evolve-store", "rate-samples",
              "evolve-steps", "rate-ladder", "evolve-coupling",
-             "radiate-bessel", "radiate-argument"],
+             "radiate-bessel", "radiate-argument", "spectrum-band"],
     )
     def test_oversized_input_exits_two_before_allocating(self, tmp_path, args, named):
         if args[0] == "radiate":

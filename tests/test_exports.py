@@ -139,12 +139,12 @@ def test_runs_write_what_the_benchmark_reads(tmp_path):
     assert all(isinstance(row["argmax_m"], int) for row in rows)
 
     # The verdict the benchmark's radiate check needs, and seeded rows of the
-    # 181 x 256 pattern against the quadrature oracle.
+    # 91 x 256 pattern against the quadrature oracle.
     components = json.loads((out["radiate"] / "components.json").read_text(encoding="utf-8"))
     assert (components["equator_lobes"], components["dominant_ell_prime"]) == (5, -3)
     header, data = read_csv(out["radiate"] / "pattern.csv")
     assert header[:4] == ["theta", "phi", "re_M", "im_M"]
-    assert data.shape == (181 * 256, len(header))
+    assert data.shape == (91 * 256, len(header))
     state = StateVector(tau=3.5, amplitudes=amps)
     for theta, phi, re_m, im_m in data[rng.choice(len(data), 20, replace=False), :4]:
         oracle = field_quadrature(state, fig4.ell, fig4.k0_rho, theta, phi)

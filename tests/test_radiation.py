@@ -94,10 +94,10 @@ class TestFieldExpansion:
         assert np.all(np.abs(pattern.field - reduced) <= abs(phi1) * np.abs(j[2]) + 1e-12)
 
     def test_oversized_bessel_table_rejected(self):
-        # J_0 .. J_100002 at 181 theta rows is past 2**24 table entries.
+        # J_0 .. J_200002 at 91 theta rows is past 2**24 table entries.
         spec = bunching(uniform_state(1))
-        with pytest.raises(ConfigurationError, match="ell=100000, band=2: the far field's Bessel"):
-            far_field(spec, 100_000, 1.0)
+        with pytest.raises(ConfigurationError, match="ell=200000, band=2: the far field's Bessel"):
+            far_field(spec, 200_000, 1.0)
 
 
 class TestQuadratureEquivalence:
@@ -120,6 +120,20 @@ class TestQuadratureEquivalence:
                     b = field_quadrature(state, ell, k0_rho, THETA_GRID[i], PHI_GRID[j])
                     worst = max(worst, abs(pattern.field[i, j] - b))
             assert worst < 1e-8, (ell, k0_rho, m_max)
+
+    def test_lower_hemisphere_mirrors_the_grid(self):
+        # The integrand sees theta only through sin theta, so the oracle at
+        # pi - theta repeats the grid row theta: THETA_GRID stops at pi/2.
+        rng = np.random.default_rng(34)
+        for ell, k0_rho, m_max in [(2, 2.3, 8), (1, 50.0, 3), (2, 30.0, 4), (0, 20.0, 2)]:
+            for _ in range(20):
+                state = random_interior_state(m_max, rng)
+                rows = rng.integers(THETA_GRID.size, size=10)
+                columns = rng.integers(PHI_GRID.size, size=10)
+                for theta, phi in zip(THETA_GRID[rows].tolist(), PHI_GRID[columns].tolist()):
+                    upper = field_quadrature(state, ell, k0_rho, theta, phi)
+                    lower = field_quadrature(state, ell, k0_rho, math.pi - theta, phi)
+                    assert abs(lower - upper) <= 1e-14, (ell, k0_rho, theta, phi)
 
     def test_azimuthal_phase_structure_single_component(self):
         state = uniform_state()
@@ -208,7 +222,7 @@ class TestPatternGrid:
             far_field(spec, ell=2, k0_rho=50.001)
 
     def test_grid_is_fixed_and_read_only(self):
-        assert (THETA_GRID.size, THETA_GRID[-1], PHI_GRID.size) == (181, math.pi, 256)
+        assert (THETA_GRID.size, THETA_GRID[-1], PHI_GRID.size) == (91, math.pi / 2, 256)
         for grid in (THETA_GRID, PHI_GRID):
             with pytest.raises(ValueError, match="read-only"):
                 grid[0] = 1.0
