@@ -2,9 +2,11 @@
 and a reproducibility manifest for every run.
 
 The manifest's "reproducible" block is a complete re-run recipe: feeding a
-manifest back through --config regenerates every artifact byte-for-byte.
-Wall-clock and creation time live in a separate "volatile" block that is
-excluded from the manifest hash.
+manifest back through --config regenerates every artifact byte-for-byte
+under the tool_version that wrote it, and any other version refuses it.  A
+change that moves artifact bytes bumps oamring.__version__.  Wall-clock and
+creation time live in a separate "volatile" block that is excluded from the
+manifest hash.
 """
 
 from __future__ import annotations
@@ -48,12 +50,6 @@ from .radiation import PHI_GRID, THETA_GRID, check_tables, count_lobes, pattern_
 from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
 from .rate_model import two_state_analytic
 from .stability import K0_RHO_GRID, TOP_MODE, classify_regime, spectrum, spectrum_sweep
-
-SEED_POLICY = (
-    "all seeds explicit in config: evolve.seed_amplitude with "
-    "evolve.seed_mode/evolve.rng_seed (random mode uses "
-    "numpy.random.default_rng), rate.seed_population; no other entropy"
-)
 
 # Values turned into text at a time.  The writer's memory is bounded by this
 # block, not by the table: formatting a 46k-row pattern by whole columns holds
@@ -444,14 +440,12 @@ def run_scenario(config: RunConfig) -> dict:
     manifest = {
         "manifest_hash": mhash,
         "reproducible": {
-            "schema_version": 1,
             "tool": "oamring",
             "tool_version": __version__,
             "scenario": config.scenario,
             "preset": config.preset,
             "overridden_preset_keys": list(config.overridden_preset_keys),
             "config": config.resolved,
-            "seed_policy": SEED_POLICY,
             "derived": derived,
             "diagnostics": diagnostics,
         },

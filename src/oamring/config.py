@@ -16,13 +16,12 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from . import __version__
 from .dynamics import DEFAULT_SEED_AMPLITUDE
 from .errors import ConfigurationError
 from .numerics import OdeControls
 from .potential import DEFAULT_EPSILON, SystemParams
-from .radiation import PHI_GRID
 from .rate_model import DEFAULT_SEED_POPULATION
-from .stability import TOP_MODE
 
 __all__ = ["RunConfig", "parse_config", "PRESETS", "SCENARIOS"]
 
@@ -101,18 +100,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# Former keys at the constants they became; every earlier manifest echoes them.
-# An integrating scenario takes each step control it has no key for from OdeControls(),
-# radiate reads no input but radiate.state (a Phi list path is ""), theta_count counted
-# rows over [0, pi], and the spectrum keys spanned K0_RHO_GRID, 0.25 to 8.0 at step 0.25.
-_RETIRED = {"potential.samples": POTENTIAL_SAMPLES, "radiate.component_band": COMPONENT_BAND,
-            "radiate.phi_json": "", "radiate.theta_count": 181,
-            "radiate.phi_count": PHI_GRID.size, "spectrum.k0_rho_min": 0.25,
-            "spectrum.k0_rho_max": 8.0, "spectrum.k0_rho_step": 0.25, "spectrum.m_lo": 1,
-            "spectrum.m_hi": TOP_MODE, "evolve.phi_band": COMPONENT_BAND}
-_RETIRED |= {f"{section}.{f.name}": f.default for section in ("evolve", "rate")
-             for f in fields(OdeControls) if f.name not in _SCHEMA[section]}
-
 # Reference scenarios; every value below restates the source configuration,
 # with epsilon pinned to 0.1 where the source leaves it unstated (the pin is
 # recorded in the manifest like any other preset key).
@@ -190,13 +177,17 @@ def _parse_config_text(text: str) -> dict[str, str]:
 
 def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None]:
     """The flat section.key layer of a key = value file, or of a run manifest
-    together with its preset."""
+    together with its preset.  A manifest re-runs only under the version that
+    wrote it."""
     try:
         text = path.read_text(encoding="utf-8")
         if not text.lstrip().startswith("{"):
             return _parse_config_text(text), None
         block = json.loads(text)["reproducible"]
-        flat, preset = block["config"], block.get("preset")
+        flat, preset, version = block["config"], block.get("preset"), block.get("tool_version")
+        if version != __version__:
+            raise ValueError(f"reproducible.tool_version is {version!r}, not {__version__!r}: "
+                             "a manifest re-runs only under the version that wrote it")
         if not isinstance(flat, dict):
             raise TypeError("reproducible.config is not a mapping")
         if preset not in (None, *PRESETS):
@@ -204,18 +195,7 @@ def _config_file_layer(path: Path) -> tuple[dict[str, str], str | None]:
     except (OSError, ValueError, KeyError, TypeError, RecursionError,
             configparser.Error) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    # params.k_max was a key until the coupling band became 2 m_max, which
-    # every manifest echoes as an int.
-    m_max = flat.get("params.m_max")
-    retired = _RETIRED | {"params.k_max": 2 * m_max if type(m_max) is int else None}
-    for dotted, constant in retired.items():  # the same run only at the constant
-        if flat.get(dotted) not in (None, constant):
-            raise ConfigurationError(f"{path} sets {dotted}={flat[dotted]!r}, "
-                                     f"but it is fixed at {constant!r}")
-    # null entries mean "left at default"; omitting them reproduces that
-    layer = {key: str(value) for key, value in flat.items()
-             if value is not None and key not in retired}
-    return layer, preset
+    return {key: str(value) for key, value in flat.items()}, preset
 
 
 def _convert(converter, dotted: str, raw: str):

@@ -33,7 +33,7 @@ QUICK_EVOLVE = [
     "--set", "evolve.stride=2.0",
 ]
 
-# Former keys, each at the value every manifest written while it was a key echoes.
+# Former keys, each at the value it was fixed at when it left the schema.
 RETIRED_KEYS = {
     "potential.samples": 512, "radiate.component_band": 8,
     "radiate.phi_json": "", "radiate.theta_count": 181, "radiate.phi_count": 256,
@@ -173,6 +173,7 @@ class TestParseConfig:
     PROVENANCE_INI = "[params]\ngamma = 0.07\n\n[evolve]\nrng_seed = 6\n"
     PROVENANCE_MANIFEST = {
         "reproducible": {
+            "tool_version": oamring.__version__,
             "config": {"params.epsilon": 0.2, "params.gamma": 0.2},
             "preset": "fig4",
             "overridden_preset_keys": ["params.epsilon"],
@@ -629,101 +630,33 @@ class TestReproducibility:
         assert main(["potential", "--config", str(old), "--out", str(rerun)]) == 0
         assert read_manifest(rerun)["reproducible"]["overridden_preset_keys"] == ["params.gamma"]
 
-    def test_manifest_with_the_removed_band_keys(self, tmp_path, capsys):
-        # Manifests written while rate.m_max and radiate.m_band existed echo
-        # both as null, "left at default"; a set value names the gone key.
+    def test_manifest_of_another_version_is_refused(self, tmp_path, capsys):
+        # A manifest re-runs only under the version that wrote it: another
+        # version, or none, exits 2 naming both and writes nothing.
         fresh = tmp_path / "fresh"
-        args = ["--preset", "fig3", "--set", "rate.tau_end=10"]
-        assert main(["rate", "--out", str(fresh)] + args) == 0
+        args = ["evolve", "--preset", "fig2", "--set", "evolve.tau_end=2"]
+        assert main(args + ["--out", str(fresh)]) == 0
         manifest = read_manifest(fresh)
-        config = manifest["reproducible"]["config"]
-        config |= {"rate.m_max": None, "radiate.m_band": None}
         old = tmp_path / "old.json"
-        old.write_text(json.dumps(manifest))
-        rerun = tmp_path / "rerun"
-        assert main(["rate", "--config", str(old), "--out", str(rerun)]) == 0
-        for artifact in fresh.iterdir():
-            if artifact.name != "manifest.json":
-                assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
-        again = read_manifest(rerun)
-        assert again["manifest_hash"] == read_manifest(fresh)["manifest_hash"]
-        assert "rate.m_max" not in again["reproducible"]["config"]
-
-        config["rate.m_max"] = 12
-        old.write_text(json.dumps(manifest))
-        refused = tmp_path / "refused"
-        capsys.readouterr()
-        assert main(["rate", "--config", str(old), "--out", str(refused)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ConfigurationError" and "rate.m_max" in record["message"]
-        assert not refused.exists()
-
-    def test_manifest_with_the_retired_keys(self, tmp_path, capsys):
-        # Every manifest written while the retired keys existed echoes them at
-        # their constants: the same run.  Any other value names the key.
-        state = write_snapshot(tmp_path / "state.json")
-        runs = {
-            "evolve": (QUICK_EVOLVE, {"evolve.max_step": 5.0, "evolve.phi_band": 0}),
-            "spectrum": (["--preset", "fig1b"],
-                         {"spectrum.k0_rho_max": 2.0, "spectrum.m_hi": 6}),
-            "radiate": (["--set", f"radiate.state={state}"],
-                        {"radiate.phi_json": str(state), "radiate.theta_count": 19}),
-        }
-        for scenario, (args, refusals) in runs.items():
-            fresh = tmp_path / scenario
-            assert main([scenario, "--out", str(fresh)] + args) == 0
-            manifest = read_manifest(fresh)
-            config = manifest["reproducible"]["config"]
-            config |= RETIRED_KEYS
-            old = tmp_path / "old.json"
-            old.write_text(json.dumps(manifest))
-            rerun = tmp_path / f"{scenario}-rerun"
-            assert main([scenario, "--config", str(old), "--out", str(rerun)]) == 0
-            for artifact in fresh.iterdir():
-                if artifact.name != "manifest.json":
-                    assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
-            a, b = read_manifest(fresh), read_manifest(rerun)
-            assert a["reproducible"] == b["reproducible"]
-            assert a["manifest_hash"] == b["manifest_hash"]
-
-            for dotted, value in refusals.items():
-                old.write_text(json.dumps({**manifest, "reproducible": {
-                    **manifest["reproducible"], "config": {**config, dotted: value}}}))
-                refused = tmp_path / "refused"
-                capsys.readouterr()
-                assert main([scenario, "--config", str(old), "--out", str(refused)]) == 2
-                record = json.loads(capsys.readouterr().err.strip())
-                assert record["error"] == "ConfigurationError" and dotted in record["message"]
-                assert not refused.exists()
-
-    def test_manifest_with_the_coupling_band_key(self, tmp_path, capsys):
-        # Manifests written while params.k_max was a key echo it at 2 m_max:
-        # the same run.  Any other value names the key and writes nothing.
-        fresh = tmp_path / "fresh"
-        assert main(["evolve", "--preset", "fig2", *QUICK_EVOLVE, "--out", str(fresh)]) == 0
-        manifest = read_manifest(fresh)
-        config = manifest["reproducible"]["config"]
-        config["params.k_max"] = 2 * config["params.m_max"]
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(manifest))
-        rerun = tmp_path / "rerun"
-        assert main(["evolve", "--config", str(old), "--out", str(rerun)]) == 0
-        for artifact in fresh.iterdir():
-            if artifact.name != "manifest.json":
-                assert artifact.read_bytes() == (rerun / artifact.name).read_bytes()
-        a, b = read_manifest(fresh), read_manifest(rerun)
-        assert a["reproducible"] == b["reproducible"]
-        assert a["manifest_hash"] == b["manifest_hash"]
-
-        config["params.k_max"] = 20
-        old.write_text(json.dumps(manifest))
-        refused = tmp_path / "refused"
-        capsys.readouterr()
-        assert main(["evolve", "--config", str(old), "--out", str(refused)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ConfigurationError"
-        assert "params.k_max=20" in record["message"] and "fixed at 28" in record["message"]
-        assert not refused.exists()
+        for version in ("0.1.0", None):
+            block = dict(manifest["reproducible"], tool_version=version)
+            if version is None:
+                del block["tool_version"]
+            old.write_text(json.dumps({**manifest, "reproducible": block}))
+            refused = tmp_path / "refused"
+            capsys.readouterr()
+            assert main(["evolve", "--config", str(old), "--out", str(refused)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "ConfigurationError" and str(old) in record["message"]
+            assert repr(version) in record["message"]
+            assert repr(oamring.__version__) in record["message"]
+            assert not refused.exists()
+        # A key = value file names no version and still runs.
+        conf = tmp_path / "run.conf"
+        conf.write_text("[evolve]\ntau_end = 2\n")
+        ini = tmp_path / "ini"
+        assert main(["evolve", "--preset", "fig2", "--config", str(conf), "--out", str(ini)]) == 0
+        assert read_manifest(ini)["manifest_hash"] == manifest["manifest_hash"]
 
     def test_snapshot_with_the_coupling_band_key_radiates(self, tmp_path):
         # Snapshots written while params.k_max was a field carry it in params.
@@ -1023,10 +956,10 @@ class TestExitCodes:
         [
             lambda path: path.mkdir(),
             lambda path: path.write_bytes(b"[params]\ngamma = 0.3 \xff\n"),
-            lambda path: path.write_text(json.dumps({"reproducible": {"config": [1]}})),
-            lambda path: path.write_text(
-                json.dumps({"reproducible": {"config": {}, "preset": ["fig2"]}})
-            ),
+            lambda path: path.write_text(json.dumps({"reproducible": {
+                "tool_version": oamring.__version__, "config": [1]}})),
+            lambda path: path.write_text(json.dumps({"reproducible": {
+                "tool_version": oamring.__version__, "config": {}, "preset": ["fig2"]}})),
             lambda path: path.write_text("gamma = 0.3\n"),
             lambda path: path.write_text("[nosuch]\ngamma = 0.3\n"),
             lambda path: path.write_text('{"reproducible": ' + "[" * 100_000),

@@ -5,12 +5,17 @@ Artifacts are hashed without their ``# manifest:`` line or ``manifest_hash``
 key, and the reproducible block with radiate's input path made relative to
 the runs' directory, because a radiate input's path enters the manifest hash.
 
-A change that moves these bytes on purpose rewrites the file with
+A change that moves these bytes on purpose bumps ``oamring.__version__``,
+since a manifest re-runs only under the version that wrote it, then rewrites
+the file with
 
     OAMRING_WRITE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 
-and says why in CHANGES.md.  The hashes hold for the numpy version and
-machine recorded in the file; anywhere else the test skips and says why.
+and says why in CHANGES.md.  On the recorded numpy and machine, the rewrite
+refuses to move a hash at the recorded version.  The file records that
+version at its top level, and a checkout of any other version fails here.
+The hashes hold for the numpy version and machine recorded in the file;
+anywhere else the test skips and says why.
 """
 
 import hashlib
@@ -22,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oamring import __version__
 from oamring.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -81,8 +87,11 @@ def reproducible_hash(out: Path, root: Path) -> str:
 def golden(tmp_path_factory) -> dict:
     """The recorded hashes, next to the ones this checkout produces."""
     writing = os.environ.get("OAMRING_WRITE_GOLDEN") == "1"
+    recorded = json.loads(GOLDEN.read_text())
     if not writing:
-        recorded = json.loads(GOLDEN.read_text())
+        if recorded["tool_version"] != __version__:
+            pytest.fail(f"golden hashes were recorded by oamring {recorded['tool_version']}, "
+                        f"this is {__version__}")
         if recorded["environment"] != ENVIRONMENT:
             pytest.skip(
                 f"golden hashes were recorded on {recorded['environment']}, "
@@ -101,7 +110,13 @@ def golden(tmp_path_factory) -> dict:
         hashes["manifest.json#reproducible"] = reproducible_hash(out, root)
         runs[name] = hashes
     if writing:
-        recorded = {"environment": ENVIRONMENT, "runs": runs}
+        moved = sorted(name for name, hashes in runs.items()
+                       if recorded["runs"].get(name, hashes) != hashes)
+        if moved and (recorded["tool_version"], recorded["environment"]) == (
+                __version__, ENVIRONMENT):
+            pytest.fail(f"{moved} moved at the recorded version {__version__}; "
+                        "bump oamring.__version__ before rewriting the golden hashes")
+        recorded = {"environment": ENVIRONMENT, "tool_version": __version__, "runs": runs}
         GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     return {"recorded": recorded["runs"], "computed": runs}
 
