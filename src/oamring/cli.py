@@ -48,7 +48,6 @@ from .potential import (
 )
 from .radiation import PHI_GRID, THETA_GRID, check_tables, count_lobes, pattern_from_bunching
 from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
-from .rate_model import two_state_analytic
 from .stability import K0_RHO_GRID, TOP_MODE, classify_regime, spectrum, spectrum_sweep
 
 # Values turned into text at a time.  The writer's memory is bounded by this
@@ -199,18 +198,19 @@ def _timeseries(
     traj: Trajectory, snapshot_k: int | None
 ) -> tuple[dict, float, float, int, dict]:
     """The timeseries.csv columns of a lab-frame trajectory (tau, norm error,
-    N_m, Re and Im of Phi_0..Phi_min(COMPONENT_BAND, 2 m_max), <omega>), its
+    N_m, Re and Im of Phi_1..Phi_min(COMPONENT_BAND, 2 m_max), <omega>), its
     largest norm drift and band-edge occupancy, the index of the sample with
     the largest |Phi_snapshot_k| (the last sample when snapshot_k is None)
-    and its transitions record."""
+    and its transitions record.  Phi_0 is the norm sum_m N_m, whose distance
+    from 1 is norm_error."""
     m_max = traj.states.shape[1] // 2
     phi_band = min(COMPONENT_BAND, 2 * m_max)
     obs = observables(traj.states, max(phi_band, snapshot_k or 0, m_max))
-    phis = obs.phi[:, : phi_band + 1].T
+    phis = obs.phi[:, 1 : phi_band + 1].T
     columns = {"tau": traj.times, "norm_error": obs.drift}
     columns |= {f"N_{m}": n for m, n in zip(modes(m_max).tolist(), obs.populations.T)}
-    columns |= {f"re_phi_{k}": phi.real for k, phi in enumerate(phis)}
-    columns |= {f"im_phi_{k}": phi.imag for k, phi in enumerate(phis)}
+    columns |= {f"re_phi_{k}": phi.real for k, phi in enumerate(phis, 1)}
+    columns |= {f"im_phi_{k}": phi.imag for k, phi in enumerate(phis, 1)}
     columns["mean_omega"] = obs.mean_omega
     if snapshot_k is None:
         snap_index = len(traj.times) - 1
@@ -294,28 +294,20 @@ def _run_rate(config: RunConfig) -> tuple[dict, dict, dict]:
         single[channel] = g[channel]
         g = single
 
-    seed = opts["seed_population"]
-    traj = evolve_rates(seeded_rate_state(params.m_max, seed), g, alpha,
-                        tau_end=opts["tau_end"], controls=OdeControls(),
+    state0 = seeded_rate_state(params.m_max, opts["seed_population"])
+    traj = evolve_rates(state0, g, alpha, tau_end=opts["tau_end"], controls=OdeControls(),
                         stride=opts["stride"])
 
-    active = np.flatnonzero(g > floor)
-    overlay = active[0] if active.size == 1 else None
     columns = {"tau": traj.times}
     columns |= {f"N_{m}": n for m, n in enumerate(traj.populations.T)}
     columns |= {f"phi_{m}": phase for m, phase in enumerate(traj.phases.T)}
     derived = {**_g_table(fp), "gamma_v0": float(2.0 * alpha[0]),
                "transitions": ladder_transitions(traj)}
-    if overlay is not None:
-        g_k = float(g[overlay])
-        analytic = [two_state_analytic(g_k, seed, tau) for tau in traj.times.tolist()]
-        columns["N0_analytic"], columns["Nk_analytic"] = np.array(analytic).T
-        derived["single_channel"] = {"k": int(overlay),
-                                     "tau_logistic": float(np.log((1.0 - seed) / seed) / g_k)}
 
     # The rate model is leading order in gamma|V_k|/k^2: each channel's
     # residual is how far its gain, corrected by alpha_k, misses the
     # linear-stability rate 2|Re lambda_k|.
+    active = np.flatnonzero(g > floor)
     ks = active[active <= params.m_max]
     exact = 2.0 * np.abs(spectrum(fp, ks).real)
     residuals = np.abs(exact - g[ks] * (1.0 - alpha[ks] / ks**2)) / exact

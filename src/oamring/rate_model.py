@@ -102,14 +102,16 @@ def _rate_rhs(n: int, g: np.ndarray, alpha: np.ndarray) -> Callable:
     Rows 0..n-1 are dN/dtau, band-truncated, so they sum to zero; rows n..
     are dphi/dtau: the rotor term, the mean-field offset 2 alpha_0 and the
     dispersive ladder sums.  One stacked (2n, n) product gives both ladders.
+    The populations are copied out of the complex state once per call: numpy
+    cannot hand the stride-16 view of their real parts to BLAS.
     """
     ops = np.vstack([_ladder(n, g, True), -_ladder(n, alpha, False)])
     m = np.arange(n, dtype=float)
     rotor = -(m * m + 2.0 * alpha[0])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        pops = y[:n].real
-        out = ops @ pops
+        pops = y[:n].real.copy()
+        out = ops.dot(pops)
         out[:n] *= pops
         out[n:] += rotor
         return out

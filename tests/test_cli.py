@@ -23,7 +23,7 @@ from oamring.errors import ConfigurationError, ToleranceError
 from oamring.numerics import OdeControls
 from oamring.potential import fourier_coefficients
 from oamring.radiation import count_lobes
-from oamring.rate_model import evolve_rates
+from oamring.rate_model import evolve_rates, two_state_analytic
 
 from test_dynamics import naive_bunching
 from test_golden import artifact_hash
@@ -309,16 +309,16 @@ class TestArtifacts:
         assert config["params.m_max"] == 40
 
     def test_rate_single_channel_overlay(self, tmp_path):
-        rc = main([
-            "rate", "--preset", "fig3", "--out", str(tmp_path),
-            "--set", "rate.channel=6", "--set", "rate.tau_end=30",
-            "--set", "params.m_max=12",
-        ])
+        # The overlay's delay ln((1 - s) / s) / g_6 is rebuilt from the
+        # manifest's own g_6 and seed; the integrated N_6 crosses 1/2 next to it.
+        rc = main(["rate", "--preset", "fig3", "--out", str(tmp_path),
+                   "--set", "rate.channel=6", "--set", "rate.tau_end=150"])
         assert rc == 0
-        header = (tmp_path / "rates.csv").read_text().splitlines()[1].split(",")
-        assert header[-2:] == ["N0_analytic", "Nk_analytic"]
-        single = read_manifest(tmp_path)["reproducible"]["derived"]["single_channel"]
-        assert single == {"k": 6, "tau_logistic": pytest.approx(142.44, abs=5e-3)}
+        block = read_manifest(tmp_path)["reproducible"]
+        g_6 = block["derived"]["g_k"]["6"]
+        seed = block["config"]["rate.seed_population"]
+        assert np.log((1.0 - seed) / seed) / g_6 == pytest.approx(142.44, abs=5e-3)
+        assert block["derived"]["transitions"] == {"6": {"tau": 142.5}}
 
     def test_rate_overlay_follows_the_integrated_channel(self, tmp_path):
         # The closed form starts from the run's seed, so it tracks N_0 and
@@ -326,13 +326,17 @@ class TestArtifacts:
         rc = main(["rate", "--preset", "fig3", "--out", str(tmp_path),
                    "--set", "rate.channel=6"])
         assert rc == 0
+        block = read_manifest(tmp_path)["reproducible"]
+        g_6 = block["derived"]["g_k"]["6"]
+        seed = block["config"]["rate.seed_population"]
         lines = (tmp_path / "rates.csv").read_text().splitlines()
         col = {name: i for i, name in enumerate(lines[1].split(","))}
         data = np.loadtxt(lines[2:], delimiter=",")
         done = int(np.nonzero(data[:, col["N_6"]] >= 0.99)[0][0])
         rows = data[: done + 1]
-        assert np.max(np.abs(rows[:, col["N0_analytic"]] - rows[:, col["N_0"]])) < 5e-4
-        assert np.max(np.abs(rows[:, col["Nk_analytic"]] - rows[:, col["N_6"]])) < 5e-4
+        overlay = np.array([two_state_analytic(g_6, seed, tau) for tau in rows[:, col["tau"]]])
+        assert np.max(np.abs(overlay[:, 0] - rows[:, col["N_0"]])) < 5e-4
+        assert np.max(np.abs(overlay[:, 1] - rows[:, col["N_6"]])) < 5e-4
 
     def test_rate_multi_channel_has_no_overlay(self, tmp_path):
         rc = main(["rate", "--preset", "fig3", "--out", str(tmp_path),
@@ -340,6 +344,27 @@ class TestArtifacts:
         assert rc == 0
         header = (tmp_path / "rates.csv").read_text().splitlines()[1]
         assert "analytic" not in header
+
+    def test_rate_single_channel_writes_only_the_ladder(self, tmp_path):
+        # The two-state closed form follows from g_k and the seed the manifest
+        # already holds, so neither rates.csv nor the manifest repeats it.
+        rc = main(["rate", "--preset", "fig3", "--out", str(tmp_path),
+                   "--set", "rate.channel=6", "--set", "rate.tau_end=1",
+                   "--set", "params.m_max=12"])
+        assert rc == 0
+        header = (tmp_path / "rates.csv").read_text().splitlines()[1].split(",")
+        ladder = range(13)
+        assert header == ["tau"] + [f"N_{m}" for m in ladder] + [f"phi_{m}" for m in ladder]
+        assert "single_channel" not in read_manifest(tmp_path)["reproducible"]["derived"]
+
+    def test_timeseries_starts_the_bunching_at_lag_one(self, tmp_path):
+        # Phi_0 is the norm, which norm_error already reports.
+        assert main(["evolve", "--preset", "fig2", *QUICK_EVOLVE, "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "timeseries.csv").read_text().splitlines()[1].split(",")
+        assert not {"re_phi_0", "im_phi_0"} & set(header)
+        bunching = [name for name in header if "_phi_" in name]
+        assert bunching[0] == "re_phi_1"
+        assert bunching[COMPONENT_BAND] == "im_phi_1"
 
     def test_evolve_then_radiate_roundtrip(self, tmp_path):
         ev = tmp_path / "ev"
@@ -529,8 +554,8 @@ class TestTimeseries:
         band = modes((traj.states.shape[1] - 1) // 2)
         assert list(columns) == (
             ["tau", "norm_error"] + [f"N_{m}" for m in band]
-            + [f"re_phi_{k}" for k in range(phi_band + 1)]
-            + [f"im_phi_{k}" for k in range(phi_band + 1)] + ["mean_omega"]
+            + [f"re_phi_{k}" for k in range(1, phi_band + 1)]
+            + [f"im_phi_{k}" for k in range(1, phi_band + 1)] + ["mean_omega"]
         )
         table = np.column_stack(list(columns.values()))
         assert table.shape[0] == len(traj.times)
@@ -538,7 +563,7 @@ class TestTimeseries:
         for row, tau, amps in zip(table, traj.times, traj.states):
             pops = np.abs(amps) ** 2
             drift = abs(pops.sum() - 1.0)
-            phis = naive_bunching(amps, phi_band)
+            phis = naive_bunching(amps, phi_band)[1:]
             want = np.concatenate(
                 [[tau, drift], pops, phis.real, phis.imag, [np.sum(band * pops)]]
             )
@@ -699,7 +724,7 @@ class TestManifestContent:
         (["rate", "--preset", "fig3", "--set", "rate.tau_end=1"],
          RATE_DERIVED, RATE_DIAGNOSTICS),
         (["rate", "--preset", "fig3", "--set", "rate.tau_end=1", "--set", "rate.channel=6"],
-         RATE_DERIVED | {"single_channel"}, RATE_DIAGNOSTICS),
+         RATE_DERIVED, RATE_DIAGNOSTICS),
         (["radiate", "--set", "radiate.state={state}"], set(), set()),
     ], ids=["potential", "spectrum", "evolve", "rate", "rate-channel", "radiate"])
     def test_manifest_keys(self, tmp_path, args, derived, diagnostics):

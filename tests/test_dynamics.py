@@ -37,14 +37,21 @@ def fig2_setup(**kw):
 
 
 @cache
-def system_rhs(name: str):
-    """m_max and the nonlinear term of the fig2, fig3 or fig4 preset's system,
-    or of a classical one (gamma 3, k0_rho 2, ell -1)."""
+def system(name: str):
+    """The fig2, fig3 or fig4 preset's system, or a classical one (gamma 3,
+    k0_rho 2, ell -1)."""
     if name == "classical":
         params = SystemParams(gamma=3.0, epsilon=0.1, k0_rho=2.0, ell=-1)
     else:
         params = parse_config("rate" if name == "fig3" else "evolve", preset=name).params
-    return params.m_max, dynamics._nonlinear_rhs(fourier_coefficients(params))
+    return fourier_coefficients(params)
+
+
+@cache
+def system_rhs(name: str):
+    """m_max and the nonlinear term of ``system(name)``."""
+    fp = system(name)
+    return fp.params.m_max, dynamics._nonlinear_rhs(fp)
 
 
 def pure_mode_jacobian(fp, d: int) -> np.ndarray:
@@ -255,6 +262,30 @@ class TestDerivative:
         n = rhs(0.0, c)
         assert abs(np.vdot(c, n).real) <= 1e-14 * np.linalg.norm(n)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_nonlinear_term_balances_the_angular_momentum(self, data):
+        # d<m>/dtau = sum_m m dN_m/dtau = gamma sum_{k=1}^{2 m_max} k Im V_k
+        # |Phi_k|^2, with dN_m/dtau = 2 Re(conj(c_m) N_m(c)); the rotor term
+        # moves no N_m.  The atoms gain ell - ell' for the light scattered
+        # into the channel ell' = ell + k.
+        name = data.draw(st.sampled_from(["fig2", "fig3", "fig4", "classical"]),
+                         label="system")
+        fp, (m_max, rhs) = system(name), system_rhs(name)
+        parts = arrays(float, (2, 2 * m_max + 1), elements=st.floats(-1.0, 1.0))
+        re, im = data.draw(parts, label="re, im")
+        amps = re + 1j * im
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        c = amps / norm
+        rates = modes(m_max) * 2.0 * (c.conj() * rhs(0.0, c)).real
+        k = np.arange(1, fp.k_max + 1)
+        phi = observables(c, fp.k_max).phi[1:]
+        terms = fp.params.gamma * k * fp.coefficient(k).imag * np.abs(phi) ** 2
+        # Each term is at most gamma k |V_k| on a normalized state.
+        scale = fp.params.gamma * np.sum(k * np.abs(fp.coefficient(k)))
+        assert abs(rates.sum() - terms.sum()) <= 1e-15 * scale
+
     @settings(max_examples=60, deadline=None)
     @given(
         gamma=st.floats(0.0, 2.0),
@@ -436,6 +467,21 @@ class TestEvolve:
         obs = observables(traj.states, 0)
         assert np.max(obs.drift) < 1e-8
         assert np.max(np.abs(obs.phi[:, 0] - 1.0)) < 1e-10
+
+    def test_zero_winding_conserves_the_mean_angular_momentum(self):
+        # At ell = 0 every Im V_k vanishes, so the balance law leaves <m>
+        # fixed while the populations move: a second invariant beside the norm.
+        params = SystemParams(gamma=1.0, epsilon=0.1, k0_rho=1.0, ell=0, m_max=8)
+        m = modes(params.m_max)
+        rng = np.random.default_rng(7)
+        inner = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+        amps = np.where(np.abs(m) <= 2, inner, 0.0)
+        traj = evolve(StateVector(0.0, amps / np.linalg.norm(amps)),
+                      fourier_coefficients(params), tau_end=10.0)
+        obs = observables(traj.states, 0)
+        assert abs(obs.mean_omega[0]) > 0.1
+        assert np.max(np.abs(obs.populations - obs.populations[0])) > 1e-2
+        assert np.max(np.abs(obs.mean_omega - obs.mean_omega[0])) < 1e-10
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_mirror_pump_mirrors_the_populations(self, ell):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oamring.potential as potential
 from oamring.errors import ConfigurationError, ResolutionError, ToleranceError
+from oamring.numerics import bessel_j_orders
 from oamring.potential import (
     FourierPotential,
     SystemParams,
@@ -41,6 +42,24 @@ def coefficients_on_grid(params, grid):
     phi = 2.0 * np.pi * np.arange(grid) / grid
     spec = np.fft.fft(pair_potential(phi, params)) / grid
     return spec[np.mod(np.arange(-params.k_max, params.k_max + 1), grid)]
+
+
+def imag_coefficients_closed_form(params, nodes=200):
+    """Im V_k for k = 0 .. k_max as a_{k-ell} - a_{k+ell}, with
+    a_n = int_0^{pi/2} sin(theta) cos(2 k0_rho eps cos(theta))
+    J_n(k0_rho sin(theta))^2 dtheta by Gauss-Legendre, and a_{-n} = a_n.
+
+    The sin(ell phi) part of V(phi) holds sin(2 k0_rho q) / (k0_rho q), the
+    radiative kernel between the ring and a copy lifted by 2 rho eps, whose
+    Fourier series Jacobi-Anger turns into this sphere average of J_n^2."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.25 * np.pi * (x + 1.0)
+    kr, ell = params.k0_rho, params.ell
+    lift = np.cos(2.0 * kr * params.epsilon * np.cos(theta))
+    weights = 0.25 * np.pi * w * np.sin(theta) * lift
+    a = bessel_j_orders(params.k_max + abs(ell), kr * np.sin(theta)) ** 2 @ weights
+    k = np.arange(params.k_max + 1)
+    return a[np.abs(k - ell)] - a[np.abs(k + ell)]
 
 
 def fig2_params(**kw):
@@ -114,6 +133,21 @@ class TestFourierSpectrum:
         params = SystemParams(gamma=1.0, epsilon=epsilon, k0_rho=k0_rho, ell=ell)
         v = fourier_coefficients(params).coefficients
         assert np.max(np.abs(v[::-1] - np.conj(v))) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        epsilon=st.floats(0.01, 0.3),
+        k0_rho=st.floats(0.5, 20.0),
+        ell=st.integers(-3, 3),
+        extra=st.integers(0, 8),
+    )
+    def test_imaginary_part_in_closed_form(self, epsilon, k0_rho, ell, extra):
+        # An oracle independent of the FFT: Im V_k from Bessel functions alone.
+        params = SystemParams(gamma=1.0, epsilon=epsilon, k0_rho=k0_rho, ell=ell,
+                              m_max=abs(ell) + 2 + extra)
+        fp = fourier_coefficients(params)
+        want = imag_coefficients_closed_form(params)
+        assert np.max(np.abs(fp.coefficients[fp.k_max :].imag - want)) < 1e-13
 
     def test_winding_flip_conjugates_spectrum(self):
         plus = fourier_coefficients(
@@ -246,6 +280,16 @@ class TestDerivedCoefficients:
         order = np.argsort(g[1:])[::-1] + 1
         assert g[1] < 0.02 * g[order[0]]
         assert list(order[:2]) == [6, 5]
+
+    def test_fig3_radius_sits_at_a_root_of_the_unit_channel(self):
+        # k0_rho = 5.605 lies 1.8e-3 below the root 5.6068 of Im V_1, so
+        # g_1 = gamma |Im V_1| is only about 1e-4 there (0.70 at fig2).
+        fp = fourier_coefficients(SystemParams(gamma=1.0, epsilon=0.1,
+                                               k0_rho=5.605, ell=2))
+        assert fp.coefficient(1).imag == pytest.approx(-1.0e-4, abs=2e-6)
+        above = fourier_coefficients(SystemParams(gamma=1.0, epsilon=0.1,
+                                                  k0_rho=5.608, ell=2))
+        assert above.coefficient(1).imag > 0.0
 
     def test_dispersion_zero_coupling(self):
         fp = fourier_coefficients(fig2_params(gamma=0.0))
