@@ -46,7 +46,7 @@ from .potential import (
     pair_potential,
     rate_coefficients,
 )
-from .radiation import PHI_GRID, THETA_GRID, check_tables, count_lobes, pattern_from_bunching
+from .radiation import THETA_GRID, check_tables, count_lobes, pattern_from_bunching, phi_grid
 from .rate_model import evolve_rates, ladder_transitions, seeded_rate_state
 from .stability import K0_RHO_GRID, TOP_MODE, classify_regime, spectrum, spectrum_sweep
 
@@ -384,7 +384,7 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
     bunch = _load_bunching(Path(config.options["state"]), params)
     pattern = pattern_from_bunching(bunch, params)
 
-    thetas, phis = np.meshgrid(THETA_GRID, PHI_GRID, indexing="ij")
+    thetas, phis = np.meshgrid(THETA_GRID, phi_grid(bunch.band), indexing="ij")
     field = pattern.field.ravel()
 
     ms = modes(bunch.band)
@@ -403,7 +403,7 @@ def _run_radiate(config: RunConfig) -> tuple[dict, dict, dict]:
         "avg_intensity.csv": averaged,
         "components.json": {
             "dominant_ell_prime": params.ell + m_eq,
-            "equator_lobes": count_lobes(np.abs(pattern.field[i_eq]) ** 2),
+            "equator_lobes": count_lobes(np.abs(pattern.equator) ** 2),
         },
     }
     return files, {}, {}

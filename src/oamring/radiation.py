@@ -33,13 +33,15 @@ __all__ = [
     "count_lobes",
     "field_quadrature",
     "pattern_from_bunching",
+    "phi_grid",
 ]
 
 # (-i)^n cycles with period four; table lookup keeps the factor exact.
 _MINUS_I_POW = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
 
 # The far field's grid: theta rows 1 degree apart over [0, pi/2], so that the
-# last row, 90, is the equator exactly, and phi columns over [0, 2pi).
+# last row, 90, is the equator exactly, and at most 256 phi columns over
+# [0, 2pi) (phi_grid).  PHI_GRID is also the equator cut whose lobes are counted.
 THETA_GRID = np.linspace(0.0, np.pi / 2, 91)
 PHI_GRID = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
 THETA_GRID.flags.writeable = PHI_GRID.flags.writeable = False
@@ -54,10 +56,27 @@ _MAX_BESSEL_ARG = 50.0
 _FLAT_CUT = 1e-12
 
 
+def phi_grid(band: int) -> np.ndarray:
+    """The phi columns of the far field of a bunching band, read-only.
+
+    Each theta row of the field sums the 2 band + 1 channels ell + m, a
+    trigonometric polynomial that as many equally spaced samples fix
+    exactly.  From band 128 on that is more than PHI_GRID, which is used
+    instead.
+    """
+    size = 2 * band + 1
+    if size >= PHI_GRID.size:
+        return PHI_GRID
+    grid = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+    grid.flags.writeable = False
+    return grid
+
+
 def check_tables(params: SystemParams, band: int, source: str) -> None:
     """Refuse the far field of a bunching band before any of it is built.
 
-    Its phase table, 2 band + 1 channels by the PHI_GRID columns, and its
+    Its phase tables, 2 band + 1 channels by at most the 256 PHI_GRID
+    columns (the field's phi_grid and the equator cut), and its
     Bessel table, orders 0 .. |ell| + band at the THETA_GRID rows, must fit
     numerics.check_entries' budget, and k0_rho must be at most 50.
     ``source`` names what set the band.
@@ -99,19 +118,22 @@ def field_quadrature(
 
 @dataclass(frozen=True)
 class RadiationPattern:
-    """Field on the THETA_GRID x PHI_GRID grid; its intensity is |field|**2.
+    """Field on the THETA_GRID x phi_grid(band) grid; its intensity is |field|**2.
 
     components[i, j] holds the channel weight J_{ell+m}^2 |Phi_m|^2 at
     THETA_GRID[i] for the j-th mode m of the bunching band,
     dynamics.modes(band); their sum over j is the phi-averaged intensity.
+    equator is the field at theta = pi/2 on PHI_GRID, the cut whose lobes
+    are counted: the field's own 2 band + 1 samples can miss a narrow lobe.
     """
 
-    field: np.ndarray  # (91, 256) complex
+    field: np.ndarray  # (91, min(2 band + 1, 256)) complex
     components: np.ndarray  # (91, 2 band + 1)
+    equator: np.ndarray  # (256,) complex
 
 
 def pattern_from_bunching(bunch: BunchingSpectrum, params: SystemParams) -> RadiationPattern:
-    """Radiation pattern of a bunching spectrum on the far field's grid.
+    """Radiation pattern of a bunching spectrum on THETA_GRID x phi_grid(band).
 
     The field sums every channel n = ell + m of the spectrum's band: a
     state's bunching vanishes past lag 2 m_max, so nothing is truncated.
@@ -125,8 +147,11 @@ def pattern_from_bunching(bunch: BunchingSpectrum, params: SystemParams) -> Radi
     x = params.k0_rho * np.sin(THETA_GRID)
     jn = bessel_j_orders(int(np.abs(ns).max()), x)[np.abs(ns)].T * sign
     weights = _MINUS_I_POW[ns % 4] * jn * bunch.coefficients
-    field = weights @ np.exp(1j * np.outer(ns, PHI_GRID))
-    return RadiationPattern(field=field, components=np.abs(weights) ** 2)
+    phi = phi_grid(bunch.band)
+    field = weights @ np.exp(1j * np.outer(ns, phi))
+    # From band 128 on, the field's last row is the equator cut itself.
+    equator = field[-1] if phi is PHI_GRID else weights[-1] @ np.exp(1j * np.outer(ns, PHI_GRID))
+    return RadiationPattern(field=field, components=np.abs(weights) ** 2, equator=equator)
 
 
 def count_lobes(values) -> int:

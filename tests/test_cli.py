@@ -406,19 +406,34 @@ class TestArtifacts:
         assert rc == 0
         summary = json.loads((out / "components.json").read_text())
         assert summary["dominant_ell_prime"] == -3
-        # theta, phi, re_M and im_M per point of the 91 x 256 upper-hemisphere
-        # grid, theta-major; the intensity is re_M**2 + im_M**2 and is not
-        # written.
+        # theta, phi, re_M and im_M per point of the upper-hemisphere grid,
+        # 91 theta rows by 2 band + 1 = 77 phi columns, theta-major; the
+        # intensity is re_M**2 + im_M**2 and is not written.
         lines = (out / "pattern.csv").read_text().splitlines()
         assert lines[1] == "theta,phi,re_M,im_M"
         table = np.array([line.split(",") for line in lines[2:]], dtype=float)
-        assert table.shape == (91 * 256, 4)
-        theta, phi, re_m, im_m = table.T.reshape(4, 91, 256)
+        assert table.shape == (91 * 77, 4)
+        theta, phi, re_m, im_m = table.T.reshape(4, 91, 77)
         assert np.array_equal(theta[:, 0], np.linspace(0.0, np.pi / 2, 91))
-        assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+        assert np.array_equal(phi[0], np.linspace(0.0, 2.0 * np.pi, 77, endpoint=False))
         assert theta[90, 0] == np.pi / 2
         lobes = count_lobes(re_m[90] ** 2 + im_m[90] ** 2)
         assert lobes == summary["equator_lobes"] == 5
+
+    def test_radiate_caps_the_phi_columns_at_256(self, tmp_path):
+        # Band 128, 2 m_max of m_max 64, would need 257 columns: the pattern
+        # is written on the 256 fixed columns instead.
+        amps = np.zeros(129)
+        amps[[64, 69]] = np.sqrt(0.5)
+        state = write_snapshot(tmp_path / "state.json", {
+            "m_max": 64, "re": amps.tolist(), "im": [0.0] * 129})
+        out = tmp_path / "rad"
+        assert main(["radiate", "--preset", "fig4", "--set", "params.m_max=64",
+                     "--set", f"radiate.state={state}", "--out", str(out)]) == 0
+        lines = (out / "pattern.csv").read_text().splitlines()
+        table = np.array([line.split(",") for line in lines[2:]], dtype=float)
+        assert table.shape == (91 * 256, 4)
+        assert np.array_equal(table[:256, 1], np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
 
     def test_radiate_requires_exactly_one_input(self, tmp_path, capsys):
         # The one input is a state snapshot; the retired Phi list key is unknown.
@@ -496,8 +511,9 @@ class TestArtifacts:
             assert (out / "t.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
 
     def test_writer_memory_is_bounded_by_the_block(self, tmp_path):
-        # A table twice the size of radiate fig4's pattern.csv (181 x 256 rows,
-        # four float columns), a quarter of its values repeats.  The block writer
+        # A table twice the size of the largest pattern.csv (91 x 256 rows,
+        # from band 128 on), four float columns; a quarter of its values
+        # repeats.  The block writer
         # peaks near 1.5 MiB here; formatting whole columns at once held
         # about 30 MiB.
         rng = np.random.default_rng(3)

@@ -139,12 +139,13 @@ def test_runs_write_what_the_benchmark_reads(tmp_path):
     assert all(isinstance(row["argmax_m"], int) for row in rows)
 
     # The verdict the benchmark's radiate check needs, and seeded rows of the
-    # 91 x 256 pattern against the quadrature oracle.
+    # 91 x 77 pattern (77 = 2 band + 1 phi columns) against the quadrature
+    # oracle.
     components = json.loads((out["radiate"] / "components.json").read_text(encoding="utf-8"))
     assert (components["equator_lobes"], components["dominant_ell_prime"]) == (5, -3)
     header, data = read_csv(out["radiate"] / "pattern.csv")
     assert header[:4] == ["theta", "phi", "re_M", "im_M"]
-    assert data.shape == (91 * 256, len(header))
+    assert data.shape == (91 * 77, len(header))
     state = StateVector(tau=3.5, amplitudes=amps)
     for theta, phi, re_m, im_m in data[rng.choice(len(data), 20, replace=False), :4]:
         oracle = field_quadrature(state, fig4.ell, fig4.k0_rho, theta, phi)
@@ -178,3 +179,46 @@ def test_derived_keys_agree_with_their_one_source(tmp_path):
     assert header[:2] == ["theta", "total"]
     assert f"I_ellp_{components['dominant_ell_prime']}" == header[2 + np.argmax(equator[2:])]
     assert set(components) == {"dominant_ell_prime", "equator_lobes", "manifest_hash"}
+
+
+def test_pattern_csv_alone_fixes_the_field(tmp_path):
+    # Each theta row of pattern.csv holds 2 band + 1 equally spaced samples
+    # of the sum over the channels ell' = ell - band .. ell + band, so one
+    # DFT of the row gives the channel amplitudes and M at any phi; ell is
+    # the manifest's params.ell.
+    from oamring import cli
+    from oamring.dynamics import StateVector
+    from oamring.radiation import PHI_GRID, count_lobes, field_quadrature
+
+    rng = np.random.default_rng(37)
+    state_path = tmp_path / "snapshot.json"
+    amps = fig4_snapshot(state_path, rng)
+    out = tmp_path / "radiate"
+    assert cli.main(["radiate", "--preset", "fig4", "--set", f"radiate.state={state_path}",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    config = manifest["reproducible"]["config"]
+    ell, k0_rho = config["params.ell"], config["params.k0_rho"]
+
+    _, data = read_csv(out / "pattern.csv")
+    size = np.unique(data[:, 1]).size
+    band = (size - 1) // 2
+    assert size == 2 * band + 1 == 2 * 2 * config["params.m_max"] + 1
+    rows = data.reshape(91, size, 4)
+    ell_prime = ell + np.arange(-band, band + 1)
+
+    def rebuild(row, phi):
+        samples = row[:, 2] + 1j * row[:, 3]
+        channel = np.exp(-1j * np.outer(ell_prime, row[:, 1])) @ samples / size
+        return channel @ np.exp(1j * np.outer(ell_prime, phi))
+
+    state = StateVector(tau=3.5, amplitudes=amps)
+    for i in rng.choice(91, 10, replace=False).tolist():
+        theta = rows[i, 0, 0]
+        for phi, got in zip((0.123, np.pi / 7), rebuild(rows[i], np.array([0.123, np.pi / 7]))):
+            assert abs(got - field_quadrature(state, ell, k0_rho, theta, phi)) <= 1e-12
+
+    components = json.loads((out / "components.json").read_text(encoding="utf-8"))
+    equator = rebuild(rows[90], PHI_GRID)
+    assert rows[90, 0, 0] == np.pi / 2
+    assert count_lobes(np.abs(equator) ** 2) == components["equator_lobes"] == 5

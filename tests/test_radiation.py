@@ -20,6 +20,7 @@ from oamring.radiation import (
     count_lobes,
     field_quadrature,
     pattern_from_bunching,
+    phi_grid,
 )
 
 RNG = np.random.default_rng(31)
@@ -64,9 +65,10 @@ def channels(pattern, ell, i) -> dict:
 
 class TestFieldExpansion:
     def test_uniform_state_single_channel(self):
-        pattern = far_field(bunching(uniform_state()), ell=1, k0_rho=1.0)
+        spec = bunching(uniform_state())
+        pattern = far_field(spec, ell=1, k0_rho=1.0)
         j1 = bessel_j_orders(1, np.sin(THETA_GRID))[1]
-        want = -1j * np.outer(j1, np.exp(1j * PHI_GRID))
+        want = -1j * np.outer(j1, np.exp(1j * phi_grid(spec.band)))
         assert np.max(np.abs(pattern.field - want)) < 1e-14
 
     def test_forward_axis_dark_for_wound_pump(self):
@@ -77,9 +79,10 @@ class TestFieldExpansion:
     def test_negative_order_reflection(self):
         # ell' = -3 needs J_{-3} = -J_3, so a uniform ring radiates
         # (-i)^(-3) J_{-3} e^(-3i phi) = i J_3 e^(-3i phi)
-        pattern = far_field(bunching(uniform_state()), -3, 2.0)
+        spec = bunching(uniform_state())
+        pattern = far_field(spec, -3, 2.0)
         j3 = bessel_j_orders(3, 2.0 * np.sin(THETA_GRID))[3]
-        want = 1j * np.outer(j3, np.exp(-3j * PHI_GRID))
+        want = 1j * np.outer(j3, np.exp(-3j * phi_grid(spec.band)))
         assert np.max(np.abs(pattern.field - want)) < 1e-15
 
     def test_two_state_small_ring_matches_reduced_form(self):
@@ -90,7 +93,7 @@ class TestFieldExpansion:
         assert abs(abs(phi1) - 0.5) < 1e-12
         pattern = far_field(spec, ell=1, k0_rho=1.0)
         j = bessel_j_orders(2, np.sin(THETA_GRID))[:, :, None]
-        reduced = -1j * j[1] * np.exp(1j * PHI_GRID) + np.conj(phi1) * j[0]
+        reduced = -1j * j[1] * np.exp(1j * phi_grid(spec.band)) + np.conj(phi1) * j[0]
         assert np.all(np.abs(pattern.field - reduced) <= abs(phi1) * np.abs(j[2]) + 1e-12)
 
     def test_oversized_bessel_table_rejected(self):
@@ -111,13 +114,14 @@ class TestQuadratureEquivalence:
         # points per state.
         for ell, k0_rho, m_max in [(2, 2.3, 8), (1, 50.0, 3), (2, 30.0, 4), (0, 20.0, 2)]:
             worst = 0.0
+            phi = phi_grid(2 * m_max)
             for _ in range(50):
                 state = random_interior_state(m_max)
                 pattern = far_field(bunching(state), ell, k0_rho)
                 rows = RNG.integers(THETA_GRID.size, size=56)
-                columns = RNG.integers(PHI_GRID.size, size=56)
+                columns = RNG.integers(phi.size, size=56)
                 for i, j in zip(rows.tolist(), columns.tolist()):
-                    b = field_quadrature(state, ell, k0_rho, THETA_GRID[i], PHI_GRID[j])
+                    b = field_quadrature(state, ell, k0_rho, THETA_GRID[i], phi[j])
                     worst = max(worst, abs(pattern.field[i, j] - b))
             assert worst < 1e-8, (ell, k0_rho, m_max)
 
@@ -208,7 +212,7 @@ class TestPatternGrid:
     def test_five_lobes_from_dominant_fifth_harmonic(self):
         params = SystemParams(gamma=0.2, epsilon=0.1, k0_rho=5.0, ell=2, m_max=10)
         pattern = pattern_from_bunching(bunching(two_mode_state(10, 0, 5)), params)
-        assert count_lobes(np.abs(pattern.field[90]) ** 2) == 5
+        assert count_lobes(np.abs(pattern.equator) ** 2) == 5
 
     def test_far_field_argument_bound(self):
         # The equator row reaches x = k0_rho exactly: 50 is the largest
@@ -216,16 +220,40 @@ class TestPatternGrid:
         state = random_interior_state(8)
         spec = bunching(state)
         pattern = far_field(spec, ell=2, k0_rho=50.0)
-        want = field_quadrature(state, 2, 50.0, math.pi / 2, PHI_GRID[1])
+        want = field_quadrature(state, 2, 50.0, math.pi / 2, phi_grid(spec.band)[1])
         assert abs(pattern.field[90, 1] - want) < 1e-12
         with pytest.raises(ConfigurationError, match="k0_rho"):
             far_field(spec, ell=2, k0_rho=50.001)
 
     def test_grid_is_fixed_and_read_only(self):
         assert (THETA_GRID.size, THETA_GRID[-1], PHI_GRID.size) == (91, math.pi / 2, 256)
-        for grid in (THETA_GRID, PHI_GRID):
+        for grid in (THETA_GRID, PHI_GRID, phi_grid(3)):
             with pytest.raises(ValueError, match="read-only"):
                 grid[0] = 1.0
+
+    @pytest.mark.parametrize("band", [0, 38, 127])
+    def test_phi_grid_has_one_column_per_channel(self, band):
+        grid = phi_grid(band)
+        assert np.array_equal(grid, np.linspace(0.0, 2.0 * np.pi, 2 * band + 1, endpoint=False))
+
+    @pytest.mark.parametrize("band", [128, 400])
+    def test_phi_grid_stops_at_the_fixed_columns(self, band):
+        assert phi_grid(band) is PHI_GRID
+        spec = BunchingSpectrum(np.eye(1, 2 * band + 1, band + 5, dtype=complex)[0])
+        pattern = far_field(spec, 2, 5.0)
+        assert pattern.field.shape == (91, 256)
+        assert np.array_equal(pattern.equator, pattern.field[90])
+
+    def test_equator_cut_is_the_field_on_the_fixed_columns(self):
+        # 33 field columns for band 16, and the 256-column equator cut,
+        # most of whose columns the field's grid does not have.
+        rng = np.random.default_rng(37)
+        state = random_interior_state(8, rng)
+        pattern = far_field(bunching(state), ell=2, k0_rho=5.0)
+        assert pattern.field.shape == (91, 33) and pattern.equator.shape == (256,)
+        for j in rng.integers(PHI_GRID.size, size=20).tolist():
+            want = field_quadrature(state, 2, 5.0, math.pi / 2, PHI_GRID[j])
+            assert abs(pattern.equator[j] - want) < 1e-12
 
     def test_phase_table_limit(self, monkeypatch):
         # 65,537 channels at 256 phi columns are just past 2**24 phase-table
@@ -260,5 +288,4 @@ class TestCountLobes:
         # to rounding, and rounding noise is not a lobe.
         spec = BunchingSpectrum(np.array([1.0 + 0.0j]))
         pattern = far_field(spec, ell, 5.0)
-        assert THETA_GRID[90] == math.pi / 2
-        assert count_lobes(np.abs(pattern.field[90]) ** 2) == 0
+        assert count_lobes(np.abs(pattern.equator) ** 2) == 0
