@@ -36,7 +36,8 @@ DEFAULT_EPSILON = 0.1
 GRID_DOUBLING_TOL = 1e-10
 
 # Largest base quadrature grid (the doubled check grid holds twice this):
-# epsilon >= 64 / 2**20 ~ 6.1e-5 and m_max <= 2**14.
+# epsilon >= 64 / 2**20 ~ 6.1e-5, m_max <= 2**14 and
+# ceil(k0_rho) + |ell| <= 2**15.
 _MAX_GRID = 1 << 20
 
 # Largest epsilon: pair_potential squares it, and the square must stay a
@@ -153,15 +154,24 @@ def pair_potential(phi, params: SystemParams):
 
 
 def _quadrature_grid(params: SystemParams) -> int:
-    # The integrand has a peak of angular width ~epsilon at phi = 0 that the
-    # grid must resolve; aliasing there is the dominant silent failure mode.
-    need = max(8192, 32 * params.k_max, 64.0 / params.epsilon)
+    # One term per scale of V(phi), each at 32 samples per period: the peak
+    # of angular width ~epsilon at phi = 0 (64 / epsilon), the retained band
+    # |k| <= k_max (32 k_max) and the oscillation cos(2 k0_rho q - ell phi),
+    # whose phi-frequency is at most k0_rho + |ell|.  Aliasing is the
+    # dominant silent failure mode; the grid-doubling check in
+    # fourier_coefficients is what catches it.
+    need = max(
+        32 * params.k_max,
+        64.0 / params.epsilon,
+        32 * (math.ceil(params.k0_rho) + abs(params.ell)),
+    )
     if need > _MAX_GRID:
-        # 32 k_max = 64 m_max is an int that may not fit a float.
+        # The integer terms may not fit a float.
         size = need if isinstance(need, int) else f"{need:.0f}"
         raise ConfigurationError(
-            f"epsilon={params.epsilon} and m_max={params.m_max} need a quadrature "
-            f"grid of {size} points, past the limit of {_MAX_GRID}"
+            f"epsilon={params.epsilon}, m_max={params.m_max}, k0_rho={params.k0_rho} "
+            f"and ell={params.ell} need a quadrature grid of {size} points, past "
+            f"the limit of {_MAX_GRID}"
         )
     return 1 << (math.ceil(need) - 1).bit_length()
 
@@ -174,8 +184,11 @@ def _harmonics(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     # |F_{k+G}| is how far V_k moves under grid doubling.
     grid = _quadrature_grid(params)
     fine_grid = 2 * grid
-    samples = pair_potential(2.0 * np.pi * np.arange(fine_grid) / fine_grid, params)
-    spec = np.fft.fft(samples) / fine_grid
+    # A finite but huge amplitude overflows the sums; fourier_coefficients
+    # names that fault, so numpy need not warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = pair_potential(2.0 * np.pi * np.arange(fine_grid) / fine_grid, params)
+        spec = np.fft.fft(samples) / fine_grid
     ks = np.arange(-params.k_max, params.k_max + 1)
     return spec[ks], np.abs(spec[ks + grid])
 

@@ -1,8 +1,8 @@
 """Pair potential, Fourier spectrum, and derived coefficient tests.
 
 The golden coefficient table in tests/data was produced by composite
-trapezoid quadrature with direct exponential sums on a grid four times the
-production size; see the JSON's "oracle" field.
+trapezoid quadrature with direct exponential sums on a 32,768-point grid,
+32 times fig2's production grid of 1,024; see the JSON's "oracle" field.
 """
 
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oamring.potential as potential
@@ -21,11 +21,13 @@ from oamring.numerics import bessel_j_orders
 from oamring.potential import (
     FourierPotential,
     SystemParams,
+    default_m_max,
     dispersion_coefficients,
     fourier_coefficients,
     pair_potential,
     rate_coefficients,
 )
+from oamring.stability import K0_RHO_GRID, TOP_MODE
 
 DATA = Path(__file__).parent / "data"
 RNG = np.random.default_rng(11)
@@ -66,6 +68,24 @@ def fig2_params(**kw):
     base = dict(gamma=0.05, epsilon=0.1, k0_rho=1.0, ell=1)
     base.update(kw)
     return SystemParams(**base)
+
+
+# The rings each preset transforms (config.PRESETS): fig1b's are its sweep
+# points, on stability.spectrum_sweep's band max(TOP_MODE / 2, |ell| + 2).
+PRESET_PARAMS = {
+    "fig1b": [SystemParams(gamma=0.2, epsilon=0.1, k0_rho=kr, ell=1, m_max=TOP_MODE // 2)
+              for kr in K0_RHO_GRID.tolist()],
+    "fig2": [fig2_params()],
+    "fig3": [SystemParams(gamma=1.0, epsilon=0.1, k0_rho=5.605, ell=2)],
+    "fig4": [SystemParams(gamma=0.2, epsilon=0.1, k0_rho=5.0, ell=2)],
+}
+
+
+def fixed_floor_grid(params):
+    """The base grid with a fixed 8,192-point floor, max(8192, 32 k_max,
+    64 / epsilon) rounded up to a power of two."""
+    need = max(8192, 32 * params.k_max, 64.0 / params.epsilon)
+    return 1 << (math.ceil(need) - 1).bit_length()
 
 
 class TestPairPotential:
@@ -177,10 +197,10 @@ class TestFourierSpectrum:
     def test_non_finite_spectrum_fails_the_doubling_check(self):
         # V(phi) reaches 1e308 near phi = 0, a finite amplitude whose FFT sums
         # overflow, so the harmonics are NaN: an overflow naming both keys,
-        # not a grid to enlarge.
+        # not a grid to enlarge, and no numpy warning before it (the pytest
+        # setting error::RuntimeWarning would turn one into a failure).
         params = SystemParams(gamma=1.0, epsilon=1e-4, k0_rho=1e-304)
-        with (pytest.raises(ToleranceError, match="overflowed at k0_rho=1e-304, epsilon=0.0001"),
-              pytest.warns(RuntimeWarning)):
+        with pytest.raises(ToleranceError, match="overflowed at k0_rho=1e-304, epsilon=0.0001"):
             fourier_coefficients(params)
 
     def test_potential_is_sampled_once(self, monkeypatch):
@@ -235,22 +255,84 @@ class TestFourierSpectrum:
             assert np.max(np.abs(delta - moved)) <= 1e-15 * max(1.0, np.abs(fine).max())
 
     @pytest.mark.parametrize(
-        "overrides", [{"epsilon": 1e-9}, {"k0_rho": 1e6}], ids=["epsilon", "k_max"]
+        "overrides",
+        [{"epsilon": 1e-9}, {"k0_rho": 1e6}, {"k0_rho": 1e5, "m_max": 3}],
+        ids=["epsilon", "k_max", "oscillation"],
     )
     def test_oversized_grid_rejected_before_allocation(self, overrides):
-        # epsilon = 1e-9 would need a 2**36-point grid and k0_rho = 1e6 gives
-        # m_max ~ 1e6, so k_max ~ 2e6; both must stop before anything is
-        # sampled, naming the inputs that set the grid.
+        # epsilon = 1e-9 would need a 2**36-point grid, k0_rho = 1e6 gives
+        # m_max ~ 1e6, so k_max ~ 2e6, and k0_rho = 1e5 oscillates 1e5 times
+        # around the ring even on the smallest band; each must stop before
+        # anything is sampled, naming every input that sets the grid.
         params = fig2_params(**overrides)
         with pytest.raises(ConfigurationError) as info:
             fourier_coefficients(params)
         message = str(info.value)
         assert f"epsilon={params.epsilon}" in message
         assert f"m_max={params.m_max}" in message
+        assert f"k0_rho={params.k0_rho}" in message
+        assert f"ell={params.ell}" in message
 
     def test_grid_limit_admits_the_stated_domain(self):
-        for params in (fig2_params(epsilon=6.2e-5), fig2_params(m_max=16384)):
+        # epsilon down to 64 / 2**20, m_max up to 2**14, and ceil(k0_rho) +
+        # |ell| up to 2**15, each at its edge with the other terms small.
+        for params in (fig2_params(epsilon=6.2e-5), fig2_params(m_max=16384),
+                       fig2_params(k0_rho=32767.0, ell=1, m_max=3),
+                       fig2_params(k0_rho=32762.5, ell=-5, m_max=7)):
             assert potential._quadrature_grid(params) == 1 << 20
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [("fig1b", 1024), ("fig2", 1024), ("fig3", 2048), ("fig4", 2048)],
+    )
+    def test_grid_follows_the_integrands_scales(self, name, grid):
+        # Not a fixed 8,192 floor: the band 32 k_max binds for fig2, fig3 and
+        # fig4, and 64 / epsilon at every fig1b sweep point (k0_rho up to 8).
+        for params in PRESET_PARAMS[name]:
+            assert potential._quadrature_grid(params) == grid
+
+    def test_preset_grids_are_converged(self):
+        # The doubling check reads rounding, and V_k agrees with a 16,384-point
+        # transform, at every preset and every fig1b sweep point.
+        for params in sum(PRESET_PARAMS.values(), []):
+            values, delta = potential._harmonics(params)
+            assert delta.max() <= 1e-15
+            reference = coefficients_on_grid(params, 16384)
+            assert np.max(np.abs(values - reference)) <= 1e-14
+
+    def test_oscillation_term_is_needed(self, monkeypatch):
+        # At k0_rho = 2000 on the smallest band, the peak and band terms alone
+        # ask for 1,024 points; V(phi) oscillates 2000 times around the ring,
+        # and the doubling check refuses that aliased grid.
+        params = fig2_params(k0_rho=2000.0, m_max=3)
+        assert potential._quadrature_grid(params) == 65536
+        fourier_coefficients(params)
+        monkeypatch.setattr(potential, "_quadrature_grid", lambda params: 1024)
+        with pytest.raises(ResolutionError):
+            fourier_coefficients(params)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        epsilon=st.floats(1e-3, 1.0),
+        k0_rho=st.floats(0.1, 4000.0),
+        ell=st.integers(-5, 5),
+        smallest_band=st.booleans(),
+    )
+    def test_no_input_the_fixed_floor_resolved_is_refused(
+        self, epsilon, k0_rho, ell, smallest_band
+    ):
+        m_max = abs(ell) + 2 if smallest_band else default_m_max(ell, k0_rho)
+        params = SystemParams(gamma=1.0, epsilon=epsilon, k0_rho=k0_rho, ell=ell,
+                              m_max=m_max)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(potential, "_quadrature_grid", fixed_floor_grid)
+            try:
+                fourier_coefficients(params)
+            except ResolutionError:
+                assume(False)
+        values = fourier_coefficients(params).coefficients
+        reference = coefficients_on_grid(params, 4 * potential._quadrature_grid(params))
+        assert np.max(np.abs(values - reference)) <= 1e-13 * max(1.0, np.abs(reference).max())
 
     def test_out_of_band_coefficient_rejected(self):
         fp = fourier_coefficients(fig2_params())
