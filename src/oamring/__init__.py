@@ -9,7 +9,7 @@ OAM decomposition), with shared kernels in ``numerics`` and a CLI in
 ``cli``.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .dynamics import (
     BunchingSpectrum,

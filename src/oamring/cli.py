@@ -68,9 +68,9 @@ def _csv_lines(columns: list[np.ndarray]) -> str:
         at = [i for i, column in enumerate(columns) if column.dtype == dtype]
         values = np.stack([columns[i] for i in at], axis=1).ravel()
         keys = values.view(f"u{dtype.itemsize}") if dtype.kind == "f" else values
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct, inverse = np.unique(keys, return_inverse=True)
         index[:, at] = inverse.reshape(len(index), -1) + len(texts)
-        texts += map(repr, values[first].tolist())
+        texts += map(repr, distinct.view(dtype).tolist())
     rows = np.array(texts, dtype=object)[index].tolist()
     return "\n".join(map(",".join, rows)) + "\n"
 

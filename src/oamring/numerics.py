@@ -117,7 +117,7 @@ class Trajectory:
     retried shorter; the rhs was called 1 + 6 attempts times."""
 
     times: np.ndarray  # (T,) float, strictly increasing
-    states: np.ndarray  # (T, dim) complex
+    states: np.ndarray  # (T, dim) in the problem's dtype: float64 or complex
     attempts: int
     rejected: int
 
@@ -130,7 +130,7 @@ class Trajectory:
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
 # Row i of _DP_A weights the stages that form stage i's input; row 6 is the
-# 5th-order solution itself.
+# 5th-order solution itself and row 7 the error estimate (5th minus 4th order).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array(
     [
@@ -141,10 +141,8 @@ _DP_A = np.array(
         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
     ]
-)
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
 _SAFETY = 0.9
@@ -174,6 +172,13 @@ def integrate_ode(
     ``check(tau, y)``, if given, sees each sample as it is recorded, sample 0
     before the first ``rhs`` call; an exception it raises ends the run there.
     The returned Trajectory counts the steps attempted and rejected.
+
+    The state is stepped in its problem's own dtype: complex when
+    ``frequencies`` are given, or when ``y0`` or the first ``rhs`` value is
+    complex, and float64 otherwise.  That first ``rhs`` call decides; a later
+    complex value on a real state is numpy's ComplexWarning, not a promotion.
+    The sample store holds the ``last + 2`` rows the entry bound counts, and
+    each sample is written into its row, the array ``check`` sees.
 
     Without ``frequencies`` the equation is dy/dtau = rhs(tau, y) and no phase
     work is done.  With real ``frequencies`` w the linear part is solved
@@ -206,16 +211,19 @@ def integrate_ode(
     if not sample_stride > 0.0:
         raise ConfigurationError("sample_stride must be positive")
 
-    y = np.asarray(y0, dtype=complex).copy()
+    rotating = frequencies is not None
+    y = np.array(y0, dtype=complex if rotating or np.iscomplexobj(y0) else float)
+    n = y.size
     n_inner = (t1 - t0) / sample_stride - 1e-12
     # At most n_inner + 2 samples: t0, the inner ones and t1.
     check_entries(
-        (max(n_inner, 0.0) + 2) * y.size,
+        (max(n_inner, 0.0) + 2) * n,
         f"span ({t0}, {t1}) at stride {sample_stride}: sample store",
     )
-    if not (t1 - t0) / controls.max_step <= _MAX_ATTEMPTS:
+    rel_tol, abs_tol, max_step = controls.rel_tol, controls.abs_tol, controls.max_step
+    if not (t1 - t0) / max_step <= _MAX_ATTEMPTS:
         raise ConfigurationError(
-            f"span ({t0}, {t1}) at max_step {controls.max_step} needs more steps "
+            f"span ({t0}, {t1}) at max_step {max_step} needs more steps "
             f"than the step budget of {_MAX_ATTEMPTS} attempts"
         )
     last = max(math.ceil(n_inner), 1) - 1  # the index of the sample at t1
@@ -223,34 +231,38 @@ def integrate_ode(
         last -= 1  # t1 is nearer the last inner sample than any step: merge them
 
     t = t0
+    if check is not None:
+        check(t, y)
+    if rotating:
+        i_omega = 1j * np.asarray(frequencies, dtype=float)
+        phase = np.exp(i_omega * t)
+        k0 = phase * rhs(t, y)
+    else:
+        k0 = rhs(t, y)
+        if np.iscomplexobj(k0):
+            y = y.astype(complex)
+    dtype = y.dtype
+    stacked = dtype.kind == "c"  # complex rows are stepped as re/im pairs
+    # Sample i goes into row i as it is recorded: t0, the inner ones and t1.
+    times = np.empty(last + 2)
+    states = np.empty((last + 2, n), dtype)
+    times[0], states[0] = t, y
+    if rotating:
+        y = y * phase  # a = exp(i w t) y from here on; rhs may keep the old y
     # One row per stage; row 0 holds the derivative at (t, y), row 6 the one
     # at (t + h, y_new).
-    k = np.empty((7, y.size), dtype=complex)
+    k = np.empty((7, n), dtype)
+    k[0] = k0
     k_re = k.view(float)  # real coefficients act on re/im pairs alike
     # h * _DP_A is written into ha once per attempt; stage i reads its node,
     # its row of ha and the stages before it through views made here once.
     ha = np.empty_like(_DP_A)
+    ha_err = ha[7]
     stages = [(i, _DP_C[i].item(), ha[i, :i], k_re[:i], k[i]) for i in range(1, 7)]
     nodes = _DP_C[1:, None]
-    rotating = frequencies is not None
-    times, states = [], []
-
-    def record(t, state):
-        if check is not None:
-            check(t, state)
-        times.append(t)
-        states.append(state)
-
-    record(t, y.copy())
-    if rotating:
-        i_omega = 1j * np.asarray(frequencies, dtype=float)
-        phase = np.exp(i_omega * t)
-        k[0] = phase * rhs(t, y)
-        y = y * phase  # a = exp(i w t) y from here on; rhs may keep the old y
-    else:
-        k[0] = rhs(t, y)
+    scale = np.empty(n)
     abs_y = np.abs(y)
-    h = min(controls.initial_step, controls.max_step, t1 - t0)
+    h = min(controls.initial_step, max_step, t1 - t0)
     fac_old = 1e-4
     next_sample = 0
     attempts = rejected = 0
@@ -260,7 +272,7 @@ def integrate_ode(
         if attempts > _MAX_ATTEMPTS:
             raise IntegrationError(f"step budget of {_MAX_ATTEMPTS} attempts spent", t)
         target = t1 if next_sample == last else t0 + (next_sample + 1) * sample_stride
-        h = min(h, controls.max_step, target - t)
+        h = min(h, max_step, target - t)
         if h < underflow:
             raise IntegrationError("step size underflow", tau_last=t)
 
@@ -269,7 +281,8 @@ def integrate_ode(
             phases = np.exp((t + nodes * h) * i_omega)
             unphases = phases.conj()
         for i, c_i, ha_i, k_before, k_i in stages:
-            y_stage = y + ha_i.dot(k_before).view(complex)
+            step = ha_i.dot(k_before)
+            y_stage = y + (step.view(complex) if stacked else step)
             if rotating:
                 f = rhs(t + c_i * h, y_stage * unphases[i - 1])
                 np.multiply(phases[i - 1], f, out=k_i)
@@ -277,10 +290,14 @@ def integrate_ode(
                 k_i[...] = rhs(t + c_i * h, y_stage)
         y_new = y_stage  # stage 7's input is the 5th-order solution
         abs_new = np.abs(y_new)
-        err_vec = (h * _DP_ERR).dot(k_re).view(complex)
-        scale = controls.abs_tol + controls.rel_tol * np.maximum(abs_y, abs_new)
-        ratio = err_vec / scale
-        err = math.sqrt(np.vdot(ratio, ratio).real / y.size)
+        ratio = ha_err.dot(k_re)
+        if stacked:
+            ratio = ratio.view(complex)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale *= rel_tol
+        scale += abs_tol
+        ratio /= scale
+        err = math.sqrt(np.vdot(ratio, ratio).real / n)
         if math.isnan(err):  # a non-finite stage: reject at the largest shrink
             err = math.inf
 
@@ -296,12 +313,19 @@ def integrate_ode(
             fac_old = max(err, 1e-4)
             if t >= target - underflow:
                 t = target
-                record(t, y * np.exp(-i_omega * t) if rotating else y.copy())
                 next_sample += 1
+                times[next_sample] = t
+                row = states[next_sample]
+                if rotating:
+                    np.multiply(y, np.exp(-i_omega * t), out=row)
+                else:
+                    row[...] = y
+                if check is not None:
+                    check(t, row)
                 if next_sample > last:
                     break
         else:
             rejected += 1
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
 
-    return Trajectory(np.array(times), np.array(states), attempts, rejected)
+    return Trajectory(times, states, attempts, rejected)

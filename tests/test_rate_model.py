@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import oamring.rate_model as rate_model
 from oamring.errors import ConfigurationError, ToleranceError
-from oamring.numerics import MAX_ENTRIES, OdeControls, Trajectory
+from oamring.config import parse_config
+from oamring.numerics import MAX_ENTRIES, OdeControls, Trajectory, integrate_ode
 from oamring.potential import (
     GRID_DOUBLING_TOL,
     SystemParams,
@@ -40,7 +41,7 @@ def stacked_rhs(state, g, alpha):
     """The rhs evolve_rates integrates, at the state with zero phases: its
     first n rows are the population rates, its last n rows the phase rates."""
     n = state.populations.size
-    y = np.concatenate([state.populations, np.zeros(n)]).astype(complex)
+    y = np.concatenate([state.populations, np.zeros(n)])
     out = _rate_rhs(n, g, alpha)(0.0, y)
     return out[:n], out[n:]
 
@@ -196,7 +197,7 @@ class TestEvolveRates:
         monkeypatch.setattr(rate_model, "integrate_ode", capture)
         with pytest.raises(RuntimeError, match="captured"):
             evolve_rates(state, g, alpha, tau_end=1.0)
-        y = np.concatenate([state.populations, rng.normal(size=21)]).astype(complex)
+        y = np.concatenate([state.populations, rng.normal(size=21)])
         want = _rate_rhs(21, g, alpha)(0.0, y)
         assert np.array_equal(captured["rhs"](0.0, y), want)
 
@@ -217,7 +218,7 @@ class TestEvolveRates:
         pops = np.tile([0.5, 0.25, 0.25], (5, 1))
         for i, row in faults.items():
             pops[i] = row
-        states = np.hstack([pops, np.zeros_like(pops)]).astype(complex)
+        states = np.hstack([pops, np.zeros_like(pops)])
 
         def fake(*args, check):
             for tau, y in enumerate(states):
@@ -228,6 +229,28 @@ class TestEvolveRates:
         initial = RateState(pops[0])
         with pytest.raises(ToleranceError, match=named):
             evolve_rates(initial, np.zeros(3), np.zeros(3), tau_end=4.0)
+
+    def test_fig3_matches_the_complex_state(self):
+        # evolve_rates steps a float64 state; the same rhs stepped from a
+        # complex y0 is the complex arithmetic it replaced.  Populations agree
+        # to rounding, phases to a few ulp of the largest phase.
+        cfg = parse_config("rate", preset="fig3")
+        fp = fourier_coefficients(cfg.params)
+        g, alpha = rate_coefficients(fp), dispersion_coefficients(fp)
+        state = seeded_rate_state(cfg.params.m_max, cfg.options["seed_population"])
+        tau_end, stride = cfg.options["tau_end"], cfg.options["stride"]
+        real = evolve_rates(state, g, alpha, tau_end, OdeControls(), stride)
+        n = state.populations.size
+        y0 = np.concatenate([state.populations, np.zeros(n)]).astype(complex)
+        ref = integrate_ode(_rate_rhs(n, g, alpha), y0, (0.0, tau_end), OdeControls(), stride)
+        assert ref.states.dtype == np.complex128
+        assert not ref.states.imag.any()
+        assert (real.attempts, real.rejected) == (ref.attempts, ref.rejected)
+        assert np.array_equal(real.times, ref.times)
+        pops = np.where(ref.states.real[:, :n] < 0.0, 0.0, ref.states.real[:, :n])
+        assert np.max(np.abs(real.populations - pops)) <= 1e-15
+        phases = ref.states.real[:, n:]
+        assert np.max(np.abs(real.phases - phases)) <= 4 * np.spacing(np.abs(phases).max())
 
     def test_population_conserved(self):
         g = np.concatenate([[0.0], RNG.uniform(0.0, 0.4, 6)])
