@@ -214,26 +214,25 @@ class TestIntegrator:
             integrate_ode(lambda t, y: np.full_like(y, value), np.ones(2), (0.0, 1.0))
         assert info.value.tau_last == 0.0
 
-    def test_real_problem_steps_in_float64(self):
-        traj = integrate_ode(lambda t, y: -y, np.ones(2), (0.0, 1.0), sample_stride=0.5)
-        assert traj.states.dtype == np.float64
-        assert np.max(np.abs(traj.states[-1] - math.exp(-1.0))) < 1e-9
-
-    def test_frequencies_make_the_state_complex(self):
-        omega = np.array([1.0, -2.0])
-        traj = integrate_ode(lambda t, y: -y, np.ones(2), (0.0, 1.0), sample_stride=0.5,
-                             frequencies=omega)
-        assert traj.states.dtype == np.complex128
-        exact = np.exp(-(1j * omega + 1.0))
-        assert np.max(np.abs(traj.states[-1] - exact)) < 1e-9
-
-    def test_complex_rhs_value_makes_the_state_complex(self):
-        # The first rhs value decides; the pytest setting
+    @pytest.mark.parametrize(
+        "rhs, frequencies, rate, dtype",
+        [
+            (lambda t, y: -y, None, -1.0, np.float64),
+            (lambda t, y: -y, np.array([1.0, -2.0]), np.array([-1 - 1j, -1 + 2j]),
+             np.complex128),
+            (_rotation, None, 1j, np.complex128),
+        ],
+        ids=["real", "frequencies", "complex-rhs"],
+    )
+    def test_states_take_the_problems_dtype(self, rhs, frequencies, rate, dtype):
+        # A real y0 is stepped in float64 unless frequencies are given or the
+        # first rhs value is complex.  The pytest setting
         # error::numpy.exceptions.ComplexWarning pins that no imaginary part
         # is cast away on the way.
-        traj = integrate_ode(_rotation, np.ones(1), (0.0, math.pi), sample_stride=0.5)
-        assert traj.states.dtype == np.complex128
-        assert abs(traj.states[-1, 0] - (-1.0)) < 1e-8
+        traj = integrate_ode(rhs, np.ones(2), (0.0, 1.0), sample_stride=0.5,
+                             frequencies=frequencies)
+        assert traj.states.dtype == dtype
+        assert np.max(np.abs(traj.states[-1] - np.exp(rate))) < 1e-9
 
     @pytest.mark.parametrize("frequencies", [None, np.array([3.0, -1.0])],
                              ids=["plain", "lawson"])
