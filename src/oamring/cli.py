@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -75,6 +78,62 @@ def _csv_lines(columns: list[np.ndarray]) -> str:
     return "\n".join(map(",".join, rows)) + "\n"
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _write_table(handle, columns: list[np.ndarray]) -> None:
+    """Write the rows of ``columns`` to the text file ``handle`` in blocks of
+    at most ``_VALUES_PER_WRITE`` values.
+
+    A table of two blocks or more, where ``os.fork`` exists and the process
+    may run on two CPUs or more, is formatted on two: one forked child
+    formats the later half of the rows into an unlinked temporary file and
+    leaves through ``os._exit``, while this process formats and writes the
+    earlier half.  The child is reaped whatever happens here; a child that
+    did not exit 0 is an OSError, and its bytes follow in fixed-size chunks.
+    The child calls no BLAS and starts no thread.  Every other table, and
+    every table whose fork fails, is written in this process alone.  Each row
+    is the same text wherever a block starts, so the bytes are the same.
+    """
+    rows = len(columns[0])
+    step = max(1, _VALUES_PER_WRITE // len(columns))
+
+    def write(first: int, stop: int, out) -> None:
+        for start in range(first, stop, step):
+            end = min(start + step, stop)
+            out.write(_csv_lines([col[start:end] for col in columns]))
+
+    if rows <= step or not hasattr(os, "fork") or _cpus() < 2:
+        write(0, rows, handle)
+        return
+    cut = rows // 2
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spill:
+        try:
+            pid = os.fork()
+        except OSError:
+            write(0, rows, handle)
+            return
+        if pid == 0:  # os._exit: no cleanup runs twice, no inherited buffer is flushed
+            code = 1
+            try:
+                write(cut, rows, spill)
+                spill.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            write(0, cut, handle)
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise OSError(f"its formatter process exited with status {status}")
+        spill.seek(0)
+        shutil.copyfileobj(spill, handle)
+
+
 def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
     """Write each artifact under ``out``.  A ``.csv`` name maps column names
     to equal-length 1-D arrays: a CSV headed by a ``# manifest:`` line and
@@ -87,7 +146,12 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
     Rows go out in blocks of ``_VALUES_PER_WRITE`` values, and each distinct
     value of a block is formatted once (``_csv_lines``): the bytes are the
     same ``repr`` output, and the writer's memory is bounded by the block, not
-    by the table.
+    by the table.  A table of two blocks or more is formatted by this process
+    and one short-lived forked child, which writes nothing under ``out``,
+    when ``os.fork`` exists and the process may run on two CPUs or more; it
+    is written in this process alone otherwise, or when the fork fails
+    (``_write_table``).  A failed child, like any failed write, is a
+    ConfigurationError naming the file.
     """
     tables = {name: table for name, table in files.items() if name.endswith(".csv")}
     for name, table in tables.items():
@@ -107,12 +171,9 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
                               indent=2, sort_keys=True)
                     handle.write("\n")
                     continue
-                columns = list(payload.values())
                 handle.write(f"# manifest: {mhash}\n")
                 handle.write(",".join(payload) + "\n")
-                step = max(1, _VALUES_PER_WRITE // len(columns))
-                for start in range(0, len(columns[0]), step):
-                    handle.write(_csv_lines([col[start : start + step] for col in columns]))
+                _write_table(handle, list(payload.values()))
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 

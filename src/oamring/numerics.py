@@ -176,7 +176,8 @@ def integrate_ode(
     The state is stepped in its problem's own dtype: complex when
     ``frequencies`` are given, or when ``y0`` or the first ``rhs`` value is
     complex, and float64 otherwise.  That first ``rhs`` call decides; a later
-    complex value on a real state is numpy's ComplexWarning, not a promotion.
+    complex value on a real state is not a promotion but an IntegrationError
+    reporting the last time reached.
     The sample store holds the ``last + 2`` rows the entry bound counts, and
     each sample is written into its row, the array ``check`` sees.
 
@@ -287,7 +288,12 @@ def integrate_ode(
                 f = rhs(t + c_i * h, y_stage * unphases[i - 1])
                 np.multiply(phases[i - 1], f, out=k_i)
             else:
-                k_i[...] = rhs(t + c_i * h, y_stage)
+                try:
+                    np.copyto(k_i, rhs(t + c_i * h, y_stage), casting="same_kind")
+                except TypeError as exc:  # a complex value on a real state, say
+                    raise IntegrationError(
+                        f"rhs value cannot be stored in the {dtype} state: {exc}", t
+                    ) from exc
         y_new = y_stage  # stage 7's input is the 5th-order solution
         abs_new = np.abs(y_new)
         ratio = ha_err.dot(k_re)

@@ -234,6 +234,13 @@ class TestIntegrator:
         assert traj.states.dtype == dtype
         assert np.max(np.abs(traj.states[-1] - np.exp(rate))) < 1e-9
 
+    def test_rhs_turning_complex_on_a_real_state_is_an_integration_error(self):
+        # The first rhs value is real, so the state is float64; the first
+        # stage's complex value would lose its imaginary part.
+        with pytest.raises(IntegrationError, match="float64 state") as info:
+            integrate_ode(lambda t, y: 1j * y if t > 0 else -y, np.ones(1), (0.0, 1.0))
+        assert info.value.tau_last == 0.0
+
     @pytest.mark.parametrize("frequencies", [None, np.array([3.0, -1.0])],
                              ids=["plain", "lawson"])
     def test_step_budget_counts_attempted_steps(self, monkeypatch, frequencies):
