@@ -78,25 +78,70 @@ def _csv_lines(columns: list[np.ndarray]) -> str:
     return "\n".join(map(",".join, rows)) + "\n"
 
 
+# A table of this many values or more is formatted on two CPUs.  In a fresh
+# process a block formats in 3.7 ms (fig4's pattern.csv) to 6.3 ms (fig3's
+# rates.csv), while a fork, its reaping and its copy-on-write faults cost
+# about 6 ms: the child's half must hold about two blocks to pay for itself.
+# fig3's rates.csv (6.3 blocks) forks; fig4's pattern.csv (3.4) does not.
+_FORK_MIN_VALUES = 4 * _VALUES_PER_WRITE
+
+
 def _cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on; neither a cgroup quota nor the load
+    of other processes is counted."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread (False where /proc cannot say).
+    A fork beside other threads may copy a lock one of them holds, and Python
+    3.12 and later warn on it."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _fork_formatter(write, first: int, stop: int):
+    """Fork a child that writes rows ``first:stop`` through ``write`` into an
+    unlinked temporary file and leaves through ``os._exit``: exit 0 once the
+    file holds them, 1 otherwise.  Return its pid and the file, or None when
+    either cannot be had."""
+    try:
+        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        spill.close()
+        return None
+    if pid == 0:  # os._exit: no cleanup runs twice, no inherited buffer is flushed
+        code = 1
+        try:
+            write(first, stop, spill)
+            spill.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, spill
 
 
 def _write_table(handle, columns: list[np.ndarray]) -> None:
     """Write the rows of ``columns`` to the text file ``handle`` in blocks of
     at most ``_VALUES_PER_WRITE`` values.
 
-    A table of two blocks or more, where ``os.fork`` exists and the process
-    may run on two CPUs or more, is formatted on two: one forked child
-    formats the later half of the rows into an unlinked temporary file and
-    leaves through ``os._exit``, while this process formats and writes the
-    earlier half.  The child is reaped whatever happens here; a child that
-    did not exit 0 is an OSError, and its bytes follow in fixed-size chunks.
-    The child calls no BLAS and starts no thread.  Every other table, and
-    every table whose fork fails, is written in this process alone.  Each row
-    is the same text wherever a block starts, so the bytes are the same.
+    A table of ``_FORK_MIN_VALUES`` values or more is formatted on two CPUs
+    when ``os.fork`` exists, the process may run on two CPUs or more and it
+    runs one thread: a forked child (``_fork_formatter``) formats the later
+    half of the rows while this process formats and writes the earlier half.
+    The child is reaped whatever happens here, and its bytes follow in
+    fixed-size chunks.  The child calls no BLAS and starts no thread.  Every
+    other table, every table whose temporary file or fork cannot be had, and
+    the later half of a table whose child did not exit 0 are formatted here.
+    Each row is the same text wherever a block starts, so the bytes are the
+    same.
     """
     rows = len(columns[0])
     step = max(1, _VALUES_PER_WRITE // len(columns))
@@ -106,32 +151,25 @@ def _write_table(handle, columns: list[np.ndarray]) -> None:
             end = min(start + step, stop)
             out.write(_csv_lines([col[start:end] for col in columns]))
 
-    if rows <= step or not hasattr(os, "fork") or _cpus() < 2:
+    cut = rows // 2
+    child = None
+    if (rows * len(columns) >= _FORK_MIN_VALUES and hasattr(os, "fork")
+            and _cpus() >= 2 and _single_threaded()):
+        child = _fork_formatter(write, cut, rows)
+    if child is None:
         write(0, rows, handle)
         return
-    cut = rows // 2
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spill:
-        try:
-            pid = os.fork()
-        except OSError:
-            write(0, rows, handle)
-            return
-        if pid == 0:  # os._exit: no cleanup runs twice, no inherited buffer is flushed
-            code = 1
-            try:
-                write(cut, rows, spill)
-                spill.flush()
-                code = 0
-            finally:
-                os._exit(code)
+    pid, spill = child
+    with spill:
         try:
             write(0, cut, handle)
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status:
-            raise OSError(f"its formatter process exited with status {status}")
-        spill.seek(0)
-        shutil.copyfileobj(spill, handle)
+        if status:  # the child's temporary file failed, not the table
+            write(cut, rows, handle)
+        else:
+            spill.seek(0)
+            shutil.copyfileobj(spill, handle)
 
 
 def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
@@ -146,12 +184,11 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
     Rows go out in blocks of ``_VALUES_PER_WRITE`` values, and each distinct
     value of a block is formatted once (``_csv_lines``): the bytes are the
     same ``repr`` output, and the writer's memory is bounded by the block, not
-    by the table.  A table of two blocks or more is formatted by this process
-    and one short-lived forked child, which writes nothing under ``out``,
-    when ``os.fork`` exists and the process may run on two CPUs or more; it
-    is written in this process alone otherwise, or when the fork fails
-    (``_write_table``).  A failed child, like any failed write, is a
-    ConfigurationError naming the file.
+    by the table.  A table of four blocks or more is formatted by this
+    process and one short-lived forked child, which writes nothing under
+    ``out``, when ``os.fork`` exists and a process of one thread may run on
+    two CPUs or more; it is written in this process alone otherwise, and the
+    child's rows are formatted here when the child fails (``_write_table``).
     """
     tables = {name: table for name, table in files.items() if name.endswith(".csv")}
     for name, table in tables.items():

@@ -288,8 +288,9 @@ def integrate_ode(
                 f = rhs(t + c_i * h, y_stage * unphases[i - 1])
                 np.multiply(phases[i - 1], f, out=k_i)
             else:
+                f = rhs(t + c_i * h, y_stage)
                 try:
-                    np.copyto(k_i, rhs(t + c_i * h, y_stage), casting="same_kind")
+                    np.copyto(k_i, f, casting="same_kind")
                 except TypeError as exc:  # a complex value on a real state, say
                     raise IntegrationError(
                         f"rhs value cannot be stored in the {dtype} state: {exc}", t

@@ -101,28 +101,6 @@ def reference_write_csv(path: Path, manifest_hash: str, header: list[str], rows)
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """The pids that call os.fork, on a process that may run on two CPUs, so
-    the writer forks for every table of two blocks or more."""
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-def assert_no_child_left():
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # Small value pools for drawn CSV tables, so values repeat within and across
 # blocks.  The int pool holds the float pool's bit patterns.
 FLOAT_POOL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1 + 0.2, 0.25, 1e16,
@@ -484,7 +462,7 @@ class TestArtifacts:
                 assert f"column {['k', 'x', 'y'][col]} of bad.csv" in str(info.value)
                 assert not out.exists()
 
-    def test_columns_match_row_wise_reference(self, tmp_path, forks):
+    def test_columns_match_row_wise_reference(self, tmp_path):
         header = ["k", "a", "b", "bits"]
         n = 3 * (_VALUES_PER_WRITE // len(header)) + 5  # four blocks
         rng = np.random.default_rng(7)
@@ -505,7 +483,6 @@ class TestArtifacts:
         new, ref = tmp_path / "out" / "new.csv", tmp_path / "ref.csv"
         reference_write_csv(ref, "h", header, zip(*columns))
         assert new.read_bytes() == ref.read_bytes()
-        assert forks == [os.getpid()]  # one formatter, for new.csv alone
         lines = new.read_text().splitlines()
         assert lines[2].startswith("0,-0.0,") and lines[3].startswith("3,5e-324,")
         assert lines[2].endswith(f",{-(2**63)}") and lines[3].endswith(",1")
@@ -577,102 +554,162 @@ class TestArtifacts:
         assert not out.exists()
 
 
-# A CLI child that starts two BLAS threads with a matmul, then runs main on a
-# process that may run on two CPUs, so the writer forks beside those threads.
-FORKING_MAIN = """
-import os, sys
+# The head of a script for a fresh interpreter, where the CSV writer may fork:
+# the process may run on two CPUs, and it runs one thread until the script
+# starts one.  ``forks`` counts the forks, and ``no_child_left`` says whether
+# every child has been reaped.
+FORKING_PRELUDE = """
+import json, os, sys, threading
+from pathlib import Path
 import numpy as np
-from oamring.cli import main
-a = np.random.default_rng(0).random((200, 200))
-a @ a
+import oamring.cli as cli
+from oamring.cli import _write_artifacts, main
 os.sched_getaffinity = lambda pid: {0, 1}
 forks = []
-fork = os.fork
-os.fork = lambda: forks.append(1) or fork()
-code = main(sys.argv[1:])
-print(len(forks))
-sys.exit(code)
+_fork = os.fork
+os.fork = lambda: forks.append(1) or _fork()
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def run_forking(tmp_path: Path, body: str, threads: str = "1") -> list:
+    """Run ``FORKING_PRELUDE`` and ``body`` in a fresh interpreter with
+    ``threads`` BLAS threads, ``tmp_path`` as ``sys.argv[1]`` and
+    DeprecationWarning an error (Python 3.12 and later warn when a process
+    with threads forks); return the JSON its last stdout line holds."""
+    src = str(Path(oamring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+           "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+    child = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", FORKING_PRELUDE + body,
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def drawn_reference(out: Path, values: int) -> Path:
+    """``reference_write_csv``'s file, in ``out``, of the drawn two-column
+    table of ``values`` values that ``DRAWN_TABLE`` writes."""
+    columns = np.random.default_rng(5).normal(size=(2, values // 2))
+    reference_write_csv(out / "ref.csv", "h", ["a", "b"], zip(*columns))
+    return out / "ref.csv"
+
+
+DRAWN_TABLE = """
+def write_drawn_table(out, values):
+    columns = np.random.default_rng(5).normal(size=(2, values // 2))
+    _write_artifacts(out, "h", {"t.csv": dict(zip(["a", "b"], columns))})
 """
 
 
 class TestFormatterProcess:
-    """The forked CSV formatter: reaped on success and on failure, absent on
-    one CPU or when fork fails, and safe beside BLAS threads."""
+    """The forked CSV formatter: used from its threshold on, only in a process
+    of one thread, reaped on success and on failure, and replaced by this
+    process when it fails or cannot start."""
 
     def rate_fig3(self, out: Path) -> list[str]:
         return ["rate", "--preset", "fig3", "--out", str(out)]
 
-    def test_forking_run_leaves_no_child(self, tmp_path, forks):
-        assert main(self.rate_fig3(tmp_path / "out")) == 0
-        assert forks == [os.getpid()]  # rates.csv; manifest.json is JSON
-        assert_no_child_left()
+    @pytest.mark.parametrize("threads, start_thread, want_forks",
+                             [("1", False, 1), ("2", True, 0)],
+                             ids=["one-thread-forks", "threads-do-not"])
+    def test_fork_only_without_threads(self, tmp_path, threads, start_thread, want_forks):
+        # A matmul starts the BLAS pool first; "threads-do-not" also starts
+        # a thread of its own, so the process has threads on any host.
+        body = f"""
+a = np.random.default_rng(0).random((200, 200))
+a @ a
+stop = threading.Event()
+if {start_thread}:
+    threading.Thread(target=stop.wait, daemon=True).start()
+code = main(["rate", "--preset", "fig3", "--out", sys.argv[1] + "/child"])
+stop.set()
+print(json.dumps([code, len(forks), no_child_left()]))
+"""
+        assert run_forking(tmp_path, body, threads) == [0, want_forks, True]
+        assert main(self.rate_fig3(tmp_path / "here")) == 0
+        forked = (tmp_path / "child" / "rates.csv").read_bytes()
+        assert forked == (tmp_path / "here" / "rates.csv").read_bytes()
 
-    def test_failed_formatter_exits_two_naming_the_file(
-        self, tmp_path, capsys, monkeypatch, forks
-    ):
-        parent, real_lines = os.getpid(), oamring.cli._csv_lines
+    def test_failed_formatter_falls_back_to_this_process(self, tmp_path):
+        body = """
+parent, real_lines = os.getpid(), cli._csv_lines
+def lines(columns):
+    if os.getpid() != parent:
+        raise MemoryError("the formatter fails")
+    return real_lines(columns)
+cli._csv_lines = lines
+code = main(["rate", "--preset", "fig3", "--out", sys.argv[1] + "/child"])
+print(json.dumps([code, len(forks), no_child_left()]))
+"""
+        assert run_forking(tmp_path, body) == [0, 1, True]
+        assert main(self.rate_fig3(tmp_path / "here")) == 0
+        forked = (tmp_path / "child" / "rates.csv").read_bytes()
+        assert forked == (tmp_path / "here" / "rates.csv").read_bytes()
 
-        def lines(columns):
-            if os.getpid() != parent:
-                raise MemoryError("the formatter fails")
-            return real_lines(columns)
+    def test_tables_fork_from_the_threshold(self, tmp_path):
+        body = DRAWN_TABLE + """
+write_drawn_table(Path(sys.argv[1]) / "at", cli._FORK_MIN_VALUES)
+at = len(forks)
+write_drawn_table(Path(sys.argv[1]) / "below", cli._FORK_MIN_VALUES - 2)
+print(json.dumps([at, len(forks), no_child_left()]))
+"""
+        assert run_forking(tmp_path, body) == [1, 1, True]
+        threshold = oamring.cli._FORK_MIN_VALUES
+        for name, values in [("at", threshold), ("below", threshold - 2)]:
+            ref = drawn_reference(tmp_path, values)
+            assert (tmp_path / name / "t.csv").read_bytes() == ref.read_bytes()
 
-        monkeypatch.setattr(oamring.cli, "_csv_lines", lines)
-        out = tmp_path / "out"
-        assert main(self.rate_fig3(out)) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        record = json.loads(err[0])
-        assert record["error"] == "ConfigurationError" and record["exit_code"] == 2
-        assert f"cannot write {out / 'rates.csv'}" in record["message"]
-        assert forks == [parent]
-        assert_no_child_left()
-
-    @pytest.mark.parametrize(
-        "cpus, error",
-        [({0}, AssertionError("forked on one CPU")), ({0, 1}, BlockingIOError(11, "EAGAIN"))],
-        ids=["one-cpu", "fork-fails"],
-    )
-    def test_table_is_written_in_process(self, tmp_path, monkeypatch, cpus, error):
-        # One CPU never forks, so the AssertionError would escape the writer;
-        # a fork that fails with an OSError falls back to this process.
-        def fork():
-            raise error
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(os, "fork", fork)
-        header = ["a", "b"]
-        columns = list(np.random.default_rng(5).normal(size=(2, 2 * _VALUES_PER_WRITE)))
-        _write_artifacts(tmp_path / "out", "h", {"t.csv": dict(zip(header, columns))})
-        reference_write_csv(tmp_path / "ref.csv", "h", header, zip(*columns))
-        assert (tmp_path / "out" / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert_no_child_left()
-
-    def test_short_child_share_arrives_whole(self, tmp_path, monkeypatch, forks):
+    def test_short_child_share_arrives_whole(self, tmp_path):
         # Blocks of two rows: the child's 11 rows stay far below the file
         # buffers, so they arrive only if the child flushes them itself.
-        monkeypatch.setattr(oamring.cli, "_VALUES_PER_WRITE", 6)
-        header = ["k", "x", "y"]
+        body = """
+cli._VALUES_PER_WRITE, cli._FORK_MIN_VALUES = 6, 12
+columns = [np.arange(21), np.linspace(0.0, 1.0, 21), -np.arange(21.0)]
+_write_artifacts(Path(sys.argv[1]) / "out", "h", {"t.csv": dict(zip("kxy", columns))})
+print(json.dumps([len(forks), no_child_left()]))
+"""
+        assert run_forking(tmp_path, body) == [1, True]
         columns = [np.arange(21), np.linspace(0.0, 1.0, 21), -np.arange(21.0)]
-        _write_artifacts(tmp_path / "out", "h", {"t.csv": dict(zip(header, columns))})
-        reference_write_csv(tmp_path / "ref.csv", "h", header, zip(*columns))
+        reference_write_csv(tmp_path / "ref.csv", "h", list("kxy"), zip(*columns))
         assert (tmp_path / "out" / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert forks == [os.getpid()]
 
-    def test_fork_beside_blas_threads(self, tmp_path, monkeypatch):
-        src = str(Path(oamring.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2",
-               "OMP_NUM_THREADS": "2"}
-        child = subprocess.run(
-            [sys.executable, "-c", FORKING_MAIN, *self.rate_fig3(tmp_path / "forked")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.splitlines()[-1] == "1"
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert main(self.rate_fig3(tmp_path / "alone")) == 0
-        forked = (tmp_path / "forked" / "rates.csv").read_bytes()
-        assert forked == (tmp_path / "alone" / "rates.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "case", ["below-threshold", "one-cpu", "threads", "no-tempfile", "fork-fails"]
+    )
+    def test_table_is_written_in_process(self, tmp_path, monkeypatch, case):
+        # This process may have BLAS threads, so no case may really fork:
+        # every fork but the failing one is an AssertionError.
+        def forked():
+            raise AssertionError("forked")
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(oamring.cli, "_single_threaded", lambda: True)
+        monkeypatch.setattr(os, "fork", forked)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif case == "threads":
+            monkeypatch.setattr(oamring.cli, "_single_threaded", lambda: False)
+        elif case == "no-tempfile":
+            monkeypatch.setattr(tempfile, "TemporaryFile", fail)
+        elif case == "fork-fails":
+            monkeypatch.setattr(os, "fork", fail)
+        values = oamring.cli._FORK_MIN_VALUES - 2 * (case == "below-threshold")
+        columns = np.random.default_rng(5).normal(size=(2, values // 2))
+        _write_artifacts(tmp_path / "out", "h", {"t.csv": dict(zip(["a", "b"], columns))})
+        ref = drawn_reference(tmp_path, values)
+        assert (tmp_path / "out" / "t.csv").read_bytes() == ref.read_bytes()
 
 
 class TestTimeseries:
