@@ -165,7 +165,7 @@ def _write_table(handle, columns: list[np.ndarray]) -> None:
             write(0, cut, handle)
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status:  # the child's temporary file failed, not the table
+        if status:  # the child wrote nothing under the output directory
             write(cut, rows, handle)
         else:
             spill.seek(0)
