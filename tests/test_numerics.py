@@ -241,6 +241,15 @@ class TestIntegrator:
             integrate_ode(lambda t, y: 1j * y if t > 0 else -y, np.ones(1), (0.0, 1.0))
         assert info.value.tau_last == 0.0
 
+    def test_type_error_inside_rhs_is_not_an_integration_error(self):
+        def rhs(t, y):
+            if t > 0:
+                raise TypeError("a fault in the rhs")
+            return -y
+
+        with pytest.raises(TypeError, match="a fault in the rhs"):
+            integrate_ode(rhs, np.ones(1), (0.0, 1.0))
+
     @pytest.mark.parametrize("frequencies", [None, np.array([3.0, -1.0])],
                              ids=["plain", "lawson"])
     def test_step_budget_counts_attempted_steps(self, monkeypatch, frequencies):
