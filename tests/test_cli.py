@@ -597,17 +597,15 @@ def run_forking(tmp_path: Path, body: str, threads: str = "1") -> list:
 
 def drawn_reference(out: Path, values: int) -> Path:
     """``reference_write_csv``'s file, in ``out``, of the drawn two-column
-    table of ``values`` values that ``DRAWN_TABLE`` writes."""
+    table of ``values`` values the tests below write."""
     columns = np.random.default_rng(5).normal(size=(2, values // 2))
     reference_write_csv(out / "ref.csv", "h", ["a", "b"], zip(*columns))
     return out / "ref.csv"
 
 
-DRAWN_TABLE = """
-def write_drawn_table(out, values):
-    columns = np.random.default_rng(5).normal(size=(2, values // 2))
-    _write_artifacts(out, "h", {"t.csv": dict(zip(["a", "b"], columns))})
-"""
+# The writer counts this process's threads in /proc; without it, it never forks.
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                reason="no /proc/self/task to count threads in")
 
 
 class TestFormatterProcess:
@@ -618,6 +616,7 @@ class TestFormatterProcess:
     def rate_fig3(self, out: Path) -> list[str]:
         return ["rate", "--preset", "fig3", "--out", str(out)]
 
+    @needs_proc
     @pytest.mark.parametrize("threads, start_thread, want_forks",
                              [("1", False, 1), ("2", True, 0)],
                              ids=["one-thread-forks", "threads-do-not"])
@@ -639,6 +638,7 @@ print(json.dumps([code, len(forks), no_child_left()]))
         forked = (tmp_path / "child" / "rates.csv").read_bytes()
         assert forked == (tmp_path / "here" / "rates.csv").read_bytes()
 
+    @needs_proc
     def test_failed_formatter_falls_back_to_this_process(self, tmp_path):
         body = """
 parent, real_lines = os.getpid(), cli._csv_lines
@@ -655,12 +655,15 @@ print(json.dumps([code, len(forks), no_child_left()]))
         forked = (tmp_path / "child" / "rates.csv").read_bytes()
         assert forked == (tmp_path / "here" / "rates.csv").read_bytes()
 
+    @needs_proc
     def test_tables_fork_from_the_threshold(self, tmp_path):
-        body = DRAWN_TABLE + """
-write_drawn_table(Path(sys.argv[1]) / "at", cli._FORK_MIN_VALUES)
-at = len(forks)
-write_drawn_table(Path(sys.argv[1]) / "below", cli._FORK_MIN_VALUES - 2)
-print(json.dumps([at, len(forks), no_child_left()]))
+        body = """
+counts = []
+for name, values in [("at", cli._FORK_MIN_VALUES), ("below", cli._FORK_MIN_VALUES - 2)]:
+    columns = np.random.default_rng(5).normal(size=(2, values // 2))
+    _write_artifacts(Path(sys.argv[1]) / name, "h", {"t.csv": dict(zip("ab", columns))})
+    counts.append(len(forks))
+print(json.dumps([*counts, no_child_left()]))
 """
         assert run_forking(tmp_path, body) == [1, 1, True]
         threshold = oamring.cli._FORK_MIN_VALUES
@@ -668,6 +671,7 @@ print(json.dumps([at, len(forks), no_child_left()]))
             ref = drawn_reference(tmp_path, values)
             assert (tmp_path / name / "t.csv").read_bytes() == ref.read_bytes()
 
+    @needs_proc
     def test_short_child_share_arrives_whole(self, tmp_path):
         # Blocks of two rows: the child's 11 rows stay far below the file
         # buffers, so they arrive only if the child flushes them itself.
@@ -707,7 +711,7 @@ print(json.dumps([len(forks), no_child_left()]))
             monkeypatch.setattr(os, "fork", fail)
         values = oamring.cli._FORK_MIN_VALUES - 2 * (case == "below-threshold")
         columns = np.random.default_rng(5).normal(size=(2, values // 2))
-        _write_artifacts(tmp_path / "out", "h", {"t.csv": dict(zip(["a", "b"], columns))})
+        _write_artifacts(tmp_path / "out", "h", {"t.csv": dict(zip("ab", columns))})
         ref = drawn_reference(tmp_path, values)
         assert (tmp_path / "out" / "t.csv").read_bytes() == ref.read_bytes()
 
