@@ -4,14 +4,15 @@ and a reproducibility manifest for every run.
 The manifest's "reproducible" block is a complete re-run recipe: feeding a
 manifest back through --config regenerates every artifact byte-for-byte
 under the tool_version that wrote it, and any other version refuses it.  A
-change that moves artifact bytes bumps oamring.__version__.  Wall-clock and
-creation time live in a separate "volatile" block that is excluded from the
-manifest hash.
+change that moves artifact bytes bumps oamring.__version__.  Wall-clock,
+writing and creation times live in a separate "volatile" block that is
+excluded from the manifest hash.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -55,34 +56,277 @@ from .stability import K0_RHO_GRID, TOP_MODE, classify_regime, spectrum, spectru
 
 # Values turned into text at a time.  The writer's memory is bounded by this
 # block, not by the table: formatting a 46k-row pattern by whole columns holds
-# the string of every distinct value at once.
+# the text of every distinct value at once.
 _VALUES_PER_WRITE = 8192
 
+# The text of one value: at most _TEXT ASCII bytes, NUL-padded, with NULs
+# wherever the layout below leaves a slot empty.  repr of a float64 takes at
+# most 24 and of a 64-bit int at most 20.
+_TEXT = 32
+# Floats formatted by one _float_text call: its few dozen temporaries of this
+# length stay small beside the block.
+_FLOATS_PER_CALL = 2048
+# CPython's float_repr writes a value without an exponent when its decimal
+# point sits in this range: 0.000ddd (point -3) to dddddddddddddddd.d (16).
+_POINT_MIN, _POINT_MAX = -3, 16
+# A scaled endpoint or a rounding tie this close to an integer is left to
+# repr.  The double-double scaling errs by under 1e-14 of a unit.
+_MARGIN = 2.0**-32
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MANTISSA = np.uint64((1 << 52) - 1)
 
-def _csv_lines(columns: list[np.ndarray]) -> str:
-    """The CSV lines of equal-length 1-D ``columns``.  The columns of each
-    dtype are stacked and sorted once, keyed by dtype and bit pattern, so
-    ``-0.0`` and ``0.0`` stay apart and an int column never meets a float
-    one.  Each distinct value gets one ``repr``, and the rows are joined from
-    that string table."""
-    index = np.empty((len(columns[0]), len(columns)), dtype=np.intp)
-    texts: list[str] = []
+
+@functools.cache
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10**k as a double-double (hi, lo), then hi's Veltkamp split into two
+    halves of 26 bits.  Built from exact integers: int-to-float conversion and
+    int true division round correctly, and the exact remainder gives lo."""
+    if k >= 0:
+        hi = float(10**k)
+        lo = float(10**k - int(hi))
+    else:
+        hi = 1 / 10**-k
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * 10**-k) / (den * 10**-k)
+    split = 134217729.0 * hi
+    top = split - (split - hi)
+    return hi, lo, top, hi - top
+
+
+def _word(text: str) -> int:
+    """Up to 8 ASCII characters as a little-endian uint64, NUL-padded."""
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """The uint64 pieces _float_text assembles a text from.
+
+    quads[n] is the four digits of n < 10000, and pairs[n] the two of
+    n < 100 placed in bytes 6 and 7.  layouts[(18 sign + count) forms + form]
+    is the layout of a text of ``count`` digits, keyed by its sign and its
+    point's form: ``form`` 1 to forms - 2 is the point _POINT_MIN to
+    _POINT_MAX, 0 is any point below and forms - 1 any point above.  A
+    layout holds the sign and "0.000" lead in bytes 0 to 5, the point's
+    digit slot (17: no point), and the masks of the bytes the text fills in
+    the first three words.  exponents[point + 256] is the exponent text, or 0
+    for a point written without one."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+    quads = (digit[:, None, None, None] | digit[:, None, None] << 8
+             | digit[:, None] << 16 | digit << 24).ravel()
+
+    forms = _POINT_MAX - _POINT_MIN + 3
+    sign, count, form = np.ix_(range(2), range(18), range(forms))
+    point = form - 1 + _POINT_MIN
+    fixed = (form > 0) & (form < forms - 1)
+    # "0." and the zeros after it, for a point at 0 or below.
+    zeros = np.where(fixed & (point <= 0), 1 - point, 0)
+    leads = np.array([[_word(minus + ("0." + "0" * (n - 1) if n else ""))
+                       for n in range(2 - _POINT_MIN)] for minus in ("", "-")], dtype=np.uint64)
+    dot = np.where(fixed & (point > 0), point, np.where(fixed | (count == 1), 17, 1))
+    shown = np.where(fixed & (point > 0), np.maximum(count, point + 1), count) + (dot < 17)
+    masks = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+    filled = [np.minimum(shown + 6, 8), np.clip(shown - 2, 0, 8), np.clip(shown - 10, 0, 8)]
+    layouts = np.stack(np.broadcast_arrays(leads[sign, zeros], dot.astype(np.uint64),
+                                           *(masks[n] for n in filled)), axis=-1)
+
+    point = np.arange(-256, 256)
+    e = np.abs(point - 1)
+    exponents = (np.uint64(ord("e")) | np.where(point < 1, ord("-"), ord("+")).astype(np.uint64) << 8
+                 | np.where(e < 100, quads[e] >> 16, quads[e] >> 8) << 16)
+    exponents[(point >= _POINT_MIN) & (point <= _POINT_MAX)] = 0
+    return quads, quads[:100] >> 16 << 48, layouts.reshape(-1, 5), exponents
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x 10^k, k = 16 - floor(log10 x), as p + t with p the rounded product,
+    the half gaps of x's rounding interval above and below scaled alike, and
+    k.  The products are double-double (Dekker's; numpy has no FMA) and err
+    by under 1e-14.  The gaps are half an ulp, and a quarter ulp below a
+    power of two."""
+    # log10 may round across a power of ten: x 10^k then has 16 or 18 digits,
+    # and every step after this still holds.
+    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    first = int(k.min())
+    table = np.array([_pow10(e) for e in range(first, int(k.max()) + 1)])
+    hi, lo, hi_top, hi_low = table.T[:, k - first]
+    split = 134217729.0 * x
+    x_top = split - (split - x)
+    x_low = x - x_top
+    p = x * hi
+    t = ((x_top * hi_top - p) + x_top * hi_low + x_low * hi_top) + x_low * hi_low + x * lo
+    half_ulp = 0.5 * np.spacing(x)
+    above = half_ulp * hi + half_ulp * lo
+    below = np.where(x.view(np.uint64) & _MANTISSA, above, 0.5 * above)
+    return p, t, above, below, k
+
+
+def _interval(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x 10^k and the ends of x's rounding interval scaled alike (_scaled),
+    each as an int64 whole part and a fraction: (mid, its fraction, top, its
+    fraction, bottom, its fraction, k, fast).  fast is False where the whole
+    parts are out of range or an end lies within _MARGIN of an integer."""
+    p, t, above, below, k = _scaled(x)
+    # p, at least 2^53, is a whole number.
+    fast = (p >= 2.0**53) & (p < 2.0**62)
+    whole = np.where(fast, p, 2.0**53).astype(np.int64)
+    parts = []
+    for fraction in (t, t + above, t - below):
+        floor = np.floor(fraction)
+        parts += [whole + floor.astype(np.int64), fraction - floor]
+    for fraction in parts[3::2]:
+        fast &= np.abs(fraction - 0.5) < 0.5 - _MARGIN
+    return (*parts, k, fast)
+
+
+def _shortest(magnitude: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shortest digits of each of ``magnitude`` that read back to it, the
+    nearest such to it: (digits as an int64, their count, the decimal point's
+    position, plain).  The value is 0.digits x 10^point.  Where plain is
+    False the value is left to repr, and the other entries are those of 0.
+
+    The digits dropped from x 10^k are the largest j with a multiple of 10^j
+    inside the scaled interval, and the digits are the multiple of 10^j
+    nearest x 10^k that lies inside it.  A value within _MARGIN of a
+    rounding tie, where round-half-even decides, is left to repr, as is every
+    value outside [1e-250, 1e250] and every subnormal (Grisu3's design: a
+    fast path that detects its own failures)."""
+    fast = (magnitude >= 1e-250) & (magnitude <= 1e250)
+    mid, mid_fraction, top, _, bottom, _, k, inside = _interval(
+        np.where(fast, magnitude, 1.0))
+    fast &= inside
+    # Digits dropped: the largest j with a multiple of 10^j in (bottom, top],
+    # that is with top % 10^j < top - bottom.  That width is 1 to 25, so j
+    # passes 2 only where top's last two digits are under it, and then by
+    # the zeros before them, counted 8, 4, 2 and 1 at a time.
+    width = top - bottom
+    last2 = top % 100
+    dropped = (last2 % 10 < width).astype(np.int64) + (last2 < width)
+    live = np.flatnonzero(last2 < width)
+    head = top[live] // 100
+    for run in (8, 4, 2, 1):
+        cut = head // 10**run
+        zeros = cut * 10**run == head
+        head = np.where(zeros, cut, head)
+        dropped[live] += run * zeros
+    unit = _POW10[dropped]
+    rest = mid % unit
+    # Twice the distance of x 10^k past the midpoint between the multiples
+    # of 10^j on either side: its sign picks the nearer one, and below a
+    # power of two the nearer one may lie under the interval.  The whole
+    # part converts exactly wherever the sum is near 0.
+    past = (2 * rest - unit) + 2.0 * mid_fraction
+    fast &= np.abs(past) > 2 * _MARGIN
+    near = mid - rest + unit * (past > 0)
+    near += unit * (near <= bottom)
+    count = 17 - dropped + (near >= 10**17) - (near < 10**16)
+    fast &= (count <= 17) & (magnitude > 0)
+    return (np.where(fast, near // unit, 0), np.where(fast, count, 1),
+            np.where(fast, count + dropped - k, 1), fast | (magnitude == 0))
+
+
+def _digit_slots(digits: np.ndarray, count: np.ndarray, dot: np.ndarray) -> list[np.ndarray]:
+    """The 18 digit slots of a text: its ``count`` digits left-aligned in 17
+    slots, zero-filled, with a 0 opened up in slot ``dot`` for the point.
+    Returned as the numbers in slots 0-1, 2-9 and 10-17."""
+    left = digits * _POW10[17 - count]
+    cut = _POW10[17 - dot]
+    high = left // cut
+    spaced = high * (10 * cut) + (left - high * cut)
+    pair = spaced // 10**16
+    low = spaced - pair * 10**16
+    first8 = low // 10**8
+    return [pair, first8, low - first8 * 10**8]
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The repr text of each float64 of ``values``: row i, NULs removed, is
+    ``repr(float(values[i]))``, byte for byte.  The digits come from
+    _shortest, or from ``repr`` itself where it cannot decide them.
+
+    The text is laid out in four little-endian uint64 words, by CPython's
+    float_repr rule: the sign and any "0.000" lead; 18 digit slots holding
+    the digits, zero-filled to the point, with the point in its slot; the
+    exponent.  A block's layouts are one gather from _text_tables' layouts,
+    and slots past the text are NUL."""
+    digits, count, point, plain = _shortest(np.abs(values))
+    quads, pairs, layouts, exponents = _text_tables()
+    forms = _POINT_MAX - _POINT_MIN + 3
+    form = np.minimum(np.maximum(point - (_POINT_MIN - 1), 0), forms - 1)
+    layout = layouts[(18 * np.signbit(values) + count) * forms + form]
+    dot = layout[:, 1].astype(np.int64)
+    pair, *eights = _digit_slots(digits, count, dot)
+    words = np.empty((len(values), 4), dtype=np.uint64)
+    words[:, 0] = layout[:, 0] | pairs[pair]
+    for word, eight in enumerate(eights, 1):
+        four = eight // 10**4
+        words[:, word] = quads[four] | quads[eight - four * 10**4] << 32
+    words[:, 3] = exponents[point + 256]
+    text = words.view(np.uint8)
+    text[np.arange(len(values)), 6 + dot] = ord(".")
+    words[:, :3] &= layout[:, 2:]
+    slow = np.flatnonzero(~plain)
+    if slow.size:
+        text[slow] = _repr_text(values[slow])
+    return text
+
+
+def _repr_text(values: np.ndarray) -> np.ndarray:
+    """The repr text of each of ``values``, in rows of _TEXT bytes."""
+    texts = np.array(list(map(repr, values.tolist())), dtype=f"S{_TEXT}")
+    return texts.view(np.uint8).reshape(len(values), _TEXT)
+
+
+def _cells(columns: list[np.ndarray]) -> np.ndarray:
+    """The text of each cell of equal-length 1-D ``columns``, in rows of
+    ``_TEXT + 1`` bytes that end in a free separator slot.
+
+    The columns of each dtype are stacked and sorted once, keyed by dtype and
+    bit pattern, so ``-0.0`` and ``0.0`` stay apart and an int column never
+    meets a float one.  Each distinct value is formatted once, a float64 by
+    _float_text and any other value by ``repr``, and the cells are gathered
+    from that table."""
+    rows = len(columns[0])
+    index = np.empty((rows, len(columns)), dtype=np.intp)
+    groups = []
     for dtype in dict.fromkeys(column.dtype for column in columns):
         at = [i for i, column in enumerate(columns) if column.dtype == dtype]
         values = np.stack([columns[i] for i in at], axis=1).ravel()
         keys = values.view(f"u{dtype.itemsize}") if dtype.kind == "f" else values
         distinct, inverse = np.unique(keys, return_inverse=True)
-        index[:, at] = inverse.reshape(len(index), -1) + len(texts)
-        texts += map(repr, distinct.view(dtype).tolist())
-    rows = np.array(texts, dtype=object)[index].tolist()
-    return "\n".join(map(",".join, rows)) + "\n"
+        index[:, at] = inverse.reshape(rows, -1) + sum(map(len, groups))
+        groups.append(distinct.view(dtype))
+    # Only the index and the distinct values stay while the texts are made.
+    del values, keys, inverse
+    table = np.zeros((sum(map(len, groups)), _TEXT + 1), dtype=np.uint8)
+    start = 0
+    for group in groups:
+        floats = group.dtype == np.float64
+        step = _FLOATS_PER_CALL if floats else len(group)
+        for first in range(0, len(group), step):
+            part = group[first : first + step]
+            table[start : start + len(part), :_TEXT] = (
+                _float_text(part) if floats else _repr_text(part))
+            start += len(part)
+    return table[index]
+
+
+def _csv_lines(columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of equal-length 1-D ``columns``, ASCII-encoded: each
+    row's cells (``_cells``) and separators, with the NULs dropped."""
+    cells = _cells(columns)
+    cells[:, :, _TEXT] = ord(",")
+    cells[:, -1, _TEXT] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
 
 
 # A table of this many values or more is formatted on two CPUs.  In a fresh
-# process a block formats in 3.7 ms (fig4's pattern.csv) to 6.3 ms (fig3's
-# rates.csv), while a fork, its reaping and its copy-on-write faults cost
-# about 6 ms: the child's half must hold about two blocks to pay for itself.
-# fig3's rates.csv (6.3 blocks) forks; fig4's pattern.csv (3.4) does not.
+# process _float_text formats a block in about 2.5 ms (fig4's pattern.csv) to
+# 3.5 ms (fig3's rates.csv), where repr took 3.7 to 6.3 ms, while a fork, its
+# reaping and its copy-on-write faults cost about 6 ms: the child's half must
+# hold about two blocks to pay for itself.  fig3's rates.csv (6.3 blocks)
+# forks, and its rate op reads about 4 ms faster for it; fig4's pattern.csv
+# (3.4) does not.
 _FORK_MIN_VALUES = 4 * _VALUES_PER_WRITE
 
 
@@ -109,7 +353,7 @@ def _fork_formatter(write, first: int, stop: int):
     file holds them, 1 otherwise.  Return its pid and the file, or None when
     either cannot be had."""
     try:
-        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        spill = tempfile.TemporaryFile()
     except OSError:
         return None
     try:
@@ -129,7 +373,7 @@ def _fork_formatter(write, first: int, stop: int):
 
 
 def _write_table(handle, columns: list[np.ndarray]) -> None:
-    """Write the rows of ``columns`` to the text file ``handle`` in blocks of
+    """Write the rows of ``columns`` to the binary file ``handle`` in blocks of
     at most ``_VALUES_PER_WRITE`` values.
 
     A table of ``_FORK_MIN_VALUES`` values or more is formatted on two CPUs
@@ -180,11 +424,11 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
 
     Every CSV column is checked before ``out`` is made, so a non-finite value
     raises ToleranceError and leaves no output directory.  Values are written
-    with ``repr``: floats round-trip exactly and integer columns stay integers.
-    Rows go out in blocks of ``_VALUES_PER_WRITE`` values, and each distinct
-    value of a block is formatted once (``_csv_lines``): the bytes are the
-    same ``repr`` output, and the writer's memory is bounded by the block, not
-    by the table.  A table of four blocks or more is formatted by this
+    as ``repr`` writes them: floats round-trip exactly and integer columns
+    stay integers.  Rows go out in blocks of ``_VALUES_PER_WRITE`` values, and
+    each distinct value of a block is formatted once (``_csv_lines``), a
+    float64 by _float_text: the bytes are ``repr``'s, and the writer's memory
+    is bounded by the block, not by the table.  A table of four blocks or more is formatted by this
     process and one short-lived forked child, which writes nothing under
     ``out``, when ``os.fork`` exists and a process of one thread may run on
     two CPUs or more; it is written in this process alone otherwise, and the
@@ -202,15 +446,14 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for name, payload in files.items():
             path = out / name
+            if name in tables:
+                with path.open("wb") as handle:
+                    handle.write(f"# manifest: {mhash}\n{','.join(payload)}\n".encode())
+                    _write_table(handle, list(payload.values()))
+                continue
             with path.open("w", encoding="utf-8", newline="\n") as handle:
-                if name not in tables:
-                    json.dump({**payload, "manifest_hash": mhash}, handle,
-                              indent=2, sort_keys=True)
-                    handle.write("\n")
-                    continue
-                handle.write(f"# manifest: {mhash}\n")
-                handle.write(",".join(payload) + "\n")
-                _write_table(handle, list(payload.values()))
+                json.dump({**payload, "manifest_hash": mhash}, handle, indent=2, sort_keys=True)
+                handle.write("\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
@@ -521,12 +764,17 @@ def run_scenario(config: RunConfig) -> dict:
 
     Returns the manifest payload.  Artifact bytes are a pure function of the
     resolved configuration, so re-running from an emitted manifest reproduces
-    them exactly.  Nothing is written until the run has succeeded.
+    them exactly.  Nothing is written until the run has succeeded.  The
+    manifest's unhashed ``volatile`` block records the run's wall-clock time,
+    the time spent writing the artifacts before manifest.json (``write_s``)
+    and the creation time.
     """
     mhash = _manifest_hash(config)
     started = time.perf_counter()
     files, derived, diagnostics = _RUNNERS[config.scenario](config)
-    wall = time.perf_counter() - started
+    computed = time.perf_counter()
+    _write_artifacts(config.output_dir, mhash, files)
+    written = time.perf_counter()
     manifest = {
         "manifest_hash": mhash,
         "reproducible": {
@@ -540,11 +788,12 @@ def run_scenario(config: RunConfig) -> dict:
             "diagnostics": diagnostics,
         },
         "volatile": {
-            "wall_clock_s": round(wall, 3),
+            "wall_clock_s": round(computed - started, 3),
+            "write_s": round(written - computed, 4),
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
-    _write_artifacts(config.output_dir, mhash, {**files, "manifest.json": manifest})
+    _write_artifacts(config.output_dir, mhash, {"manifest.json": manifest})
     return manifest
 
 

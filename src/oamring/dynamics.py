@@ -219,15 +219,6 @@ def _check_band(state: StateVector, fp: FourierPotential) -> None:
         )
 
 
-def _derivative(state: StateVector, fp: FourierPotential) -> np.ndarray:
-    """dc/dtau of the coupled-mode equations at the given state."""
-    _check_band(state, fp)
-    m = modes(state.m_max)
-    return -1j * (m * m) * state.amplitudes + _nonlinear_rhs(fp)(
-        state.tau, state.amplitudes
-    )
-
-
 def bunching(state: StateVector) -> BunchingSpectrum:
     """Bunching coefficients over every lag the band supports."""
     c = state.amplitudes

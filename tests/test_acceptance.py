@@ -15,7 +15,6 @@ from oamring.cli import main
 from oamring.config import parse_config
 from oamring.dynamics import (
     StateVector,
-    _derivative,
     bunching,
     default_initial_state,
     evolve,
@@ -46,7 +45,7 @@ from oamring.rate_model import (
 )
 from oamring.stability import K0_RHO_GRID, spectrum, spectrum_sweep
 
-from test_dynamics import naive_derivative, random_state
+from test_dynamics import derivative, naive_derivative, random_state
 
 
 def report(number: int, name: str, detail: str) -> None:
@@ -259,7 +258,7 @@ def test_criterion_5_oracle_equivalences(fig2_run):
     for _ in range(100):
         state = random_state(8, rng)
         delta = np.abs(
-            _derivative(state, fp) - naive_derivative(state, params, fp)
+            derivative(state, fp) - naive_derivative(state, params, fp)
         )
         worst_deriv = max(worst_deriv, float(delta.max()))
     assert worst_deriv < 1e-12

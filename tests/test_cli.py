@@ -2,12 +2,14 @@
 reproducibility, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamring
-from oamring.cli import _VALUES_PER_WRITE, _timeseries, _write_artifacts, main
+from oamring.cli import (
+    _TEXT,
+    _VALUES_PER_WRITE,
+    _csv_lines,
+    _float_text,
+    _pow10,
+    _shortest,
+    _timeseries,
+    _write_artifacts,
+    main,
+)
 from oamring.config import _SCHEMA, COMPONENT_BAND, PRESETS, parse_config
 from oamring.dynamics import default_initial_state, evolve, modes, observables
 from oamring.errors import ConfigurationError, ToleranceError
@@ -554,6 +566,99 @@ class TestArtifacts:
         assert not out.exists()
 
 
+def float_texts(values: np.ndarray) -> list[str]:
+    """_float_text's text of each of ``values``, its NULs removed."""
+    rows = np.zeros((len(values), _TEXT + 1), dtype=np.uint8)
+    rows[:, :_TEXT] = _float_text(values)
+    rows[:, _TEXT] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def assert_texts_are_repr(values) -> None:
+    """_float_text's text of every value is its repr, checked value by value
+    in slices of 2**16."""
+    values = np.asarray(values, dtype=np.float64)
+    for first in range(0, len(values), 1 << 16):
+        part = values[first : first + (1 << 16)]
+        wrong = [(want, got) for want, got in zip(map(repr, part.tolist()), float_texts(part))
+                 if want != got]
+        assert not wrong, f"{len(wrong)} texts are not repr's, (repr, text): {wrong[:5]}"
+
+
+def edge_values() -> np.ndarray:
+    """Both signs of every power of two; each 10^k and each decimal of up to
+    four digits times 10^17 to 10^21, where the scaled interval ends meet or
+    nearly meet an integer, with both float neighbours; integers near 2^53;
+    the zeros, the least subnormal and the largest double."""
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    short = (np.arange(1.0, 1e4)[:, None] * 10.0 ** np.arange(17, 22)).ravel()
+    decimals = np.concatenate([tens, short])
+    near = 2.0**53 + np.arange(-300.0, 300.0)
+    extremes = [0.0, 5e-324, np.finfo(float).max]
+    magnitudes = np.concatenate([twos, decimals, np.nextafter(decimals, 0.0),
+                                 np.nextafter(decimals, np.inf), near, extremes])
+    return np.concatenate([magnitudes, -magnitudes])
+
+
+class TestFloatText:
+    """_float_text against repr, the oracle it falls back on."""
+
+    def test_seeded_sweep_is_repr(self):
+        rng = np.random.default_rng(41)
+        scaled = rng.normal(size=600_000) * 10.0 ** rng.uniform(-30, 30, 600_000)
+        bits = rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64)
+        assert_texts_are_repr(scaled)
+        assert_texts_are_repr(bits[np.isfinite(bits)])
+        # The sweep exercises the kernel, not its fallback: repr is left the
+        # values whose scaled interval ends meet an integer, nearly all
+        # between 1e11 and 1e22, where x 10^k is x scaled by few digits.
+        plain = _shortest(np.abs(scaled))[3]
+        assert plain.mean() > 0.95
+        left = np.abs(scaled[~plain])
+        assert np.mean((left > 1e11) & (left < 1e22)) > 0.99
+
+    def test_edge_values_are_repr(self):
+        assert_texts_are_repr(edge_values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_drawn_floats_are_repr(self, values):
+        assert_texts_are_repr(values)
+
+    def test_powers_of_ten_are_exact_double_doubles(self):
+        for k in range(-323, 309):
+            exact = Fraction(10) ** k
+            hi, lo, top, low = _pow10(k)
+            assert hi == float(exact), k
+            assert lo == float(exact - Fraction(hi)), k
+            # The split of hi, for the scales of magnitudes 1e-250 to 1e250:
+            # two halves of at most 26 bits, so Dekker's products are exact.
+            if -234 <= k <= 266:
+                assert top + low == hi, k
+                assert (top * 2.0 ** (26 - math.frexp(top)[1])).is_integer(), k
+                assert (low * 2.0 ** (26 - math.frexp(low)[1])).is_integer(), k
+
+    def test_edge_table_raises_no_floating_point_fault(self, tmp_path):
+        values = edge_values()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _write_artifacts(tmp_path / "out", "h", {"t.csv": {"x": values}})
+        reference_write_csv(tmp_path / "ref.csv", "h", ["x"], zip(values))
+        assert (tmp_path / "out" / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_one_block_formats_in_a_mebibyte(self):
+        values = np.random.default_rng(8).normal(size=_VALUES_PER_WRITE)
+        assert len(np.unique(values)) == _VALUES_PER_WRITE
+        _csv_lines([values])  # the text tables are built once, on first use
+        tracemalloc.start()
+        try:
+            _csv_lines([values])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 # The head of a script for a fresh interpreter, where the CSV writer may fork:
 # the process may run on two CPUs, and it runs one thread until the script
 # starts one.  ``forks`` counts the forks, and ``no_child_left`` says whether
@@ -791,6 +896,23 @@ class TestReproducibility:
         assert traj.attempts > 0
         assert (diagnostics["attempts"], diagnostics["rejected"]) == (
             traj.attempts, traj.rejected)
+
+    def test_runs_differ_only_in_the_volatile_block(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        for out in (first, second):
+            assert main(["rate", "--preset", "fig3", "--set", "rate.tau_end=20",
+                         "--out", str(out)]) == 0
+        manifests = [read_manifest(out) for out in (first, second)]
+        for manifest in manifests:
+            volatile = manifest.pop("volatile")
+            assert set(volatile) == {"wall_clock_s", "write_s", "created_utc"}
+            assert volatile["wall_clock_s"] >= 0 and volatile["write_s"] >= 0
+        assert manifests[0] == manifests[1]
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_large_seed_survives_manifest_rerun(self, tmp_path):
         seed = 2**53 + 1
