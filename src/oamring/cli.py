@@ -69,6 +69,9 @@ _FLOATS_PER_CALL = 2048
 # CPython's float_repr writes a value without an exponent when its decimal
 # point sits in this range: 0.000ddd (point -3) to dddddddddddddddd.d (16).
 _POINT_MIN, _POINT_MAX = -3, 16
+# Point forms a layout is keyed by: each point in that range, and one for any
+# point below it and one for any point above.
+_FORMS = _POINT_MAX - _POINT_MIN + 3
 # A scaled endpoint or a rounding tie this close to an integer is left to
 # repr.  The double-double scaling errs by under 1e-14 of a unit.
 _MARGIN = 2.0**-32
@@ -103,10 +106,10 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     """The uint64 pieces _float_text assembles a text from.
 
     quads[n] is the four digits of n < 10000, and pairs[n] the two of
-    n < 100 placed in bytes 6 and 7.  layouts[(18 sign + count) forms + form]
+    n < 100 placed in bytes 6 and 7.  layouts[(18 sign + count) _FORMS + form]
     is the layout of a text of ``count`` digits, keyed by its sign and its
-    point's form: ``form`` 1 to forms - 2 is the point _POINT_MIN to
-    _POINT_MAX, 0 is any point below and forms - 1 any point above.  A
+    point's form: ``form`` 1 to _FORMS - 2 is the point _POINT_MIN to
+    _POINT_MAX, 0 is any point below and _FORMS - 1 any point above.  A
     layout holds the sign and "0.000" lead in bytes 0 to 5, the point's
     digit slot (17: no point), and the masks of the bytes the text fills in
     the first three words.  exponents[point + 256] is the exponent text, or 0
@@ -115,10 +118,9 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     quads = (digit[:, None, None, None] | digit[:, None, None] << 8
              | digit[:, None] << 16 | digit << 24).ravel()
 
-    forms = _POINT_MAX - _POINT_MIN + 3
-    sign, count, form = np.ix_(range(2), range(18), range(forms))
+    sign, count, form = np.ix_(range(2), range(18), range(_FORMS))
     point = form - 1 + _POINT_MIN
-    fixed = (form > 0) & (form < forms - 1)
+    fixed = (form > 0) & (form < _FORMS - 1)
     # "0." and the zeros after it, for a point at 0 or below.
     zeros = np.where(fixed & (point <= 0), 1 - point, 0)
     leads = np.array([[_word(minus + ("0." + "0" * (n - 1) if n else ""))
@@ -251,9 +253,8 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     and slots past the text are NUL."""
     digits, count, point, plain = _shortest(np.abs(values))
     quads, pairs, layouts, exponents = _text_tables()
-    forms = _POINT_MAX - _POINT_MIN + 3
-    form = np.minimum(np.maximum(point - (_POINT_MIN - 1), 0), forms - 1)
-    layout = layouts[(18 * np.signbit(values) + count) * forms + form]
+    form = np.minimum(np.maximum(point - (_POINT_MIN - 1), 0), _FORMS - 1)
+    layout = layouts[(18 * np.signbit(values) + count) * _FORMS + form]
     dot = layout[:, 1].astype(np.int64)
     pair, *eights = _digit_slots(digits, count, dot)
     words = np.empty((len(values), 4), dtype=np.uint64)
@@ -450,10 +451,11 @@ def _write_artifacts(out: Path, mhash: str, files: dict[str, dict]) -> None:
                 with path.open("wb") as handle:
                     handle.write(f"# manifest: {mhash}\n{','.join(payload)}\n".encode())
                     _write_table(handle, list(payload.values()))
-                continue
-            with path.open("w", encoding="utf-8", newline="\n") as handle:
-                json.dump({**payload, "manifest_hash": mhash}, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            else:
+                with path.open("w", encoding="utf-8", newline="\n") as handle:
+                    json.dump({**payload, "manifest_hash": mhash}, handle,
+                              indent=2, sort_keys=True)
+                    handle.write("\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 

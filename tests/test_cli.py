@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 
 import oamring
 from oamring.cli import (
-    _TEXT,
     _VALUES_PER_WRITE,
     _csv_lines,
-    _float_text,
     _pow10,
     _shortest,
     _timeseries,
@@ -566,22 +564,14 @@ class TestArtifacts:
         assert not out.exists()
 
 
-def float_texts(values: np.ndarray) -> list[str]:
-    """_float_text's text of each of ``values``, its NULs removed."""
-    rows = np.zeros((len(values), _TEXT + 1), dtype=np.uint8)
-    rows[:, :_TEXT] = _float_text(values)
-    rows[:, _TEXT] = ord("\n")
-    return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-
-
 def assert_texts_are_repr(values) -> None:
-    """_float_text's text of every value is its repr, checked value by value
-    in slices of 2**16."""
+    """The text the CSV writer gives every value is its repr, checked value
+    by value in one-column tables of up to 2**16 rows."""
     values = np.asarray(values, dtype=np.float64)
     for first in range(0, len(values), 1 << 16):
         part = values[first : first + (1 << 16)]
-        wrong = [(want, got) for want, got in zip(map(repr, part.tolist()), float_texts(part))
-                 if want != got]
+        texts = _csv_lines([part]).decode("ascii").split("\n")[:-1]
+        wrong = [(want, got) for want, got in zip(map(repr, part.tolist()), texts) if want != got]
         assert not wrong, f"{len(wrong)} texts are not repr's, (repr, text): {wrong[:5]}"
 
 
@@ -602,7 +592,8 @@ def edge_values() -> np.ndarray:
 
 
 class TestFloatText:
-    """_float_text against repr, the oracle it falls back on."""
+    """cli._float_text, through the CSV writer, against repr, the oracle it
+    falls back on."""
 
     def test_seeded_sweep_is_repr(self):
         rng = np.random.default_rng(41)
