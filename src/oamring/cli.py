@@ -257,7 +257,7 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     layout = layouts[(18 * np.signbit(values) + count) * _FORMS + form]
     dot = layout[:, 1].astype(np.int64)
     pair, *eights = _digit_slots(digits, count, dot)
-    words = np.empty((len(values), 4), dtype=np.uint64)
+    words = np.empty((len(values), 4), dtype="<u8")  # little-endian: byte i is text slot i
     words[:, 0] = layout[:, 0] | pairs[pair]
     for word, eight in enumerate(eights, 1):
         four = eight // 10**4
