@@ -75,7 +75,7 @@ _FORMS = _POINT_MAX - _POINT_MIN + 3
 # A scaled endpoint or a rounding tie this close to an integer is left to
 # repr.  The double-double scaling errs by under 1e-14 of a unit.
 _MARGIN = 2.0**-32
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_TENS = 10 ** np.arange(19, dtype=np.int64)  # 10^0 .. 10^18, exact
 _MANTISSA = np.uint64((1 << 52) - 1)
 
 
@@ -211,7 +211,7 @@ def _shortest(magnitude: np.ndarray) -> tuple[np.ndarray, ...]:
         zeros = cut * 10**run == head
         head = np.where(zeros, cut, head)
         dropped[live] += run * zeros
-    unit = _POW10[dropped]
+    unit = _TENS[dropped]
     rest = mid % unit
     # Twice the distance of x 10^k past the midpoint between the multiples
     # of 10^j on either side: its sign picks the nearer one, and below a
@@ -231,8 +231,8 @@ def _digit_slots(digits: np.ndarray, count: np.ndarray, dot: np.ndarray) -> list
     """The 18 digit slots of a text: its ``count`` digits left-aligned in 17
     slots, zero-filled, with a 0 opened up in slot ``dot`` for the point.
     Returned as the numbers in slots 0-1, 2-9 and 10-17."""
-    left = digits * _POW10[17 - count]
-    cut = _POW10[17 - dot]
+    left = digits * _TENS[17 - count]
+    cut = _TENS[17 - dot]
     high = left // cut
     spaced = high * (10 * cut) + (left - high * cut)
     pair = spaced // 10**16
